@@ -1,15 +1,15 @@
-// Execution-time knobs shared by both engines' callers.
+// Execution-time knobs of one consolidated run, for either engine.
 //
 // ExecOptions travels from the facade (MqoOptions::exec) through the backend
-// dispatch (vexec/backend.h) into the engine that runs the plan. The
-// scheduling knobs feed the pipeline driver (storage/pipeline.h) that
-// schedules every scan, filter, join build/probe and aggregation in the
-// vectorized engine (the row interpreter is always serial and ignores
-// them). The memory-governance knobs configure both engines' shared
-// materialized-segment store (storage/mat_store.h): a resident-byte budget
-// and the spill directory evicted segments are written to. Results are
-// identical for every setting — threading and spilling are performance
-// decisions, never semantic ones.
+// dispatch (vexec/backend.h) into the shared consolidated-execution driver
+// (exec/consolidated_executor.h) and the engine derived from it. The
+// scheduling knobs feed the pipeline driver (storage/pipeline.h) of the
+// vectorized engine; the row interpreter is always serial and ignores them.
+// The memory-governance knobs configure the run's materialized-segment
+// store (storage/mat_store.h), and `shared_cache` is the cross-batch cache
+// the driver consults and publishes to. Results are identical for every
+// setting — threading, spilling and caching are performance decisions,
+// never semantic ones.
 
 #ifndef MQO_EXEC_EXEC_OPTIONS_H_
 #define MQO_EXEC_EXEC_OPTIONS_H_
@@ -57,12 +57,10 @@ struct ExecOptions : PipelineOptions {
   /// executor metrics. Null = off; execution is unaffected either way.
   ObsContext* obs = nullptr;
   /// Cross-batch semantic segment cache (storage/segment_cache.h), shared
-  /// across a session's concurrent batches. When set, MaterializeNode first
-  /// consults the cache by structural class fingerprint (a hit skips the
-  /// compute entirely) and publishes freshly computed segments back. Null =
-  /// per-run materialization only. Results are identical either way — the
-  /// cache can only serve a segment whose fingerprint and base-table
-  /// versions both match.
+  /// across a session's concurrent batches; the consult/publish contract is
+  /// on exec/consolidated_executor.h. Null = per-run materialization only.
+  /// Results are identical either way — the cache can only serve a segment
+  /// whose fingerprint and base-table versions both match.
   SharedSegmentCache* shared_cache = nullptr;
 
   /// `zone_maps` with the environment fallback resolved.

@@ -1,11 +1,7 @@
 #include "exec/plan_executor.h"
 
-#include <algorithm>
-
-#include "common/timer.h"
 #include "exec/row_ops.h"
 #include "obs/obs.h"
-#include "storage/segment_cache.h"
 
 namespace mqo {
 
@@ -91,8 +87,8 @@ Result<NamedRows> PlanExecutor::ExecuteUncanonicalized(const PlanNodePtr& plan) 
 Result<NamedRows> PlanExecutor::Execute(const PlanNodePtr& plan) {
   // Serial interpreter: these spans nest exactly like the plan tree, so a
   // trace of a row-engine run is a flame graph of the plan.
-  TraceSpan span(TracerOf(obs_), std::string("op.") + PhysOpToString(plan->op),
-                 "exec");
+  TraceSpan span(TracerOf(options_.obs),
+                 std::string("op.") + PhysOpToString(plan->op), "exec");
   MQO_ASSIGN_OR_RETURN(NamedRows raw, ExecuteUncanonicalized(plan));
   const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
   MQO_RETURN_NOT_OK(Canonicalize(attrs, &raw));
@@ -103,131 +99,12 @@ Result<NamedRows> PlanExecutor::Execute(const PlanNodePtr& plan) {
   return raw;
 }
 
-Status PlanExecutor::MaterializeNode(EqId eq, const PlanNodePtr& compute_plan) {
-  TraceSpan span(TracerOf(obs_), "materialize", "exec");
-  ScopedTimer metric(MetricsOf(obs_), "exec.materialize_ms");
-  eq = memo_->Find(eq);
-  const uint64_t fp = ClassFingerprint(*memo_, eq, &fingerprints_);
-  if (shared_cache_ != nullptr) {
-    // Cross-batch semantic cache (same contract as the vectorized engine):
-    // a structurally identical segment from an earlier batch serves this
-    // class without recomputation. The schema guard rejects fingerprint
-    // collisions between classes with different attribute lists.
-    ColumnBatch cached;
-    if (shared_cache_->Lookup(fp, &cached) &&
-        cached.names == memo_->Attributes(eq)) {
-      compute_ms_[eq] = 0.0;
-      feedback_.Record(fp, static_cast<double>(cached.num_rows));
-      ++cross_batch_hits_;
-      if (span.active()) {
-        span.AddNum("eq", eq);
-        span.AddNum("rows", static_cast<double>(cached.num_rows));
-        span.AddNum("cross_batch_hit", 1);
-      }
-      return store_.Put(eq, std::move(cached));
-    }
-  }
-  WallTimer timer;
+Result<ColumnBatch> PlanExecutor::ComputeSegment(
+    const PlanNodePtr& compute_plan) {
   MQO_ASSIGN_OR_RETURN(NamedRows rows, Execute(compute_plan));
-  compute_ms_[eq] = timer.ElapsedMillis();
-  // Observed cardinality of the shared subexpression: later optimizations
-  // match it by structural fingerprint and estimate against reality.
-  feedback_.Record(fp, static_cast<double>(rows.rows.size()));
   // Segments are stored columnar even for the row engine, so both executors
   // share one materialization format.
-  MQO_ASSIGN_OR_RETURN(ColumnBatch segment, BatchFromRows(rows));
-  if (span.active()) {
-    span.AddNum("eq", eq);
-    span.AddNum("rows", static_cast<double>(segment.num_rows));
-    span.AddNum("bytes", static_cast<double>(segment.ByteSize()));
-  }
-  if (shared_cache_ != nullptr) {
-    // Publish for later batches (COW copy: shares payloads, no deep copy).
-    auto reads = expected_reads_.find(eq);
-    shared_cache_->Insert(
-        fp, ColumnBatch(segment), ClassBaseTables(*memo_, eq),
-        reads == expected_reads_.end() ? 0.0 : reads->second);
-  }
-  return store_.Put(eq, std::move(segment));
-}
-
-Result<std::vector<NamedRows>> PlanExecutor::ExecuteConsolidated(
-    const ConsolidatedPlan& plan) {
-  TraceSpan batch_span(TracerOf(obs_), "execute_consolidated", "exec");
-  if (batch_span.active()) {
-    batch_span.AddNum("materialized",
-                      static_cast<double>(plan.materialized.size()));
-    batch_span.AddNum("queries",
-                      static_cast<double>(plan.root_plan->children.size()));
-  }
-  feedback_.clear();
-  compute_ms_.clear();
-  expected_reads_.clear();
-  cross_batch_hits_ = 0;
-  // Seed the eviction weights before any segment lands: a segment with many
-  // reads still ahead of it is the last one the budget pushes to disk.
-  for (const auto& [eq, reads] : ExpectedSegmentReads(*memo_, plan)) {
-    store_.SetExpectedReads(eq, reads);
-    expected_reads_[eq] = reads;
-  }
-  // Materialize chosen nodes children-first (a node's compute plan may read
-  // materialized descendants).
-  std::vector<EqId> topo = memo_->TopologicalClasses();
-  auto position = [&](EqId e) {
-    e = memo_->Find(e);
-    for (size_t i = 0; i < topo.size(); ++i) {
-      if (topo[i] == e) return i;
-    }
-    return topo.size();
-  };
-  std::vector<const ConsolidatedPlan::MatNode*> ordered;
-  for (const auto& m : plan.materialized) ordered.push_back(&m);
-  std::sort(ordered.begin(), ordered.end(),
-            [&](const ConsolidatedPlan::MatNode* a,
-                const ConsolidatedPlan::MatNode* b) {
-              return position(a->eq) < position(b->eq);
-            });
-  for (const auto* m : ordered) {
-    MQO_RETURN_NOT_OK(MaterializeNode(m->eq, m->compute_plan));
-  }
-  if (plan.root_plan->op != PhysOp::kBatchRoot) {
-    return Status::InvalidArgument("root plan is not a batch root");
-  }
-  std::vector<NamedRows> results;
-  for (const auto& child : plan.root_plan->children) {
-    TraceSpan query_span(TracerOf(obs_), "query", "exec");
-    MQO_ASSIGN_OR_RETURN(NamedRows rows, Execute(child));
-    if (query_span.active()) {
-      query_span.AddNum("index", static_cast<double>(results.size()));
-      query_span.AddNum("rows", static_cast<double>(rows.rows.size()));
-    }
-    results.push_back(std::move(rows));
-  }
-  return results;
-}
-
-std::vector<SegmentRuntime> PlanExecutor::SegmentRuntimes() const {
-  std::vector<SegmentRuntime> out;
-  for (const auto& [key, t] : store_.Telemetry()) {
-    const EqId eq = static_cast<EqId>(key);
-    SegmentRuntime r;
-    r.eq = eq;
-    auto fp = fingerprints_.find(eq);
-    if (fp != fingerprints_.end()) r.fingerprint = fp->second;
-    r.actual_rows = t.rows;
-    auto cm = compute_ms_.find(eq);
-    if (cm != compute_ms_.end()) r.compute_ms = cm->second;
-    r.reads = t.reads;
-    r.reloads = t.reloads;
-    r.bytes = static_cast<int64_t>(t.bytes);
-    r.ever_spilled = t.ever_spilled;
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SegmentRuntime& a, const SegmentRuntime& b) {
-              return a.eq < b.eq;
-            });
-  return out;
+  return BatchFromRows(rows);
 }
 
 }  // namespace mqo

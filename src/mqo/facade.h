@@ -37,8 +37,9 @@ struct MqoOptions {
       Algorithm::kMarginalGreedy;
   MarginalGreedyMqoOptions marginal_options;
   ExpansionOptions expansion;
-  /// Which engine OptimizeAndExecute* runs the consolidated plan on.
-  ExecBackend backend = ExecBackend::kRow;
+  /// Which engine OptimizeAndExecute* runs the consolidated plan on. The
+  /// row interpreter (kRow) is the slower reference engine.
+  ExecBackend backend = ExecBackend::kVector;
   /// Vectorized-engine execution knobs: `exec.num_threads` > 1 runs every
   /// pipeline — scans, filters, join build/probe, aggregation — morsel-
   /// parallel (results are identical for every value). The row engine is
@@ -132,7 +133,7 @@ Result<MqoOutcome> OptimizeBatch(const Catalog& catalog,
 /// Result of a facade optimize-and-execute run.
 struct MqoExecutionOutcome {
   MqoOutcome optimization;
-  ExecBackend backend = ExecBackend::kRow;  ///< Engine that produced results.
+  ExecBackend backend = ExecBackend::kVector;  ///< Engine that ran the plan.
   std::vector<NamedRows> results;  ///< One per query, canonicalized.
   /// Observed cardinalities of the run's materialized segments (keyed by
   /// structural fingerprint). Pass as MqoOptions::feedback — or run batches
@@ -231,7 +232,7 @@ class MqoSession {
   /// collected statistics and every cached segment computed from it, so the
   /// next lookup re-analyzes and the next materialization recomputes.
   /// Observed cardinalities stay — they are advisory estimates, refreshed
-  /// last-write-wins by subsequent runs. Call quiesced (no Run in flight).
+  /// last-write-wins by subsequent runs.
   void InvalidateTable(const std::string& table);
 
   /// Data-regeneration hook: drops collected statistics, observed

@@ -11,9 +11,9 @@ PinnedSegment& PinnedSegment::operator=(PinnedSegment&& o) noexcept {
     Release();
     store_ = o.store_;
     key_ = o.key_;
-    batch_ = o.batch_;
+    batch_ = std::move(o.batch_);
     o.store_ = nullptr;
-    o.batch_ = nullptr;
+    o.batch_ = ColumnBatch{};
   }
   return *this;
 }
@@ -21,7 +21,7 @@ PinnedSegment& PinnedSegment::operator=(PinnedSegment&& o) noexcept {
 void PinnedSegment::Release() {
   if (store_ != nullptr) store_->Unpin(key_);
   store_ = nullptr;
-  batch_ = nullptr;
+  batch_ = ColumnBatch{};
 }
 
 void MatStore::Unpin(uint64_t key) {
@@ -32,12 +32,6 @@ void MatStore::Unpin(uint64_t key) {
 
 Status MatStore::PutLocked(uint64_t key, ColumnBatch segment) {
   Entry& e = entries_[key];
-  if (e.pins > 0) {
-    // Replacing the batch in place would yank it out from under live
-    // PinnedSegment leases, whose contract is a stable batch().
-    return Status::Internal("Put would replace pinned segment E" +
-                            std::to_string(key));
-  }
   if (e.resident) bytes_used_ -= e.bytes;
   if (!e.spill_path.empty()) {
     // The old spill file holds stale content now.
@@ -151,7 +145,7 @@ Result<PinnedSegment> MatStore::Pin(uint64_t key) {
     t->Instant("mat_store.pin", "storage",
                {TNum("eq", static_cast<double>(key)), TNum("pins", e->pins)});
   }
-  return PinnedSegment(this, key, &e->batch);
+  return PinnedSegment(this, key, e->batch);
 }
 
 Status MatStore::EvictLocked(uint64_t key, Entry* e) {

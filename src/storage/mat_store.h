@@ -93,10 +93,10 @@ struct SegmentTelemetry {
 class MatStore;
 
 /// RAII read lease on one segment: while any PinnedSegment for `key` is
-/// alive, the store will not evict (or replace, or erase) that segment, so
-/// batch() is stable for the pin's whole lifetime (pipelines, probes,
-/// boundary conversions) — including against concurrent batches sharing the
-/// store.
+/// alive, the store will not evict or erase that segment. batch() is the
+/// lease's own COW copy (shared payloads, O(columns)), so it stays stable
+/// for the pin's whole lifetime (pipelines, probes, boundary conversions) —
+/// even when a concurrent Put replaces the key.
 class PinnedSegment {
  public:
   PinnedSegment() = default;
@@ -107,19 +107,19 @@ class PinnedSegment {
   ~PinnedSegment() { Release(); }
 
   bool valid() const { return store_ != nullptr; }
-  const ColumnBatch& batch() const { return *batch_; }
+  const ColumnBatch& batch() const { return batch_; }
 
   /// Drops the pin early (idempotent).
   void Release();
 
  private:
   friend class MatStore;
-  PinnedSegment(MatStore* store, uint64_t key, const ColumnBatch* batch)
-      : store_(store), key_(key), batch_(batch) {}
+  PinnedSegment(MatStore* store, uint64_t key, ColumnBatch batch)
+      : store_(store), key_(key), batch_(std::move(batch)) {}
 
   MatStore* store_ = nullptr;
   uint64_t key_ = 0;
-  const ColumnBatch* batch_ = nullptr;
+  ColumnBatch batch_;
 };
 
 /// Columnar segments keyed by a 64-bit segment key (memo class id or class
@@ -135,14 +135,15 @@ class MatStore {
   MatStore& operator=(const MatStore&) = delete;
 
   /// Inserts or replaces the segment for `key`, then enforces the budget
-  /// (which may spill this segment or others). Fails on spill I/O errors
-  /// and on replacing a segment that is currently pinned.
+  /// (which may spill this segment or others). Fails on spill I/O errors.
+  /// Replacing a pinned key is safe: live leases keep reading their own
+  /// copy, and their pins keep the new segment resident until they drop.
   Status Put(uint64_t key, ColumnBatch segment);
 
   /// Inserts the segment only when `key` is absent — the first writer wins,
   /// so two concurrent batches materializing the same shared subexpression
-  /// never clobber (or fail on) each other's pinned segment. `*inserted`
-  /// (optional) reports whether this call stored its batch.
+  /// never clobber each other's segment. `*inserted` (optional) reports
+  /// whether this call stored its batch.
   Status PutIfAbsent(uint64_t key, ColumnBatch segment,
                      bool* inserted = nullptr);
 

@@ -7,8 +7,8 @@ namespace mqo {
 SharedSegmentCache::SharedSegmentCache(MatStoreOptions options)
     : store_(options), obs_(options.obs) {}
 
-bool SharedSegmentCache::FreshLocked(const Deps& deps) const {
-  for (const auto& [table, version] : deps.tables) {
+bool SharedSegmentCache::FreshLocked(const TableVersions& deps) const {
+  for (const auto& [table, version] : deps) {
     auto it = versions_.find(table);
     const uint64_t current = it == versions_.end() ? 0 : it->second;
     if (current != version) return false;
@@ -72,8 +72,20 @@ bool SharedSegmentCache::Lookup(uint64_t fingerprint, ColumnBatch* out) {
 
 void SharedSegmentCache::Insert(uint64_t fingerprint, ColumnBatch segment,
                                 const std::set<std::string>& base_tables,
+                                const TableVersions& read_versions,
                                 double expected_reads) {
+  TableVersions deps;
+  for (const auto& table : base_tables) {
+    auto it = read_versions.find(table);
+    deps[table] = it == read_versions.end() ? 0 : it->second;
+  }
   std::lock_guard<std::mutex> lock(mu_);
+  if (!FreshLocked(deps)) {
+    // A dependency was invalidated after the segment's inputs were read:
+    // its rows may be stale, so it is never stored.
+    ++stats_.invalidated_segments;
+    return;
+  }
   if (deps_.count(fingerprint) > 0) {
     ++stats_.insert_races_lost;
     return;
@@ -88,11 +100,6 @@ void SharedSegmentCache::Insert(uint64_t fingerprint, ColumnBatch segment,
     // can never be served.
     ++stats_.insert_races_lost;
     return;
-  }
-  Deps deps;
-  for (const auto& table : base_tables) {
-    auto it = versions_.find(table);
-    deps.tables[table] = it == versions_.end() ? 0 : it->second;
   }
   deps_[fingerprint] = std::move(deps);
   ++stats_.inserts;
@@ -110,7 +117,7 @@ void SharedSegmentCache::InvalidateTable(const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
   ++versions_[table];
   for (auto it = deps_.begin(); it != deps_.end();) {
-    if (it->second.tables.count(table) > 0) {
+    if (it->second.count(table) > 0) {
       store_.Erase(it->first);
       it = deps_.erase(it);
       ++stats_.invalidated_segments;
@@ -133,6 +140,11 @@ void SharedSegmentCache::Clear() {
     ++stats_.invalidated_segments;
   }
   deps_.clear();
+}
+
+TableVersions SharedSegmentCache::TableVersionSnapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return versions_;
 }
 
 std::shared_ptr<const std::unordered_set<uint64_t>>

@@ -62,8 +62,13 @@ struct SegmentCacheStats {
   int64_t stale_misses = 0;  ///< ... of misses: present but base table moved.
   int64_t inserts = 0;
   int64_t insert_races_lost = 0;    ///< PutIfAbsent found the key present.
-  int64_t invalidated_segments = 0; ///< Dropped by InvalidateTable/Clear.
+  /// Dropped by InvalidateTable/Clear, or found stale on lookup/insert.
+  int64_t invalidated_segments = 0;
 };
+
+/// Base-table versions (table -> version; an absent table is version 0).
+/// Sorted for deterministic iteration in tests.
+using TableVersions = std::map<std::string, uint64_t>;
 
 /// Fingerprint-keyed segment cache shared across a session's batches.
 class SharedSegmentCache {
@@ -83,15 +88,24 @@ class SharedSegmentCache {
   bool Lookup(uint64_t fingerprint, ColumnBatch* out);
 
   /// Inserts a freshly materialized segment with its base-table dependency
-  /// set (ClassBaseTables of the materialized class). First writer wins;
-  /// losing the race is not an error. `expected_reads` seeds the eviction
-  /// weight exactly like the per-run store's SetExpectedReads.
+  /// set (ClassBaseTables of the materialized class), stamped with the
+  /// versions in `read_versions` — the TableVersionSnapshot taken before the
+  /// segment's inputs were read. A segment computed against a version that
+  /// has since been invalidated is dropped instead of stored. First writer
+  /// wins; losing the race is not an error. `expected_reads` seeds the
+  /// eviction weight exactly like the per-run store's SetExpectedReads.
   void Insert(uint64_t fingerprint, ColumnBatch segment,
-              const std::set<std::string>& base_tables, double expected_reads);
+              const std::set<std::string>& base_tables,
+              const TableVersions& read_versions, double expected_reads);
+
+  /// The current version of every table invalidated so far. Taken when a run
+  /// starts and passed to Insert, so the run's segments carry the versions
+  /// of the data it read, not of the data current at publish time.
+  TableVersions TableVersionSnapshot() const;
 
   /// Drops every segment that depends on `table` and bumps the table's
-  /// version so in-flight insertions computed against the old data are
-  /// rejected on their next lookup.
+  /// version, so in-flight runs that read the old data cannot publish their
+  /// segments as fresh. Safe while runs are in flight.
   void InvalidateTable(const std::string& table);
 
   /// Drops everything (all segments, all dependency records); versions are
@@ -112,20 +126,14 @@ class SharedSegmentCache {
   size_t bytes_used() const { return store_.bytes_used(); }
 
  private:
-  struct Deps {
-    /// (table, version at compute time) — sorted map for deterministic
-    /// iteration in tests.
-    std::map<std::string, uint64_t> tables;
-  };
-
-  /// True iff every dependency of `it->second` still matches the current
-  /// table versions. `mu_` held.
-  bool FreshLocked(const Deps& deps) const;
+  /// True iff every dependency in `deps` (table -> version the segment was
+  /// computed against) still matches the current table versions. `mu_` held.
+  bool FreshLocked(const TableVersions& deps) const;
 
   MatStore store_;
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Deps> deps_;        ///< fingerprint -> deps.
-  std::map<std::string, uint64_t> versions_;       ///< table -> version.
+  std::unordered_map<uint64_t, TableVersions> deps_;  ///< fingerprint -> deps.
+  TableVersions versions_;                            ///< Current versions.
   SegmentCacheStats stats_;
   ObsContext* obs_ = nullptr;
 };

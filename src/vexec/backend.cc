@@ -1,6 +1,22 @@
 #include "vexec/backend.h"
 
+#include <memory>
+
 namespace mqo {
+
+namespace {
+
+std::unique_ptr<ConsolidatedExecutor> MakeExecutor(ExecBackend backend,
+                                                   Memo* memo,
+                                                   const DataSet* data,
+                                                   const ExecOptions& exec) {
+  if (backend == ExecBackend::kVector) {
+    return std::make_unique<VectorPlanExecutor>(memo, data, exec);
+  }
+  return std::make_unique<PlanExecutor>(memo, data, exec);
+}
+
+}  // namespace
 
 const char* ExecBackendToString(ExecBackend backend) {
   switch (backend) {
@@ -24,36 +40,23 @@ Result<ExecResult> ExecuteConsolidatedResult(ExecBackend backend, Memo* memo,
                                              const DataSet* data,
                                              const ConsolidatedPlan& plan,
                                              const ExecOptions& exec) {
-  ExecResult out;
-  if (backend == ExecBackend::kVector) {
-    VectorPlanExecutor executor(memo, data, exec);
-    MQO_ASSIGN_OR_RETURN(out.results, executor.ExecuteConsolidated(plan));
-    out.feedback = executor.feedback();
-    out.store_stats = executor.store().stats();
-    out.segments = executor.SegmentRuntimes();
-    out.cross_batch_hits = executor.cross_batch_hits();
-    return out;
-  }
   // The row interpreter is serial but its segment store honours the same
   // memory budget, so both engines spill under identical pressure.
-  PlanExecutor executor(memo, data, exec);
-  MQO_ASSIGN_OR_RETURN(out.results, executor.ExecuteConsolidated(plan));
-  out.feedback = executor.feedback();
-  out.store_stats = executor.store().stats();
-  out.segments = executor.SegmentRuntimes();
-  out.cross_batch_hits = executor.cross_batch_hits();
+  std::unique_ptr<ConsolidatedExecutor> executor =
+      MakeExecutor(backend, memo, data, exec);
+  ExecResult out;
+  MQO_ASSIGN_OR_RETURN(out.results, executor->ExecuteConsolidated(plan));
+  out.feedback = executor->feedback();
+  out.store_stats = executor->store().stats();
+  out.segments = executor->SegmentRuntimes();
+  out.cross_batch_hits = executor->cross_batch_hits();
   return out;
 }
 
 Result<NamedRows> ExecutePlanWith(ExecBackend backend, Memo* memo,
                                   const DataSet* data, const PlanNodePtr& plan,
                                   const ExecOptions& exec) {
-  if (backend == ExecBackend::kVector) {
-    VectorPlanExecutor executor(memo, data, exec);
-    return executor.Execute(plan);
-  }
-  PlanExecutor executor(memo, data, exec);
-  return executor.Execute(plan);
+  return MakeExecutor(backend, memo, data, exec)->Execute(plan);
 }
 
 }  // namespace mqo

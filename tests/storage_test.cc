@@ -792,8 +792,9 @@ TEST(MatStoreBudgetTest, PinnedSegmentSurvivesEvictionPressure) {
   EXPECT_FALSE(store.IsResident(3));
   EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[0], 10);
   EXPECT_FALSE(store.Erase(1));  // pinned segments cannot be erased
-  // ... nor replaced: the pin's batch() must stay stable for its lifetime.
-  EXPECT_FALSE(store.Put(1, IntSegment(99, 4)).ok());
+  // Replacing it is allowed: the pin's batch() is its own copy, stable for
+  // the lease's lifetime.
+  ASSERT_TRUE(store.Put(1, IntSegment(99, 4)).ok());
   EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[0], 10);
   // Releasing the pin makes it evictable again.
   pinned.ValueOrDie().Release();
@@ -1249,6 +1250,25 @@ TEST(MatStoreTest, PutIfAbsentIsFirstWriterWins) {
   EXPECT_EQ(store.Get(5)->columns[0].ints()[0], 300);
 }
 
+// A lease holds its own COW copy, so replacing a pinned key is safe: the
+// lease keeps reading the payload it pinned, new pins read the new one, and
+// the pin still blocks Erase.
+TEST(MatStoreTest, PutReplacingPinnedKeyKeepsLeasePayload) {
+  MatStore store;
+  ASSERT_TRUE(store.Put(7, MarkerBatch(100)).ok());
+  auto lease = store.Pin(7);
+  ASSERT_TRUE(lease.ok());
+  ASSERT_TRUE(store.Put(7, MarkerBatch(200)).ok());
+  EXPECT_EQ(lease.ValueOrDie().batch().columns[0].ints()[0], 100);
+  auto fresh = store.Pin(7);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.ValueOrDie().batch().columns[0].ints()[0], 200);
+  EXPECT_FALSE(store.Erase(7));
+  lease.ValueOrDie().Release();
+  fresh.ValueOrDie().Release();
+  EXPECT_TRUE(store.Erase(7));
+}
+
 // Concurrent Put/PutIfAbsent/Pin/Erase on a contended key space under a
 // budget small enough that every operation also races eviction and spill.
 // Every successful pin must see the payload its key encodes, and the store
@@ -1297,7 +1317,7 @@ TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   SharedSegmentCache cache(MatStoreOptions{});
   ColumnBatch out;
   EXPECT_FALSE(cache.Lookup(1, &out));
-  cache.Insert(1, MarkerBatch(10), {"t"}, 2.0);
+  cache.Insert(1, MarkerBatch(10), {"t"}, cache.TableVersionSnapshot(), 2.0);
   ASSERT_TRUE(cache.Lookup(1, &out));
   EXPECT_EQ(out.columns[0].ints()[0], 10);
   // Invalidating an unrelated table leaves the segment serveable.
@@ -1306,8 +1326,8 @@ TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   // Invalidating a dependency drops it: stale means miss, never wrong data.
   cache.InvalidateTable("t");
   EXPECT_FALSE(cache.Lookup(1, &out));
-  // A segment inserted *after* the bump captured the new version — fresh.
-  cache.Insert(1, MarkerBatch(20), {"t"}, 1.0);
+  // A segment computed *after* the bump captured the new version — fresh.
+  cache.Insert(1, MarkerBatch(20), {"t"}, cache.TableVersionSnapshot(), 1.0);
   ASSERT_TRUE(cache.Lookup(1, &out));
   EXPECT_EQ(out.columns[0].ints()[0], 20);
 
@@ -1319,10 +1339,27 @@ TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   EXPECT_EQ(stats.invalidated_segments, 1);
 }
 
+// A run that read `t` before InvalidateTable("t") publishes with its
+// run-start snapshot: the segment may hold old rows, so it is never served.
+TEST(SegmentCacheTest, InsertStampedBeforeInvalidationIsMiss) {
+  SharedSegmentCache cache(MatStoreOptions{});
+  const TableVersions read_versions = cache.TableVersionSnapshot();
+  cache.InvalidateTable("t");
+  cache.Insert(3, MarkerBatch(30), {"t"}, read_versions, 1.0);
+  ColumnBatch out;
+  EXPECT_FALSE(cache.Lookup(3, &out));
+  EXPECT_EQ(cache.stats().inserts, 0);
+  // A run that started after the invalidation publishes a fresh segment.
+  cache.Insert(3, MarkerBatch(31), {"t"}, cache.TableVersionSnapshot(), 1.0);
+  ASSERT_TRUE(cache.Lookup(3, &out));
+  EXPECT_EQ(out.columns[0].ints()[0], 31);
+}
+
 TEST(SegmentCacheTest, FirstInsertWinsAndCopiesAreIsolated) {
   SharedSegmentCache cache(MatStoreOptions{});
-  cache.Insert(9, MarkerBatch(1), {"t"}, 1.0);
-  cache.Insert(9, MarkerBatch(2), {"t"}, 1.0);  // lost race: first wins
+  const TableVersions versions = cache.TableVersionSnapshot();
+  cache.Insert(9, MarkerBatch(1), {"t"}, versions, 1.0);
+  cache.Insert(9, MarkerBatch(2), {"t"}, versions, 1.0);  // lost race
   EXPECT_EQ(cache.stats().insert_races_lost, 1);
   ColumnBatch out;
   ASSERT_TRUE(cache.Lookup(9, &out));
@@ -1348,11 +1385,14 @@ TEST(SegmentCacheConcurrencyTest, RacingInsertLookupInvalidate) {
           const uint64_t fp = static_cast<uint64_t>((t + i) % 6);
           const std::string table = "t" + std::to_string(fp % 2);
           cache.Insert(fp, MarkerBatch(static_cast<int64_t>(fp) * 10),
-                       {table}, 1.0);
+                       {table}, cache.TableVersionSnapshot(), 1.0);
           ColumnBatch out;
           if (cache.Lookup(fp, &out)) {
-            ASSERT_EQ(out.num_rows, 2u);
-            EXPECT_EQ(out.columns[0].ints()[0],
+            // Read through the const accessor: the served payload is shared
+            // with other threads, and the non-const one is a mutation.
+            const ColumnBatch& served = out;
+            ASSERT_EQ(served.num_rows, 2u);
+            EXPECT_EQ(served.columns[0].ints()[0],
                       static_cast<int64_t>(fp) * 10);
           }
           if ((i + t) % 13 == 0) cache.InvalidateTable(table);

@@ -989,6 +989,77 @@ TEST(VexecBudgetTest, TinyBudgetForcesSpillsWithoutChangingResults) {
   }
 }
 
+// One SharedSegmentCache serving both engines: segments the row engine
+// publishes (plain columns from BatchFromRows) must serve the vector engine,
+// and the vector engine's (FOR-encoded, zone-mapped) segments must serve the
+// row engine. The second run computes nothing and still answers exactly like
+// a cache-less run of the same engine.
+void CheckMixedEngineCacheOn(Memo* memo, const DataSet& data,
+                             const ConsolidatedPlan& plan) {
+  ASSERT_FALSE(plan.materialized.empty());
+  ExecOptions parallel;
+  parallel.num_threads = 2;
+  parallel.morsel_rows = 8;
+  const std::pair<ExecBackend, ExecBackend> orders[] = {
+      {ExecBackend::kRow, ExecBackend::kVector},
+      {ExecBackend::kVector, ExecBackend::kRow}};
+  for (const auto& [first, second] : orders) {
+    const std::string context = std::string(ExecBackendToString(first)) +
+                                " then " + ExecBackendToString(second);
+    auto reference =
+        ExecuteConsolidatedResult(second, memo, &data, plan, parallel);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    SharedSegmentCache cache(MatStoreOptions{});
+    ExecOptions exec = parallel;
+    exec.shared_cache = &cache;
+    auto warm = ExecuteConsolidatedResult(first, memo, &data, plan, exec);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm.ValueOrDie().cross_batch_hits, 0) << context;
+    auto served = ExecuteConsolidatedResult(second, memo, &data, plan, exec);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.ValueOrDie().cross_batch_hits,
+              static_cast<int64_t>(plan.materialized.size()))
+        << context;
+    const auto& want = reference.ValueOrDie().results;
+    const auto& got = served.ValueOrDie().results;
+    ASSERT_EQ(want.size(), got.size()) << context;
+    for (size_t q = 0; q < want.size(); ++q) {
+      ExpectSameRows(want[q], got[q], context + " q" + std::to_string(q));
+    }
+  }
+}
+
+TEST(VexecCacheTest, MixedEnginesShareOneSegmentCache) {
+  DataGenOptions gen;
+  gen.max_rows_per_table = 40;
+  gen.domain_cap = 30;
+  gen.seed = 77;
+  {
+    Catalog catalog = MakeExample1Catalog();
+    Memo memo(&catalog);
+    memo.InsertBatch(MakeExample1Queries());
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    DataSet data = GenerateData(catalog, gen);
+    BatchOptimizer optimizer(&memo, CostModel());
+    MaterializationProblem problem(&optimizer);
+    CheckMixedEngineCacheOn(&memo, data,
+                            optimizer.Plan(RunGreedy(&problem).materialized));
+  }
+  {
+    // String, date and numeric columns: dictionary and FOR segments cross
+    // the engine boundary.
+    Catalog catalog = MakeTpcdCatalog(1);
+    Memo memo(&catalog);
+    memo.InsertBatch({MakeQ3(0), MakeQ3(1)});
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    DataSet data = GenerateData(catalog, gen);
+    BatchOptimizer optimizer(&memo, CostModel());
+    MaterializationProblem problem(&optimizer);
+    CheckMixedEngineCacheOn(
+        &memo, data, optimizer.Plan(RunMarginalGreedy(&problem).materialized));
+  }
+}
+
 TEST(VexecBudgetTest, FacadeBudgetKnobKeepsAnswersAndFeedsAdmission) {
   // MqoOptions::mat_budget_bytes flows to both the optimizer (admission /
   // spill penalty may change the chosen set) and the executors (spill at
