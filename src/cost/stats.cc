@@ -151,7 +151,8 @@ void StatsEstimator::ApplyFeedback(EqId eq, RelStats* out) {
 
 bool StatsEstimator::ScanFromCollected(const MemoOp& op, const Table& table,
                                        RelStats* out) {
-  const TableStatsData* ts = options_.table_stats->Get(op.table);
+  std::shared_ptr<const TableStatsData> ts =
+      options_.table_stats->Get(op.table);
   if (ts == nullptr) return false;
   out->rows = ts->row_count;
   out->row_width_bytes = 0.0;

@@ -16,8 +16,10 @@ ConsolidatedExecutor::ConsolidatedExecutor(Memo* memo,
       layer_(layer),
       materialize_metric_(std::string(layer) + ".materialize_ms") {}
 
-Status ConsolidatedExecutor::MaterializeNode(EqId eq,
-                                             const PlanNodePtr& compute_plan) {
+Status ConsolidatedExecutor::MaterializeNode(
+    EqId eq, const PlanNodePtr& compute_plan,
+    const TableVersions& read_versions,
+    const std::unordered_map<EqId, double>& expected_reads) {
   TraceSpan span(TracerOf(options_.obs), "materialize", layer_);
   ScopedTimer metric(MetricsOf(options_.obs), materialize_metric_);
   eq = memo_->Find(eq);
@@ -51,10 +53,10 @@ Status ConsolidatedExecutor::MaterializeNode(EqId eq,
   if (cache != nullptr && !hit) {
     // Publish for later batches (COW copy: shares payloads, no deep copy).
     // First writer wins; losing the race or failing admission is harmless.
-    auto reads = expected_reads_.find(eq);
+    auto reads = expected_reads.find(eq);
     cache->Insert(fp, ColumnBatch(segment), ClassBaseTables(*memo_, eq),
-                  read_versions_,
-                  reads == expected_reads_.end() ? 0.0 : reads->second);
+                  read_versions,
+                  reads == expected_reads.end() ? 0.0 : reads->second);
   }
   return store_.Put(eq, std::move(segment));
 }
@@ -70,16 +72,19 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
   }
   feedback_.clear();
   compute_ms_.clear();
-  expected_reads_.clear();
   cross_batch_hits_ = 0;
-  if (options_.shared_cache != nullptr) {
-    read_versions_ = options_.shared_cache->TableVersionSnapshot();
-  }
+  // The stamp on every publish of this run: the versions of the data it is
+  // about to read.
+  const TableVersions read_versions =
+      options_.shared_cache != nullptr
+          ? options_.shared_cache->TableVersionSnapshot()
+          : TableVersions{};
   // Seed the eviction weights before any segment lands: a segment with many
   // reads still ahead of it is the last one the budget pushes to disk.
-  for (const auto& [eq, reads] : ExpectedSegmentReads(*memo_, plan)) {
+  const std::unordered_map<EqId, double> expected_reads =
+      ExpectedSegmentReads(*memo_, plan);
+  for (const auto& [eq, reads] : expected_reads) {
     store_.SetExpectedReads(eq, reads);
-    expected_reads_[eq] = reads;
   }
   // Materialize chosen nodes children-first (a node's compute plan may read
   // materialized descendants).
@@ -99,7 +104,8 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
               return position(a->eq) < position(b->eq);
             });
   for (const auto* m : ordered) {
-    MQO_RETURN_NOT_OK(MaterializeNode(m->eq, m->compute_plan));
+    MQO_RETURN_NOT_OK(MaterializeNode(m->eq, m->compute_plan, read_versions,
+                                      expected_reads));
   }
   if (plan.root_plan->op != PhysOp::kBatchRoot) {
     return Status::InvalidArgument("root plan is not a batch root");

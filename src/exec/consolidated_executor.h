@@ -93,17 +93,19 @@ class ConsolidatedExecutor {
 
  private:
   /// Serves class `eq` from the cross-batch cache or computes it, records
-  /// its feedback, publishes it, and stores it under `eq`.
-  Status MaterializeNode(EqId eq, const PlanNodePtr& compute_plan);
+  /// its feedback, publishes it — stamped with `read_versions`, the cache's
+  /// table versions at run start, and weighted by the plan's
+  /// `expected_reads` — and stores it under `eq`.
+  Status MaterializeNode(
+      EqId eq, const PlanNodePtr& compute_plan,
+      const TableVersions& read_versions,
+      const std::unordered_map<EqId, double>& expected_reads);
 
   const char* layer_;
   const std::string materialize_metric_;
   CardinalityFeedback feedback_;
   std::unordered_map<EqId, uint64_t> fingerprints_;
   std::unordered_map<EqId, double> compute_ms_;  ///< Materialization times.
-  std::unordered_map<EqId, double> expected_reads_;  ///< Plan's read counts.
-  /// Cache table versions at run start: the stamp on every publish.
-  TableVersions read_versions_;
   int64_t cross_batch_hits_ = 0;
 };
 

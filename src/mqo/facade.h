@@ -232,7 +232,12 @@ class MqoSession {
   /// collected statistics and every cached segment computed from it, so the
   /// next lookup re-analyzes and the next materialization recomputes.
   /// Observed cardinalities stay — they are advisory estimates, refreshed
-  /// last-write-wins by subsequent runs.
+  /// last-write-wins by subsequent runs. The call is internally synchronized
+  /// and safe while runs are in flight: they keep the statistics they
+  /// already fetched, and segments they publish carry the table versions
+  /// they started with. The mutation it announces is the caller's and is
+  /// not synchronized: runs read `data` in place, so change a table only
+  /// while no Run is in flight, and call this before the next Run starts.
   void InvalidateTable(const std::string& table);
 
   /// Data-regeneration hook: drops collected statistics, observed

@@ -112,22 +112,26 @@ TableStatsData AnalyzeTable(const ColumnStore& store,
   return out;
 }
 
-const TableStatsData* TableStatsRegistry::Get(const std::string& table) const {
+std::shared_ptr<const TableStatsData> TableStatsRegistry::Get(
+    const std::string& table) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(table);
-  if (it != cache_.end()) return &it->second;
+  if (it != cache_.end()) return it->second;
   if (data_ == nullptr) return nullptr;
   auto store = data_->GetTable(table);
   if (!store.ok()) return nullptr;
   // First touch analyzes under the lock: concurrent optimizations wait here
   // instead of analyzing the same table twice.
-  auto [ins, _] = cache_.emplace(table, AnalyzeTable(*store.ValueOrDie(), options_));
-  return &ins->second;
+  auto [ins, _] = cache_.emplace(
+      table, std::make_shared<const TableStatsData>(
+                 AnalyzeTable(*store.ValueOrDie(), options_)));
+  return ins->second;
 }
 
 void TableStatsRegistry::Put(std::string table, TableStatsData stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[std::move(table)] = std::move(stats);
+  cache_[std::move(table)] =
+      std::make_shared<const TableStatsData>(std::move(stats));
 }
 
 }  // namespace mqo

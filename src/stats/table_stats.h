@@ -72,10 +72,9 @@ TableStatsData AnalyzeTable(const ColumnStore& store,
 /// Thread-safe: a long-lived session shares one registry across concurrent
 /// batch optimizations, so every access — including the lazy first-touch
 /// analysis, which runs under the lock and thereby analyzes each table
-/// exactly once — is serialized on an internal mutex. The pointer Get
-/// returns stays valid until that table is invalidated or the registry
-/// rebound (std::map nodes are stable across unrelated inserts); sessions
-/// only invalidate between runs, never under a concurrent optimization.
+/// exactly once — is serialized on an internal mutex. Get hands out shared
+/// ownership, so an optimization keeps reading the statistics it fetched
+/// even when a concurrent Invalidate or rebind drops them from the registry.
 /// The mutex makes the registry immovable — long-lived owners re-point it
 /// with Reset() instead of move-assigning a fresh one.
 class TableStatsRegistry {
@@ -89,7 +88,7 @@ class TableStatsRegistry {
 
   /// Stats for `table`, analyzing lazily from the bound DataSet on first
   /// access. nullptr when no data is bound or the table has none.
-  const TableStatsData* Get(const std::string& table) const;
+  std::shared_ptr<const TableStatsData> Get(const std::string& table) const;
 
   /// Installs pre-computed stats (tests, external collectors).
   void Put(std::string table, TableStatsData stats);
@@ -126,7 +125,7 @@ class TableStatsRegistry {
   mutable std::mutex mu_;
   const DataSet* data_ = nullptr;
   AnalyzeOptions options_;
-  mutable std::map<std::string, TableStatsData> cache_;
+  mutable std::map<std::string, std::shared_ptr<const TableStatsData>> cache_;
 };
 
 }  // namespace mqo

@@ -35,6 +35,7 @@
 #ifndef MQO_STORAGE_COLUMN_H_
 #define MQO_STORAGE_COLUMN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,6 +43,19 @@
 
 #include "storage/for_codec.h"
 #include "storage/named_rows.h"
+
+// Thread sanitizer builds (GCC defines __SANITIZE_THREAD__, Clang reports
+// the feature).
+#if defined(__SANITIZE_THREAD__)
+#define MQO_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MQO_TSAN 1
+#endif
+#endif
+#ifndef MQO_TSAN
+#define MQO_TSAN 0
+#endif
 
 namespace mqo {
 
@@ -250,10 +264,22 @@ class ColumnVector {
   };
 
   /// Detaches a private payload copy before mutation if the payload is
-  /// shared. Mutation is single-threaded by construction (morsel workers only
-  /// read shared columns), so plain use_count suffices.
+  /// shared. A payload can have been shared with other threads (a batch
+  /// served from a store or cache) whose last reads precede their handle
+  /// drop; use_count() is a relaxed load, so the sole-owner path acquires
+  /// before writing in place. TSan does not model fences, so under TSan the
+  /// acquire is a handle copy/drop instead: its acq_rel count updates are
+  /// the operations TSan tracks.
   Payload* Mutable() {
-    if (data_.use_count() != 1) data_ = std::make_shared<Payload>(*data_);
+    if (data_.use_count() != 1) {
+      data_ = std::make_shared<Payload>(*data_);
+    } else {
+#if MQO_TSAN
+      std::shared_ptr<Payload>(data_).reset();
+#else
+      std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+    }
     return data_.get();
   }
 

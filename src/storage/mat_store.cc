@@ -11,6 +11,7 @@ PinnedSegment& PinnedSegment::operator=(PinnedSegment&& o) noexcept {
     Release();
     store_ = o.store_;
     key_ = o.key_;
+    generation_ = o.generation_;
     batch_ = std::move(o.batch_);
     o.store_ = nullptr;
     o.batch_ = ColumnBatch{};
@@ -19,15 +20,19 @@ PinnedSegment& PinnedSegment::operator=(PinnedSegment&& o) noexcept {
 }
 
 void PinnedSegment::Release() {
-  if (store_ != nullptr) store_->Unpin(key_);
+  if (store_ != nullptr) store_->Unpin(key_, generation_);
   store_ = nullptr;
   batch_ = ColumnBatch{};
 }
 
-void MatStore::Unpin(uint64_t key) {
+void MatStore::Unpin(uint64_t key, uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.pins > 0) --it->second.pins;
+  // A lease on a replaced segment pins nothing in the store.
+  if (it != entries_.end() && it->second.generation == generation &&
+      it->second.pins > 0) {
+    --it->second.pins;
+  }
 }
 
 Status MatStore::PutLocked(uint64_t key, ColumnBatch segment) {
@@ -43,7 +48,9 @@ Status MatStore::PutLocked(uint64_t key, ColumnBatch segment) {
   e.rows = static_cast<int64_t>(segment.num_rows);
   e.batch = std::move(segment);
   e.resident = true;
+  e.pins = 0;
   e.last_use = ++tick_;
+  e.generation = e.last_use;
   auto hint = read_hints_.find(key);
   if (hint != read_hints_.end()) {
     e.expected_reads = hint->second;
@@ -145,7 +152,7 @@ Result<PinnedSegment> MatStore::Pin(uint64_t key) {
     t->Instant("mat_store.pin", "storage",
                {TNum("eq", static_cast<double>(key)), TNum("pins", e->pins)});
   }
-  return PinnedSegment(this, key, e->batch);
+  return PinnedSegment(this, key, e->generation, e->batch);
 }
 
 Status MatStore::EvictLocked(uint64_t key, Entry* e) {

@@ -96,7 +96,8 @@ class MatStore;
 /// alive, the store will not evict or erase that segment. batch() is the
 /// lease's own COW copy (shared payloads, O(columns)), so it stays stable
 /// for the pin's whole lifetime (pipelines, probes, boundary conversions) —
-/// even when a concurrent Put replaces the key.
+/// even when a concurrent Put replaces the key. A replacement is a new
+/// segment: the lease no longer pins anything in the store.
 class PinnedSegment {
  public:
   PinnedSegment() = default;
@@ -114,11 +115,16 @@ class PinnedSegment {
 
  private:
   friend class MatStore;
-  PinnedSegment(MatStore* store, uint64_t key, ColumnBatch batch)
-      : store_(store), key_(key), batch_(std::move(batch)) {}
+  PinnedSegment(MatStore* store, uint64_t key, uint64_t generation,
+                ColumnBatch batch)
+      : store_(store),
+        key_(key),
+        generation_(generation),
+        batch_(std::move(batch)) {}
 
   MatStore* store_ = nullptr;
   uint64_t key_ = 0;
+  uint64_t generation_ = 0;  ///< The pinned Put of `key_`.
   ColumnBatch batch_;
 };
 
@@ -137,7 +143,9 @@ class MatStore {
   /// Inserts or replaces the segment for `key`, then enforces the budget
   /// (which may spill this segment or others). Fails on spill I/O errors.
   /// Replacing a pinned key is safe: live leases keep reading their own
-  /// copy, and their pins keep the new segment resident until they drop.
+  /// copy of the old payload, which leaves the store's accounting like any
+  /// batch copied out of it. The new segment starts unpinned, so this Put
+  /// may evict it at once.
   Status Put(uint64_t key, ColumnBatch segment);
 
   /// Inserts the segment only when `key` is absent — the first writer wins,
@@ -198,7 +206,8 @@ class MatStore {
     bool resident = false;
     size_t bytes = 0;        ///< Payload bytes, resident or not.
     std::string spill_path;  ///< Non-empty once spilled at least once.
-    int pins = 0;
+    int pins = 0;              ///< Live leases of this generation.
+    uint64_t generation = 0;   ///< Tick of the Put that stored `batch`.
     uint64_t last_use = 0;
     double expected_reads = 0.0;  ///< Remaining, decremented per Get/Pin.
     int64_t rows = 0;             ///< Telemetry: rows at put time.
@@ -220,7 +229,7 @@ class MatStore {
   /// Writes `e` out (if not already on disk) and releases its payload.
   /// `mu_` held.
   Status EvictLocked(uint64_t key, Entry* e);
-  void Unpin(uint64_t key);
+  void Unpin(uint64_t key, uint64_t generation);
 
   static constexpr uint64_t kNoProtect = ~0ull;
 

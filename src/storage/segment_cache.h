@@ -105,7 +105,8 @@ class SharedSegmentCache {
 
   /// Drops every segment that depends on `table` and bumps the table's
   /// version, so in-flight runs that read the old data cannot publish their
-  /// segments as fresh. Safe while runs are in flight.
+  /// segments as fresh. Safe while runs are in flight (the data mutation
+  /// it announces is the caller's to order against those runs).
   void InvalidateTable(const std::string& table);
 
   /// Drops everything (all segments, all dependency records); versions are

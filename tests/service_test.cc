@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/tpcd.h"
@@ -196,6 +199,52 @@ TEST_F(ServiceTest, InvalidateTableDropsStaleSegments) {
   auto control_rerun = control.Run(Template(1));
   ASSERT_TRUE(control_rerun.ok());
   EXPECT_GT(control_rerun.ValueOrDie().cross_batch_hits, 0);
+}
+
+// InvalidateTable may run while batches are in flight: an optimization that
+// already fetched a table's collected statistics keeps reading them after
+// the registry drops them, and segments published by runs that started
+// before a version bump are stale on arrival. The data is left unchanged,
+// so every batch must still match its serial reference (run under TSan in
+// CI, which also flags a registry read racing the drop).
+TEST_F(ServiceTest, InvalidateTableWhileRunsAreInFlight) {
+  MqoOptions options;
+  options.stats_mode = StatsMode::kCollected;
+  std::vector<std::vector<NamedRows>> expected;
+  for (int t = 0; t < 2; ++t) {
+    auto ref = OptimizeAndExecuteBatch(catalog_, Template(t), data_, options);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    expected.push_back(std::move(ref.ValueOrDie().results));
+  }
+
+  MqoSession session(&catalog_, &data_, options);
+  std::atomic<bool> done{false};
+  int rounds = 0;
+  std::thread invalidator([&] {
+    while (!done.load()) {
+      for (const std::string& table : catalog_.TableNames()) {
+        session.InvalidateTable(table);
+      }
+      ++rounds;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  ServiceTrafficOptions traffic;
+  traffic.num_clients = 4;
+  traffic.batches_per_client = 4;
+  traffic.keep_results = true;
+  ServiceReport report = RunServiceTraffic(&session, GenerateBatch, traffic);
+  done.store(true);
+  invalidator.join();
+
+  EXPECT_GT(rounds, 0);
+  EXPECT_EQ(report.failed, 0);
+  for (const ServiceBatchResult& b : report.batches) {
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_TRUE(SameResults(b.results,
+                            expected[(b.client + b.batch_index) % 2]))
+        << "client=" << b.client << " batch=" << b.batch_index;
+  }
 }
 
 // The coarse hook drops everything: collected stats, feedback and segments.

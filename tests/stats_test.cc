@@ -270,7 +270,7 @@ TEST(TableStatsRegistryTest, LazyAnalyzeInvalidateAndRebind) {
   DataSet data = GenerateData(catalog, gen);
   TableStatsRegistry registry(&data);
   EXPECT_EQ(registry.num_analyzed(), 0u);
-  const TableStatsData* a = registry.Get("A");
+  std::shared_ptr<const TableStatsData> a = registry.Get("A");
   ASSERT_NE(a, nullptr);
   EXPECT_DOUBLE_EQ(a->row_count, 30.0);
   EXPECT_EQ(registry.num_analyzed(), 1u);
@@ -279,7 +279,10 @@ TEST(TableStatsRegistryTest, LazyAnalyzeInvalidateAndRebind) {
   EXPECT_EQ(registry.Get("no_such_table"), nullptr);
   registry.Invalidate("A");
   EXPECT_EQ(registry.num_analyzed(), 0u);
+  // A holder keeps the dropped statistics alive; the next Get re-analyzes.
+  EXPECT_DOUBLE_EQ(a->row_count, 30.0);
   ASSERT_NE(registry.Get("A"), nullptr);
+  EXPECT_NE(registry.Get("A"), a);
   registry.BindData(&data);  // regeneration hook drops everything
   EXPECT_EQ(registry.num_analyzed(), 0u);
   TableStatsRegistry unbound;

@@ -792,10 +792,6 @@ TEST(MatStoreBudgetTest, PinnedSegmentSurvivesEvictionPressure) {
   EXPECT_FALSE(store.IsResident(3));
   EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[0], 10);
   EXPECT_FALSE(store.Erase(1));  // pinned segments cannot be erased
-  // Replacing it is allowed: the pin's batch() is its own copy, stable for
-  // the lease's lifetime.
-  ASSERT_TRUE(store.Put(1, IntSegment(99, 4)).ok());
-  EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[0], 10);
   // Releasing the pin makes it evictable again.
   pinned.ValueOrDie().Release();
   ASSERT_TRUE(store.Put(4, IntSegment(40, 32)).ok());
@@ -1251,20 +1247,32 @@ TEST(MatStoreTest, PutIfAbsentIsFirstWriterWins) {
 }
 
 // A lease holds its own COW copy, so replacing a pinned key is safe: the
-// lease keeps reading the payload it pinned, new pins read the new one, and
-// the pin still blocks Erase.
+// lease keeps reading the payload it pinned, new pins read the new one. The
+// replacement is a new, unpinned segment — counted alone and evictable at
+// once — and the old lease's release leaves the new pins alone.
 TEST(MatStoreTest, PutReplacingPinnedKeyKeepsLeasePayload) {
-  MatStore store;
+  const size_t seg_bytes = MarkerBatch(0).ByteSize();
+  MatStoreOptions options;
+  options.budget_bytes = seg_bytes;  // room for exactly one segment
+  MatStore store(options);
   ASSERT_TRUE(store.Put(7, MarkerBatch(100)).ok());
   auto lease = store.Pin(7);
   ASSERT_TRUE(lease.ok());
   ASSERT_TRUE(store.Put(7, MarkerBatch(200)).ok());
   EXPECT_EQ(lease.ValueOrDie().batch().columns[0].ints()[0], 100);
-  auto fresh = store.Pin(7);
-  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(store.bytes_used(), seg_bytes);
+  // Budget pressure evicts the replacement although the old lease lives.
+  ASSERT_TRUE(store.Put(8, MarkerBatch(300)).ok());
+  EXPECT_FALSE(store.IsResident(7));
+  EXPECT_TRUE(store.IsResident(8));
+  EXPECT_EQ(store.bytes_used(), seg_bytes);
+  EXPECT_EQ(lease.ValueOrDie().batch().columns[0].ints()[0], 100);
+  auto fresh = store.Pin(7);  // reloads the replacement
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_EQ(fresh.ValueOrDie().batch().columns[0].ints()[0], 200);
   EXPECT_FALSE(store.Erase(7));
   lease.ValueOrDie().Release();
+  EXPECT_FALSE(store.Erase(7));  // still pinned by the fresh lease
   fresh.ValueOrDie().Release();
   EXPECT_TRUE(store.Erase(7));
 }
@@ -1388,11 +1396,8 @@ TEST(SegmentCacheConcurrencyTest, RacingInsertLookupInvalidate) {
                        {table}, cache.TableVersionSnapshot(), 1.0);
           ColumnBatch out;
           if (cache.Lookup(fp, &out)) {
-            // Read through the const accessor: the served payload is shared
-            // with other threads, and the non-const one is a mutation.
-            const ColumnBatch& served = out;
-            ASSERT_EQ(served.num_rows, 2u);
-            EXPECT_EQ(served.columns[0].ints()[0],
+            ASSERT_EQ(out.num_rows, 2u);
+            EXPECT_EQ(out.columns[0].ints()[0],
                       static_cast<int64_t>(fp) * 10);
           }
           if ((i + t) % 13 == 0) cache.InvalidateTable(table);
