@@ -15,14 +15,21 @@
 //                   that cone-scoping must shrink (and that stays flat
 //                   across thread counts — parallelism moves the same work,
 //                   it never adds any).
+//   allocs        — heap allocations (global operator new calls) during
+//                   the greedy run: an exact work counter for the
+//                   allocation-lean evaluation path (serial runs repeat it
+//                   exactly; parallel runs add the worker pool's own).
 //
 // Usage: bench_optimizer [batch_size ...]   (default: 100 400 1200; pass
 // tiny sizes, e.g. `bench_optimizer 8 16`, for CI smoke runs). Writes
 // machine-readable records to BENCH_optimizer.json.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -36,6 +43,28 @@
 #include "mqo/mqo_algorithms.h"
 
 using namespace mqo;
+
+namespace {
+
+/// Heap allocations made through the global operator new, any thread.
+std::atomic<int64_t> g_allocs{0};
+
+}  // namespace
+
+// Counting replacements of the global allocation functions. Kept out of
+// line so the compiler pairs inlined allocations with these deletes rather
+// than with the free() inside them.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -157,6 +186,7 @@ struct RunConfig {
 struct RunResult {
   MqoResult mqo;
   int64_t costings = 0;
+  int64_t allocs = 0;
   int universe = 0;
 };
 
@@ -166,7 +196,6 @@ RunResult RunOne(Memo* memo, const RunConfig& cfg) {
   // oracle); "cone" = overlay the pinned base and re-cost only the toggled
   // candidate's ancestor cone. Costings drop by the cone/memo ratio.
   opt.incremental = cfg.cone;
-  opt.cone_scoped = cfg.cone;
   opt.num_threads = cfg.threads;
   BatchOptimizer optimizer(memo, CostModel(), opt);
   MaterializationProblem problem(&optimizer);
@@ -175,7 +204,9 @@ RunResult RunOne(Memo* memo, const RunConfig& cfg) {
   greedy.lazy = cfg.lazy;
   const int64_t costings_before = optimizer.num_costings();
   RunResult r;
+  const int64_t allocs_before = g_allocs.load();
   r.mqo = RunMarginalGreedy(&problem, greedy);
+  r.allocs = g_allocs.load() - allocs_before;
   r.costings = optimizer.num_costings() - costings_before;
   r.universe = problem.universe_size();
   return r;
@@ -189,7 +220,8 @@ int main(int argc, char** argv) {
   std::printf("=== E-opt: optimizer scalability "
               "(parallel + cone-scoped evaluation) ===\n\n");
   TablePrinter table({"batch", "shareable", "mode", "greedy", "threads",
-                      "wall ms", "opts", "costings", "evals", "same set"});
+                      "wall ms", "opts", "costings", "evals", "allocs",
+                      "same set"});
   BenchJsonWriter json;
   int failures = 0;
 
@@ -253,7 +285,7 @@ int main(int argc, char** argv) {
                     std::to_string(r.mqo.optimizations),
                     std::to_string(r.costings),
                     std::to_string(r.mqo.function_evals),
-                    same ? "yes" : "NO"});
+                    std::to_string(r.allocs), same ? "yes" : "NO"});
       json.AddRecord({JStr("bench", "optimizer"),
                       JNum("batch_size", batch),
                       JNum("shareable", r.universe),
@@ -265,6 +297,7 @@ int main(int argc, char** argv) {
                       JNum("costings", static_cast<double>(r.costings)),
                       JNum("function_evals",
                            static_cast<double>(r.mqo.function_evals)),
+                      JNum("allocs", static_cast<double>(r.allocs)),
                       JNum("num_materialized", r.mqo.num_materialized),
                       JNum("total_cost", r.mqo.total_cost),
                       JNum("same_set", same ? 1.0 : 0.0)});

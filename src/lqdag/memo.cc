@@ -330,19 +330,22 @@ std::vector<EqId> Memo::ParentClasses(EqId id) const {
 }
 
 std::vector<EqId> Memo::AncestorClasses(EqId id) const {
-  std::set<EqId> seen;
-  std::deque<EqId> frontier;
-  id = Find(id);
-  seen.insert(id);
-  frontier.push_back(id);
-  while (!frontier.empty()) {
-    EqId cls = frontier.front();
-    frontier.pop_front();
-    for (EqId parent : ParentClasses(cls)) {
-      if (seen.insert(parent).second) frontier.push_back(parent);
+  // Breadth-first over live parent operators; `out` doubles as the queue.
+  std::vector<char> seen(class_ops_.size(), 0);
+  std::vector<EqId> out = {Find(id)};
+  seen[out[0]] = 1;
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (OpId oid : class_parents_[out[i]]) {
+      if (ops_[oid].deleted) continue;
+      const EqId parent = Find(ops_[oid].owner);
+      if (!seen[parent]) {
+        seen[parent] = 1;
+        out.push_back(parent);
+      }
     }
   }
-  return std::vector<EqId>(seen.begin(), seen.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<ColumnRef> Memo::ComputeAttributes(EqId id) {

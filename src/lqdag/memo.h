@@ -106,7 +106,8 @@ class Memo {
   /// All classes reachable upward from `id` via parent operators, including
   /// `id` itself. These are exactly the classes whose best plans can change
   /// when `id`'s materialization status flips (the incremental
-  /// re-optimization of Roy et al., Section 5.1).
+  /// re-optimization of Roy et al., Section 5.1). Ascending. Plan searches
+  /// read these from a SearchIndex, which computes them once per optimizer.
   std::vector<EqId> AncestorClasses(EqId id) const;
 
   /// Output attribute set (alias-qualified columns) of a class. Cached.

@@ -75,14 +75,19 @@ MaterializationProblem::MaterializationProblem(BatchOptimizer* optimizer)
   benefit_ = std::make_unique<LambdaSetFunction>(
       n, [this](const ElementSet& s) {
         const std::set<EqId> eqs = ToEqIds(s);
-        return optimizer_->BestCost({}) -
-               (optimizer_->BestCost(eqs) + SpillPenalty(eqs));
+        return VolcanoCost() - (optimizer_->BestCost(eqs) + SpillPenalty(eqs));
       });
   best_cost_ = std::make_unique<LambdaSetFunction>(
       n, [this](const ElementSet& s) {
         const std::set<EqId> eqs = ToEqIds(s);
         return optimizer_->BestCost(eqs) + SpillPenalty(eqs);
       });
+}
+
+double MaterializationProblem::VolcanoCost() {
+  std::call_once(volcano_once_,
+                 [this] { volcano_cost_ = optimizer_->BestCost({}); });
+  return volcano_cost_;
 }
 
 double MaterializationProblem::FootprintBytes(const std::set<EqId>& eqs) const {

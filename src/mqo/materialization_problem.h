@@ -20,6 +20,7 @@
 #define MQO_MQO_MATERIALIZATION_PROBLEM_H_
 
 #include <memory>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -59,8 +60,9 @@ class MaterializationProblem {
   /// bc(S) itself, for the cost-minimizing Greedy of Roy et al.
   const SetFunction& best_cost() const { return *best_cost_; }
 
-  /// bc(∅): the stand-alone Volcano (no-MQO) plan cost.
-  double VolcanoCost() { return optimizer_->BestCost({}); }
+  /// bc(∅): the stand-alone Volcano (no-MQO) plan cost. Evaluated on first
+  /// use and then held here, so mb(S) asks the optimizer for bc(S) only.
+  double VolcanoCost();
 
   /// Proposition 1 decomposition c*(e) = mb(U\{e}) − mb(U); n+1 bc calls.
   Decomposition CanonicalDecomposition();
@@ -78,6 +80,8 @@ class MaterializationProblem {
   std::vector<EqId> refused_;  ///< Nodes refused by admission control.
   std::unique_ptr<SetFunction> benefit_;
   std::unique_ptr<SetFunction> best_cost_;
+  std::once_flag volcano_once_;  ///< Guards the one bc(∅) evaluation.
+  double volcano_cost_ = 0.0;
 };
 
 }  // namespace mqo

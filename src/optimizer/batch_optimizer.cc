@@ -62,6 +62,7 @@ BatchOptimizer::BatchOptimizer(Memo* memo, CostModel cost_model,
   assert(memo_->root() >= 0 && "InsertBatch must run before optimization");
   options_.num_threads = ResolveOptimizerThreads(options_.num_threads);
   if (options_.num_threads > 1) PrewarmSharedCaches();
+  index_ = std::make_shared<SearchIndex>(*memo_, &stats_);
   if (options_.cached_fingerprints != nullptr &&
       !options_.cached_fingerprints->empty()) {
     // Resolve the cross-batch cache's fingerprints against this memo once;
@@ -86,10 +87,19 @@ void BatchOptimizer::PrewarmSharedCaches() {
   for (EqId c : memo_->TopologicalClasses()) (void)stats_.ClassStats(c);
 }
 
-std::set<EqId> BatchOptimizer::Canonical(const std::set<EqId>& mat) const {
-  std::set<EqId> out;
-  for (EqId e : mat) out.insert(memo_->Find(e));
-  return out;
+const std::set<EqId>& BatchOptimizer::Canonical(
+    const std::set<EqId>& mat, std::set<EqId>* copy) const {
+  bool canonical = true;
+  for (EqId e : mat) {
+    if (memo_->Find(e) != e) {
+      canonical = false;
+      break;
+    }
+  }
+  if (canonical) return mat;
+  copy->clear();
+  for (EqId e : mat) copy->insert(memo_->Find(e));
+  return *copy;
 }
 
 uint64_t BatchOptimizer::SetKey(const std::set<EqId>& canonical) const {
@@ -121,56 +131,62 @@ std::pair<double, double> BatchOptimizer::Evaluate(PlanSearch* search,
 namespace {
 
 /// Returns the single differing element if |a Δ b| == 1, else -1. `added` is
-/// set to true when the element is in `a` but not `b`.
+/// set to true when the element is in `a` but not `b`. One merge pass over
+/// the two ordered sets.
 EqId SymmetricDiffOne(const std::set<EqId>& a, const std::set<EqId>& b,
                       bool* added) {
-  if (a.size() == b.size() + 1) {
-    for (EqId e : a) {
-      if (b.count(e) == 0) {
-        std::set<EqId> check = b;
-        check.insert(e);
-        if (check == a) {
-          *added = true;
-          return e;
-        }
-        return -1;
-      }
+  if (a.size() != b.size() + 1 && b.size() != a.size() + 1) return -1;
+  EqId diff = -1;
+  bool in_a = false;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() || ib != b.end()) {
+    if (ib == b.end() || (ia != a.end() && *ia < *ib)) {
+      if (diff >= 0) return -1;
+      diff = *ia++;
+      in_a = true;
+    } else if (ia == a.end() || *ib < *ia) {
+      if (diff >= 0) return -1;
+      diff = *ib++;
+      in_a = false;
+    } else {
+      ++ia;
+      ++ib;
     }
-  } else if (b.size() == a.size() + 1) {
-    bool dummy;
-    EqId e = SymmetricDiffOne(b, a, &dummy);
-    if (e >= 0) *added = false;
-    return e;
   }
-  return -1;
+  *added = in_a;
+  return diff;
 }
 
 }  // namespace
 
 void BatchOptimizer::SetIncrementalBase(const std::set<EqId>& mat) {
   if (!options_.incremental) return;
-  std::set<EqId> s = Canonical(mat);
+  // Only the pinned base and its overlays read cones, so runs that never pin
+  // one skip computing them. No search runs during this call (see the class
+  // comment), so filling the shared index here is race-free.
+  if (!index_->has_cones()) index_->BuildCones(*memo_);
+  std::set<EqId> copy;
+  const std::set<EqId>& s = Canonical(mat, &copy);
   if (base_ != nullptr && base_->materialized() == s) return;
-  std::unique_ptr<PlanSearch> next;
-  if (base_ != nullptr) {
-    bool added = false;
-    const EqId delta = SymmetricDiffOne(s, base_->materialized(), &added);
-    if (delta >= 0) {
-      // Derive the new base from the old one: copy, toggle, and re-plan only
-      // the toggled node's cone below.
-      next = std::make_unique<PlanSearch>(*base_);
-      next->ToggleMaterialized(delta, added);
-    }
+  bool added = false;
+  const EqId delta =
+      base_ != nullptr ? SymmetricDiffOne(s, base_->materialized(), &added) : -1;
+  if (delta >= 0) {
+    // One pick away from the pinned base: toggle it in place, dropping only
+    // the toggled node's cone. No overlay is alive between rounds, so
+    // nothing reads the base while it changes.
+    base_->ToggleMaterialized(delta, added);
+  } else {
+    base_ = std::make_unique<PlanSearch>(memo_, &stats_, cm_, s,
+                                         options_.search, index_);
   }
-  if (next == nullptr) {
-    next = std::make_unique<PlanSearch>(memo_, &stats_, cm_, s, options_.search);
-  }
-  base_ = std::move(next);
   (void)Evaluate(base_.get(), s);  // warm the caches overlays fall through to
 }
 
 double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
-  std::set<EqId> s = Canonical(mat);
+  std::set<EqId> copy;
+  const std::set<EqId>& s = Canonical(mat, &copy);
   const uint64_t key = SetKey(s);
   std::pair<double, double> result;
   if (cache_.Get(key, s, &result)) return result.first;
@@ -197,17 +213,17 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
   int64_t call_costings = 0;
   int64_t cone_classes = 0;
   int64_t reuse_hits = 0;
-  if (incremental_call && options_.cone_scoped) {
-    // Cone-scoped overlay: recompute only AncestorClasses(delta), serve the
-    // rest from the pinned base. Call-local, so worker threads never share
-    // mutable search state.
+  if (incremental_call) {
+    // Cone-scoped overlay: recompute only delta's precomputed ancestor cone,
+    // serve the rest from the pinned base. Call-local, so worker threads
+    // never share mutable search state.
     PlanSearch overlay(base_.get(), delta, added);
     result = Evaluate(&overlay, s);
     call_costings = overlay.num_costings();
     cone_classes = overlay.cone_size();
     reuse_hits = overlay.reuse_hits();
     if (options_.verify_cone) {
-      PlanSearch fresh(memo_, &stats_, cm_, s, options_.search);
+      PlanSearch fresh(memo_, &stats_, cm_, s, options_.search, index_);
       PlanNodePtr root = fresh.UsePlan(memo_->root(), {});
       double buc = root->total_cost;
       double bc = buc;
@@ -226,17 +242,8 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
         std::abort();
       }
     }
-  } else if (incremental_call) {
-    // Full incremental path: copy the pinned base and toggle (O(memo) copy,
-    // cone-only recomputation) — the pre-overlay behavior, kept for the
-    // bench ablation and as the SetIncrementalBase building block.
-    PlanSearch local(*base_);
-    const int64_t copied_costings = local.num_costings();
-    if (delta >= 0) local.ToggleMaterialized(delta, added);
-    result = Evaluate(&local, s);
-    call_costings = local.num_costings() - copied_costings;
   } else {
-    PlanSearch local(memo_, &stats_, cm_, s, options_.search);
+    PlanSearch local(memo_, &stats_, cm_, s, options_.search, index_);
     result = Evaluate(&local, s);
     call_costings = local.num_costings();
   }
@@ -269,7 +276,8 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
 }
 
 double BatchOptimizer::BestUseCost(const std::set<EqId>& mat) {
-  std::set<EqId> s = Canonical(mat);
+  std::set<EqId> copy;
+  const std::set<EqId>& s = Canonical(mat, &copy);
   const uint64_t key = SetKey(s);
   std::pair<double, double> cached;
   if (!cache_.Get(key, s, &cached)) {
@@ -282,8 +290,10 @@ double BatchOptimizer::BestUseCost(const std::set<EqId>& mat) {
 }
 
 ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
-  std::set<EqId> s = Canonical(mat);
-  PlanSearch search(memo_, &stats_, cm_, s, options_.search);
+  std::set<EqId> copy;
+  const std::set<EqId>& s = Canonical(mat, &copy);
+  PlanSearch search(memo_, &stats_, cm_, s, options_.search, index_);
+  search.AnnotatePlans();
   ConsolidatedPlan out;
   out.root_plan = search.UsePlan(memo_->root(), {});
   assert(out.root_plan != nullptr);
@@ -311,7 +321,7 @@ ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
 }
 
 double BatchOptimizer::StandaloneMatCost(EqId eq) {
-  PlanSearch search(memo_, &stats_, cm_, {});
+  PlanSearch search(memo_, &stats_, cm_, {}, SearchOptions{}, index_);
   PlanNodePtr compute = search.ComputePlan(memo_->Find(eq), {});
   assert(compute != nullptr);
   return compute->total_cost + search.WriteCost(eq);

@@ -14,7 +14,11 @@
 // and every BestCost call either hits the concurrent cost cache or builds a
 // call-local search — a cone-scoped overlay over the pinned incremental base
 // when the set differs by one element, a fresh full search otherwise. The
-// memo and statistics caches are pre-warmed so concurrent reads stay pure.
+// memo and statistics caches are pre-warmed, and what every search reads
+// (SearchIndex) is precomputed: per-class operator lists and join keys at
+// construction, ancestor cones on the first SetIncrementalBase, so
+// concurrent reads stay pure. Between rounds the driver re-pins the base,
+// which toggles it in place.
 
 #ifndef MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
 #define MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
@@ -57,14 +61,6 @@ struct BatchOptimizerOptions {
   /// re-optimization; the paper reuses it in Section 5.1). Off = every bc()
   /// runs a fresh search.
   bool incremental = true;
-  /// Serve the non-cone part of a delta evaluation straight from the pinned
-  /// base search's caches (a fall-through overlay) instead of copying the
-  /// whole search and toggling. Provably the same costs — a class outside
-  /// the toggled node's ancestor cone cannot see the change — for O(cone)
-  /// instead of O(memo) work per candidate. Only meaningful with
-  /// `incremental`; off = the copy-and-toggle path (the "full" mode of
-  /// bench_optimizer).
-  bool cone_scoped = true;
   /// Debug cross-check: every cone-scoped evaluation is re-run as a fresh
   /// full search and the bc/buc pair asserted equal. Expensive; for tests.
   bool verify_cone = false;
@@ -162,7 +158,9 @@ class BatchOptimizer {
 
   /// Pins S as the incremental base: subsequent bc(S ∪ {x}) / bc(S \ {x})
   /// calls overlay the pinned search and re-plan only the ancestor cone of
-  /// x. The MQO greedy drivers call this after each committed pick.
+  /// x. The MQO greedy drivers call this after each committed pick; when S
+  /// is one element away from the current base, the base is toggled in
+  /// place (re-planning only that element's cone) rather than rebuilt.
   void SetIncrementalBase(const std::set<EqId>& mat);
 
   /// Number of distinct bc() optimizations actually executed (cache misses).
@@ -192,7 +190,10 @@ class BatchOptimizer {
   const BatchOptimizerOptions& options() const { return options_; }
 
  private:
-  std::set<EqId> Canonical(const std::set<EqId>& mat) const;
+  /// `mat` with every id replaced by its class representative: `mat` itself
+  /// when it already is canonical (the common case), else `*copy`.
+  const std::set<EqId>& Canonical(const std::set<EqId>& mat,
+                                  std::set<EqId>* copy) const;
   uint64_t SetKey(const std::set<EqId>& canonical) const;
   /// Runs bc+buc on `search`, charging only the costings delta.
   std::pair<double, double> Evaluate(PlanSearch* search,
@@ -210,6 +211,10 @@ class BatchOptimizer {
   /// Canonical classes whose fingerprint hit `options_.cached_fingerprints`;
   /// built once in the constructor, immutable afterwards.
   std::unordered_set<EqId> cached_classes_;
+  /// Class operators and join keys of the expanded memo, built in the
+  /// constructor, plus ancestor cones, built by the first
+  /// SetIncrementalBase; shared read-only by every search.
+  std::shared_ptr<SearchIndex> index_;
   std::unique_ptr<PlanSearch> base_;  // pinned committed base (greedy's X)
   std::atomic<int64_t> num_optimizations_{0};
   std::atomic<int64_t> num_incremental_{0};

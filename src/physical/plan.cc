@@ -50,11 +50,29 @@ PlanNodePtr MakePlanNode(PhysOp op, EqId eq, SortOrder order, double op_cost,
   return node;
 }
 
+namespace {
+
+/// The bracketed annotation of a node: a sort shows its order and a read its
+/// class, both derived from the node; other operators carry theirs.
+std::string NodeDetail(const PlanNode& node) {
+  switch (node.op) {
+    case PhysOp::kSort:
+      return SortOrderToString(node.output_order);
+    case PhysOp::kReadMaterialized:
+      return "E" + std::to_string(node.eq);
+    default:
+      return node.detail;
+  }
+}
+
+}  // namespace
+
 std::string PlanToString(const PlanNodePtr& plan, int indent) {
   std::ostringstream os;
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   os << pad << PhysOpToString(plan->op);
-  if (!plan->detail.empty()) os << " [" << plan->detail << "]";
+  const std::string detail = NodeDetail(*plan);
+  if (!detail.empty()) os << " [" << detail << "]";
   os << "  (E" << plan->eq << ", cost=" << FormatCost(plan->total_cost);
   if (!plan->output_order.empty()) {
     os << ", order=" << SortOrderToString(plan->output_order);

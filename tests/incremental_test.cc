@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "catalog/tpcd.h"
 #include "lqdag/rules.h"
 #include "mqo/mqo_algorithms.h"
@@ -106,7 +108,9 @@ TEST(IncrementalExample1Test, ToggleIsInverseOfItself) {
   ASSERT_FALSE(shareable.empty());
   BatchOptimizer optimizer(&memo, CostModel());
   StatsEstimator stats(&memo);
-  PlanSearch search(&memo, &stats, CostModel(), {});
+  auto index = std::make_shared<SearchIndex>(memo, &stats);
+  index->BuildCones(memo);
+  PlanSearch search(&memo, &stats, CostModel(), {}, SearchOptions{}, index);
   const double before = search.UsePlan(memo.root(), {})->total_cost;
   search.ToggleMaterialized(shareable[0], true);
   search.ToggleMaterialized(shareable[0], false);

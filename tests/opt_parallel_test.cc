@@ -18,6 +18,7 @@
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
 #include "mqo/mqo_algorithms.h"
+#include "parser/parser.h"
 #include "physical/plan.h"
 #include "submodular/instances.h"
 #include "workload/example1.h"
@@ -42,10 +43,11 @@ struct RunSignature {
   }
 };
 
-RunSignature RunOnce(Memo* memo, Algo algo, bool cone, int threads) {
+RunSignature RunOnce(Memo* memo, Algo algo, bool cone, int threads,
+                     bool verify_cone = false) {
   BatchOptimizerOptions opts;
   opts.incremental = cone;
-  opts.cone_scoped = cone;
+  opts.verify_cone = verify_cone;
   opts.num_threads = threads;
   BatchOptimizer optimizer(memo, CostModel(), opts);
   MaterializationProblem problem(&optimizer);
@@ -252,6 +254,71 @@ TEST(ConeVerifyTest, ConeScopedCostsMatchFreshSearches) {
     std::set<EqId> without = full;
     without.erase(e);
     EXPECT_GT(optimizer.BestCost(without), 0.0);
+  }
+}
+
+/// Template t of a dashboard burst over the date window [day, day + width):
+/// two templates share a windowed orders ⋈ lineitem core, two a windowed
+/// lineitem scan.
+std::string DashboardSql(int t, int day, int width) {
+  const std::string lo = std::to_string(day);
+  const std::string hi = std::to_string(day + width);
+  switch (t) {
+    case 0:
+      return "SELECT o_custkey, sum(l_extendedprice) FROM orders, lineitem "
+             "WHERE o_orderkey = l_orderkey AND o_orderdate >= " + lo +
+             " AND o_orderdate < " + hi + " GROUP BY o_custkey";
+    case 1:
+      return "SELECT l_orderkey, sum(l_extendedprice) "
+             "FROM orders, lineitem, customer "
+             "WHERE o_orderkey = l_orderkey AND o_custkey = c_custkey "
+             "AND o_orderdate >= " + lo + " AND o_orderdate < " + hi +
+             " GROUP BY l_orderkey";
+    case 2:
+      return "SELECT sum(l_extendedprice) FROM lineitem "
+             "WHERE l_shipdate >= " + lo + " AND l_shipdate < " + hi +
+             " AND l_quantity < 24";
+    default:
+      return "SELECT s_nationkey, sum(l_extendedprice) FROM lineitem, supplier "
+             "WHERE l_suppkey = s_suppkey AND l_shipdate >= " + lo +
+             " AND l_shipdate < " + hi + " GROUP BY s_nationkey";
+  }
+}
+
+TEST(ConeVerifyTest, WholeGreedyRunsOnDashboardBatchMatchFullSearch) {
+  // Whole greedy runs chain in-place base toggles across picks, evaluate
+  // removal deltas (the canonical decomposition pins the full universe),
+  // and re-cost a batch root with 48 children in every cone. verify_cone
+  // aborts on any overlay that disagrees with a fresh full search; the run
+  // must also reproduce the non-incremental run's choice bit for bit.
+  Catalog catalog = MakeTpcdCatalog(1);
+  std::vector<LogicalExprPtr> queries;
+  constexpr int kQueries = 48;
+  constexpr int kWindows = 6;
+  for (int i = 0; i < kQueries; ++i) {
+    const int t = i % 4;
+    const int day = 100 + 211 * ((i / 4) % kWindows);
+    auto parsed = ParseQuery(DashboardSql(t, day, t < 2 ? 90 : 365), catalog);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    queries.push_back(parsed.ValueOrDie());
+  }
+  Memo memo(&catalog);
+  memo.InsertBatch(queries);
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  for (Algo algo :
+       {Algo::kMarginalLazy, Algo::kMarginalEager, Algo::kGreedyLazy}) {
+    const RunSignature reference = RunOnce(&memo, algo, /*cone=*/false, 1);
+    ASSERT_FALSE(reference.materialized.empty());
+    for (int threads : {1, 2}) {
+      const RunSignature run =
+          RunOnce(&memo, algo, /*cone=*/true, threads, /*verify_cone=*/true);
+      EXPECT_EQ(run.materialized, reference.materialized)
+          << "algo=" << static_cast<int>(algo) << " threads=" << threads;
+      EXPECT_EQ(run.total_cost, reference.total_cost)
+          << "algo=" << static_cast<int>(algo) << " threads=" << threads;
+      EXPECT_EQ(run.plans, reference.plans)
+          << "algo=" << static_cast<int>(algo) << " threads=" << threads;
+    }
   }
 }
 

@@ -7,9 +7,11 @@
 
 #include "catalog/tpcd.h"
 #include "lqdag/rules.h"
+#include "mqo/mqo_algorithms.h"
 #include "optimizer/batch_optimizer.h"
 #include "parser/parser.h"
 #include "workload/example1.h"
+#include "workload/tpcd_queries.h"
 
 namespace mqo {
 namespace {
@@ -185,6 +187,79 @@ TEST(OptimizerExample1Test, SupermodularityHeuristicDiagnostic) {
     }
   }
   EXPECT_EQ(violations, 0);
+}
+
+/// MarginalGreedy's consolidated plan and every compute plan, rendered.
+std::string RenderMarginalGreedyPlans(Memo* memo) {
+  BatchOptimizer optimizer(memo, CostModel());
+  MaterializationProblem problem(&optimizer);
+  const MqoResult result = RunMarginalGreedy(&problem);
+  const ConsolidatedPlan plan = optimizer.Plan(result.materialized);
+  std::string out = PlanToString(plan.root_plan);
+  for (const auto& m : plan.materialized) {
+    out += "-- E" + std::to_string(m.eq) + "\n" + PlanToString(m.compute_plan);
+  }
+  return out;
+}
+
+// Golden plan text: EXPLAIN output and the plan strings callers compare must
+// not change when the search changes how it builds node annotations.
+TEST(PlanTextGoldenTest, Example1MarginalGreedyPlans) {
+  Catalog catalog = MakeExample1Catalog();
+  Memo memo(&catalog);
+  memo.InsertBatch(MakeExample1Queries());
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  EXPECT_EQ(RenderMarginalGreedyPlans(&memo),
+      "BatchRoot  (E8, cost=93899.0)\n"
+      "  BlockNLJoin [A.k = B.k]  (E4, cost=46949.5)\n"
+      "    ReadMaterialized [E5]  (E5, cost=2244.4, order=B.k)\n"
+      "  BlockNLJoin [C.k = D.k]  (E7, cost=46949.5)\n"
+      "    ReadMaterialized [E5]  (E5, cost=2244.4, order=B.k)\n"
+      "-- E5\n"
+      "MergeJoin [B.k = C.k]  (E5, cost=357763.1, order=B.k)\n"
+      "  Sort [B.k]  (E1, cost=174717.5, order=B.k)\n"
+      "    TableScan [B]  (E1, cost=44697.5)\n"
+      "  Sort [C.k]  (E3, cost=174717.5, order=C.k)\n"
+      "    TableScan [C]  (E3, cost=44697.5)\n");
+}
+
+TEST(PlanTextGoldenTest, TpcdQ3MarginalGreedyPlans) {
+  Catalog catalog = MakeTpcdCatalog(1);
+  Memo memo(&catalog);
+  memo.InsertBatch(MakeBatchedWorkload(1));  // Q3 in both variants
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  EXPECT_EQ(RenderMarginalGreedyPlans(&memo),
+      "BatchRoot  (E14, cost=2029364.3)\n"
+      "  SortAggregate [lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority]  (E8, cost=1009211.2, order=lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority)\n"
+      "    Sort [lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority]  (E7, cost=1002056.6, order=lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority)\n"
+      "      MergeJoin [lineitem.l_orderkey = orders.o_orderkey]  (E7, cost=773089.3, order=orders.o_orderkey)\n"
+      "        Sort [orders.o_orderkey]  (E4, cost=245454.1, order=orders.o_orderkey)\n"
+      "          BlockNLJoin [customer.c_custkey = orders.o_custkey]  (E4, cost=170184.9)\n"
+      "            Filter [orders.o_orderdate < 1169]  (E3, cost=114267.8, order=orders.o_orderkey)\n"
+      "              TableScan [orders]  (E2, cost=104746.3, order=orders.o_orderkey)\n"
+      "        Filter [lineitem.l_shipdate > 1169]  (E6, cost=495713.1, order=lineitem.l_orderkey, lineitem.l_linenumber)\n"
+      "          TableScan [lineitem]  (E5, cost=454404.5, order=lineitem.l_orderkey, lineitem.l_linenumber)\n"
+      "  SortAggregate [lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority]  (E13, cost=1020153.0, order=lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority)\n"
+      "    Sort [lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority]  (E12, cost=1012946.0, order=lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority)\n"
+      "      MergeJoin [lineitem.l_orderkey = orders.o_orderkey]  (E12, cost=782301.6, order=orders.o_orderkey)\n"
+      "        Sort [orders.o_orderkey]  (E10, cost=256128.0, order=orders.o_orderkey)\n"
+      "          BlockNLJoin [customer.c_custkey = orders.o_custkey]  (E10, cost=173971.2)\n"
+      "            Filter [orders.o_orderdate < 1276]  (E9, cost=114267.8, order=orders.o_orderkey)\n"
+      "              TableScan [orders]  (E2, cost=104746.3, order=orders.o_orderkey)\n"
+      "        Filter [lineitem.l_shipdate > 1276]  (E11, cost=495713.1, order=lineitem.l_orderkey, lineitem.l_linenumber)\n"
+      "          TableScan [lineitem]  (E5, cost=454404.5, order=lineitem.l_orderkey, lineitem.l_linenumber)\n"
+      "-- E1\n"
+      "Filter [customer.c_mktsegment = 'BUILDING']  (E1, cost=19433.8, order=customer.c_custkey)\n"
+      "  TableScan [customer]  (E0, cost=17815.2, order=customer.c_custkey)\n");
+}
+
+TEST_F(OptimizerTest, GoldenIndexScanPlanText) {
+  Setup({"SELECT o_orderkey, o_totalprice FROM orders "
+         "WHERE o_orderkey < 1000 AND o_totalprice > 5"});
+  EXPECT_EQ(PlanToString(optimizer_->Plan({}).root_plan),
+      "BatchRoot  (E3, cost=104.4)\n"
+      "  Project  (E2, cost=104.4, order=orders.o_orderkey)\n"
+      "    IndexScan [orders: orders.o_orderkey < 1000 AND orders.o_totalprice > 5]  (E1, cost=103.8, order=orders.o_orderkey)\n");
 }
 
 }  // namespace
