@@ -27,6 +27,7 @@
 #include "common/timer.h"
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
+#include "mqo/facade.h"
 #include "mqo/mqo_algorithms.h"
 #include "obs/obs.h"
 #include "vexec/backend.h"
@@ -355,9 +356,9 @@ void RunNumericSweep(int rows, int reps, BenchJsonWriter* json,
   const double bytes_for = SourceBytes(for_src);
 
   ExecOptions no_zones;
-  no_zones.zone_maps = 0;
+  no_zones.zone_maps = false;
   ExecOptions with_zones;
-  with_zones.zone_maps = 1;
+  with_zones.zone_maps = true;
   const double max_key = static_cast<double>(rows) / 4.0;
   for (const double sel : {0.01, 0.1, 0.5}) {
     const double cutoff = max_key * sel;
@@ -540,7 +541,8 @@ int main(int argc, char** argv) {
   // MQO_TRACE=1 (optionally MQO_TRACE_FILE=<path>): one extra traced run of
   // the consolidated plan on the vector backend, separate from the timed
   // loop above so tracing overhead never leaks into the reported numbers.
-  ObsOptions obs_options = ResolveObsOptions({});
+  ObsOptions obs_options =
+      ResolveMqoOptions({}, ParseEnvOverrides()).options.obs;
   if (obs_options.trace) {
     if (obs_options.trace_path.empty()) {
       obs_options.trace_path = "bench_vexec_trace.json";

@@ -9,6 +9,7 @@
 #include "catalog/tpcd.h"
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
+#include "mqo/facade.h"
 #include "mqo/mqo_algorithms.h"
 #include "obs/obs.h"
 #include "vexec/backend.h"
@@ -35,7 +36,8 @@ int main() {
 
   // MQO_TRACE=1 / MQO_METRICS=1 turn on observability; MQO_TRACE_FILE
   // overrides where the Chrome trace JSON lands.
-  ObsOptions obs_options = ResolveObsOptions({});
+  ObsOptions obs_options =
+      ResolveMqoOptions({}, ParseEnvOverrides()).options.obs;
   if (obs_options.trace && obs_options.trace_path.empty()) {
     obs_options.trace_path = "run_plans_trace.json";
   }

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace mqo {
 
@@ -28,35 +25,12 @@ ColumnStat* FindMutable(std::vector<ColumnStat>* columns, const ColumnRef& c) {
 
 const char* StatsModeToString(StatsMode mode) {
   switch (mode) {
-    case StatsMode::kDefault:
-      return "default";
     case StatsMode::kCatalogGuess:
       return "catalog-guess";
     case StatsMode::kCollected:
       return "collected";
   }
   return "?";
-}
-
-StatsMode ResolveStatsMode(StatsMode requested) {
-  if (requested != StatsMode::kDefault) return requested;
-  if (const char* env = std::getenv("MQO_STATS_MODE")) {
-    if (std::strcmp(env, "collected") == 0) return StatsMode::kCollected;
-    if (std::strcmp(env, "catalog") == 0) return StatsMode::kCatalogGuess;
-    if (env[0] != '\0') {
-      // A typo must not silently test the wrong estimator (e.g. a CI leg
-      // meant to exercise collected statistics green-lighting the guesses).
-      static bool warned = false;
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "MQO_STATS_MODE='%s' not recognized (want 'collected' or "
-                     "'catalog'); using catalog guesses\n",
-                     env);
-      }
-    }
-  }
-  return StatsMode::kCatalogGuess;
 }
 
 const ColumnStat* RelStats::Find(const ColumnRef& c) const {

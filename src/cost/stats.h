@@ -36,21 +36,15 @@ namespace mqo {
 
 /// Which statistics source the estimator uses.
 enum class StatsMode {
-  kDefault,       ///< Resolve via MQO_STATS_MODE env, else kCatalogGuess.
   kCatalogGuess,  ///< Catalog declarations + System-R constants (paper-exact).
   kCollected,     ///< Sampled histograms + sketches from a TableStatsRegistry.
 };
 
 const char* StatsModeToString(StatsMode mode);
 
-/// Resolves kDefault against the MQO_STATS_MODE environment variable
-/// ("collected" / "catalog"); explicit modes pass through. CI uses the env
-/// override to run the whole differential suite on collected statistics.
-StatsMode ResolveStatsMode(StatsMode requested);
-
 /// Statistics configuration of one estimator.
 struct StatsOptions {
-  StatsMode mode = StatsMode::kDefault;
+  StatsMode mode = StatsMode::kCatalogGuess;
   /// Collected per-table statistics; required for kCollected (a null
   /// registry degrades to kCatalogGuess).
   const TableStatsRegistry* table_stats = nullptr;
@@ -92,7 +86,6 @@ class StatsEstimator {
  public:
   explicit StatsEstimator(Memo* memo, StatsOptions options = {})
       : memo_(memo), options_(options) {
-    options_.mode = ResolveStatsMode(options_.mode);
     if (options_.table_stats == nullptr) options_.mode = StatsMode::kCatalogGuess;
   }
 
@@ -105,8 +98,8 @@ class StatsEstimator {
   /// Selectivity of a conjunctive predicate (independence assumption).
   double Selectivity(const Predicate& pred, const RelStats& input) const;
 
-  /// The mode the estimator actually runs in (kDefault resolved, and
-  /// kCollected degraded to kCatalogGuess when no registry was supplied).
+  /// The mode the estimator actually runs in (kCollected degraded to
+  /// kCatalogGuess when no registry was supplied).
   StatsMode mode() const { return options_.mode; }
 
   /// Drops all cached statistics (e.g. after further memo expansion).

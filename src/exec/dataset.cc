@@ -73,9 +73,7 @@ DataSet GenerateData(const Catalog& catalog, const DataGenOptions& options,
     // Compress after generation: the RNG stream above stays bit-identical,
     // and downstream kernels get string dictionaries, FOR codes (when they
     // shrink the column), and per-zone min/max maps.
-    store.Compress(options.numeric_compression >= 0
-                       ? options.numeric_compression != 0
-                       : NumericCompressionDefault());
+    store.Compress(options.numeric_compression);
     out.AddTable(name, std::move(store));
   }
   return out;

@@ -53,12 +53,10 @@ struct DataGenOptions {
   /// runs are reproducible across execution backends.
   uint64_t seed = 0x5eedull;
   /// Frame-of-reference compression of generated int64 columns (zone maps
-  /// are always built). Tri-state: -1 = process default (the
-  /// MQO_NUM_COMPRESSION environment variable, on when unset), 0 = off,
-  /// 1 = on. The values generated are identical either way — this only
-  /// picks the physical form, so tests can ablate encoded vs plain on one
-  /// bit-identical database.
-  int numeric_compression = -1;
+  /// are always built). The values generated are identical either way —
+  /// this only picks the physical form, so tests can ablate encoded vs plain
+  /// on one bit-identical database.
+  bool numeric_compression = true;
 };
 
 /// Generates deterministic data for every table in `catalog`, written

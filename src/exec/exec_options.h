@@ -27,12 +27,9 @@ class SharedSegmentCache;
 /// the materialized-segment store's memory governance. Results are identical
 /// for every setting.
 struct ExecOptions : PipelineOptions {
-  /// Resident-byte budget of the executor's MatStore; 0 = unlimited. The
-  /// environment variable MQO_MAT_BUDGET_BYTES overrides an unset budget
-  /// (CI uses it to force every segment through the spill path).
+  /// Resident-byte budget of the executor's MatStore; 0 = unlimited.
   size_t mat_budget_bytes = 0;
   /// Spill directory for evicted segments; empty = a unique temp directory.
-  /// MQO_SPILL_DIR overrides an empty value.
   std::string mat_spill_dir;
   /// Bloom-filter pushdown (sideways information passing): hash-join builds
   /// publish a Bloom filter over their keys, and probe-side scan pipelines
@@ -43,16 +40,13 @@ struct ExecOptions : PipelineOptions {
   /// Zone-map scan skipping: scan pipelines consult a column's persisted
   /// per-zone min/max to skip whole zones for any constant numeric filter —
   /// no join upstream required. Conservative (a pruned zone contains no
-  /// passing row), so results are identical with it on or off. Tri-state:
-  /// -1 = unset (the MQO_ZONE_MAPS environment variable decides, "0" = off,
-  /// default on), 0 = off, 1 = on.
-  int zone_maps = -1;
+  /// passing row), so results are identical with it on or off.
+  bool zone_maps = true;
   /// Build-time numeric compression of *materialized segments* (base tables
   /// are governed by ColumnStore build flags): FOR-encode int64 columns when
   /// that shrinks them and attach zone maps, so MatStore budget accounting
-  /// sees encoded bytes and segment reads can zone-skip. Tri-state like
-  /// zone_maps; MQO_NUM_COMPRESSION fills the unset value.
-  int numeric_compression = -1;
+  /// sees encoded bytes and segment reads can zone-skip.
+  bool numeric_compression = true;
   /// Observability sink (obs/obs.h): pipeline/operator spans, store events,
   /// executor metrics. Null = off; execution is unaffected either way.
   ObsContext* obs = nullptr;
@@ -63,17 +57,17 @@ struct ExecOptions : PipelineOptions {
   /// whose fingerprint and base-table versions both match.
   SharedSegmentCache* shared_cache = nullptr;
 
-  /// `zone_maps` with the environment fallback resolved.
-  bool zone_maps_enabled() const;
-  /// `numeric_compression` with the environment fallback resolved.
-  bool numeric_compression_enabled() const;
-
   /// The pipeline-driver view of these knobs.
   const PipelineOptions& pipeline() const { return *this; }
 
-  /// The store configuration these knobs describe, with environment
-  /// overrides applied.
-  MatStoreOptions mat_store() const;
+  /// The store configuration these knobs describe.
+  MatStoreOptions mat_store() const {
+    MatStoreOptions options;
+    options.budget_bytes = mat_budget_bytes;
+    options.spill_dir = mat_spill_dir;
+    options.obs = obs;
+    return options;
+  }
 };
 
 }  // namespace mqo

@@ -39,23 +39,39 @@ void MqoOutcome::Print(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Spreads MqoOptions::mat_budget_bytes to the optimizer's cost params and
-/// the executors' store options, unless those were set explicitly.
-MqoOptions WithBudgetApplied(const MqoOptions& options) {
-  MqoOptions out = options;
-  if (options.mat_budget_bytes > 0) {
-    if (out.cost_params.mat_budget_bytes <= 0.0) {
-      out.cost_params.mat_budget_bytes =
-          static_cast<double>(options.mat_budget_bytes);
+ResolvedMqoOptions ResolveMqoOptions(const MqoOptions& options,
+                                     const EnvOverrides& env) {
+  ResolvedMqoOptions resolved{options, 1};
+  MqoOptions& o = resolved.options;
+  ExecOptions& exec = o.exec;
+  if (o.mat_budget_bytes > 0) {
+    if (o.cost_params.mat_budget_bytes <= 0.0) {
+      o.cost_params.mat_budget_bytes = static_cast<double>(o.mat_budget_bytes);
     }
-    if (out.exec.mat_budget_bytes == 0) {
-      out.exec.mat_budget_bytes = options.mat_budget_bytes;
-    }
+    if (exec.mat_budget_bytes == 0) exec.mat_budget_bytes = o.mat_budget_bytes;
   }
-  return out;
+  // The environment's budget governs only the stores, never the optimizer's
+  // cost params: CI forces every segment through eviction and spill without
+  // changing the plans under test.
+  if (exec.mat_budget_bytes == 0) exec.mat_budget_bytes = env.mat_budget_bytes;
+  if (exec.mat_spill_dir.empty()) exec.mat_spill_dir = env.spill_dir;
+  if (o.shared_cache_budget_bytes == 0) {
+    o.shared_cache_budget_bytes = exec.mat_budget_bytes;
+  }
+  if (!o.stats_mode) o.stats_mode = env.stats_mode;
+  o.obs.metrics = o.obs.metrics || env.metrics;
+  o.obs.trace = o.obs.trace || env.trace;
+  if (o.obs.trace_path.empty()) o.obs.trace_path = env.trace_file;
+  if (!o.obs.trace_path.empty()) o.obs.trace = true;
+  // One knob governs executor and optimizer parallelism: an explicit
+  // exec.num_threads > 1 fans greedy candidate evaluations across the same
+  // worker pool; otherwise MQO_OPT_THREADS (CI ablation) may opt in.
+  resolved.optimizer_threads =
+      exec.num_threads > 1 ? exec.num_threads : env.opt_threads;
+  return resolved;
 }
+
+namespace {
 
 /// Parses every SQL string of the batch, failing on the first error.
 Result<std::vector<LogicalExprPtr>> ParseBatch(
@@ -74,7 +90,7 @@ Result<std::vector<LogicalExprPtr>> ParseBatch(
 StatsOptions StatsOptionsFor(const MqoOptions& options,
                              const TableStatsRegistry* registry) {
   StatsOptions stats;
-  stats.mode = ResolveStatsMode(options.stats_mode);
+  stats.mode = options.stats_mode.value_or(StatsMode::kCatalogGuess);
   stats.table_stats = registry;
   stats.feedback = options.feedback;
   return stats;
@@ -118,8 +134,9 @@ void CaptureClassEstimates(Memo* memo, BatchOptimizer* optimizer,
 /// caller-owned so execution paths can keep it alive alongside the plan.
 Result<ConsolidatedPlan> OptimizeIntoMemo(
     Memo* memo, const std::vector<LogicalExprPtr>& queries,
-    const MqoOptions& options, const StatsOptions& stats, ObsContext* obs,
-    MqoOutcome* outcome) {
+    const ResolvedMqoOptions& resolved, const StatsOptions& stats,
+    ObsContext* obs, MqoOutcome* outcome) {
+  const MqoOptions& options = resolved.options;
   if (queries.empty()) {
     return Status::InvalidArgument("empty query batch");
   }
@@ -130,12 +147,7 @@ Result<ConsolidatedPlan> OptimizeIntoMemo(
   BatchOptimizerOptions optimizer_options;
   optimizer_options.stats = stats;
   optimizer_options.obs = obs;
-  // One knob governs executor and optimizer parallelism: an explicit
-  // exec.num_threads > 1 fans greedy candidate evaluations across the same
-  // worker pool; otherwise leave the 0 sentinel so MQO_OPT_THREADS (CI
-  // ablation) can still opt the optimizer in.
-  optimizer_options.num_threads =
-      options.exec.num_threads > 1 ? options.exec.num_threads : 0;
+  optimizer_options.num_threads = resolved.optimizer_threads;
   // A session's shared segment cache makes its resident classes zero-cost
   // materialization candidates: the snapshot is taken once here, so this
   // optimization prices a consistent view even while concurrent batches
@@ -213,36 +225,17 @@ void AssembleRunReport(const ExecResult& executed, ObsContext* obs,
   }
 }
 
-}  // namespace
-
-Result<MqoOutcome> OptimizeBatch(const Catalog& catalog,
-                                 const std::vector<LogicalExprPtr>& queries,
-                                 const MqoOptions& options) {
-  const MqoOptions effective = WithBudgetApplied(options);
-  Memo memo(&catalog);
-  MqoOutcome outcome;
-  // No data in sight: collected statistics are only available through an
-  // externally-supplied registry. Optimize-only runs have no outcome field
-  // to surface traces through, so observability stays off here.
-  MQO_ASSIGN_OR_RETURN(
-      ConsolidatedPlan plan,
-      OptimizeIntoMemo(&memo, queries, effective,
-                       StatsOptionsFor(effective, effective.table_stats),
-                       /*obs=*/nullptr, &outcome));
-  (void)plan;
-  return outcome;
-}
-
-Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
+/// Optimizes and executes with options the caller already resolved.
+Result<MqoExecutionOutcome> ExecuteResolved(
     const Catalog& catalog, const std::vector<LogicalExprPtr>& queries,
-    const DataSet& data, const MqoOptions& options) {
-  MqoOptions effective = WithBudgetApplied(options);
+    const DataSet& data, ResolvedMqoOptions resolved) {
+  MqoOptions& effective = resolved.options;
   Memo memo(&catalog);
   MqoExecutionOutcome outcome;
   outcome.backend = effective.backend;
   // One ObsContext spans the whole run — optimizer spans, executor spans and
   // store events land in a single trace/metrics scope.
-  ObsContext obs_ctx(ResolveObsOptions(effective.obs));
+  ObsContext obs_ctx(effective.obs);
   ObsContext* obs = obs_ctx.any_enabled() ? &obs_ctx : nullptr;
   effective.exec.obs = obs;
   StatsOptions stats = StatsOptionsFor(effective, effective.table_stats);
@@ -257,7 +250,7 @@ Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
   }
   MQO_ASSIGN_OR_RETURN(
       ConsolidatedPlan plan,
-      OptimizeIntoMemo(&memo, queries, effective, stats, obs,
+      OptimizeIntoMemo(&memo, queries, resolved, stats, obs,
                        &outcome.optimization));
   MQO_ASSIGN_OR_RETURN(
       ExecResult executed,
@@ -270,23 +263,51 @@ Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
   return outcome;
 }
 
+}  // namespace
+
+Result<MqoOutcome> OptimizeBatch(const Catalog& catalog,
+                                 const std::vector<LogicalExprPtr>& queries,
+                                 const MqoOptions& options) {
+  const ResolvedMqoOptions resolved =
+      ResolveMqoOptions(options, ParseEnvOverrides());
+  const MqoOptions& effective = resolved.options;
+  Memo memo(&catalog);
+  MqoOutcome outcome;
+  // No data in sight: collected statistics are only available through an
+  // externally-supplied registry. Optimize-only runs have no outcome field
+  // to surface traces through, so observability stays off here.
+  MQO_ASSIGN_OR_RETURN(
+      ConsolidatedPlan plan,
+      OptimizeIntoMemo(&memo, queries, resolved,
+                       StatsOptionsFor(effective, effective.table_stats),
+                       /*obs=*/nullptr, &outcome));
+  (void)plan;
+  return outcome;
+}
+
+Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
+    const Catalog& catalog, const std::vector<LogicalExprPtr>& queries,
+    const DataSet& data, const MqoOptions& options) {
+  return ExecuteResolved(catalog, queries, data,
+                         ResolveMqoOptions(options, ParseEnvOverrides()));
+}
+
 MqoSession::MqoSession(const Catalog* catalog, const DataSet* data,
                        MqoOptions options)
     : catalog_(catalog),
       data_(data),
-      options_(WithBudgetApplied(options)),
-      session_obs_(ResolveObsOptions(options_.obs)) {
+      resolved_(ResolveMqoOptions(options, ParseEnvOverrides())),
+      session_obs_(resolved_.options.obs) {
+  const ExecOptions& exec = resolved_.options.exec;
   AnalyzeOptions analyze;
-  analyze.num_threads = options_.exec.num_threads;
+  analyze.num_threads = exec.num_threads;
   registry_.Reset(data_, analyze);
-  if (options_.shared_segment_cache) {
+  if (resolved_.options.shared_segment_cache) {
     // The cache rides the executors' store machinery (budget, eviction,
     // spill) with its own budget knob; its counters and store events report
     // into the session-lifetime obs scope, not any single run's.
-    MatStoreOptions cache_options = options_.exec.mat_store();
-    if (options_.shared_cache_budget_bytes > 0) {
-      cache_options.budget_bytes = options_.shared_cache_budget_bytes;
-    }
+    MatStoreOptions cache_options = exec.mat_store();
+    cache_options.budget_bytes = resolved_.options.shared_cache_budget_bytes;
     cache_options.obs = session_obs();
     cache_ = std::make_unique<SharedSegmentCache>(cache_options);
   }
@@ -303,7 +324,8 @@ Result<MqoExecutionOutcome> MqoSession::Run(
     const std::vector<LogicalExprPtr>& queries) {
   const uint64_t batch_id = next_batch_id_.fetch_add(1);
   const int64_t run_start_ns = MonotonicNanos();
-  MqoOptions effective = options_;
+  ResolvedMqoOptions run = resolved_;
+  MqoOptions& effective = run.options;
   effective.table_stats = &registry_;
   effective.exec.shared_cache = cache_.get();
   // The run optimizes against a point-in-time copy of the feedback map:
@@ -318,14 +340,13 @@ Result<MqoExecutionOutcome> MqoSession::Run(
   // Scope the run's trace by its batch id: events export under pid=batch_id,
   // and concurrent runs sharing one configured trace file fan out into
   // per-batch files instead of clobbering each other.
-  effective.obs = ResolveObsOptions(effective.obs);
   effective.obs.scope_id = batch_id;
   if (effective.obs.trace && !effective.obs.trace_path.empty()) {
     effective.obs.trace_path += ".batch" + std::to_string(batch_id);
   }
   MQO_ASSIGN_OR_RETURN(
       MqoExecutionOutcome outcome,
-      OptimizeAndExecuteBatch(*catalog_, queries, *data_, effective));
+      ExecuteResolved(*catalog_, queries, *data_, std::move(run)));
   outcome.batch_id = batch_id;
   // Fold this run's observations into the session: the next batch's
   // estimates — and the footprints/eviction weights derived from them —

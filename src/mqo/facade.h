@@ -15,11 +15,13 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cost/stats.h"
 #include "lqdag/rules.h"
+#include "mqo/env_overrides.h"
 #include "mqo/mqo_algorithms.h"
 #include "obs/explain.h"
 #include "obs/obs.h"
@@ -29,7 +31,8 @@
 
 namespace mqo {
 
-/// Options for OptimizeSqlBatch / OptimizeBatch.
+/// Options for OptimizeSqlBatch / OptimizeBatch. The entry points fill the
+/// knobs left unset from the environment (ResolveMqoOptions).
 struct MqoOptions {
   CostParams cost_params;
   /// Which selection algorithm to run.
@@ -58,14 +61,13 @@ struct MqoOptions {
   /// Statistics source of the optimizer (cost/stats.h): kCatalogGuess
   /// reproduces the paper-exact estimates; kCollected analyzes the executed
   /// DataSet (lazily, on first optimization) into sampled histograms and
-  /// distinct sketches. kDefault resolves via the MQO_STATS_MODE environment
-  /// variable ("collected"/"catalog"), else kCatalogGuess. Collection needs
-  /// data, so OptimizeSqlBatch/OptimizeBatch use kCollected only when
-  /// `table_stats` is supplied.
-  StatsMode stats_mode = StatsMode::kDefault;
+  /// distinct sketches. Unset = MQO_STATS_MODE, else kCatalogGuess.
+  /// Collection needs data, so OptimizeSqlBatch/OptimizeBatch use kCollected
+  /// only when `table_stats` is supplied.
+  std::optional<StatsMode> stats_mode;
   /// Externally-owned collected statistics to reuse across calls (an
   /// MqoSession shares one registry so tables analyze once per session).
-  /// When null and stats_mode resolves to kCollected, the execute paths
+  /// When null and the statistics mode is kCollected, the execute paths
   /// analyze into a call-local registry.
   const TableStatsRegistry* table_stats = nullptr;
   /// Observed cardinalities from earlier executions (MqoExecutionOutcome::
@@ -73,9 +75,9 @@ struct MqoOptions {
   /// estimator's row counts so this optimization sees reality.
   const CardinalityFeedback* feedback = nullptr;
   /// Observability (obs/obs.h): metrics and tracing for the whole
-  /// optimize-and-execute run. Knobs left unset here pick up the MQO_METRICS
-  /// / MQO_TRACE / MQO_TRACE_FILE environment overrides; when trace_path is
-  /// set the execute paths write the Chrome trace JSON there after the batch.
+  /// optimize-and-execute run (off unless enabled here or by MQO_METRICS /
+  /// MQO_TRACE / MQO_TRACE_FILE). When trace_path is set the execute paths
+  /// write the Chrome trace JSON there after the batch.
   ObsOptions obs;
   /// Cross-batch semantic segment cache (MqoSession only): segments
   /// materialized by one batch are served — by structural class fingerprint —
@@ -86,10 +88,24 @@ struct MqoOptions {
   /// still match (storage/segment_cache.h).
   bool shared_segment_cache = true;
   /// Byte budget of the session's shared segment cache; 0 falls back to the
-  /// executor store budget (mat_budget_bytes / MQO_MAT_BUDGET_BYTES), which
-  /// unset means unlimited.
+  /// executor store budget (exec.mat_budget_bytes, as filled from
+  /// mat_budget_bytes or MQO_MAT_BUDGET_BYTES), which unset means unlimited.
   size_t shared_cache_budget_bytes = 0;
 };
+
+/// What the facade entry points run with: the options with every unset knob
+/// filled, plus the optimizer's worker count (exec.num_threads when > 1,
+/// else MQO_OPT_THREADS, else 1).
+struct ResolvedMqoOptions {
+  MqoOptions options;
+  int optimizer_threads = 1;
+};
+
+/// Spreads mat_budget_bytes to the optimizer's and the stores' unset
+/// budgets, then fills the remaining unset knobs from `env` (see
+/// mqo/env_overrides.h). Explicit values always win.
+ResolvedMqoOptions ResolveMqoOptions(const MqoOptions& options,
+                                     const EnvOverrides& env);
 
 /// Result of a facade optimization.
 struct MqoOutcome {
@@ -102,9 +118,8 @@ struct MqoOutcome {
   /// Shareable nodes the budget's admission control refused (0 without a
   /// budget); the algorithms ran over shareable_nodes − admission_refused.
   int admission_refused = 0;
-  /// Statistics source the optimization actually ran with (kDefault
-  /// resolved; kCollected degraded to kCatalogGuess when no data/registry
-  /// was available).
+  /// Statistics source the optimization actually ran with (kCollected
+  /// degraded to kCatalogGuess when no data/registry was available).
   StatsMode stats_mode = StatsMode::kCatalogGuess;
   /// Optimizer-side snapshot of every chosen materialization (estimated
   /// rows, expected reads, footprint, per-class predicted benefit), eq-
@@ -148,8 +163,8 @@ struct MqoExecutionOutcome {
   /// RenderExplainAnalyze(explain): estimated vs actual rows, expected vs
   /// actual reads, predicted vs realized benefit, per class plus totals.
   std::string explain_analyze;
-  /// Chrome trace_event JSON of the run (empty unless options.obs resolved
-  /// to tracing on). Load in chrome://tracing or Perfetto.
+  /// Chrome trace_event JSON of the run (empty unless tracing is on). Load
+  /// in chrome://tracing or Perfetto.
   std::string trace_json;
   /// MetricsRegistry::TextReport() of the run (empty unless metrics on).
   std::string metrics_report;
@@ -194,7 +209,8 @@ Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
 /// batches serially in any order.
 class MqoSession {
  public:
-  /// `catalog` and `data` must outlive the session.
+  /// `catalog` and `data` must outlive the session. The environment
+  /// overrides are applied to `options` here, once; Run does not read them.
   MqoSession(const Catalog* catalog, const DataSet* data,
              MqoOptions options = {});
 
@@ -223,7 +239,7 @@ class MqoSession {
   /// Session-lifetime observability scope: per-run wall times land in the
   /// "session.run_ms" timing metric (log-spaced histogram → percentiles via
   /// MetricsRegistry::QuantileMs) and segment-cache counters accumulate here
-  /// across runs. Null when MqoOptions::obs resolves to everything-off.
+  /// across runs. Null when observability is off.
   ObsContext* session_obs() {
     return session_obs_.any_enabled() ? &session_obs_ : nullptr;
   }
@@ -248,7 +264,7 @@ class MqoSession {
  private:
   const Catalog* catalog_;
   const DataSet* data_;
-  MqoOptions options_;
+  ResolvedMqoOptions resolved_;
   /// Declared before cache_: the cache's store reports into this scope.
   ObsContext session_obs_;
   TableStatsRegistry registry_;

@@ -9,7 +9,7 @@
 //
 // No external JSON dependency — the engine only ever *writes* JSON on
 // reporting paths (the validating reader for tests lives in
-// obs/trace_check.h).
+// tests/support/trace_check.h).
 
 #ifndef MQO_OBS_JSON_H_
 #define MQO_OBS_JSON_H_

@@ -5,10 +5,6 @@
 // "observability off" — instrumented code calls TracerOf(obs)/MetricsOf(obs)
 // and the RAII helpers (TraceSpan, ScopedTimer) degrade to no-ops on null, so
 // no call site needs an if around its instrumentation.
-//
-// ObsOptions follows the repo's env-override convention (MQO_MAT_BUDGET_BYTES
-// et al.): explicit configuration wins; MQO_METRICS / MQO_TRACE /
-// MQO_TRACE_FILE fill only knobs the caller left unset.
 
 #ifndef MQO_OBS_OBS_H_
 #define MQO_OBS_OBS_H_
@@ -33,11 +29,6 @@ struct ObsOptions {
   /// process lane.
   uint64_t scope_id = 0;
 };
-
-/// Apply MQO_METRICS / MQO_TRACE / MQO_TRACE_FILE to knobs the caller left at
-/// their defaults. MQO_TRACE=1 / MQO_METRICS=1 enable; MQO_TRACE_FILE=<path>
-/// sets the export path (and implies tracing).
-ObsOptions ResolveObsOptions(ObsOptions options);
 
 class ObsContext {
  public:

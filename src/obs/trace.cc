@@ -60,8 +60,8 @@ std::vector<TraceEvent> Tracer::Events() const {
 
 std::string Tracer::ToChromeJson() const {
   std::vector<TraceEvent> events = Events();
-  // Chrome sorts by timestamp itself, but a sorted file diffs better and the
-  // nesting validator in trace_check.cc expects no particular order anyway.
+  // Chrome sorts by timestamp itself, but a sorted file diffs better (the
+  // tests' nesting validator expects no particular order anyway).
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;

@@ -12,26 +12,6 @@
 
 namespace mqo {
 
-int ResolveOptimizerThreads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("MQO_OPT_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
-    if (env[0] != '\0') {
-      static bool warned = false;
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "MQO_OPT_THREADS='%s' not recognized (want a positive "
-                     "integer); running the optimizer serially\n",
-                     env);
-      }
-    }
-  }
-  return 1;
-}
-
 bool CostCache::Get(uint64_t hash, const std::set<EqId>& set,
                     std::pair<double, double>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -60,7 +40,6 @@ BatchOptimizer::BatchOptimizer(Memo* memo, CostModel cost_model,
                                BatchOptimizerOptions options)
     : memo_(memo), cm_(cost_model), options_(options), stats_(memo, options.stats) {
   assert(memo_->root() >= 0 && "InsertBatch must run before optimization");
-  options_.num_threads = ResolveOptimizerThreads(options_.num_threads);
   if (options_.num_threads > 1) PrewarmSharedCaches();
   index_ = std::make_shared<SearchIndex>(*memo_, &stats_);
   if (options_.cached_fingerprints != nullptr &&

@@ -64,12 +64,11 @@ struct BatchOptimizerOptions {
   /// Debug cross-check: every cone-scoped evaluation is re-run as a fresh
   /// full search and the bc/buc pair asserted equal. Expensive; for tests.
   bool verify_cone = false;
-  /// Worker threads the greedy drivers may fan candidate evaluations across
-  /// (1 = serial). 0 = unset: resolved against the MQO_OPT_THREADS
-  /// environment variable, else serial. The facade wires
+  /// Worker threads the greedy drivers may fan candidate evaluations across;
+  /// any value <= 1 runs serially. The facade wires
   /// MqoOptions::exec.num_threads through here so one knob governs optimizer
   /// and executor parallelism. Results are bit-identical for every value.
-  int num_threads = 0;
+  int num_threads = 1;
   /// Physical search knobs (e.g. the index nested-loops join extension).
   SearchOptions search;
   /// Statistics source of the estimator (cost/stats.h): catalog guesses
@@ -89,11 +88,6 @@ struct BatchOptimizerOptions {
   /// as free reads and plans steer toward the cache. Null/empty = no cache.
   std::shared_ptr<const std::unordered_set<uint64_t>> cached_fingerprints;
 };
-
-/// Resolves BatchOptimizerOptions::num_threads: an explicit value (> 0) wins,
-/// 0 falls back to the MQO_OPT_THREADS environment variable (CI ablation),
-/// else serial.
-int ResolveOptimizerThreads(int requested);
 
 /// Concurrent bc/buc cache keyed by the exact materialized set. The 64-bit
 /// set hash is only a bucket index; every hit verifies the stored set, so a
@@ -186,7 +180,7 @@ class BatchOptimizer {
   const CostModel& cost_model() const { return cm_; }
   ObsContext* obs() { return options_.obs; }
 
-  /// The options this optimizer runs with, `num_threads` resolved (> 0).
+  /// The options this optimizer runs with.
   const BatchOptimizerOptions& options() const { return options_; }
 
  private:

@@ -44,7 +44,7 @@ class ColumnStore {
 
   /// Boundary conversion: builds a store from a row table, using the
   /// unqualified part of each column name. Fails on mixed-type columns.
-  /// Compresses with the process-wide NumericCompressionDefault().
+  /// Compresses with NumericCompressionDefault() (numeric compression on).
   static Result<ColumnStore> FromRows(const NamedRows& rows);
 
  private:

@@ -1,7 +1,5 @@
 #include "storage/for_codec.h"
 
-#include <cstdlib>
-
 namespace mqo {
 
 namespace {
@@ -214,13 +212,6 @@ std::shared_ptr<const ZoneMap> ZoneMap::FromFor(const ForColumn& fc) {
     zm->zones.push_back(entry);
   }
   return zm;
-}
-
-bool NumericCompressionDefault() {
-  if (const char* env = std::getenv("MQO_NUM_COMPRESSION")) {
-    return !(env[0] == '0' && env[1] == '\0');
-  }
-  return true;
 }
 
 }  // namespace mqo

@@ -132,11 +132,8 @@ struct ZoneMap {
   }
 };
 
-/// Process-wide default for build-time numeric compression: the
-/// MQO_NUM_COMPRESSION environment variable ("0" = off), on when unset.
-/// ExecOptions::numeric_compression_enabled() resolves through this too
-/// (unset-knobs-only convention, like MQO_MAT_BUDGET_BYTES).
-bool NumericCompressionDefault();
+/// Default for build-time numeric compression of ingested tables: on.
+inline bool NumericCompressionDefault() { return true; }
 
 }  // namespace mqo
 

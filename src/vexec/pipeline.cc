@@ -188,7 +188,7 @@ Result<ColumnBatch> RunVecPipeline(const VecPipeline& pipeline,
   // surviving row set is unchanged.
   std::vector<char> zone_pruned;
   int64_t zones_pruned = 0;
-  if (options.zone_maps_enabled()) {
+  if (options.zone_maps) {
     for (size_t c = 0; c < pipeline.source_filters.size(); ++c) {
       const Comparison& cmp = pipeline.source_filters[c];
       if (!cmp.literal.is_number()) continue;

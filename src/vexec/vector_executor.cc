@@ -430,7 +430,7 @@ Result<ColumnBatch> VectorPlanExecutor::ComputeSegment(
   // chunks were gathered on the workers and concatenated column-parallel,
   // so no serial whole-result gather happens on this thread.
   MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan));
-  if (options_.numeric_compression_enabled()) {
+  if (options_.numeric_compression) {
     // Compress the segment before it lands: MatStore budget accounting,
     // eviction weights, and spill penalties then see encoded bytes, and
     // later reads of this segment can zone-skip like base-table scans.

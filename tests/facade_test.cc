@@ -9,9 +9,10 @@
 #include "lqdag/dot_export.h"
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
-#include "obs/trace_check.h"
 #include "submodular/algorithms.h"
 #include "submodular/instances.h"
+#include "support/env.h"
+#include "support/trace_check.h"
 #include "workload/example1.h"
 
 namespace mqo {
@@ -141,9 +142,12 @@ TEST_F(FacadeTest, ExecutionSurfacesStoreStatsAndExplain) {
   // With the observability knobs off the exports stay empty — unless the
   // environment forces them on (the CI obs-trace job exports MQO_TRACE=1
   // MQO_METRICS=1 for the whole suite).
-  const ObsOptions env = ResolveObsOptions({});
-  if (!env.trace) EXPECT_TRUE(o.trace_json.empty());
-  if (!env.metrics) EXPECT_TRUE(o.metrics_report.empty());
+  if (!TestEnv().trace) {
+    EXPECT_TRUE(o.trace_json.empty());
+  }
+  if (!TestEnv().metrics) {
+    EXPECT_TRUE(o.metrics_report.empty());
+  }
 }
 
 TEST_F(FacadeTest, TracingProducesValidChromeTraceAndMetrics) {

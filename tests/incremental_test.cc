@@ -10,6 +10,7 @@
 #include "catalog/tpcd.h"
 #include "lqdag/rules.h"
 #include "mqo/mqo_algorithms.h"
+#include "support/env.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -31,10 +32,11 @@ class IncrementalTest : public ::testing::TestWithParam<int> {
 
 TEST_P(IncrementalTest, BestCostMatchesFreshSearchOnEverySingleton) {
   SetUpWorkload(GetParam());
-  BatchOptimizerOptions fresh_opts;
+  BatchOptimizerOptions fresh_opts = EnvOptimizerOptions();
   fresh_opts.incremental = false;
   BatchOptimizer fresh(memo_.get(), CostModel(), fresh_opts);
-  BatchOptimizer incremental(memo_.get(), CostModel());
+  BatchOptimizer incremental(memo_.get(), CostModel(),
+                             EnvOptimizerOptions());
   incremental.SetIncrementalBase({});
   for (EqId e : ShareableNodes(*memo_)) {
     EXPECT_NEAR(fresh.BestCost({e}), incremental.BestCost({e}), 1e-6)
@@ -49,7 +51,7 @@ TEST_P(IncrementalTest, GreedyRunsIdenticalWithAndWithoutIncremental) {
   MqoResult results[2];
   int64_t costings[2];
   for (int inc = 0; inc < 2; ++inc) {
-    BatchOptimizerOptions opts;
+    BatchOptimizerOptions opts = EnvOptimizerOptions();
     opts.incremental = inc == 1;
     BatchOptimizer optimizer(memo_.get(), CostModel(), opts);
     MaterializationProblem problem(&optimizer);
@@ -65,7 +67,7 @@ TEST_P(IncrementalTest, MarginalGreedyRunsIdenticalWithAndWithoutIncremental) {
   SetUpWorkload(GetParam());
   MqoResult results[2];
   for (int inc = 0; inc < 2; ++inc) {
-    BatchOptimizerOptions opts;
+    BatchOptimizerOptions opts = EnvOptimizerOptions();
     opts.incremental = inc == 1;
     BatchOptimizer optimizer(memo_.get(), CostModel(), opts);
     MaterializationProblem problem(&optimizer);
@@ -87,10 +89,10 @@ TEST(IncrementalExample1Test, RemovalDeltaAlsoMatches) {
   auto shareable = ShareableNodes(memo);
   std::set<EqId> full(shareable.begin(), shareable.end());
 
-  BatchOptimizerOptions fresh_opts;
+  BatchOptimizerOptions fresh_opts = EnvOptimizerOptions();
   fresh_opts.incremental = false;
   BatchOptimizer fresh(&memo, CostModel(), fresh_opts);
-  BatchOptimizer incremental(&memo, CostModel());
+  BatchOptimizer incremental(&memo, CostModel(), EnvOptimizerOptions());
   incremental.SetIncrementalBase(full);
   for (EqId e : shareable) {
     std::set<EqId> without = full;
@@ -106,7 +108,7 @@ TEST(IncrementalExample1Test, ToggleIsInverseOfItself) {
   ASSERT_TRUE(ExpandMemo(&memo).ok());
   auto shareable = ShareableNodes(memo);
   ASSERT_FALSE(shareable.empty());
-  BatchOptimizer optimizer(&memo, CostModel());
+  BatchOptimizer optimizer(&memo, CostModel(), EnvOptimizerOptions());
   StatsEstimator stats(&memo);
   auto index = std::make_shared<SearchIndex>(memo, &stats);
   index->BuildCones(memo);

@@ -1,8 +1,7 @@
 // Unit tests for the observability subsystem: the shared JSON writer
 // round-trips through the validating reader, the metrics registry aggregates
 // across shards and allocates nothing when disabled, traces export as valid
-// Chrome trace_event JSON with properly nested spans, and the env overrides
-// fill only unset knobs.
+// Chrome trace_event JSON with properly nested spans.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "obs/trace_check.h"
+#include "support/trace_check.h"
 
 // Global allocation counter for the disabled-fast-path tests: the metrics
 // and tracing entry points must not touch the heap when observability is
@@ -262,55 +261,7 @@ TEST(TraceTest, ValidatorRejectsNonTraceJson) {
 }
 
 // ---------------------------------------------------------------------------
-// Options and env overrides.
-
-class ObsEnvTest : public ::testing::Test {
- protected:
-  // Clear on entry too: the CI obs-trace job runs every suite with
-  // MQO_TRACE=1 MQO_METRICS=1 exported, and these tests control the env
-  // themselves.
-  void SetUp() override { Clear(); }
-  void TearDown() override { Clear(); }
-
- private:
-  static void Clear() {
-    unsetenv("MQO_TRACE");
-    unsetenv("MQO_METRICS");
-    unsetenv("MQO_TRACE_FILE");
-  }
-};
-
-TEST_F(ObsEnvTest, DefaultsAreOff) {
-  ObsOptions resolved = ResolveObsOptions({});
-  EXPECT_FALSE(resolved.metrics);
-  EXPECT_FALSE(resolved.trace);
-  EXPECT_TRUE(resolved.trace_path.empty());
-}
-
-TEST_F(ObsEnvTest, EnvEnablesUnsetKnobs) {
-  setenv("MQO_TRACE", "1", 1);
-  setenv("MQO_METRICS", "1", 1);
-  setenv("MQO_TRACE_FILE", "/tmp/t.json", 1);
-  ObsOptions resolved = ResolveObsOptions({});
-  EXPECT_TRUE(resolved.metrics);
-  EXPECT_TRUE(resolved.trace);
-  EXPECT_EQ(resolved.trace_path, "/tmp/t.json");
-}
-
-TEST_F(ObsEnvTest, FalseyEnvValuesStayOff) {
-  setenv("MQO_TRACE", "0", 1);
-  setenv("MQO_METRICS", "off", 1);
-  ObsOptions resolved = ResolveObsOptions({});
-  EXPECT_FALSE(resolved.metrics);
-  EXPECT_FALSE(resolved.trace);
-}
-
-TEST_F(ObsEnvTest, TracePathImpliesTracing) {
-  ObsOptions options;
-  options.trace_path = "somewhere.json";
-  ObsOptions resolved = ResolveObsOptions(options);
-  EXPECT_TRUE(resolved.trace);
-}
+// ObsContext.
 
 TEST(ObsContextTest, NullSafeAccessors) {
   EXPECT_EQ(TracerOf(nullptr), nullptr);

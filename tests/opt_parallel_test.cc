@@ -3,13 +3,12 @@
 // chosen materialized set, consolidated-plan rendering, costs, and (for the
 // lazy variants) even the evaluation counts are bit-identical to the serial
 // full-search run at every thread count. Also covers the concurrent cost
-// cache's collision handling and the MQO_OPT_THREADS resolution rule.
+// cache's collision handling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "parser/parser.h"
 #include "physical/plan.h"
 #include "submodular/instances.h"
+#include "support/env.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -237,7 +237,7 @@ TEST(ConeVerifyTest, ConeScopedCostsMatchFreshSearches) {
   Memo memo(&catalog);
   memo.InsertBatch(MakeExample1Queries());
   ASSERT_TRUE(ExpandMemo(&memo).ok());
-  BatchOptimizerOptions opts;
+  BatchOptimizerOptions opts = EnvOptimizerOptions();
   opts.verify_cone = true;
   BatchOptimizer optimizer(&memo, CostModel(), opts);
   optimizer.SetIncrementalBase({});
@@ -320,30 +320,6 @@ TEST(ConeVerifyTest, WholeGreedyRunsOnDashboardBatchMatchFullSearch) {
           << "algo=" << static_cast<int>(algo) << " threads=" << threads;
     }
   }
-}
-
-TEST(OptimizerThreadsTest, ExplicitWinsEnvFillsUnset) {
-  // Explicit setting wins; the 0 sentinel resolves via MQO_OPT_THREADS;
-  // malformed or absent env means serial.
-  unsetenv("MQO_OPT_THREADS");
-  EXPECT_EQ(ResolveOptimizerThreads(0), 1);
-  EXPECT_EQ(ResolveOptimizerThreads(4), 4);
-  setenv("MQO_OPT_THREADS", "3", 1);
-  EXPECT_EQ(ResolveOptimizerThreads(0), 3);
-  EXPECT_EQ(ResolveOptimizerThreads(2), 2);  // explicit still wins
-  setenv("MQO_OPT_THREADS", "garbage", 1);
-  EXPECT_EQ(ResolveOptimizerThreads(0), 1);
-  setenv("MQO_OPT_THREADS", "2", 1);
-  {
-    // The optimizer resolves at construction: options() reports > 0.
-    Catalog catalog = MakeExample1Catalog();
-    Memo memo(&catalog);
-    memo.InsertBatch(MakeExample1Queries());
-    ASSERT_TRUE(ExpandMemo(&memo).ok());
-    BatchOptimizer optimizer(&memo, CostModel());
-    EXPECT_EQ(optimizer.options().num_threads, 2);
-  }
-  unsetenv("MQO_OPT_THREADS");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "mqo/mqo_algorithms.h"
 #include "optimizer/batch_optimizer.h"
 #include "parser/parser.h"
+#include "support/env.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -32,7 +33,8 @@ class OptimizerTest : public ::testing::Test {
     memo_->InsertBatch(roots);
     auto expanded = ExpandMemo(memo_.get());
     ASSERT_TRUE(expanded.ok());
-    optimizer_ = std::make_unique<BatchOptimizer>(memo_.get(), CostModel());
+    optimizer_ = std::make_unique<BatchOptimizer>(memo_.get(), CostModel(),
+                                                  EnvOptimizerOptions());
   }
 
   Catalog catalog_;
@@ -147,7 +149,7 @@ TEST(OptimizerExample1Test, MaterializedReadPreservesComputeOrder) {
   Memo memo(&catalog);
   memo.InsertBatch(MakeExample1Queries());
   ASSERT_TRUE(ExpandMemo(&memo).ok());
-  BatchOptimizer optimizer(&memo, CostModel());
+  BatchOptimizer optimizer(&memo, CostModel(), EnvOptimizerOptions());
   auto shareable = ShareableNodes(memo);
   ASSERT_FALSE(shareable.empty());
   ConsolidatedPlan plan = optimizer.Plan({shareable[0]});
@@ -173,7 +175,7 @@ TEST(OptimizerExample1Test, SupermodularityHeuristicDiagnostic) {
   Memo memo(&catalog);
   memo.InsertBatch(MakeExample1Queries());
   ASSERT_TRUE(ExpandMemo(&memo).ok());
-  BatchOptimizer optimizer(&memo, CostModel());
+  BatchOptimizer optimizer(&memo, CostModel(), EnvOptimizerOptions());
   auto shareable = ShareableNodes(memo);
   int violations = 0;
   for (EqId x : shareable) {
@@ -191,7 +193,7 @@ TEST(OptimizerExample1Test, SupermodularityHeuristicDiagnostic) {
 
 /// MarginalGreedy's consolidated plan and every compute plan, rendered.
 std::string RenderMarginalGreedyPlans(Memo* memo) {
-  BatchOptimizer optimizer(memo, CostModel());
+  BatchOptimizer optimizer(memo, CostModel(), EnvOptimizerOptions());
   MaterializationProblem problem(&optimizer);
   const MqoResult result = RunMarginalGreedy(&problem);
   const ConsolidatedPlan plan = optimizer.Plan(result.materialized);

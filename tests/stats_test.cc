@@ -379,12 +379,6 @@ TEST(StatsModeTest, CatalogGuessIgnoresTheRegistry) {
   }
 }
 
-TEST(StatsModeTest, ResolveExplicitModesPassThrough) {
-  EXPECT_EQ(ResolveStatsMode(StatsMode::kCatalogGuess),
-            StatsMode::kCatalogGuess);
-  EXPECT_EQ(ResolveStatsMode(StatsMode::kCollected), StatsMode::kCollected);
-}
-
 TEST(StatsModeTest, CollectedWithoutRegistryDegradesToGuess) {
   Catalog catalog = MakeExample1Catalog();
   Memo memo(&catalog);

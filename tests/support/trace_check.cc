@@ -1,4 +1,4 @@
-#include "obs/trace_check.h"
+#include "support/trace_check.h"
 
 #include <algorithm>
 #include <cctype>

@@ -1,4 +1,4 @@
-// Validating reader for exported traces, used by tests and CI.
+// Validating reader for exported traces, used by the tests.
 //
 // ParseJson is a small recursive-descent JSON reader (DOM into JsonValue) —
 // just enough to round-trip what obs/json.h writes. ValidateChromeTrace
@@ -7,8 +7,8 @@
 // well-formed events, and on every thread the 'X' spans nest properly (no
 // two spans on one tid partially overlap).
 
-#ifndef MQO_OBS_TRACE_CHECK_H_
-#define MQO_OBS_TRACE_CHECK_H_
+#ifndef MQO_TESTS_SUPPORT_TRACE_CHECK_H_
+#define MQO_TESTS_SUPPORT_TRACE_CHECK_H_
 
 #include <map>
 #include <memory>
@@ -52,4 +52,4 @@ TraceCheckResult ValidateChromeTrace(const std::string& json);
 
 }  // namespace mqo
 
-#endif  // MQO_OBS_TRACE_CHECK_H_
+#endif  // MQO_TESTS_SUPPORT_TRACE_CHECK_H_

@@ -8,14 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "catalog/tpcd.h"
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
 #include "obs/obs.h"
-#include "obs/trace_check.h"
+#include "support/env.h"
+#include "support/trace_check.h"
 #include "vexec/backend.h"
 #include "vexec/pipeline.h"
 #include "workload/example1.h"
@@ -71,7 +70,10 @@ void ExpectSameRows(const NamedRows& expected, const NamedRows& actual,
 /// The morsel sizes are tiny so the small test tables split into several
 /// morsels and the parallel build/probe/aggregate merge paths are genuinely
 /// exercised (8 threads over 4-row morsels oversubscribes scheduling to
-/// shake out ordering assumptions).
+/// shake out ordering assumptions). Each store takes the MQO_MAT_BUDGET_BYTES
+/// / MQO_SPILL_DIR overrides, like every executor this suite builds (bar the
+/// deliberately unlimited one in VexecBudgetTest): the CI budget-spill leg
+/// forces them all through eviction and spill.
 std::vector<ExecOptions> VectorConfigs() {
   ExecOptions serial;
   ExecOptions two;
@@ -80,7 +82,7 @@ std::vector<ExecOptions> VectorConfigs() {
   ExecOptions eight;
   eight.num_threads = 8;
   eight.morsel_rows = 4;
-  return {serial, two, eight};
+  return {WithEnvStore(serial), WithEnvStore(two), WithEnvStore(eight)};
 }
 
 /// The differential check for one workload: row and vectorized execution
@@ -93,7 +95,7 @@ std::vector<ExecOptions> VectorConfigs() {
 void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
   TableStatsRegistry registry(&data);
   BatchOptimizerOptions optimizer_options;
-  if (ResolveStatsMode(StatsMode::kDefault) == StatsMode::kCollected) {
+  if (TestEnv().stats_mode == StatsMode::kCollected) {
     optimizer_options.stats.mode = StatsMode::kCollected;
     optimizer_options.stats.table_stats = &registry;
   }
@@ -107,7 +109,8 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
     ConsolidatedPlan volcano = optimizer.Plan({});
     for (size_t q = 0; q < volcano.root_plan->children.size(); ++q) {
       const PlanNodePtr& plan = volcano.root_plan->children[q];
-      auto row = ExecutePlanWith(ExecBackend::kRow, memo, &data, plan);
+      auto row = ExecutePlanWith(ExecBackend::kRow, memo, &data, plan,
+                                 WithEnvStore());
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       for (const ExecOptions& exec : VectorConfigs()) {
         auto vec =
@@ -128,7 +131,8 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
   for (Algorithm alg : kAllAlgorithms) {
     MqoResult result = RunAlgorithm(alg, &problem);
     ConsolidatedPlan plan = optimizer.Plan(result.materialized);
-    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, memo, &data, plan);
+    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, memo, &data, plan,
+                                       WithEnvStore());
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     const auto& row_results = row.ValueOrDie();
     ASSERT_EQ(row_results.size(), roots.size());
@@ -136,7 +140,7 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
       ExecOptions budgeted;
       budgeted.mat_budget_bytes = 1;  // forces eviction + spill of everything
       auto row_spill = ExecuteConsolidatedWith(ExecBackend::kRow, memo, &data,
-                                               plan, budgeted);
+                                               plan, WithEnvStore(budgeted));
       ASSERT_TRUE(row_spill.ok()) << row_spill.status().ToString();
       for (size_t q = 0; q < roots.size(); ++q) {
         ExpectSameRows(row_results[q], row_spill.ValueOrDie()[q],
@@ -148,7 +152,7 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
       for (size_t budget : {size_t{0}, size_t{1}}) {
         exec.mat_budget_bytes = budget;
         auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, memo, &data,
-                                           plan, exec);
+                                           plan, WithEnvStore(exec));
         ASSERT_TRUE(vec.ok()) << vec.status().ToString();
         const auto& vec_results = vec.ValueOrDie();
         ASSERT_EQ(vec_results.size(), roots.size());
@@ -337,9 +341,10 @@ TEST(VexecDifferentialTest, Example1AllAlgorithmsAndSingletons) {
   const std::vector<EqId> roots = QueryRoots(memo);
   for (EqId e : problem.universe()) {
     ConsolidatedPlan plan = optimizer.Plan({e});
-    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan);
-    auto vec =
-        ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data, plan);
+    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                       WithEnvStore());
+    auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                       plan, WithEnvStore());
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(vec.ok()) << vec.status().ToString();
     for (size_t q = 0; q < roots.size(); ++q) {
@@ -790,14 +795,14 @@ TEST(VexecZoneTest, SkippingPreservesFilterOutputAcrossFormsAndThreads) {
   ZoneFixture enc(rows, /*for_encode=*/true);
   ASSERT_TRUE(enc.source.columns[0].for_encoded());
   ExecOptions off;
-  off.zone_maps = 0;
+  off.zone_maps = false;
   auto base = RunVecPipeline(plain.MakePipeline(100, 300), off);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   const ColumnBatch& b = base.ValueOrDie();
   ASSERT_EQ(b.num_rows, 402u);  // k = row/2: each value in [100,300] twice
   for (const ZoneFixture* fx : {&plain, &enc}) {
     for (ExecOptions exec : VectorConfigs()) {
-      exec.zone_maps = 1;
+      exec.zone_maps = true;
       auto got = RunVecPipeline(fx->MakePipeline(100, 300), exec);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const ColumnBatch& g = got.ValueOrDie();
@@ -830,7 +835,7 @@ TEST(VexecZoneTest, PrunedZoneCountDeterministicAcrossThreads) {
       obs_options.metrics = true;
       ObsContext obs(obs_options);
       ExecOptions exec = base;
-      exec.zone_maps = 1;
+      exec.zone_maps = true;
       exec.obs = &obs;
       auto got = RunVecPipeline(fx.MakePipeline(100, 300), exec);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -861,7 +866,7 @@ TEST(VexecZoneTest, CompressedCompareRowCountDeterministicAcrossThreads) {
     obs_options.metrics = true;
     ObsContext obs(obs_options);
     ExecOptions exec = base;
-    exec.zone_maps = 0;
+    exec.zone_maps = false;
     exec.obs = &obs;
     auto got = RunVecPipeline(fx.MakePipeline(100, 300), exec);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -872,43 +877,6 @@ TEST(VexecZoneTest, CompressedCompareRowCountDeterministicAcrossThreads) {
   EXPECT_EQ(cmp_rows[2], cmp_rows[0]);
 }
 
-TEST(VexecZoneTest, EnvKnobsResolveUnsetOptionsOnly) {
-  // MQO_ZONE_MAPS / MQO_NUM_COMPRESSION fill in knobs the caller left at
-  // -1; an explicit ExecOptions value always wins (the unset-knobs-only
-  // convention shared with MQO_MAT_BUDGET_BYTES). Runs hermetically: the
-  // ambient values (the CI legs set them) are saved and restored.
-  const char* zone_env = ::getenv("MQO_ZONE_MAPS");
-  const char* comp_env = ::getenv("MQO_NUM_COMPRESSION");
-  const std::string saved_zone = zone_env ? zone_env : "";
-  const std::string saved_comp = comp_env ? comp_env : "";
-  ::unsetenv("MQO_ZONE_MAPS");
-  ::unsetenv("MQO_NUM_COMPRESSION");
-  ExecOptions opts;
-  EXPECT_TRUE(opts.zone_maps_enabled());
-  EXPECT_TRUE(opts.numeric_compression_enabled());
-  ::setenv("MQO_ZONE_MAPS", "0", 1);
-  ::setenv("MQO_NUM_COMPRESSION", "0", 1);
-  EXPECT_FALSE(opts.zone_maps_enabled());
-  EXPECT_FALSE(opts.numeric_compression_enabled());
-  opts.zone_maps = 1;
-  opts.numeric_compression = 1;
-  EXPECT_TRUE(opts.zone_maps_enabled());
-  EXPECT_TRUE(opts.numeric_compression_enabled());
-  opts.zone_maps = 0;
-  ::setenv("MQO_ZONE_MAPS", "1", 1);
-  EXPECT_FALSE(opts.zone_maps_enabled());
-  if (zone_env == nullptr) {
-    ::unsetenv("MQO_ZONE_MAPS");
-  } else {
-    ::setenv("MQO_ZONE_MAPS", saved_zone.c_str(), 1);
-  }
-  if (comp_env == nullptr) {
-    ::unsetenv("MQO_NUM_COMPRESSION");
-  } else {
-    ::setenv("MQO_NUM_COMPRESSION", saved_comp.c_str(), 1);
-  }
-}
-
 TEST(VexecZoneTest, GeneratedDataIsValueIdenticalAcrossPhysicalForms) {
   // DataGenOptions::numeric_compression only picks the physical form: the
   // same seed yields cell-identical tables encoded or plain, which is what
@@ -917,9 +885,9 @@ TEST(VexecZoneTest, GeneratedDataIsValueIdenticalAcrossPhysicalForms) {
   DataGenOptions gen;
   gen.max_rows_per_table = 2500;
   gen.seed = 11;
-  gen.numeric_compression = 1;
+  gen.numeric_compression = true;
   DataSet enc_data = GenerateData(catalog, gen);
-  gen.numeric_compression = 0;
+  gen.numeric_compression = false;
   DataSet plain_data = GenerateData(catalog, gen);
   const ColumnStore* enc = enc_data.GetTable("lineitem").ValueOrDie();
   const ColumnStore* plain = plain_data.GetTable("lineitem").ValueOrDie();
@@ -964,15 +932,11 @@ TEST(VexecBudgetTest, TinyBudgetForcesSpillsWithoutChangingResults) {
   VectorPlanExecutor unlimited(&memo, &data);
   auto base = unlimited.ExecuteConsolidated(plan);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
-  if (std::getenv("MQO_MAT_BUDGET_BYTES") == nullptr) {
-    // Skip under the CI budget-spill job, which forces a budget on every
-    // executor-owned store via the environment.
-    EXPECT_EQ(unlimited.store().stats().evictions, 0);
-  }
+  EXPECT_EQ(unlimited.store().stats().evictions, 0);
 
   ExecOptions exec;
   exec.mat_budget_bytes = 1;
-  VectorPlanExecutor budgeted(&memo, &data, exec);
+  VectorPlanExecutor budgeted(&memo, &data, WithEnvStore(exec));
   auto spilled = budgeted.ExecuteConsolidated(plan);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
   const MatStoreStats& stats = budgeted.store().stats();
@@ -997,7 +961,7 @@ TEST(VexecBudgetTest, TinyBudgetForcesSpillsWithoutChangingResults) {
 void CheckMixedEngineCacheOn(Memo* memo, const DataSet& data,
                              const ConsolidatedPlan& plan) {
   ASSERT_FALSE(plan.materialized.empty());
-  ExecOptions parallel;
+  ExecOptions parallel = WithEnvStore();
   parallel.num_threads = 2;
   parallel.morsel_rows = 8;
   const std::pair<ExecBackend, ExecBackend> orders[] = {
@@ -1319,7 +1283,7 @@ TEST(VectorExecutorTest, ReadWithoutMaterializationFails) {
   gen.max_rows_per_table = 20;
   gen.seed = 5;
   DataSet data = GenerateData(catalog, gen);
-  VectorPlanExecutor executor(&memo, &data);
+  VectorPlanExecutor executor(&memo, &data, WithEnvStore());
   PlanNodePtr read = MakePlanNode(PhysOp::kReadMaterialized, shareable[0], {},
                                   1.0, "", {});
   auto result = executor.Execute(read);
