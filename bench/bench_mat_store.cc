@@ -80,12 +80,13 @@ int main(int argc, char** argv) {
       MatStore store(options);
 
       // Put pass: admit every segment under the budget.
+      std::vector<SegmentRef> refs;
       WallTimer put_timer;
       for (int s = 0; s < kNumSegments; ++s) {
-        store.SetExpectedReads(s, kReadsPerSegment);
-        if (!store.Put(s, segments[s]).ok()) ++failures;
+        refs.push_back(store.Put(segments[s], kReadsPerSegment));
       }
       const double put_ms = put_timer.ElapsedMillis();
+      if (!store.last_error().ok()) ++failures;  // a spill write failed
 
       // Read pass: round-robin so evicted segments keep getting re-read.
       // Hits and reloads are timed separately via the stats deltas.
@@ -93,20 +94,19 @@ int main(int argc, char** argv) {
       size_t hit_bytes = 0, reload_bytes = 0;
       for (int r = 0; r < kReadsPerSegment; ++r) {
         for (int s = 0; s < kNumSegments; ++s) {
-          const bool resident = store.IsResident(s);
           WallTimer read_timer;
-          const ColumnBatch* segment = store.Get(s);
+          auto pinned = store.Pin(refs[s]);
           const double ms = read_timer.ElapsedMillis();
-          if (segment == nullptr || segment->num_rows == 0) {
+          if (!pinned.ok() || pinned.ValueOrDie().batch().num_rows == 0) {
             ++failures;
             continue;
           }
-          if (resident) {
-            hit_ms += ms;
-            hit_bytes += segment->ByteSize();
-          } else {
+          if (pinned.ValueOrDie().reloaded()) {
             reload_ms += ms;
-            reload_bytes += segment->ByteSize();
+            reload_bytes += refs[s].bytes();
+          } else {
+            hit_ms += ms;
+            hit_bytes += refs[s].bytes();
           }
         }
       }

@@ -12,53 +12,40 @@ ConsolidatedExecutor::ConsolidatedExecutor(Memo* memo,
                                            const char* layer)
     : memo_(memo),
       options_(options),
-      store_(options.mat_store()),
       layer_(layer),
-      materialize_metric_(std::string(layer) + ".materialize_ms") {}
-
-Status ConsolidatedExecutor::MaterializeNode(
-    EqId eq, const PlanNodePtr& compute_plan,
-    const TableVersions& read_versions,
-    const std::unordered_map<EqId, double>& expected_reads) {
-  TraceSpan span(TracerOf(options_.obs), "materialize", layer_);
-  ScopedTimer metric(MetricsOf(options_.obs), materialize_metric_);
-  eq = memo_->Find(eq);
-  const uint64_t fp = ClassFingerprint(*memo_, eq, &fingerprints_);
-  SharedSegmentCache* cache = options_.shared_cache;
-  ColumnBatch segment;
-  // The schema guard rejects a fingerprint collision between classes with
-  // different attribute lists.
-  const bool hit = cache != nullptr && cache->Lookup(fp, &segment) &&
-                   segment.names == memo_->Attributes(eq);
-  if (hit) {
-    compute_ms_[eq] = 0.0;
-    ++cross_batch_hits_;
+      materialize_metric_(std::string(layer) + ".materialize_ms") {
+  if (options.shared_cache != nullptr) {
+    store_ = options.shared_cache->store();
   } else {
-    WallTimer timer;
-    MQO_ASSIGN_OR_RETURN(segment, ComputeSegment(compute_plan));
-    compute_ms_[eq] = timer.ElapsedMillis();
+    own_store_ = std::make_unique<MatStore>(options.mat_store());
+    store_ = own_store_.get();
   }
-  // Observed cardinality of the shared subexpression: later optimizations
-  // match it by structural fingerprint and estimate against reality.
-  feedback_.Record(fp, static_cast<double>(segment.num_rows));
-  if (span.active()) {
-    span.AddNum("eq", eq);
-    span.AddNum("rows", static_cast<double>(segment.num_rows));
-    if (hit) {
-      span.AddNum("cross_batch_hit", 1);
-    } else {
-      span.AddNum("bytes", static_cast<double>(segment.ByteSize()));
-    }
+}
+
+Status ConsolidatedExecutor::ComputeClass(ClassSegment* cls) {
+  WallTimer timer;
+  MQO_ASSIGN_OR_RETURN(ColumnBatch segment, ComputeSegment(cls->compute_plan));
+  cls->compute_ms = timer.ElapsedMillis();
+  const double reads_left =
+      std::max(cls->expected_reads - static_cast<double>(cls->reads), 0.0);
+  cls->segment = store_->Put(std::move(segment), reads_left);
+  return Status::OK();
+}
+
+Result<PinnedSegment> ConsolidatedExecutor::ReadSegment(EqId eq) {
+  auto it = segments_.find(memo_->Find(eq));
+  if (it == segments_.end() || !it->second.segment) return PinnedSegment{};
+  ClassSegment& cls = it->second;
+  Result<PinnedSegment> pinned = store_->Pin(cls.segment);
+  if (!pinned.ok()) {
+    // The spill file could not be read back: recompute rather than fail.
+    MQO_RETURN_NOT_OK(ComputeClass(&cls));
+    pinned = store_->Pin(cls.segment);
+    MQO_RETURN_NOT_OK(pinned.status());
   }
-  if (cache != nullptr && !hit) {
-    // Publish for later batches (COW copy: shares payloads, no deep copy).
-    // First writer wins; losing the race or failing admission is harmless.
-    auto reads = expected_reads.find(eq);
-    cache->Insert(fp, ColumnBatch(segment), ClassBaseTables(*memo_, eq),
-                  read_versions,
-                  reads == expected_reads.end() ? 0.0 : reads->second);
-  }
-  return store_.Put(eq, std::move(segment));
+  ++cls.reads;
+  if (pinned.ValueOrDie().reloaded()) ++cls.reloads;
+  return pinned;
 }
 
 Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
@@ -70,22 +57,16 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
     batch_span.AddNum("queries",
                       static_cast<double>(plan.root_plan->children.size()));
   }
+  segments_.clear();
   feedback_.clear();
-  compute_ms_.clear();
   cross_batch_hits_ = 0;
+  SharedSegmentCache* cache = options_.shared_cache;
   // The stamp on every publish of this run: the versions of the data it is
   // about to read.
   const TableVersions read_versions =
-      options_.shared_cache != nullptr
-          ? options_.shared_cache->TableVersionSnapshot()
-          : TableVersions{};
-  // Seed the eviction weights before any segment lands: a segment with many
-  // reads still ahead of it is the last one the budget pushes to disk.
+      cache != nullptr ? cache->TableVersionSnapshot() : TableVersions{};
   const std::unordered_map<EqId, double> expected_reads =
       ExpectedSegmentReads(*memo_, plan);
-  for (const auto& [eq, reads] : expected_reads) {
-    store_.SetExpectedReads(eq, reads);
-  }
   // Materialize chosen nodes children-first (a node's compute plan may read
   // materialized descendants).
   std::vector<EqId> topo = memo_->TopologicalClasses();
@@ -103,9 +84,53 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
                 const ConsolidatedPlan::MatNode* b) {
               return position(a->eq) < position(b->eq);
             });
+  // Take every cache hit before computing anything: a hit's planned reads
+  // join its eviction weight first, so no fresh Put of this run pushes it
+  // out ahead of its reads.
   for (const auto* m : ordered) {
-    MQO_RETURN_NOT_OK(MaterializeNode(m->eq, m->compute_plan, read_versions,
-                                      expected_reads));
+    const EqId eq = memo_->Find(m->eq);
+    ClassSegment& cls = segments_[eq];
+    cls.compute_plan = m->compute_plan;
+    cls.fingerprint = ClassFingerprint(*memo_, eq, &fingerprints_);
+    auto reads = expected_reads.find(eq);
+    if (reads != expected_reads.end()) cls.expected_reads = reads->second;
+    if (cache == nullptr) continue;
+    SegmentRef hit = cache->Lookup(cls.fingerprint);
+    // The schema guard rejects a fingerprint collision between classes with
+    // different attribute lists.
+    if (hit && hit.names() == memo_->Attributes(eq)) {
+      store_->AddExpectedReads(hit, cls.expected_reads);
+      cls.segment = std::move(hit);
+      ++cross_batch_hits_;
+    }
+  }
+  for (const auto* m : ordered) {
+    const EqId eq = memo_->Find(m->eq);
+    ClassSegment& cls = segments_[eq];
+    TraceSpan span(TracerOf(options_.obs), "materialize", layer_);
+    ScopedTimer metric(MetricsOf(options_.obs), materialize_metric_);
+    const bool hit = static_cast<bool>(cls.segment);
+    if (!hit) {
+      MQO_RETURN_NOT_OK(ComputeClass(&cls));
+      // Publish for later batches. First writer wins; losing the race is
+      // harmless.
+      if (cache != nullptr) {
+        cache->Insert(cls.fingerprint, cls.segment,
+                      ClassBaseTables(*memo_, eq), read_versions);
+      }
+    }
+    // Observed cardinality of the shared subexpression: later optimizations
+    // match it by structural fingerprint and estimate against reality.
+    feedback_.Record(cls.fingerprint, static_cast<double>(cls.segment.rows()));
+    if (span.active()) {
+      span.AddNum("eq", eq);
+      span.AddNum("rows", static_cast<double>(cls.segment.rows()));
+      if (hit) {
+        span.AddNum("cross_batch_hit", 1);
+      } else {
+        span.AddNum("bytes", static_cast<double>(cls.segment.bytes()));
+      }
+    }
   }
   if (plan.root_plan->op != PhysOp::kBatchRoot) {
     return Status::InvalidArgument("root plan is not a batch root");
@@ -125,19 +150,18 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
 
 std::vector<SegmentRuntime> ConsolidatedExecutor::SegmentRuntimes() const {
   std::vector<SegmentRuntime> out;
-  for (const auto& [key, t] : store_.Telemetry()) {
-    const EqId eq = static_cast<EqId>(key);
+  for (const auto& [eq, cls] : segments_) {
+    if (!cls.segment) continue;
     SegmentRuntime r;
     r.eq = eq;
-    auto fp = fingerprints_.find(eq);
-    if (fp != fingerprints_.end()) r.fingerprint = fp->second;
-    r.actual_rows = t.rows;
-    auto cm = compute_ms_.find(eq);
-    if (cm != compute_ms_.end()) r.compute_ms = cm->second;
-    r.reads = t.reads;
-    r.reloads = t.reloads;
-    r.bytes = static_cast<int64_t>(t.bytes);
-    r.ever_spilled = t.ever_spilled;
+    r.fingerprint = cls.fingerprint;
+    r.actual_rows = cls.segment.rows();
+    r.compute_ms = cls.compute_ms;
+    r.reads = cls.reads;
+    r.reloads = cls.reloads;
+    r.bytes = static_cast<int64_t>(cls.segment.bytes());
+    // This run found the segment on disk, or left it there.
+    r.ever_spilled = cls.reloads > 0 || !store_->IsResident(cls.segment);
     out.push_back(r);
   }
   std::sort(out.begin(), out.end(),

@@ -5,9 +5,10 @@
 // (exec/consolidated_executor.h) and the engine derived from it. The
 // scheduling knobs feed the pipeline driver (storage/pipeline.h) of the
 // vectorized engine; the row interpreter is always serial and ignores them.
-// The memory-governance knobs configure the run's materialized-segment
-// store (storage/mat_store.h), and `shared_cache` is the cross-batch cache
-// the driver consults and publishes to. Results are identical for every
+// The memory-governance knobs configure the run's own materialized-segment
+// store (storage/mat_store.h); with a `shared_cache` — the cross-batch cache
+// the driver consults and publishes to — the run owns no store and its
+// segments live in the cache's. Results are identical for every
 // setting — threading, spilling and caching are performance decisions,
 // never semantic ones.
 
@@ -27,7 +28,8 @@ class SharedSegmentCache;
 /// the materialized-segment store's memory governance. Results are identical
 /// for every setting.
 struct ExecOptions : PipelineOptions {
-  /// Resident-byte budget of the executor's MatStore; 0 = unlimited.
+  /// Resident-byte budget of the executor's own MatStore (unused with a
+  /// shared_cache); 0 = unlimited.
   size_t mat_budget_bytes = 0;
   /// Spill directory for evicted segments; empty = a unique temp directory.
   std::string mat_spill_dir;
@@ -52,7 +54,8 @@ struct ExecOptions : PipelineOptions {
   ObsContext* obs = nullptr;
   /// Cross-batch semantic segment cache (storage/segment_cache.h), shared
   /// across a session's concurrent batches; the consult/publish contract is
-  /// on exec/consolidated_executor.h. Null = per-run materialization only.
+  /// on exec/consolidated_executor.h. When set, the run's segments live in
+  /// the cache's store. Null = per-run materialization only.
   /// Results are identical either way — the cache can only serve a segment
   /// whose fingerprint and base-table versions both match.
   SharedSegmentCache* shared_cache = nullptr;

@@ -6,14 +6,11 @@
 namespace mqo {
 
 Result<NamedRows> PlanExecutor::SideInput(EqId eq) {
-  eq = memo_->Find(eq);
-  if (store_.Contains(eq)) {
-    // Pin across the row conversion so eviction cannot swap the segment out
-    // mid-read; reload errors surface instead of silently recomputing.
-    MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, store_.Pin(eq));
-    return BatchToRows(pinned.batch());
-  }
-  return evaluator_.EvaluateClass(eq);
+  // Pin across the row conversion so eviction cannot swap the segment out
+  // mid-read.
+  MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(eq));
+  if (pinned.valid()) return BatchToRows(pinned.batch());
+  return evaluator_.EvaluateClass(memo_->Find(eq));
 }
 
 Result<NamedRows> PlanExecutor::ExecuteUncanonicalized(const PlanNodePtr& plan) {
@@ -69,14 +66,13 @@ Result<NamedRows> PlanExecutor::ExecuteUncanonicalized(const PlanNodePtr& plan) 
       return out;
     }
     case PhysOp::kReadMaterialized: {
-      const EqId eq = memo_->Find(plan->eq);
-      auto pinned = store_.Pin(eq);
-      if (!pinned.ok()) {
-        return Status::Internal("materialized node E" + std::to_string(eq) +
-                                " not in store: " +
-                                pinned.status().ToString());
+      MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(plan->eq));
+      if (!pinned.valid()) {
+        return Status::Internal("node E" +
+                                std::to_string(memo_->Find(plan->eq)) +
+                                " was not materialized");
       }
-      return BatchToRows(pinned.ValueOrDie().batch());
+      return BatchToRows(pinned.batch());
     }
     case PhysOp::kBatchRoot:
       return Status::Unimplemented("execute batch roots via ExecuteConsolidated");

@@ -213,6 +213,7 @@ void AssembleRunReport(const ExecResult& executed, ObsContext* obs,
   outcome->explain_analyze = RenderExplainAnalyze(outcome->explain);
   if (obs == nullptr) return;
   if (obs->options().metrics) {
+    ExportStorageStats(outcome->store_stats, nullptr, obs->metrics());
     outcome->metrics_report = obs->metrics()->TextReport();
   }
   if (obs->options().trace) {
@@ -303,9 +304,9 @@ MqoSession::MqoSession(const Catalog* catalog, const DataSet* data,
   analyze.num_threads = exec.num_threads;
   registry_.Reset(data_, analyze);
   if (resolved_.options.shared_segment_cache) {
-    // The cache rides the executors' store machinery (budget, eviction,
-    // spill) with its own budget knob; its counters and store events report
-    // into the session-lifetime obs scope, not any single run's.
+    // The session's one segment store: it holds the cached segments and the
+    // in-flight runs' segments under one budget, and its store events
+    // report into the session-lifetime obs scope, not any single run's.
     MatStoreOptions cache_options = exec.mat_store();
     cache_options.budget_bytes = resolved_.options.shared_cache_budget_bytes;
     cache_options.obs = session_obs();
@@ -358,6 +359,10 @@ Result<MqoExecutionOutcome> MqoSession::Run(
   if (MetricsRegistry* m = MetricsOf(session_obs())) {
     m->ObserveMs("session.run_ms",
                  NanosToMillis(MonotonicNanos() - run_start_ns));
+    if (cache_) {
+      const SegmentCacheStats cache_stats = cache_->stats();
+      ExportStorageStats(cache_->store_stats(), &cache_stats, m);
+    }
   }
   return outcome;
 }

@@ -87,9 +87,10 @@ struct MqoOptions {
   /// fingerprint and the versions of every base table it was computed from
   /// still match (storage/segment_cache.h).
   bool shared_segment_cache = true;
-  /// Byte budget of the session's shared segment cache; 0 falls back to the
-  /// executor store budget (exec.mat_budget_bytes, as filled from
-  /// mat_budget_bytes or MQO_MAT_BUDGET_BYTES), which unset means unlimited.
+  /// Byte budget of the session's one segment store — cached segments and
+  /// in-flight runs' segments alike; 0 falls back to the executor store
+  /// budget (exec.mat_budget_bytes, as filled from mat_budget_bytes or
+  /// MQO_MAT_BUDGET_BYTES), which unset means unlimited.
   size_t shared_cache_budget_bytes = 0;
 };
 
@@ -156,6 +157,8 @@ struct MqoExecutionOutcome {
   /// reality.
   CardinalityFeedback feedback;
   /// Segment-store accounting of the run (hits, evictions, spill traffic).
+  /// An MqoSession run owns no store and reports zeros here: its traffic is
+  /// in the session store, segment_cache()->store_stats().
   MatStoreStats store_stats;
   /// Per materialized class: the optimizer's estimate joined with what the
   /// executor measured, eq-sorted. Empty when nothing was materialized.
@@ -204,9 +207,10 @@ Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
 ///
 /// Run is safe to call from concurrent client threads: the shared state
 /// (statistics registry, feedback, segment cache) is internally synchronized,
-/// each run gets its own memo/executor/store, and every run is issued a batch
-/// id that scopes its trace export. Results are bag-equal to running the same
-/// batches serially in any order.
+/// each run gets its own memo and executor — its segments live in the
+/// session's one store, under shared_cache_budget_bytes — and every run is
+/// issued a batch id that scopes its trace export. Results are bag-equal to
+/// running the same batches serially in any order.
 class MqoSession {
  public:
   /// `catalog` and `data` must outlive the session. The environment
@@ -238,8 +242,9 @@ class MqoSession {
 
   /// Session-lifetime observability scope: per-run wall times land in the
   /// "session.run_ms" timing metric (log-spaced histogram → percentiles via
-  /// MetricsRegistry::QuantileMs) and segment-cache counters accumulate here
-  /// across runs. Null when observability is off.
+  /// MetricsRegistry::QuantileMs), and after each run the session store's
+  /// and segment cache's running totals are exported here
+  /// (ExportStorageStats). Null when observability is off.
   ObsContext* session_obs() {
     return session_obs_.any_enabled() ? &session_obs_ : nullptr;
   }

@@ -116,8 +116,9 @@ class CostCache {
 /// `plan`: ReadMaterialized leaves across the root plan and every compute
 /// plan, plus join side-inputs (single-child join nodes whose inner is a
 /// materialized class — BNL/index probes rescan those from the store). The
-/// executors feed this to MatStore::SetExpectedReads so eviction can weigh
-/// segments by the reads still ahead of them.
+/// executors put each segment with its expected reads (and add them to a
+/// cache hit's), so eviction can weigh segments by the reads still ahead of
+/// them.
 std::unordered_map<EqId, double> ExpectedSegmentReads(
     const Memo& memo, const ConsolidatedPlan& plan);
 

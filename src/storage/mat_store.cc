@@ -6,282 +6,223 @@
 
 namespace mqo {
 
+/// One stored segment. The const fields are fixed at Put; the rest belong
+/// to the owning store and are guarded by its mutex.
+struct StoredSegment {
+  StoredSegment(MatStore* owner, uint64_t seq, ColumnBatch segment,
+                double reads)
+      : store(owner),
+        id(seq),
+        bytes(segment.ByteSize()),
+        rows(static_cast<int64_t>(segment.num_rows)),
+        names(segment.names),
+        batch(std::move(segment)),
+        last_use(seq),
+        expected_reads(reads) {}
+
+  MatStore* const store;
+  const uint64_t id;  ///< Put sequence number; names the segment in traces.
+  const size_t bytes;  ///< Payload bytes, resident or not.
+  const int64_t rows;
+  const std::vector<ColumnRef> names;
+  ColumnBatch batch;  ///< Payload; columns empty while spilled.
+  bool resident = true;
+  bool lost = false;       ///< A reload failed; the payload is gone.
+  std::string spill_path;  ///< Non-empty once spilled.
+  int pins = 0;
+  uint64_t last_use;
+  double expected_reads;  ///< Remaining, decremented per Pin.
+};
+
+size_t SegmentRef::bytes() const { return segment_->bytes; }
+int64_t SegmentRef::rows() const { return segment_->rows; }
+const std::vector<ColumnRef>& SegmentRef::names() const {
+  return segment_->names;
+}
+
 PinnedSegment& PinnedSegment::operator=(PinnedSegment&& o) noexcept {
   if (this != &o) {
     Release();
-    store_ = o.store_;
-    key_ = o.key_;
-    generation_ = o.generation_;
+    ref_ = std::move(o.ref_);
     batch_ = std::move(o.batch_);
-    o.store_ = nullptr;
+    reloaded_ = o.reloaded_;
+    o.ref_ = SegmentRef{};
     o.batch_ = ColumnBatch{};
   }
   return *this;
 }
 
 void PinnedSegment::Release() {
-  if (store_ != nullptr) store_->Unpin(key_, generation_);
-  store_ = nullptr;
+  if (ref_) ref_.segment_->store->Unpin(ref_.segment_.get());
   batch_ = ColumnBatch{};
+  ref_ = SegmentRef{};  // may free the segment: last, after the unpin
 }
 
-void MatStore::Unpin(uint64_t key, uint64_t generation) {
+MatStore::~MatStore() {
+  assert(segments_.empty() && "MatStore destroyed while handles are live");
+}
+
+void MatStore::Unpin(StoredSegment* s) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  // A lease on a replaced segment pins nothing in the store.
-  if (it != entries_.end() && it->second.generation == generation &&
-      it->second.pins > 0) {
-    --it->second.pins;
-  }
+  if (s->pins > 0) --s->pins;
 }
 
-Status MatStore::PutLocked(uint64_t key, ColumnBatch segment) {
-  Entry& e = entries_[key];
-  if (e.resident) bytes_used_ -= e.bytes;
-  if (!e.spill_path.empty()) {
-    // The old spill file holds stale content now.
-    bytes_spilled_ -= e.resident ? 0 : e.bytes;
-    spill_dir_.RemoveFile(e.spill_path);
-    e.spill_path.clear();
+void MatStore::Free(StoredSegment* s) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    segments_.erase(s);
+    if (s->resident) {
+      bytes_used_ -= s->bytes;
+    } else if (!s->lost) {
+      bytes_spilled_ -= s->bytes;
+    }
+    if (!s->spill_path.empty()) spill_dir_.RemoveFile(s->spill_path);
   }
-  e.bytes = segment.ByteSize();
-  e.rows = static_cast<int64_t>(segment.num_rows);
-  e.batch = std::move(segment);
-  e.resident = true;
-  e.pins = 0;
-  e.last_use = ++tick_;
-  e.generation = e.last_use;
-  auto hint = read_hints_.find(key);
-  if (hint != read_hints_.end()) {
-    e.expected_reads = hint->second;
-    read_hints_.erase(hint);
-  }
-  e.expected_reads_initial = e.expected_reads;
-  bytes_used_ += e.bytes;
+  delete s;
+}
+
+SegmentRef MatStore::Put(ColumnBatch segment, double expected_reads) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto* s = new StoredSegment(this, ++tick_, std::move(segment), expected_reads);
+  SegmentRef ref(std::shared_ptr<StoredSegment>(
+      s, [](StoredSegment* dead) { dead->store->Free(dead); }));
+  segments_.insert(s);
+  bytes_used_ += s->bytes;
   ++stats_.puts;
   if (Tracer* t = TracerOf(options_.obs)) {
     t->Instant("mat_store.put", "storage",
-               {TNum("eq", static_cast<double>(key)),
-                TNum("bytes", static_cast<double>(e.bytes)),
-                TNum("rows", static_cast<double>(e.rows)),
-                TNum("expected_reads", e.expected_reads)});
+               {TNum("segment", static_cast<double>(s->id)),
+                TNum("bytes", static_cast<double>(s->bytes)),
+                TNum("rows", static_cast<double>(s->rows)),
+                TNum("expected_reads", expected_reads)});
   }
-  if (MetricsRegistry* m = MetricsOf(options_.obs)) {
-    m->AddCounter("mat_store.puts");
-    m->AddCounter("mat_store.put_bytes", static_cast<double>(e.bytes));
-  }
-  return EnforceBudgetLocked(kNoProtect);
+  EnforceBudgetLocked(nullptr);
+  return ref;
 }
 
-Status MatStore::Put(uint64_t key, ColumnBatch segment) {
+Result<PinnedSegment> MatStore::Pin(const SegmentRef& ref) {
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(key, std::move(segment));
-}
-
-Status MatStore::PutIfAbsent(uint64_t key, ColumnBatch segment,
-                             bool* inserted) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(key) > 0) {
-    if (inserted != nullptr) *inserted = false;
-    return Status::OK();
+  StoredSegment* s = ref.segment_.get();
+  if (s->lost) {
+    return Status::Internal("segment " + std::to_string(s->id) +
+                            " was lost to a failed reload");
   }
-  if (inserted != nullptr) *inserted = true;
-  return PutLocked(key, std::move(segment));
-}
-
-Result<MatStore::Entry*> MatStore::TouchLocked(uint64_t key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return Status::NotFound("segment E" + std::to_string(key) +
-                            " was never materialized");
-  }
-  Entry& e = it->second;
-  ++stats_.gets;
-  ++e.reads;
-  if (!e.resident) {
-    auto reloaded = ReadSegmentFile(e.spill_path);
+  const bool reload = !s->resident;
+  if (reload) {
+    auto reloaded = ReadSegmentFile(s->spill_path);
     if (!reloaded.ok()) {
       last_error_ = reloaded.status();
+      s->lost = true;
+      bytes_spilled_ -= s->bytes;
       return reloaded.status();
     }
-    e.batch = std::move(reloaded).ValueOrDie();
-    e.resident = true;
-    bytes_used_ += e.bytes;
-    bytes_spilled_ -= e.bytes;
+    s->batch = std::move(reloaded).ValueOrDie();
+    s->resident = true;
+    bytes_used_ += s->bytes;
+    bytes_spilled_ -= s->bytes;
     ++stats_.reloads;
-    ++e.reloads;
-    stats_.bytes_reloaded += e.bytes;
+    stats_.bytes_reloaded += s->bytes;
     if (Tracer* t = TracerOf(options_.obs)) {
       t->Instant("mat_store.rehydrate", "storage",
-                 {TNum("eq", static_cast<double>(key)),
-                  TNum("bytes", static_cast<double>(e.bytes))});
+                 {TNum("segment", static_cast<double>(s->id)),
+                  TNum("bytes", static_cast<double>(s->bytes))});
     }
-    if (MetricsRegistry* m = MetricsOf(options_.obs)) {
-      m->AddCounter("mat_store.reloads");
-      m->AddCounter("mat_store.bytes_reloaded", static_cast<double>(e.bytes));
-    }
-    // The spill file stays valid (segments are immutable between Puts), so
-    // a future eviction releases the payload without rewriting the file.
-    MQO_RETURN_NOT_OK(EnforceBudgetLocked(key));
+    // The spill file stays valid (segments are immutable), so a future
+    // eviction releases the payload without rewriting the file.
+    EnforceBudgetLocked(s);
   } else {
     ++stats_.hits;
     if (Tracer* t = TracerOf(options_.obs)) {
       t->Instant("mat_store.hit", "storage",
-                 {TNum("eq", static_cast<double>(key))});
-    }
-    if (MetricsRegistry* m = MetricsOf(options_.obs)) {
-      m->AddCounter("mat_store.hits");
+                 {TNum("segment", static_cast<double>(s->id))});
     }
   }
-  e.last_use = ++tick_;
-  if (e.expected_reads > 0.0) e.expected_reads -= 1.0;
-  return &e;
-}
-
-const ColumnBatch* MatStore::Get(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto touched = TouchLocked(key);
-  return touched.ok() ? &touched.ValueOrDie()->batch : nullptr;
-}
-
-Result<PinnedSegment> MatStore::Pin(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MQO_ASSIGN_OR_RETURN(Entry * e, TouchLocked(key));
-  ++e->pins;
+  ++stats_.gets;
+  s->last_use = ++tick_;
+  if (s->expected_reads > 0.0) s->expected_reads -= 1.0;
+  ++s->pins;
   if (Tracer* t = TracerOf(options_.obs)) {
     t->Instant("mat_store.pin", "storage",
-               {TNum("eq", static_cast<double>(key)), TNum("pins", e->pins)});
+               {TNum("segment", static_cast<double>(s->id)),
+                TNum("pins", s->pins)});
   }
-  return PinnedSegment(this, key, e->generation, e->batch);
+  return PinnedSegment(ref, s->batch, reload);
 }
 
-Status MatStore::EvictLocked(uint64_t key, Entry* e) {
-  (void)key;
-  bool wrote_file = false;
-  if (e->spill_path.empty()) {
-    auto path = spill_dir_.NextPath();
-    if (!path.ok()) {
-      last_error_ = path.status();
-      return path.status();
-    }
-    Status written = WriteSegmentFile(path.ValueOrDie(), e->batch);
+void MatStore::AddExpectedReads(const SegmentRef& ref, double reads) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ref.segment_->expected_reads += reads;
+}
+
+Status MatStore::EvictLocked(StoredSegment* s) {
+  const bool write_file = s->spill_path.empty();
+  if (write_file) {
+    MQO_ASSIGN_OR_RETURN(std::string path, spill_dir_.NextPath());
+    Status written = WriteSegmentFile(path, s->batch);
     if (!written.ok()) {
-      last_error_ = written;
-      spill_dir_.RemoveFile(path.ValueOrDie());
+      spill_dir_.RemoveFile(path);
       return written;
     }
-    e->spill_path = std::move(path).ValueOrDie();
+    s->spill_path = std::move(path);
     ++stats_.spill_writes;
-    wrote_file = true;
   }
-  e->batch = ColumnBatch{};  // release the store's payload references
-  e->resident = false;
-  e->ever_spilled = true;
-  bytes_used_ -= e->bytes;
-  bytes_spilled_ += e->bytes;
+  s->batch.columns.clear();  // release the store's payload references
+  s->resident = false;
+  bytes_used_ -= s->bytes;
+  bytes_spilled_ += s->bytes;
   ++stats_.evictions;
-  stats_.bytes_spilled += e->bytes;
+  stats_.bytes_spilled += s->bytes;
   if (Tracer* t = TracerOf(options_.obs)) {
     t->Instant("mat_store.evict", "storage",
-               {TNum("bytes", static_cast<double>(e->bytes)),
-                TNum("spill_write", wrote_file ? 1 : 0),
-                TNum("expected_reads_left", e->expected_reads)});
-  }
-  if (MetricsRegistry* m = MetricsOf(options_.obs)) {
-    m->AddCounter("mat_store.evictions");
-    m->AddCounter("mat_store.bytes_spilled", static_cast<double>(e->bytes));
-    if (wrote_file) m->AddCounter("mat_store.spill_writes");
+               {TNum("segment", static_cast<double>(s->id)),
+                TNum("bytes", static_cast<double>(s->bytes)),
+                TNum("spill_write", write_file ? 1 : 0),
+                TNum("expected_reads_left", s->expected_reads)});
   }
   return Status::OK();
 }
 
-Status MatStore::EnforceBudgetLocked(uint64_t protect_key) {
-  if (options_.budget_bytes == 0) return Status::OK();
+void MatStore::EnforceBudgetLocked(const StoredSegment* protect) {
+  if (options_.budget_bytes == 0) return;
   while (bytes_used_ > options_.budget_bytes) {
     // Victim: the unpinned resident segment with the smallest remaining
-    // reload saving (expected reads x bytes), oldest first on ties, key as
-    // the final tiebreaker — deterministic for a fixed operation sequence.
-    bool have_victim = false;
-    uint64_t victim = 0;
-    Entry* victim_entry = nullptr;
+    // reload saving (expected reads x bytes), least recently used first on
+    // ties — deterministic for a fixed operation sequence (use ticks are
+    // unique).
+    StoredSegment* victim = nullptr;
     double victim_weight = 0.0;
-    for (auto& [key, e] : entries_) {
-      if (!e.resident || e.pins > 0 || key == protect_key) continue;
-      const double weight = e.expected_reads * static_cast<double>(e.bytes);
-      const bool better =
-          !have_victim || weight < victim_weight ||
-          (weight == victim_weight &&
-           (e.last_use < victim_entry->last_use ||
-            (e.last_use == victim_entry->last_use && key < victim)));
-      if (better) {
-        have_victim = true;
-        victim = key;
-        victim_entry = &e;
+    for (StoredSegment* s : segments_) {
+      if (!s->resident || s->pins > 0 || s == protect) continue;
+      const double weight = s->expected_reads * static_cast<double>(s->bytes);
+      if (victim == nullptr || weight < victim_weight ||
+          (weight == victim_weight && s->last_use < victim->last_use)) {
+        victim = s;
         victim_weight = weight;
       }
     }
-    if (!have_victim) break;  // everything left is pinned or protected
-    MQO_RETURN_NOT_OK(EvictLocked(victim, victim_entry));
-  }
-  return Status::OK();
-}
-
-bool MatStore::Erase(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.pins > 0) return false;
-  Entry& e = it->second;
-  if (e.resident) bytes_used_ -= e.bytes;
-  else bytes_spilled_ -= e.bytes;
-  if (!e.spill_path.empty()) spill_dir_.RemoveFile(e.spill_path);
-  entries_.erase(it);
-  return true;
-}
-
-void MatStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, e] : entries_) {
-    assert(e.pins == 0 && "Clear with live pins");
-    (void)key;
-    if (!e.spill_path.empty()) spill_dir_.RemoveFile(e.spill_path);
-  }
-  entries_.clear();
-  read_hints_.clear();
-  bytes_used_ = 0;
-  bytes_spilled_ = 0;
-}
-
-void MatStore::SetExpectedReads(uint64_t key, double reads) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.expected_reads = reads;
-    it->second.expected_reads_initial = reads;
-  } else {
-    read_hints_[key] = reads;
+    if (victim == nullptr) return;  // everything left is pinned or protected
+    Status evicted = EvictLocked(victim);
+    if (!evicted.ok()) {
+      // Degrade to running over budget: the segment stays readable.
+      last_error_ = evicted;
+      return;
+    }
   }
 }
 
-bool MatStore::Contains(uint64_t key) const {
+bool MatStore::IsResident(const SegmentRef& ref) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.count(key) > 0;
+  return ref.segment_->resident;
 }
 
-bool MatStore::IsResident(uint64_t key) const {
+bool MatStore::IsLost(const SegmentRef& ref) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  return it != entries_.end() && it->second.resident;
+  return ref.segment_->lost;
 }
 
 size_t MatStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-size_t MatStore::SegmentBytes(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  return it == entries_.end() ? 0 : it->second.bytes;
+  return segments_.size();
 }
 
 size_t MatStore::bytes_used() const {
@@ -302,23 +243,6 @@ MatStoreStats MatStore::stats() const {
 Status MatStore::last_error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_error_;
-}
-
-std::unordered_map<uint64_t, SegmentTelemetry> MatStore::Telemetry() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unordered_map<uint64_t, SegmentTelemetry> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    SegmentTelemetry t;
-    t.rows = e.rows;
-    t.bytes = e.bytes;
-    t.reads = e.reads;
-    t.reloads = e.reloads;
-    t.expected_reads_initial = e.expected_reads_initial;
-    t.ever_spilled = e.ever_spilled;
-    out.emplace(key, t);
-  }
-  return out;
 }
 
 }  // namespace mqo

@@ -3,36 +3,37 @@
 //
 // MQO's value proposition is to execute a shared subexpression once and read
 // it many times; this store holds those results as columnar segments
-// (ColumnBatch, COW column payloads), keyed by a 64-bit segment key: the
-// per-run executors key by the memo equivalence class that was materialized,
-// and the cross-batch segment cache (storage/segment_cache.h) keys by
-// structural class fingerprint, which survives memo rebuilds. The vectorized
-// engine reads segments zero-copy; the row interpreter converts at the
-// boundary (BatchToRows/BatchFromRows).
+// (ColumnBatch, COW column payloads). The store is keyless: Put returns a
+// shared handle (SegmentRef), and the owners keep their own keyed indexes —
+// a run's executor maps memo equivalence classes to handles, and the
+// session's cross-batch segment cache (storage/segment_cache.h) maps
+// structural class fingerprints to handles over the same store. A segment
+// lives while any handle to it does; when the last one drops, its payload
+// and its spill file are freed. The vectorized engine reads segments
+// zero-copy; the row interpreter converts at the boundary
+// (BatchToRows/BatchFromRows).
 //
-// Memory governance: a byte budget caps the resident payload bytes. When a
-// Put (or a reload) pushes the store over budget, victims are evicted —
-// written once to a spill directory (storage/spill.h) and their in-memory
-// payloads released. Get/Pin rehydrate spilled segments transparently, so
-// callers never observe the difference beyond latency. Eviction is
-// cost-weighted LRU over remaining expected reads: the victim is the
-// unpinned resident segment with the smallest remaining reload saving
+// Memory governance: a byte budget caps the resident payload bytes of every
+// live segment. When a Put (or a reload) pushes the store over budget,
+// victims are evicted — written once to a spill directory (storage/spill.h)
+// and their in-memory payloads released. Pin rehydrates a spilled segment
+// transparently, so callers never observe the difference beyond latency.
+// Eviction is cost-weighted LRU over remaining expected reads: the victim is
+// the unpinned resident segment with the smallest remaining reload saving
 // (expected remaining reads x payload bytes), ties broken least-recently-
-// used first, then by key — fully deterministic for a fixed operation
-// sequence. Pinned segments are never evicted, so zero-copy readers and
-// in-flight pipelines hold stable batches; because column payloads are
-// copy-on-write, a batch copied out of the store stays valid even after the
-// store later evicts the segment.
+// used first — fully deterministic for a fixed operation sequence. Each
+// segment's expected reads start at the Put's estimate, grow by
+// AddExpectedReads (a cache hit adds the reading run's planned reads), and
+// every Pin, by any reader, consumes one. Pinned segments are never evicted,
+// so zero-copy readers and in-flight pipelines hold stable batches. A spill
+// failure never fails a Put: the victim stays resident, the store runs over
+// budget, and last_error() records why.
 //
-// Concurrency: every public operation — Put, PutIfAbsent, Get, Pin, Erase,
-// eviction, accounting reads — holds one internal mutex, so concurrent
-// batches share a store safely; PinnedSegment release re-enters only Unpin.
-// Spill writes and reloads happen under that mutex (segment granularity:
-// one segment moves at a time; async background spill is future work).
-// Under concurrency prefer Pin() over Get(): the pointer Get returns is
-// stable only until another thread triggers an eviction, while a pin blocks
-// eviction of its segment for the lease's lifetime. A batch COW-copied out
-// of a pinned segment is immutable and safe to read from any thread.
+// Concurrency: every public operation holds one internal mutex, so
+// concurrent batches share a store safely. Spill writes and reloads happen
+// under that mutex (segment granularity: one segment moves at a time). A
+// batch copied out of a pinned segment is immutable and safe to read from
+// any thread. The store must outlive every handle and pin it issued.
 //
 // Accounting charges each resident segment's owned payloads once; zero-copy
 // views handed to readers share those payloads and cost nothing extra. A
@@ -45,8 +46,10 @@
 #define MQO_STORAGE_MAT_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "storage/spill.h"
 
@@ -61,43 +64,53 @@ struct MatStoreOptions {
   /// Spill directory; empty = a unique temp directory, created lazily on
   /// the first eviction and removed when the store dies.
   std::string spill_dir;
-  /// Observability sink (obs/obs.h): put/hit/evict/rehydrate/pin events with
-  /// byte counts, plus mat_store.* counters. Null = silent.
+  /// Observability sink (obs/obs.h): put/hit/evict/rehydrate/pin trace
+  /// events with byte counts. Null = silent. The counters live in
+  /// MatStoreStats only.
   ObsContext* obs = nullptr;
 };
 
-/// Operation counters, exposed for tests and bench_mat_store.
+/// Operation counters, exposed for tests, benches and the metrics export.
 struct MatStoreStats {
   int64_t puts = 0;
-  int64_t gets = 0;          ///< Get/Pin calls that found a segment.
+  int64_t gets = 0;          ///< Pins served.
   int64_t hits = 0;          ///< ... served resident (no disk touch).
   int64_t evictions = 0;     ///< Segments whose payload was released.
   int64_t spill_writes = 0;  ///< Evictions that had to write the file.
-  int64_t reloads = 0;       ///< Gets served by reading the spill file.
+  int64_t reloads = 0;       ///< Pins served by reading the spill file.
   size_t bytes_spilled = 0;
   size_t bytes_reloaded = 0;
 };
 
-/// Per-segment runtime telemetry, snapshotted by MatStore::Telemetry() for
-/// the facade's EXPLAIN ANALYZE (actual reads vs the expected reads the
-/// optimizer predicted).
-struct SegmentTelemetry {
-  int64_t rows = 0;             ///< Rows of the stored batch.
-  size_t bytes = 0;             ///< Payload bytes.
-  int64_t reads = 0;            ///< Get/Pin calls served for this segment.
-  int64_t reloads = 0;          ///< ... of those, served from the spill file.
-  double expected_reads_initial = 0.0;  ///< SetExpectedReads at put time.
-  bool ever_spilled = false;
+class MatStore;
+struct StoredSegment;  ///< A segment's record inside its store.
+
+/// Shared handle to one segment: copies share it, and the segment is freed
+/// (payload and spill file) when the last handle — or pin — drops. Null
+/// when default-constructed.
+class SegmentRef {
+ public:
+  SegmentRef() = default;
+  explicit operator bool() const { return segment_ != nullptr; }
+  /// Payload bytes, resident or spilled. The accessors need a non-null
+  /// handle; they read what the Put fixed, so they take no lock.
+  size_t bytes() const;
+  int64_t rows() const;
+  const std::vector<ColumnRef>& names() const;
+
+ private:
+  friend class MatStore;
+  friend class PinnedSegment;
+  explicit SegmentRef(std::shared_ptr<StoredSegment> segment)
+      : segment_(std::move(segment)) {}
+
+  std::shared_ptr<StoredSegment> segment_;
 };
 
-class MatStore;
-
-/// RAII read lease on one segment: while any PinnedSegment for `key` is
-/// alive, the store will not evict or erase that segment. batch() is the
-/// lease's own COW copy (shared payloads, O(columns)), so it stays stable
-/// for the pin's whole lifetime (pipelines, probes, boundary conversions) —
-/// even when a concurrent Put replaces the key. A replacement is a new
-/// segment: the lease no longer pins anything in the store.
+/// RAII read lease on one segment: while alive, the store will not evict
+/// the segment, and the lease's handle keeps it from being freed. batch() is
+/// the lease's own COW copy (shared payloads, O(columns)), stable for the
+/// pin's whole lifetime (pipelines, probes, boundary conversions).
 class PinnedSegment {
  public:
   PinnedSegment() = default;
@@ -107,85 +120,55 @@ class PinnedSegment {
   PinnedSegment& operator=(const PinnedSegment&) = delete;
   ~PinnedSegment() { Release(); }
 
-  bool valid() const { return store_ != nullptr; }
+  bool valid() const { return static_cast<bool>(ref_); }
   const ColumnBatch& batch() const { return batch_; }
+  /// True when this pin had to read the segment back from its spill file.
+  bool reloaded() const { return reloaded_; }
 
   /// Drops the pin early (idempotent).
   void Release();
 
  private:
   friend class MatStore;
-  PinnedSegment(MatStore* store, uint64_t key, uint64_t generation,
-                ColumnBatch batch)
-      : store_(store),
-        key_(key),
-        generation_(generation),
-        batch_(std::move(batch)) {}
+  PinnedSegment(SegmentRef ref, ColumnBatch batch, bool reloaded)
+      : ref_(std::move(ref)), batch_(std::move(batch)), reloaded_(reloaded) {}
 
-  MatStore* store_ = nullptr;
-  uint64_t key_ = 0;
-  uint64_t generation_ = 0;  ///< The pinned Put of `key_`.
+  SegmentRef ref_;
   ColumnBatch batch_;
+  bool reloaded_ = false;
 };
 
-/// Columnar segments keyed by a 64-bit segment key (memo class id or class
-/// fingerprint), held under a byte budget. Thread-safe: concurrent batches
-/// may Put/Get/Pin/Erase one store; see the file comment for the Get-vs-Pin
-/// pointer-stability contract.
+/// Live columnar segments held under one byte budget. Thread-safe:
+/// concurrent batches may Put/Pin/AddExpectedReads on one store.
 class MatStore {
  public:
   MatStore() = default;
   explicit MatStore(MatStoreOptions options)
       : options_(options), spill_dir_(options.spill_dir) {}
+  ~MatStore();
   MatStore(const MatStore&) = delete;
   MatStore& operator=(const MatStore&) = delete;
 
-  /// Inserts or replaces the segment for `key`, then enforces the budget
-  /// (which may spill this segment or others). Fails on spill I/O errors.
-  /// Replacing a pinned key is safe: live leases keep reading their own
-  /// copy of the old payload, which leaves the store's accounting like any
-  /// batch copied out of it. The new segment starts unpinned, so this Put
-  /// may evict it at once.
-  Status Put(uint64_t key, ColumnBatch segment);
+  /// Stores `segment` with `expected_reads` future reads (its eviction
+  /// weight), then enforces the budget — which may spill this segment or
+  /// others. Never fails: a spill error leaves its victim resident.
+  SegmentRef Put(ColumnBatch segment, double expected_reads = 0.0);
 
-  /// Inserts the segment only when `key` is absent — the first writer wins,
-  /// so two concurrent batches materializing the same shared subexpression
-  /// never clobber each other's segment. `*inserted` (optional) reports
-  /// whether this call stored its batch.
-  Status PutIfAbsent(uint64_t key, ColumnBatch segment,
-                     bool* inserted = nullptr);
+  /// Pins the segment of `ref`, reloading it from its spill file if it was
+  /// evicted, and consumes one of its expected reads. Internal on reload
+  /// failure (the segment is then lost for good: see IsLost).
+  Result<PinnedSegment> Pin(const SegmentRef& ref);
 
-  /// The segment for `key`, reloaded from its spill file if it was evicted,
-  /// or nullptr if it was never materialized (or its reload failed — see
-  /// last_error()). The pointer is stable until the segment is next evicted,
-  /// erased, or replaced — which a concurrent batch can trigger at any time,
-  /// so under concurrency use Pin() instead.
-  const ColumnBatch* Get(uint64_t key);
+  /// Adds `reads` to the remaining expected reads of `ref`.
+  void AddExpectedReads(const SegmentRef& ref, double reads);
 
-  /// Like Get, but returns a RAII lease that blocks eviction of `key` while
-  /// alive. NotFound if never materialized; Internal on reload failure.
-  Result<PinnedSegment> Pin(uint64_t key);
+  /// True iff the segment is held in memory (false while spilled).
+  bool IsResident(const SegmentRef& ref) const;
+  /// True once a reload of the segment failed: it can never be read again.
+  bool IsLost(const SegmentRef& ref) const;
 
-  /// Drops the segment (resident or spilled) and its spill file. Returns
-  /// true when something was erased. Pinned segments cannot be erased.
-  bool Erase(uint64_t key);
-
-  /// Drops every segment and every spill file. No segment may be pinned.
-  void Clear();
-
-  /// Expected number of future reads of `key` — the eviction-cost weight.
-  /// Each Get/Pin of `key` consumes one. May be set before the Put.
-  void SetExpectedReads(uint64_t key, double reads);
-
-  bool Contains(uint64_t key) const;
-  /// True iff the segment is held in memory (false when spilled or absent).
-  bool IsResident(uint64_t key) const;
+  /// Live segments (resident or spilled).
   size_t size() const;
-
-  /// Payload bytes of the segment for `key` (resident or spilled), 0 if
-  /// absent.
-  size_t SegmentBytes(uint64_t key) const;
-
   /// Resident payload bytes — what the budget governs.
   size_t bytes_used() const;
   /// Payload bytes currently living in spill files instead of memory.
@@ -193,51 +176,27 @@ class MatStore {
   size_t budget_bytes() const { return options_.budget_bytes; }
   /// Snapshot of the operation counters (a copy: safe under concurrency).
   MatStoreStats stats() const;
-  /// Per-segment read/reload/spill telemetry, keyed by segment key.
-  std::unordered_map<uint64_t, SegmentTelemetry> Telemetry() const;
   /// Status of the most recent failed spill/reload, OK when none failed.
   Status last_error() const;
 
  private:
   friend class PinnedSegment;
 
-  struct Entry {
-    ColumnBatch batch;       ///< Payload; columns empty while spilled.
-    bool resident = false;
-    size_t bytes = 0;        ///< Payload bytes, resident or not.
-    std::string spill_path;  ///< Non-empty once spilled at least once.
-    int pins = 0;              ///< Live leases of this generation.
-    uint64_t generation = 0;   ///< Tick of the Put that stored `batch`.
-    uint64_t last_use = 0;
-    double expected_reads = 0.0;  ///< Remaining, decremented per Get/Pin.
-    int64_t rows = 0;             ///< Telemetry: rows at put time.
-    int64_t reads = 0;            ///< Telemetry: Get/Pin calls served.
-    int64_t reloads = 0;          ///< Telemetry: reads off the spill file.
-    double expected_reads_initial = 0.0;
-    bool ever_spilled = false;
-  };
-
-  /// Insertion shared by Put/PutIfAbsent; `mu_` held.
-  Status PutLocked(uint64_t key, ColumnBatch segment);
-  /// Rehydrates + bumps LRU/read accounting; shared by Get and Pin. `mu_`
-  /// held.
-  Result<Entry*> TouchLocked(uint64_t key);
   /// Spills victims until bytes_used() <= budget, never touching pinned
-  /// segments or `protect_key` (the segment just reloaded; kNoProtect =
-  /// none). `mu_` held.
-  Status EnforceBudgetLocked(uint64_t protect_key);
-  /// Writes `e` out (if not already on disk) and releases its payload.
+  /// segments or `protect` (the segment just reloaded). Stops at the first
+  /// spill failure. `mu_` held.
+  void EnforceBudgetLocked(const StoredSegment* protect);
+  /// Writes `s` out (if not already on disk) and releases its payload.
   /// `mu_` held.
-  Status EvictLocked(uint64_t key, Entry* e);
-  void Unpin(uint64_t key, uint64_t generation);
-
-  static constexpr uint64_t kNoProtect = ~0ull;
+  Status EvictLocked(StoredSegment* s);
+  void Unpin(StoredSegment* s);
+  /// Deleter of the last handle: drops the segment and its spill file.
+  void Free(StoredSegment* s);
 
   MatStoreOptions options_;
   mutable std::mutex mu_;
   SpillDir spill_dir_;
-  std::unordered_map<uint64_t, Entry> entries_;
-  std::unordered_map<uint64_t, double> read_hints_;  ///< Set before Put.
+  std::unordered_set<StoredSegment*> segments_;  ///< Live, not owned.
   size_t bytes_used_ = 0;
   size_t bytes_spilled_ = 0;
   uint64_t tick_ = 0;

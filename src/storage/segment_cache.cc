@@ -16,64 +16,40 @@ bool SharedSegmentCache::FreshLocked(const TableVersions& deps) const {
   return true;
 }
 
-bool SharedSegmentCache::Lookup(uint64_t fingerprint, ColumnBatch* out) {
+SegmentRef SharedSegmentCache::Lookup(uint64_t fingerprint) {
+  SegmentRef dropped;  // freed after the unlock: no spill-file I/O under mu_
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
-  if (MetricsRegistry* m = MetricsOf(obs_)) {
-    m->AddCounter("segment_cache.lookups");
-  }
-  auto it = deps_.find(fingerprint);
-  if (it == deps_.end()) {
+  auto it = entries_.find(fingerprint);
+  if (it == entries_.end()) {
     ++stats_.misses;
-    if (MetricsRegistry* m = MetricsOf(obs_)) {
-      m->AddCounter("segment_cache.misses");
-    }
-    return false;
+    return SegmentRef{};
   }
-  if (!FreshLocked(it->second)) {
-    // A base table moved under this segment: drop it now so it can never
-    // serve stale rows, and report a miss.
-    deps_.erase(it);
-    store_.Erase(fingerprint);
+  const bool fresh = FreshLocked(it->second.deps);
+  if (!fresh || store_.IsLost(it->second.segment)) {
+    // A base table moved under this segment, or its payload is gone: drop
+    // it now so it can never serve, and report a miss.
+    dropped = std::move(it->second.segment);
+    entries_.erase(it);
     ++stats_.misses;
-    ++stats_.stale_misses;
-    ++stats_.invalidated_segments;
-    if (MetricsRegistry* m = MetricsOf(obs_)) {
-      m->AddCounter("segment_cache.misses");
-      m->AddCounter("segment_cache.stale_misses");
+    if (!fresh) {
+      ++stats_.stale_misses;
+      ++stats_.invalidated_segments;
     }
-    return false;
+    return SegmentRef{};
   }
-  auto pin = store_.Pin(fingerprint);
-  if (!pin.ok()) {
-    // The store lost the payload (reload failure); degrade to a miss.
-    deps_.erase(fingerprint);
-    store_.Erase(fingerprint);
-    ++stats_.misses;
-    if (MetricsRegistry* m = MetricsOf(obs_)) {
-      m->AddCounter("segment_cache.misses");
-    }
-    return false;
-  }
-  // COW copy under the pin: the caller's batch shares payloads and stays
-  // valid no matter what happens to the cache afterwards.
-  *out = pin.ValueOrDie().batch();
   ++stats_.hits;
-  if (MetricsRegistry* m = MetricsOf(obs_)) {
-    m->AddCounter("segment_cache.hits");
-  }
   if (Tracer* t = TracerOf(obs_)) {
     t->Instant("segment_cache.hit", "storage",
                {TNum("fingerprint", static_cast<double>(fingerprint)),
-                TNum("rows", static_cast<double>(out->num_rows))});
+                TNum("rows", static_cast<double>(it->second.segment.rows()))});
   }
-  return true;
+  return it->second.segment;
 }
 
-void SharedSegmentCache::Insert(uint64_t fingerprint, ColumnBatch segment,
+void SharedSegmentCache::Insert(uint64_t fingerprint, const SegmentRef& segment,
                                 const std::set<std::string>& base_tables,
-                                const TableVersions& read_versions,
-                                double expected_reads) {
+                                const TableVersions& read_versions) {
   TableVersions deps;
   for (const auto& table : base_tables) {
     auto it = read_versions.find(table);
@@ -82,30 +58,15 @@ void SharedSegmentCache::Insert(uint64_t fingerprint, ColumnBatch segment,
   std::lock_guard<std::mutex> lock(mu_);
   if (!FreshLocked(deps)) {
     // A dependency was invalidated after the segment's inputs were read:
-    // its rows may be stale, so it is never stored.
+    // its rows may be stale, so it is never indexed.
     ++stats_.invalidated_segments;
     return;
   }
-  if (deps_.count(fingerprint) > 0) {
+  if (!entries_.emplace(fingerprint, Entry{segment, std::move(deps)}).second) {
     ++stats_.insert_races_lost;
     return;
   }
-  store_.SetExpectedReads(fingerprint, expected_reads);
-  bool inserted = false;
-  Status put = store_.PutIfAbsent(fingerprint, std::move(segment), &inserted);
-  if (!put.ok() || !inserted) {
-    // Losing the first-writer race (or a spill failure during admission) is
-    // not an error — the batch that computed this segment still has its own
-    // copy; we just record no dependency entry, so an orphaned store entry
-    // can never be served.
-    ++stats_.insert_races_lost;
-    return;
-  }
-  deps_[fingerprint] = std::move(deps);
   ++stats_.inserts;
-  if (MetricsRegistry* m = MetricsOf(obs_)) {
-    m->AddCounter("segment_cache.inserts");
-  }
   if (Tracer* t = TracerOf(obs_)) {
     t->Instant("segment_cache.insert", "storage",
                {TNum("fingerprint", static_cast<double>(fingerprint)),
@@ -114,16 +75,14 @@ void SharedSegmentCache::Insert(uint64_t fingerprint, ColumnBatch segment,
 }
 
 void SharedSegmentCache::InvalidateTable(const std::string& table) {
+  std::vector<SegmentRef> dropped;  // freed after the unlock
   std::lock_guard<std::mutex> lock(mu_);
   ++versions_[table];
-  for (auto it = deps_.begin(); it != deps_.end();) {
-    if (it->second.count(table) > 0) {
-      store_.Erase(it->first);
-      it = deps_.erase(it);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->second.deps.count(table) > 0) {
+      dropped.push_back(std::move(it->second.segment));
+      it = entries_.erase(it);
       ++stats_.invalidated_segments;
-      if (MetricsRegistry* m = MetricsOf(obs_)) {
-        m->AddCounter("segment_cache.invalidated");
-      }
     } else {
       ++it;
     }
@@ -131,15 +90,14 @@ void SharedSegmentCache::InvalidateTable(const std::string& table) {
 }
 
 void SharedSegmentCache::Clear() {
+  std::vector<SegmentRef> dropped;  // freed after the unlock
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [fp, deps] : deps_) {
-    (void)deps;
-    // Best-effort per-key erase (MatStore::Clear asserts no pins; a
-    // concurrent reader may legitimately hold one).
-    store_.Erase(fp);
+  for (auto& [fp, entry] : entries_) {
+    (void)fp;
+    dropped.push_back(std::move(entry.segment));
     ++stats_.invalidated_segments;
   }
-  deps_.clear();
+  entries_.clear();
 }
 
 TableVersions SharedSegmentCache::TableVersionSnapshot() const {
@@ -151,9 +109,9 @@ std::shared_ptr<const std::unordered_set<uint64_t>>
 SharedSegmentCache::FingerprintSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   auto snapshot = std::make_shared<std::unordered_set<uint64_t>>();
-  snapshot->reserve(deps_.size());
-  for (const auto& [fp, deps] : deps_) {
-    (void)deps;
+  snapshot->reserve(entries_.size());
+  for (const auto& [fp, entry] : entries_) {
+    (void)entry;
     snapshot->insert(fp);
   }
   return snapshot;
@@ -166,7 +124,34 @@ SegmentCacheStats SharedSegmentCache::stats() const {
 
 size_t SharedSegmentCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return deps_.size();
+  return entries_.size();
+}
+
+void ExportStorageStats(const MatStoreStats& store,
+                        const SegmentCacheStats* cache,
+                        MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
+  auto set = [metrics](std::string_view name, double value) {
+    metrics->SetGauge(name, value);
+  };
+  set("mat_store.puts", static_cast<double>(store.puts));
+  set("mat_store.gets", static_cast<double>(store.gets));
+  set("mat_store.hits", static_cast<double>(store.hits));
+  set("mat_store.evictions", static_cast<double>(store.evictions));
+  set("mat_store.spill_writes", static_cast<double>(store.spill_writes));
+  set("mat_store.reloads", static_cast<double>(store.reloads));
+  set("mat_store.bytes_spilled", static_cast<double>(store.bytes_spilled));
+  set("mat_store.bytes_reloaded", static_cast<double>(store.bytes_reloaded));
+  if (cache == nullptr) return;
+  set("segment_cache.lookups", static_cast<double>(cache->lookups));
+  set("segment_cache.hits", static_cast<double>(cache->hits));
+  set("segment_cache.misses", static_cast<double>(cache->misses));
+  set("segment_cache.stale_misses", static_cast<double>(cache->stale_misses));
+  set("segment_cache.inserts", static_cast<double>(cache->inserts));
+  set("segment_cache.insert_races_lost",
+      static_cast<double>(cache->insert_races_lost));
+  set("segment_cache.invalidated",
+      static_cast<double>(cache->invalidated_segments));
 }
 
 }  // namespace mqo

@@ -16,14 +16,17 @@
 // dependents, so a segment whose base table changed is a miss, never a
 // stale hit.
 //
-// Storage and governance reuse the MatStore machinery wholesale: the cache
-// owns a MatStore under its own byte budget, so cached segments get the
-// same cost-weighted-LRU eviction, disk spill with transparent rehydration,
-// COW payload handoff, and pinning as intra-batch segments. Insertion is
-// first-writer-wins (PutIfAbsent): two concurrent batches materializing the
-// same class never clobber each other. Lookup returns a COW copy of the
-// cached batch, so the caller's copy stays valid regardless of later
-// eviction or invalidation.
+// Storage and governance are the session's one MatStore: the cache is an
+// index of fingerprint -> segment handle over that store, which also holds
+// the in-flight runs' own segments, all under one byte budget. A run Puts
+// each segment it computes into the store once, reads it through its
+// handle, and Inserts the handle here; insertion is first-writer-wins, so
+// two concurrent batches materializing the same class never clobber each
+// other. Lookup hands out a handle and does no I/O: the reading run pins
+// (and, if spilled, rehydrates) the segment through the store outside this
+// cache's mutex. Dropping an index entry (invalidation, Clear) never pulls
+// a segment from under a run that holds its handle: the segment stays
+// readable until the last handle drops.
 //
 // The optimizer closes the loop: FingerprintSnapshot() hands each batch
 // optimization an immutable set of currently-cached fingerprints, and
@@ -32,9 +35,9 @@
 // reading the cache.
 //
 // Thread-safety: all public methods are safe to call concurrently; the
-// cache's own mutex guards the dependency/version maps and stats, and the
-// inner MatStore locks itself (the cache never calls back into itself from
-// the store, so there is no lock cycle).
+// cache's own mutex guards the index, the version map and stats, and the
+// store locks itself (the store never calls back into the cache, so there
+// is no lock cycle).
 
 #ifndef MQO_STORAGE_SEGMENT_CACHE_H_
 #define MQO_STORAGE_SEGMENT_CACHE_H_
@@ -53,15 +56,17 @@
 
 namespace mqo {
 
+class MetricsRegistry;
+
 /// Operation counters of one SharedSegmentCache (cross-batch view; the
-/// inner store's own MatStoreStats count the storage-level traffic).
+/// session store's MatStoreStats count the storage-level traffic).
 struct SegmentCacheStats {
   int64_t lookups = 0;
   int64_t hits = 0;          ///< Valid segment served (cross-batch reuse).
-  int64_t misses = 0;        ///< Never cached, or evicted-and-erased.
+  int64_t misses = 0;        ///< Never cached, dropped, or payload lost.
   int64_t stale_misses = 0;  ///< ... of misses: present but base table moved.
   int64_t inserts = 0;
-  int64_t insert_races_lost = 0;    ///< PutIfAbsent found the key present.
+  int64_t insert_races_lost = 0;    ///< Insert found the key present.
   /// Dropped by InvalidateTable/Clear, or found stale on lookup/insert.
   int64_t invalidated_segments = 0;
 };
@@ -70,47 +75,52 @@ struct SegmentCacheStats {
 /// Sorted for deterministic iteration in tests.
 using TableVersions = std::map<std::string, uint64_t>;
 
-/// Fingerprint-keyed segment cache shared across a session's batches.
+/// Fingerprint index over a session's segment store, shared across the
+/// session's batches.
 class SharedSegmentCache {
  public:
-  /// `options.budget_bytes` governs the cache's resident footprint exactly
-  /// as it governs a per-run MatStore.
+  /// The session's store: `options.budget_bytes` governs every live
+  /// segment, cached or held by an in-flight run.
   explicit SharedSegmentCache(MatStoreOptions options);
 
   SharedSegmentCache(const SharedSegmentCache&) = delete;
   SharedSegmentCache& operator=(const SharedSegmentCache&) = delete;
 
-  /// On a hit, copies the cached segment into `*out` (an immutable COW
-  /// copy — shared payloads, valid regardless of later eviction or
-  /// invalidation) and returns true. Returns false on a miss: never cached,
-  /// payload lost, or stale against a table version bump — stale entries
-  /// are dropped on the spot so they can never serve old rows.
-  bool Lookup(uint64_t fingerprint, ColumnBatch* out);
+  /// The store runs put their segments into and read them through.
+  MatStore* store() { return &store_; }
 
-  /// Inserts a freshly materialized segment with its base-table dependency
-  /// set (ClassBaseTables of the materialized class), stamped with the
-  /// versions in `read_versions` — the TableVersionSnapshot taken before the
-  /// segment's inputs were read. A segment computed against a version that
-  /// has since been invalidated is dropped instead of stored. First writer
-  /// wins; losing the race is not an error. `expected_reads` seeds the
-  /// eviction weight exactly like the per-run store's SetExpectedReads.
-  void Insert(uint64_t fingerprint, ColumnBatch segment,
+  /// The handle cached under `fingerprint`, or a null handle on a miss:
+  /// never cached, payload lost to a failed reload, or stale against a
+  /// table version bump — stale and lost entries are dropped on the spot,
+  /// so they can never serve old rows. No I/O: pin the handle through
+  /// store() to read it.
+  SegmentRef Lookup(uint64_t fingerprint);
+
+  /// Indexes a freshly materialized segment of store() with its base-table
+  /// dependency set (ClassBaseTables of the materialized class), stamped
+  /// with the versions in `read_versions` — the TableVersionSnapshot taken
+  /// before the segment's inputs were read. A segment computed against a
+  /// version that has since been invalidated is not indexed. First writer
+  /// wins; losing the race is not an error.
+  void Insert(uint64_t fingerprint, const SegmentRef& segment,
               const std::set<std::string>& base_tables,
-              const TableVersions& read_versions, double expected_reads);
+              const TableVersions& read_versions);
 
   /// The current version of every table invalidated so far. Taken when a run
   /// starts and passed to Insert, so the run's segments carry the versions
   /// of the data it read, not of the data current at publish time.
   TableVersions TableVersionSnapshot() const;
 
-  /// Drops every segment that depends on `table` and bumps the table's
+  /// Drops every index entry that depends on `table` and bumps the table's
   /// version, so in-flight runs that read the old data cannot publish their
-  /// segments as fresh. Safe while runs are in flight (the data mutation
-  /// it announces is the caller's to order against those runs).
+  /// segments as fresh. Safe while runs are in flight: a run keeps reading
+  /// the segments it holds handles to (the data mutation it announces is
+  /// the caller's to order against those runs).
   void InvalidateTable(const std::string& table);
 
-  /// Drops everything (all segments, all dependency records); versions are
-  /// retained so the monotonic-version staleness contract holds.
+  /// Drops every index entry; versions are retained so the monotonic-version
+  /// staleness contract holds. Segments still held by runs live on until
+  /// those runs drop them.
   void Clear();
 
   /// Immutable snapshot of every currently-cached (valid) fingerprint, for
@@ -121,23 +131,39 @@ class SharedSegmentCache {
       const;
 
   SegmentCacheStats stats() const;
-  /// The inner store's counters (spills/reloads of cached segments).
+  /// The session store's counters: every put, pin, spill and reload of the
+  /// session, cached segments and in-flight run segments alike.
   MatStoreStats store_stats() const { return store_.stats(); }
+  /// Indexed segments.
   size_t size() const;
+  /// Resident bytes of the session store.
   size_t bytes_used() const { return store_.bytes_used(); }
 
  private:
-  /// True iff every dependency in `deps` (table -> version the segment was
-  /// computed against) still matches the current table versions. `mu_` held.
+  struct Entry {
+    SegmentRef segment;
+    TableVersions deps;  ///< table -> version the segment was computed from.
+  };
+
+  /// True iff every dependency in `deps` still matches the current table
+  /// versions. `mu_` held.
   bool FreshLocked(const TableVersions& deps) const;
 
-  MatStore store_;
+  MatStore store_;  ///< Declared first: it outlives the index's handles.
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, TableVersions> deps_;  ///< fingerprint -> deps.
-  TableVersions versions_;                            ///< Current versions.
+  std::unordered_map<uint64_t, Entry> entries_;  ///< fingerprint -> entry.
+  TableVersions versions_;                        ///< Current versions.
   SegmentCacheStats stats_;
   ObsContext* obs_ = nullptr;
 };
+
+/// Publishes the storage counters into `metrics` as gauges holding their
+/// totals at call time: `mat_store.*` from `store`, plus `segment_cache.*`
+/// when `cache` is set. MatStoreStats and SegmentCacheStats are the only
+/// counts of these events; this is their one metrics export.
+void ExportStorageStats(const MatStoreStats& store,
+                        const SegmentCacheStats* cache,
+                        MetricsRegistry* metrics);
 
 }  // namespace mqo
 

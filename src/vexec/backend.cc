@@ -47,7 +47,8 @@ Result<ExecResult> ExecuteConsolidatedResult(ExecBackend backend, Memo* memo,
   ExecResult out;
   MQO_ASSIGN_OR_RETURN(out.results, executor->ExecuteConsolidated(plan));
   out.feedback = executor->feedback();
-  out.store_stats = executor->store().stats();
+  // A session run owns no store: its traffic is the session store's.
+  if (exec.shared_cache == nullptr) out.store_stats = executor->store().stats();
   out.segments = executor->SegmentRuntimes();
   out.cross_batch_hits = executor->cross_batch_hits();
   return out;

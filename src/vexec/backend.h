@@ -28,7 +28,10 @@ const char* ExecBackendToString(ExecBackend backend);
 struct ExecResult {
   std::vector<NamedRows> results;  ///< One per batched query, canonicalized.
   CardinalityFeedback feedback;    ///< Actual rows per materialized segment.
-  MatStoreStats store_stats;       ///< Segment-store accounting for the run.
+  /// Accounting of the run's own segment store. A run with a shared cache
+  /// owns no store and reports zeros here: its traffic is counted in the
+  /// session store (SharedSegmentCache::store_stats()).
+  MatStoreStats store_stats;
   /// Per-segment runtime telemetry (actual rows, compute time, reads),
   /// eq-sorted; joins against the optimizer's estimates in EXPLAIN ANALYZE.
   std::vector<SegmentRuntime> segments;

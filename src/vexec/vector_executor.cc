@@ -39,14 +39,11 @@ Result<ColumnBatch> VectorPlanExecutor::ToClassAttrs(EqId eq,
 }
 
 Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq) {
-  eq = memo_->Find(eq);
-  if (store_.Contains(eq)) {
-    MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, store_.Pin(eq));
-    // The COW copy shares the pinned payloads and keeps them alive after
-    // the pin drops, even if the store later evicts the segment.
-    return ColumnBatch(pinned.batch());
-  }
-  return EvaluateClassBatch(eq);
+  MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(eq));
+  // The COW copy shares the pinned payloads and keeps them alive after the
+  // pin drops, even if the store later evicts the segment.
+  if (pinned.valid()) return ColumnBatch(pinned.batch());
+  return EvaluateClassBatch(memo_->Find(eq));
 }
 
 Result<ColumnBatch> VectorPlanExecutor::EvaluateOpBatch(const MemoOp& op) {
@@ -161,15 +158,13 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         break;
       }
       case PhysOp::kReadMaterialized: {
-        const EqId eq = memo_->Find(cur->eq);
-        auto pinned = store_.Pin(eq);
-        if (!pinned.ok()) {
-          return Status::Internal("materialized node E" + std::to_string(eq) +
-                                  " not in store: " +
-                                  pinned.status().ToString());
+        MQO_ASSIGN_OR_RETURN(source_pin, ReadSegment(cur->eq));
+        if (!source_pin.valid()) {
+          return Status::Internal("node E" +
+                                  std::to_string(memo_->Find(cur->eq)) +
+                                  " was not materialized");
         }
-        source = pinned.ValueOrDie().batch();  // zero-copy segment view
-        source_pin = std::move(pinned).ValueOrDie();
+        source = source_pin.batch();  // zero-copy segment view
         at_source = true;
         break;
       }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -20,25 +21,77 @@
 // Global allocation counter for the disabled-fast-path tests: the metrics
 // and tracing entry points must not touch the heap when observability is
 // off. Counting operator new in this binary is enough — the hot paths under
-// test are header-visible or in the same link unit.
+// test are header-visible or in the same link unit. Every replaceable form
+// is replaced (plain, array, nothrow, aligned), so no allocation made
+// through one form is ever released through the library's other one —
+// stable_sort's nothrow temporary buffer, for one.
 static std::atomic<size_t> g_allocs{0};
 
-void* operator new(std::size_t size) {
+static void* CountedAlloc(std::size_t size, std::size_t align) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+static void* CountedAllocOrThrow(std::size_t size, std::size_t align) {
+  if (void* p = CountedAlloc(size, align)) return p;
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t size) {
+  return CountedAllocOrThrow(size, 0);
+}
 void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  return CountedAllocOrThrow(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mqo {
 namespace {

@@ -9,8 +9,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/tpcd.h"
@@ -137,6 +143,17 @@ TEST_F(ServiceTest, CrossBatchHitsServeIdenticalResults) {
   EXPECT_GT(session.segment_cache()->stats().hits, 0);
   EXPECT_TRUE(SameResults(first.ValueOrDie().results,
                           second.ValueOrDie().results));
+
+  // One store per session: every class a run computes is put exactly
+  // once, into the session store; a hit puts nothing, and the runs own no
+  // store of their own.
+  const int64_t computed =
+      first.ValueOrDie().optimization.result.num_materialized +
+      second.ValueOrDie().optimization.result.num_materialized -
+      second.ValueOrDie().cross_batch_hits;
+  EXPECT_EQ(session.segment_cache()->store_stats().puts, computed);
+  EXPECT_EQ(first.ValueOrDie().store_stats.puts, 0);
+  EXPECT_EQ(second.ValueOrDie().store_stats.puts, 0);
 }
 
 // Sessions can opt out of the shared cache entirely.
@@ -308,6 +325,182 @@ TEST_F(ServiceTest, SessionMetricsRecordRunLatencies) {
   EXPECT_GT(metrics->QuantileMs("session.run_ms", 0.5), 0.0);
   EXPECT_GE(metrics->QuantileMs("session.run_ms", 0.95),
             metrics->QuantileMs("session.run_ms", 0.5));
+}
+
+// A spill directory that cannot be created (its parent is a regular file)
+// makes every eviction of a 1-byte session store fail. Failed spills must
+// degrade to an over-budget store, never to wrong rows, lost inserts or
+// bytes that outlive the segments: once the runs end and the cache is
+// cleared, the session store holds nothing.
+TEST_F(ServiceTest, FailedSpillLeavesNoResidueAfterClear) {
+  MqoOptions options;
+  options.backend = ExecBackend::kVector;
+  options.stats_mode = StatsMode::kCatalogGuess;
+  std::vector<std::vector<NamedRows>> expected;
+  for (int t = 0; t < 2; ++t) {
+    auto ref = OptimizeAndExecuteBatch(catalog_, Template(t), data_, options);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    expected.push_back(std::move(ref.ValueOrDie().results));
+  }
+
+  const std::string blocker = ::testing::TempDir() + "mqo_spill_blocker";
+  { std::ofstream(blocker) << "a regular file, not a directory"; }
+  MqoOptions tight = options;
+  tight.shared_cache_budget_bytes = 1;
+  tight.exec.mat_spill_dir = blocker + "/spill";
+  {
+    MqoSession session(&catalog_, &data_, tight);
+    for (int i = 0; i < 4; ++i) {
+      auto run = session.Run(Template(i));
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_TRUE(SameResults(run.ValueOrDie().results, expected[i % 2]))
+          << "batch " << i;
+    }
+    SharedSegmentCache* cache = session.segment_cache();
+    ASSERT_NE(cache, nullptr);
+    EXPECT_GT(cache->stats().inserts, 0);
+    EXPECT_GT(cache->stats().hits, 0);
+    EXPECT_EQ(cache->stats().insert_races_lost, 0);
+    cache->Clear();
+    EXPECT_EQ(cache->bytes_used(), 0u);
+  }
+  std::remove(blocker.c_str());
+}
+
+// A spill file that can no longer be read back costs work, never rows: the
+// run that hits the cached segment recomputes it, and the next lookup
+// drops the lost entry and caches a fresh segment.
+TEST_F(ServiceTest, UnreadableSpillFileDegradesToRecompute) {
+  MqoOptions options;
+  options.backend = ExecBackend::kVector;
+  options.stats_mode = StatsMode::kCatalogGuess;
+  auto ref = OptimizeAndExecuteBatch(catalog_, Template(1), data_, options);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  const std::string dir = ::testing::TempDir() + "mqo_unreadable_spill";
+  MqoOptions tight = options;
+  tight.shared_cache_budget_bytes = 1;  // every unpinned segment spills
+  tight.exec.mat_spill_dir = dir;
+  {
+    MqoSession session(&catalog_, &data_, tight);
+    // Template 0's segments push template 1's out to disk.
+    for (int t : {1, 0}) {
+      auto warm = session.Run(Template(t));
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    }
+    ASSERT_GT(session.segment_cache()->size(), 0u);
+    for (const auto& file : std::filesystem::directory_iterator(dir)) {
+      std::ofstream(file.path(), std::ios::trunc);  // truncate in place
+    }
+    for (int i = 0; i < 3; ++i) {
+      auto run = session.Run(Template(1));
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_TRUE(SameResults(run.ValueOrDie().results,
+                              ref.ValueOrDie().results))
+          << "run " << i;
+    }
+    EXPECT_FALSE(session.segment_cache()->store()->last_error().ok());
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+/// perfbench's service_mix templates over orders dates [day, day + width):
+/// revenue per customer, and the same windowed core joined to customer.
+/// Both share the filtered orders scan, which the optimizer materializes.
+std::string WindowSql(int t, int day, int width) {
+  const std::string lo = std::to_string(day);
+  const std::string hi = std::to_string(day + width);
+  if (t == 0) {
+    return "SELECT o_custkey, sum(l_extendedprice) FROM orders, lineitem "
+           "WHERE o_orderkey = l_orderkey AND o_orderdate >= " + lo +
+           " AND o_orderdate < " + hi + " GROUP BY o_custkey";
+  }
+  return "SELECT l_orderkey, sum(l_extendedprice) "
+         "FROM orders, lineitem, customer "
+         "WHERE o_orderkey = l_orderkey AND o_custkey = c_custkey "
+         "AND o_orderdate >= " + lo + " AND o_orderdate < " + hi +
+         " GROUP BY l_orderkey";
+}
+
+/// A hot pair over one fixed window plus a fresh pair over window `g`.
+std::vector<std::string> HotFreshBatch(int g) {
+  return {WindowSql(0, 400, 89), WindowSql(1, 400, 89),
+          WindowSql(0, 1000 + 11 * g, 90), WindowSql(1, 1000 + 11 * g, 90)};
+}
+
+// Regression for hot-segment thrash: a serial session whose store holds the
+// hot segment plus one fresh segment. Every batch hits the hot segment and
+// inserts a fresh one; the fresh Put must push out the previous batch's
+// fresh segment, never the hot segment this batch is about to read. So
+// after warm-up the hot segment is never reloaded.
+TEST(ServiceThrashTest, HotSegmentIsNotReloadedUnderTightBudget) {
+  const Catalog catalog = MakeTpcdCatalog(1);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 3000;
+  gen.domain_cap = 2557;
+  gen.seed = 11;
+  const DataSet data = GenerateData(catalog, gen);
+  MqoOptions options;
+  options.backend = ExecBackend::kVector;
+  options.stats_mode = StatsMode::kCatalogGuess;
+  options.exec.num_threads = 1;
+  constexpr int kBatches = 10;
+  constexpr int kWarmup = 2;
+
+  // Size the budget from an unlimited session. The hot segment is the one
+  // the most batches materialize (the plan settles after a batch of
+  // feedback); a fresh segment is materialized by one batch only.
+  std::vector<std::vector<NamedRows>> expected;
+  std::map<uint64_t, std::pair<int, size_t>> segments;  // fp -> (runs, bytes)
+  {
+    MqoSession probe(&catalog, &data, options);
+    for (int g = 0; g < kBatches; ++g) {
+      auto run = probe.Run(HotFreshBatch(g));
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      for (const ExplainEntry& e : run.ValueOrDie().explain) {
+        auto& [runs, bytes] = segments[e.est.fingerprint];
+        ++runs;
+        bytes = static_cast<size_t>(e.run.bytes);
+      }
+      expected.push_back(std::move(run.ValueOrDie().results));
+    }
+  }
+  int hot_runs = 0;
+  size_t hot_bytes = 0, fresh_min = SIZE_MAX, fresh_max = 0;
+  for (const auto& [fp, seg] : segments) {
+    if (seg.first > hot_runs) {
+      hot_runs = seg.first;
+      hot_bytes = seg.second;
+    }
+    if (seg.first == 1) {
+      fresh_min = std::min(fresh_min, seg.second);
+      fresh_max = std::max(fresh_max, seg.second);
+    }
+  }
+  ASSERT_GE(hot_runs, kBatches - kWarmup);
+  ASSERT_GT(fresh_max, 0u);
+  // Room for the hot segment and any one fresh segment, never two fresh.
+  ASSERT_LT(fresh_max, 2 * fresh_min);
+
+  MqoOptions tight = options;
+  tight.shared_cache_budget_bytes = hot_bytes + fresh_max;
+  MqoSession session(&catalog, &data, tight);
+  int64_t warm_reloads = 0;
+  for (int g = 0; g < kBatches; ++g) {
+    auto run = session.Run(HotFreshBatch(g));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(SameResults(run.ValueOrDie().results, expected[g]))
+        << "batch " << g;
+    if (g > 0) {
+      EXPECT_EQ(run.ValueOrDie().cross_batch_hits, 1);
+    }
+    if (g == kWarmup) {
+      warm_reloads = session.segment_cache()->store_stats().reloads;
+    }
+  }
+  const MatStoreStats stats = session.segment_cache()->store_stats();
+  EXPECT_GT(stats.evictions, 0);  // the budget did bind
+  EXPECT_EQ(stats.reloads - warm_reloads, 0);
 }
 
 }  // namespace

@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "catalog/tpcd.h"
 #include "exec/dataset.h"
@@ -588,47 +591,60 @@ TEST(DataSetStorageTest, GenerateDataTypesColumnsFromCatalog) {
 
 // ---- MatStore ---------------------------------------------------------------
 
-TEST(MatStoreTest, PutGetAndZeroCopyRead) {
+TEST(MatStoreTest, PutPinAndZeroCopyRead) {
   MatStore store;
-  EXPECT_FALSE(store.Contains(7));
-  EXPECT_EQ(store.Get(7), nullptr);
   ColumnBatch segment;
   segment.names = {ColumnRef("t", "k")};
   segment.columns = {IntColumn({1, 2})};
   segment.num_rows = 2;
-  store.Put(7, segment);
-  ASSERT_TRUE(store.Contains(7));
+  SegmentRef ref = store.Put(segment);
+  ASSERT_TRUE(ref);
   EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(ref.rows(), 2);
+  EXPECT_EQ(ref.names(), segment.names);
   // Reading the segment back shares payloads — materialize-once/read-many
   // without per-read copies.
-  ColumnBatch read = *store.Get(7);
-  EXPECT_TRUE(read.columns[0].SharesPayloadWith(store.Get(7)->columns[0]));
+  auto first = store.Pin(ref);
+  auto second = store.Pin(ref);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_TRUE(first.ValueOrDie().batch().columns[0].SharesPayloadWith(
+      second.ValueOrDie().batch().columns[0]));
+  EXPECT_EQ(store.stats().gets, 2);
+  EXPECT_EQ(store.stats().hits, 2);
 }
 
-TEST(MatStoreTest, EraseAndClearReleaseAccounting) {
+// A segment lives while any handle or pin does; the last one to drop frees
+// its payload and its accounting.
+TEST(MatStoreTest, LastHandleFreesSegmentAndAccounting) {
   MatStore store;
   ColumnBatch a;
   a.names = {ColumnRef("t", "k")};
   a.columns = {IntColumn({1, 2, 3})};
   a.num_rows = 3;
-  ASSERT_TRUE(store.Put(1, a).ok());
-  ASSERT_TRUE(store.Put(2, a).ok());
+  SegmentRef one = store.Put(a);
+  SegmentRef two = store.Put(a);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.bytes_used(), 2 * a.ByteSize());
-  EXPECT_TRUE(store.Erase(1));
-  EXPECT_FALSE(store.Erase(1));  // already gone
-  EXPECT_FALSE(store.Contains(1));
+  SegmentRef copy = one;
+  one = SegmentRef{};
+  EXPECT_EQ(store.size(), 2u);  // the copy still holds it
+  copy = SegmentRef{};
+  EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.bytes_used(), a.ByteSize());
-  store.Clear();
+  {
+    auto pinned = store.Pin(two);
+    ASSERT_TRUE(pinned.ok());
+    two = SegmentRef{};
+    EXPECT_EQ(store.size(), 1u);  // the pin keeps it alive
+    EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[2], 3);
+  }
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.Get(2), nullptr);
 }
 
-TEST(MatStoreTest, ByteAccountingTracksPutReplaceAndSegments) {
+TEST(MatStoreTest, ByteAccountingTracksPutsAndHandles) {
   MatStore store;
   EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.SegmentBytes(1), 0u);
 
   ColumnBatch a;
   a.names = {ColumnRef("t", "k"), ColumnRef("t", "s")};
@@ -637,21 +653,21 @@ TEST(MatStoreTest, ByteAccountingTracksPutReplaceAndSegments) {
   const size_t a_bytes = a.ByteSize();
   // 3 int64 cells plus string payloads (object overhead + characters).
   EXPECT_EQ(a_bytes, 3 * sizeof(int64_t) + 3 * sizeof(std::string) + 3);
-  store.Put(1, a);
+  SegmentRef ra = store.Put(a);
   EXPECT_EQ(store.bytes_used(), a_bytes);
-  EXPECT_EQ(store.SegmentBytes(1), a_bytes);
+  EXPECT_EQ(ra.bytes(), a_bytes);
 
   ColumnBatch b;
   b.names = {ColumnRef("u", "k")};
   b.columns = {IntColumn({4})};
   b.num_rows = 1;
-  store.Put(2, b);
+  SegmentRef rb = store.Put(b);
   EXPECT_EQ(store.bytes_used(), a_bytes + sizeof(int64_t));
 
-  // Replacing a segment releases the old accounting.
-  store.Put(1, b);
-  EXPECT_EQ(store.bytes_used(), 2 * sizeof(int64_t));
-  EXPECT_EQ(store.SegmentBytes(1), sizeof(int64_t));
+  // Dropping a segment releases its accounting.
+  ra = SegmentRef{};
+  EXPECT_EQ(store.bytes_used(), sizeof(int64_t));
+  EXPECT_EQ(rb.bytes(), sizeof(int64_t));
 }
 
 // ---- Memory governance: budget, eviction, spill -----------------------------
@@ -671,13 +687,12 @@ TEST(MatStoreBudgetTest, ZeroBudgetDisablesGovernance) {
   MatStoreOptions options;
   options.budget_bytes = 0;  // 0 = unlimited, nothing ever spills
   MatStore store(options);
-  for (int eq = 0; eq < 8; ++eq) {
-    ASSERT_TRUE(store.Put(eq, IntSegment(eq, 64)).ok());
-  }
+  std::vector<SegmentRef> refs;
+  for (int eq = 0; eq < 8; ++eq) refs.push_back(store.Put(IntSegment(eq, 64)));
   EXPECT_EQ(store.bytes_used(), 8 * 64 * sizeof(int64_t));
   EXPECT_EQ(store.bytes_spilled(), 0u);
   EXPECT_EQ(store.stats().evictions, 0);
-  for (int eq = 0; eq < 8; ++eq) EXPECT_TRUE(store.IsResident(eq));
+  for (const SegmentRef& ref : refs) EXPECT_TRUE(store.IsResident(ref));
 }
 
 TEST(MatStoreBudgetTest, EvictsSpillsAndReloadsByteIdentical) {
@@ -696,62 +711,69 @@ TEST(MatStoreBudgetTest, EvictsSpillsAndReloadsByteIdentical) {
   mixed.num_rows = 3;
   const size_t mixed_bytes = mixed.ByteSize();
 
-  ASSERT_TRUE(store.Put(1, IntSegment(100, 32)).ok());
-  ASSERT_TRUE(store.Put(2, IntSegment(200, 32)).ok());
-  ASSERT_TRUE(store.Put(3, mixed).ok());
+  SegmentRef one = store.Put(IntSegment(100, 32));
+  SegmentRef two = store.Put(IntSegment(200, 32));
+  SegmentRef three = store.Put(mixed);
   // Budget holds two int segments; putting the third evicted the oldest.
-  EXPECT_FALSE(store.IsResident(1));
-  EXPECT_TRUE(store.Contains(1));
+  EXPECT_FALSE(store.IsResident(one));
+  EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.bytes_spilled(), seg_bytes);
-  EXPECT_EQ(store.SegmentBytes(1), seg_bytes);
+  EXPECT_EQ(one.bytes(), seg_bytes);
   EXPECT_GE(store.stats().spill_writes, 1);
 
-  // Reload is transparent and byte-identical.
-  const ColumnBatch* reloaded = store.Get(1);
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_TRUE(store.IsResident(1));
-  EXPECT_EQ(reloaded->ByteSize(), seg_bytes);
-  ASSERT_EQ(reloaded->num_rows, 32u);
-  EXPECT_EQ(reloaded->columns[0].type(), VecType::kInt64);
-  for (size_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(reloaded->columns[0].ints()[i], 100 + int64_t(i));
+  {
+    // Reload is transparent and byte-identical.
+    auto pinned = store.Pin(one);
+    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+    EXPECT_TRUE(pinned.ValueOrDie().reloaded());
+    const ColumnBatch& reloaded = pinned.ValueOrDie().batch();
+    EXPECT_TRUE(store.IsResident(one));
+    EXPECT_EQ(reloaded.ByteSize(), seg_bytes);
+    ASSERT_EQ(reloaded.num_rows, 32u);
+    EXPECT_EQ(reloaded.columns[0].type(), VecType::kInt64);
+    for (size_t i = 0; i < 32; ++i) {
+      EXPECT_EQ(reloaded.columns[0].ints()[i], 100 + int64_t(i));
+    }
   }
   EXPECT_EQ(store.stats().reloads, 1);
   EXPECT_EQ(store.stats().bytes_reloaded, seg_bytes);
 
   // Force the mixed segment through the same round trip.
-  while (store.IsResident(3)) {
-    ASSERT_TRUE(store.Put(9, IntSegment(900, 32)).ok());
-    ASSERT_NE(store.Get(1), nullptr);  // keep 1 hot so 3 ages out
+  std::vector<SegmentRef> filler;
+  while (store.IsResident(three)) {
+    filler.push_back(store.Put(IntSegment(900, 32)));
+    ASSERT_TRUE(store.Pin(one).ok());  // keep one hot so three ages out
   }
-  const ColumnBatch* mixed_back = store.Get(3);
-  ASSERT_NE(mixed_back, nullptr);
-  EXPECT_EQ(mixed_back->ByteSize(), mixed_bytes);
-  ASSERT_EQ(mixed_back->columns.size(), 3u);
-  EXPECT_EQ(mixed_back->names[2], ColumnRef("t", "tag"));
-  EXPECT_EQ(mixed_back->columns[1].type(), VecType::kDouble);
-  EXPECT_EQ(mixed_back->columns[1].doubles()[2], 1e18);
-  EXPECT_EQ(mixed_back->columns[2].strings()[0], "ab");
-  EXPECT_EQ(mixed_back->columns[2].strings()[1], "");
+  auto mixed_pin = store.Pin(three);
+  ASSERT_TRUE(mixed_pin.ok()) << mixed_pin.status().ToString();
+  const ColumnBatch& mixed_back = mixed_pin.ValueOrDie().batch();
+  EXPECT_EQ(mixed_back.ByteSize(), mixed_bytes);
+  ASSERT_EQ(mixed_back.columns.size(), 3u);
+  EXPECT_EQ(mixed_back.names[2], ColumnRef("t", "tag"));
+  EXPECT_EQ(mixed_back.columns[1].type(), VecType::kDouble);
+  EXPECT_EQ(mixed_back.columns[1].doubles()[2], 1e18);
+  EXPECT_EQ(mixed_back.columns[2].strings()[0], "ab");
+  EXPECT_EQ(mixed_back.columns[2].strings()[1], "");
 }
 
 TEST(MatStoreBudgetTest, SegmentLargerThanBudgetSpillsButStaysReadable) {
   MatStoreOptions options;
   options.budget_bytes = 16;  // smaller than any segment below
   MatStore store(options);
-  ASSERT_TRUE(store.Put(7, IntSegment(0, 100)).ok());
+  SegmentRef giant = store.Put(IntSegment(0, 100));
   // The store can never hold it: it went straight to disk.
-  EXPECT_TRUE(store.Contains(7));
-  EXPECT_FALSE(store.IsResident(7));
+  EXPECT_FALSE(store.IsResident(giant));
   EXPECT_EQ(store.bytes_used(), 0u);
-  const ColumnBatch* back = store.Get(7);
-  ASSERT_NE(back, nullptr);
-  ASSERT_EQ(back->num_rows, 100u);
-  EXPECT_EQ(back->columns[0].ints()[99], 99);
+  {
+    auto back = store.Pin(giant);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back.ValueOrDie().batch().num_rows, 100u);
+    EXPECT_EQ(back.ValueOrDie().batch().columns[0].ints()[99], 99);
+  }
   // The reload may sit over budget until the next enforcement point.
-  EXPECT_TRUE(store.IsResident(7));
-  ASSERT_TRUE(store.Put(8, IntSegment(5, 2)).ok());
-  EXPECT_FALSE(store.IsResident(7));  // enforced again: the giant goes back
+  EXPECT_TRUE(store.IsResident(giant));
+  SegmentRef small = store.Put(IntSegment(5, 2));
+  EXPECT_FALSE(store.IsResident(giant));  // enforced again: back to disk
 }
 
 TEST(MatStoreBudgetTest, EvictionOrderIsDeterministicCostWeightedLru) {
@@ -760,19 +782,29 @@ TEST(MatStoreBudgetTest, EvictionOrderIsDeterministicCostWeightedLru) {
     MatStoreOptions options;
     options.budget_bytes = 2 * seg_bytes;
     MatStore store(options);
-    ASSERT_TRUE(store.Put(1, IntSegment(0, 32)).ok());
-    ASSERT_TRUE(store.Put(2, IntSegment(0, 32)).ok());
-    // Equal weights: LRU decides — 1 is oldest and goes first.
-    ASSERT_TRUE(store.Put(3, IntSegment(0, 32)).ok());
-    EXPECT_FALSE(store.IsResident(1));
-    EXPECT_TRUE(store.IsResident(2));
-    EXPECT_TRUE(store.IsResident(3));
-    // Remaining expected reads outweigh recency: 2 is older AND has reads
-    // ahead of it, so the newer-but-worthless 3 is evicted instead.
-    store.SetExpectedReads(2, 5.0);
-    ASSERT_TRUE(store.Put(4, IntSegment(0, 32)).ok());
-    EXPECT_TRUE(store.IsResident(2));
-    EXPECT_FALSE(store.IsResident(3));
+    SegmentRef one = store.Put(IntSegment(0, 32));
+    SegmentRef two = store.Put(IntSegment(0, 32));
+    // Equal weights: LRU decides — one is oldest and goes first.
+    SegmentRef three = store.Put(IntSegment(0, 32));
+    EXPECT_FALSE(store.IsResident(one));
+    EXPECT_TRUE(store.IsResident(two));
+    EXPECT_TRUE(store.IsResident(three));
+    // Remaining expected reads outweigh recency: two is older AND has reads
+    // ahead of it, so the newer-but-worthless three is evicted instead.
+    store.AddExpectedReads(two, 5.0);
+    SegmentRef four = store.Put(IntSegment(0, 32));
+    EXPECT_TRUE(store.IsResident(two));
+    EXPECT_FALSE(store.IsResident(three));
+    // Every pin consumes one expected read and refreshes recency: after
+    // five pins two is worth no more than the others but is the most
+    // recently used, so four goes next.
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.Pin(two).ok());
+    SegmentRef five = store.Put(IntSegment(0, 32));
+    EXPECT_TRUE(store.IsResident(two));
+    EXPECT_FALSE(store.IsResident(four));
+    // With its weight spent, two is now the least recently used of equals.
+    SegmentRef six = store.Put(IntSegment(0, 32));
+    EXPECT_FALSE(store.IsResident(two));
   }
 }
 
@@ -781,22 +813,21 @@ TEST(MatStoreBudgetTest, PinnedSegmentSurvivesEvictionPressure) {
   MatStoreOptions options;
   options.budget_bytes = seg_bytes;  // room for exactly one segment
   MatStore store(options);
-  ASSERT_TRUE(store.Put(1, IntSegment(10, 32)).ok());
-  auto pinned = store.Pin(1);
+  SegmentRef one = store.Put(IntSegment(10, 32));
+  auto pinned = store.Pin(one);
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   // Budget pressure cannot touch the pinned segment; the newcomers spill.
-  ASSERT_TRUE(store.Put(2, IntSegment(20, 32)).ok());
-  ASSERT_TRUE(store.Put(3, IntSegment(30, 32)).ok());
-  EXPECT_TRUE(store.IsResident(1));
-  EXPECT_FALSE(store.IsResident(2));
-  EXPECT_FALSE(store.IsResident(3));
+  SegmentRef two = store.Put(IntSegment(20, 32));
+  SegmentRef three = store.Put(IntSegment(30, 32));
+  EXPECT_TRUE(store.IsResident(one));
+  EXPECT_FALSE(store.IsResident(two));
+  EXPECT_FALSE(store.IsResident(three));
   EXPECT_EQ(pinned.ValueOrDie().batch().columns[0].ints()[0], 10);
-  EXPECT_FALSE(store.Erase(1));  // pinned segments cannot be erased
   // Releasing the pin makes it evictable again.
   pinned.ValueOrDie().Release();
-  ASSERT_TRUE(store.Put(4, IntSegment(40, 32)).ok());
-  EXPECT_FALSE(store.IsResident(1));
-  EXPECT_TRUE(store.Contains(1));
+  SegmentRef four = store.Put(IntSegment(40, 32));
+  EXPECT_FALSE(store.IsResident(one));
+  EXPECT_EQ(store.size(), 4u);
 }
 
 TEST(MatStoreBudgetTest, PinRehydratesAndCowCopyOutlivesEviction) {
@@ -804,23 +835,25 @@ TEST(MatStoreBudgetTest, PinRehydratesAndCowCopyOutlivesEviction) {
   MatStoreOptions options;
   options.budget_bytes = seg_bytes;
   MatStore store(options);
-  ASSERT_TRUE(store.Put(1, IntSegment(10, 32)).ok());
-  ASSERT_TRUE(store.Put(2, IntSegment(20, 32)).ok());  // spills 1
-  ASSERT_FALSE(store.IsResident(1));
+  SegmentRef one = store.Put(IntSegment(10, 32));
+  SegmentRef two = store.Put(IntSegment(20, 32));  // spills one
+  ASSERT_FALSE(store.IsResident(one));
   ColumnBatch copy;
   {
-    auto pinned = store.Pin(1);  // rehydrates from disk
+    auto pinned = store.Pin(one);  // rehydrates from disk
     ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
     copy = pinned.ValueOrDie().batch();  // COW: shares payloads
     EXPECT_TRUE(copy.columns[0].SharesPayloadWith(
         pinned.ValueOrDie().batch().columns[0]));
   }
-  // Pin released; evict 1 again. The caller's COW copy keeps the payload.
-  ASSERT_TRUE(store.Put(3, IntSegment(30, 32)).ok());
-  ASSERT_FALSE(store.IsResident(1));
+  // Pin released; evict one again. The caller's COW copy keeps the payload.
+  SegmentRef three = store.Put(IntSegment(30, 32));
+  ASSERT_FALSE(store.IsResident(one));
   EXPECT_EQ(copy.columns[0].ints()[31], 41);
-  // Pinning something never materialized is NotFound, not a crash.
-  EXPECT_EQ(store.Pin(99).status().code(), StatusCode::kNotFound);
+  // ... and outlives the segment itself.
+  one = SegmentRef{};
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(copy.columns[0].ints()[0], 10);
 }
 
 TEST(SpillFileTest, RoundTripIsExactIncludingEmptyBatch) {
@@ -1020,12 +1053,12 @@ TEST(MatStoreTest, AccountsEncodedBytesAndRehydratesEncodedForms) {
   MatStoreOptions options;
   options.budget_bytes = seg.ByteSize();  // fits exactly one encoded segment
   MatStore store(options);
-  ASSERT_TRUE(store.Put(1, seg).ok());
+  SegmentRef one = store.Put(seg);
   EXPECT_EQ(store.bytes_used(), seg.ByteSize());
-  ASSERT_TRUE(store.IsResident(1));
-  ASSERT_TRUE(store.Put(2, seg).ok());  // evicts 1 to disk
-  ASSERT_FALSE(store.IsResident(1));
-  auto pinned = store.Pin(1);  // rehydrates: still encoded, zones intact
+  ASSERT_TRUE(store.IsResident(one));
+  SegmentRef two = store.Put(seg);  // evicts one to disk
+  ASSERT_FALSE(store.IsResident(one));
+  auto pinned = store.Pin(one);  // rehydrates: still encoded, zones intact
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   const ColumnVector& back = pinned.ValueOrDie().batch().columns[0];
   ASSERT_TRUE(back.for_encoded());
@@ -1074,10 +1107,11 @@ TEST(SpillFileTest, StoreDestructionRemovesSpillDirectory) {
     options.budget_bytes = 8;
     options.spill_dir = dir;
     MatStore store(options);
-    ASSERT_TRUE(store.Put(1, IntSegment(0, 16)).ok());
-    EXPECT_FALSE(store.IsResident(1));
+    SegmentRef spilled = store.Put(IntSegment(0, 16));
+    EXPECT_FALSE(store.IsResident(spilled));
     // The directory exists while the store holds spilled segments.
     EXPECT_EQ(::access(dir.c_str(), F_OK), 0);
+    spilled = SegmentRef{};  // handles never outlive their store
   }
   // Destruction removed the spill files and the (now empty) directory.
   EXPECT_NE(::access(dir.c_str(), F_OK), 0);
@@ -1232,112 +1266,97 @@ ColumnBatch MarkerBatch(int64_t v) {
   return batch;
 }
 
-TEST(MatStoreTest, PutIfAbsentIsFirstWriterWins) {
-  MatStore store;
-  bool inserted = false;
-  ASSERT_TRUE(store.PutIfAbsent(5, MarkerBatch(100), &inserted).ok());
-  EXPECT_TRUE(inserted);
-  // The losing writer's payload is dropped; the first stays served.
-  ASSERT_TRUE(store.PutIfAbsent(5, MarkerBatch(200), &inserted).ok());
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(store.Get(5)->columns[0].ints()[0], 100);
-  // Plain Put still replaces.
-  ASSERT_TRUE(store.Put(5, MarkerBatch(300)).ok());
-  EXPECT_EQ(store.Get(5)->columns[0].ints()[0], 300);
+/// The first cell of `ref`'s segment, read through a pin.
+int64_t FirstCell(MatStore* store, const SegmentRef& ref) {
+  auto pinned = store->Pin(ref);
+  EXPECT_TRUE(pinned.ok()) << pinned.status().ToString();
+  return pinned.ok() ? pinned.ValueOrDie().batch().columns[0].ints()[0] : -1;
 }
 
-// A lease holds its own COW copy, so replacing a pinned key is safe: the
-// lease keeps reading the payload it pinned, new pins read the new one. The
-// replacement is a new, unpinned segment — counted alone and evictable at
-// once — and the old lease's release leaves the new pins alone.
-TEST(MatStoreTest, PutReplacingPinnedKeyKeepsLeasePayload) {
-  const size_t seg_bytes = MarkerBatch(0).ByteSize();
-  MatStoreOptions options;
-  options.budget_bytes = seg_bytes;  // room for exactly one segment
-  MatStore store(options);
-  ASSERT_TRUE(store.Put(7, MarkerBatch(100)).ok());
-  auto lease = store.Pin(7);
-  ASSERT_TRUE(lease.ok());
-  ASSERT_TRUE(store.Put(7, MarkerBatch(200)).ok());
-  EXPECT_EQ(lease.ValueOrDie().batch().columns[0].ints()[0], 100);
-  EXPECT_EQ(store.bytes_used(), seg_bytes);
-  // Budget pressure evicts the replacement although the old lease lives.
-  ASSERT_TRUE(store.Put(8, MarkerBatch(300)).ok());
-  EXPECT_FALSE(store.IsResident(7));
-  EXPECT_TRUE(store.IsResident(8));
-  EXPECT_EQ(store.bytes_used(), seg_bytes);
-  EXPECT_EQ(lease.ValueOrDie().batch().columns[0].ints()[0], 100);
-  auto fresh = store.Pin(7);  // reloads the replacement
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  EXPECT_EQ(fresh.ValueOrDie().batch().columns[0].ints()[0], 200);
-  EXPECT_FALSE(store.Erase(7));
-  lease.ValueOrDie().Release();
-  EXPECT_FALSE(store.Erase(7));  // still pinned by the fresh lease
-  fresh.ValueOrDie().Release();
-  EXPECT_TRUE(store.Erase(7));
-}
-
-// Concurrent Put/PutIfAbsent/Pin/Erase on a contended key space under a
-// budget small enough that every operation also races eviction and spill.
-// Every successful pin must see the payload its key encodes, and the store
-// must come out of the storm with consistent accounting. (TSan CI runs this
-// with race detection on.)
-TEST(MatStoreConcurrencyTest, ContendedPutPinEraseUnderEvictionPressure) {
+// Concurrent Put/Pin/handle drops over a contended set of shared slots,
+// under a budget small enough that every operation also races eviction and
+// spill. Every successful pin must see the payload its slot encodes, and
+// once every handle is gone the store's accounting must be back at zero.
+// (TSan CI runs this with race detection on.)
+TEST(MatStoreConcurrencyTest, ContendedPutPinReleaseUnderEvictionPressure) {
   for (int threads : {1, 2, 8}) {
     MatStoreOptions options;
     options.budget_bytes = 128;  // a fraction of one segment: constant churn
     MatStore store(options);
+    std::mutex slots_mu;
+    std::array<SegmentRef, 8> slots;
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&store, t] {
+      workers.emplace_back([&, t] {
         for (int i = 0; i < 60; ++i) {
-          const uint64_t key = static_cast<uint64_t>((t * 60 + i) % 8);
-          const int64_t marker = static_cast<int64_t>(key) * 1000;
-          if (i % 2 == 0) {
-            ASSERT_TRUE(store.PutIfAbsent(key, MarkerBatch(marker)).ok());
-          } else {
-            ASSERT_TRUE(store.Put(key, MarkerBatch(marker)).ok());
+          const size_t slot = static_cast<size_t>((t * 60 + i) % 8);
+          const int64_t marker = static_cast<int64_t>(slot) * 1000;
+          SegmentRef mine = store.Put(MarkerBatch(marker),
+                                      static_cast<double>(slot + 1));
+          SegmentRef replaced;
+          SegmentRef read;
+          {
+            std::lock_guard<std::mutex> lock(slots_mu);
+            replaced = std::exchange(slots[slot], mine);
+            read = slots[(slot + 3) % 8];
           }
-          store.SetExpectedReads(key, static_cast<double>(key + 1));
-          auto pin = store.Pin(key);
-          if (pin.ok()) {
-            const ColumnBatch& read = pin.ValueOrDie().batch();
-            ASSERT_EQ(read.num_rows, 2u);
-            EXPECT_EQ(read.columns[0].ints()[0], marker);
+          replaced = SegmentRef{};  // may free the old segment, unlocked
+          if (read) {
+            store.AddExpectedReads(read, 1.0);
+            auto pin = store.Pin(read);
+            ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+            const ColumnBatch& batch = pin.ValueOrDie().batch();
+            ASSERT_EQ(batch.num_rows, 2u);
+            EXPECT_EQ(batch.columns[0].ints()[0],
+                      static_cast<int64_t>((slot + 3) % 8) * 1000);
           }
-          if ((i + t) % 5 == 0) store.Erase(key);
+          EXPECT_EQ(FirstCell(&store, mine), marker);
+          if ((i + t) % 5 == 0) {
+            std::lock_guard<std::mutex> lock(slots_mu);
+            replaced = std::move(slots[slot]);
+          }
         }
       });
     }
     for (std::thread& w : workers) w.join();
     EXPECT_TRUE(store.last_error().ok()) << store.last_error().ToString();
     // Whatever survived is still readable and correct.
-    for (uint64_t key = 0; key < 8; ++key) {
-      auto pin = store.Pin(key);
-      if (!pin.ok()) continue;
-      EXPECT_EQ(pin.ValueOrDie().batch().columns[0].ints()[0],
-                static_cast<int64_t>(key) * 1000);
+    for (size_t slot = 0; slot < slots.size(); ++slot) {
+      if (slots[slot]) {
+        EXPECT_EQ(FirstCell(&store, slots[slot]),
+                  static_cast<int64_t>(slot) * 1000);
+      }
     }
+    slots = {};
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(store.bytes_used(), 0u);
+    EXPECT_EQ(store.bytes_spilled(), 0u);
   }
+}
+
+/// Puts a marker segment into `cache`'s store.
+SegmentRef PutMarker(SharedSegmentCache* cache, int64_t v) {
+  return cache->store()->Put(MarkerBatch(v));
 }
 
 TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   SharedSegmentCache cache(MatStoreOptions{});
-  ColumnBatch out;
-  EXPECT_FALSE(cache.Lookup(1, &out));
-  cache.Insert(1, MarkerBatch(10), {"t"}, cache.TableVersionSnapshot(), 2.0);
-  ASSERT_TRUE(cache.Lookup(1, &out));
-  EXPECT_EQ(out.columns[0].ints()[0], 10);
+  EXPECT_FALSE(cache.Lookup(1));
+  cache.Insert(1, PutMarker(&cache, 10), {"t"}, cache.TableVersionSnapshot());
+  SegmentRef hit = cache.Lookup(1);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(FirstCell(cache.store(), hit), 10);
   // Invalidating an unrelated table leaves the segment serveable.
   cache.InvalidateTable("u");
-  EXPECT_TRUE(cache.Lookup(1, &out));
+  EXPECT_TRUE(cache.Lookup(1));
   // Invalidating a dependency drops it: stale means miss, never wrong data.
   cache.InvalidateTable("t");
-  EXPECT_FALSE(cache.Lookup(1, &out));
+  EXPECT_FALSE(cache.Lookup(1));
   // A segment computed *after* the bump captured the new version — fresh.
-  cache.Insert(1, MarkerBatch(20), {"t"}, cache.TableVersionSnapshot(), 1.0);
-  ASSERT_TRUE(cache.Lookup(1, &out));
-  EXPECT_EQ(out.columns[0].ints()[0], 20);
+  cache.Insert(1, PutMarker(&cache, 20), {"t"}, cache.TableVersionSnapshot());
+  hit = cache.Lookup(1);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(FirstCell(cache.store(), hit), 20);
 
   const SegmentCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups, 5);
@@ -1345,6 +1364,8 @@ TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.inserts, 2);
   EXPECT_EQ(stats.invalidated_segments, 1);
+  // Lookups do no store traffic: only the two reads above pinned.
+  EXPECT_EQ(cache.store_stats().gets, 2);
 }
 
 // A run that read `t` before InvalidateTable("t") publishes with its
@@ -1353,31 +1374,79 @@ TEST(SegmentCacheTest, InsertStampedBeforeInvalidationIsMiss) {
   SharedSegmentCache cache(MatStoreOptions{});
   const TableVersions read_versions = cache.TableVersionSnapshot();
   cache.InvalidateTable("t");
-  cache.Insert(3, MarkerBatch(30), {"t"}, read_versions, 1.0);
-  ColumnBatch out;
-  EXPECT_FALSE(cache.Lookup(3, &out));
+  cache.Insert(3, PutMarker(&cache, 30), {"t"}, read_versions);
+  EXPECT_FALSE(cache.Lookup(3));
   EXPECT_EQ(cache.stats().inserts, 0);
+  // The unindexed segment died with its last handle.
+  EXPECT_EQ(cache.bytes_used(), 0u);
   // A run that started after the invalidation publishes a fresh segment.
-  cache.Insert(3, MarkerBatch(31), {"t"}, cache.TableVersionSnapshot(), 1.0);
-  ASSERT_TRUE(cache.Lookup(3, &out));
-  EXPECT_EQ(out.columns[0].ints()[0], 31);
+  cache.Insert(3, PutMarker(&cache, 31), {"t"}, cache.TableVersionSnapshot());
+  SegmentRef hit = cache.Lookup(3);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(FirstCell(cache.store(), hit), 31);
 }
 
 TEST(SegmentCacheTest, FirstInsertWinsAndCopiesAreIsolated) {
   SharedSegmentCache cache(MatStoreOptions{});
   const TableVersions versions = cache.TableVersionSnapshot();
-  cache.Insert(9, MarkerBatch(1), {"t"}, versions, 1.0);
-  cache.Insert(9, MarkerBatch(2), {"t"}, versions, 1.0);  // lost race
+  cache.Insert(9, PutMarker(&cache, 1), {"t"}, versions);
+  cache.Insert(9, PutMarker(&cache, 2), {"t"}, versions);  // lost race
   EXPECT_EQ(cache.stats().insert_races_lost, 1);
+  EXPECT_EQ(cache.store()->size(), 1u);  // the loser's segment is gone
+  SegmentRef hit = cache.Lookup(9);
+  ASSERT_TRUE(hit);
+  // The pinned batch is a COW handle: writing through a copy of it must
+  // not corrupt what the cache serves next.
   ColumnBatch out;
-  ASSERT_TRUE(cache.Lookup(9, &out));
+  {
+    auto pinned = cache.store()->Pin(hit);
+    ASSERT_TRUE(pinned.ok());
+    out = pinned.ValueOrDie().batch();
+  }
   EXPECT_EQ(out.columns[0].ints()[0], 1);
-  // The served batch is a COW handle: writing through it must not corrupt
-  // what the cache serves next.
   out.columns[0].ints()[0] = 777;
-  ColumnBatch again;
-  ASSERT_TRUE(cache.Lookup(9, &again));
-  EXPECT_EQ(again.columns[0].ints()[0], 1);
+  EXPECT_EQ(FirstCell(cache.store(), cache.Lookup(9)), 1);
+}
+
+// A run holding a cached handle keeps reading it across invalidation: the
+// index entry goes, the segment does not. Dropping the last handle then
+// frees its bytes and its spill file.
+TEST(SegmentCacheTest, HandleHeldAcrossInvalidationStaysReadable) {
+  const std::string dir = ::testing::TempDir() + "mqo_cache_handle_test";
+  {
+    MatStoreOptions options;
+    options.budget_bytes = 1;  // every unpinned segment lives on disk
+    options.spill_dir = dir;
+    SharedSegmentCache cache(options);
+    cache.Insert(4, PutMarker(&cache, 40), {"t"},
+                 cache.TableVersionSnapshot());
+    SegmentRef held = cache.Lookup(4);
+    ASSERT_TRUE(held);
+    EXPECT_FALSE(cache.store()->IsResident(held));
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+
+    cache.InvalidateTable("t");
+    EXPECT_FALSE(cache.Lookup(4));
+    EXPECT_EQ(cache.size(), 0u);
+    {
+      auto pinned = cache.store()->Pin(held);  // reloads the spill file
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      const ColumnBatch& batch = pinned.ValueOrDie().batch();
+      EXPECT_EQ(batch.num_rows, 2u);
+      EXPECT_EQ(batch.columns[0].ints()[0], 40);
+      EXPECT_EQ(batch.columns[0].ints()[1], 41);
+    }
+    EXPECT_EQ(cache.store()->size(), 1u);
+
+    held = SegmentRef{};
+    EXPECT_EQ(cache.store()->size(), 0u);
+    EXPECT_EQ(cache.bytes_used(), 0u);
+    EXPECT_EQ(cache.store()->bytes_spilled(), 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // Concurrent Insert/Lookup/InvalidateTable over a shared fingerprint space:
@@ -1385,19 +1454,19 @@ TEST(SegmentCacheTest, FirstInsertWinsAndCopiesAreIsolated) {
 // matter which thread's insert won or what was invalidated in between.
 TEST(SegmentCacheConcurrencyTest, RacingInsertLookupInvalidate) {
   for (int threads : {1, 2, 8}) {
-    SharedSegmentCache cache(MatStoreOptions{});
+    MatStoreOptions options;
+    options.budget_bytes = 128;  // lookups race eviction and reload too
+    SharedSegmentCache cache(options);
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&cache, t] {
         for (int i = 0; i < 60; ++i) {
           const uint64_t fp = static_cast<uint64_t>((t + i) % 6);
           const std::string table = "t" + std::to_string(fp % 2);
-          cache.Insert(fp, MarkerBatch(static_cast<int64_t>(fp) * 10),
-                       {table}, cache.TableVersionSnapshot(), 1.0);
-          ColumnBatch out;
-          if (cache.Lookup(fp, &out)) {
-            ASSERT_EQ(out.num_rows, 2u);
-            EXPECT_EQ(out.columns[0].ints()[0],
+          cache.Insert(fp, PutMarker(&cache, static_cast<int64_t>(fp) * 10),
+                       {table}, cache.TableVersionSnapshot());
+          if (SegmentRef hit = cache.Lookup(fp)) {
+            EXPECT_EQ(FirstCell(cache.store(), hit),
                       static_cast<int64_t>(fp) * 10);
           }
           if ((i + t) % 13 == 0) cache.InvalidateTable(table);
@@ -1410,6 +1479,11 @@ TEST(SegmentCacheConcurrencyTest, RacingInsertLookupInvalidate) {
     const SegmentCacheStats stats = cache.stats();
     EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
     EXPECT_LE(stats.stale_misses, stats.misses);
+    // The store holds exactly the indexed segments; Clear frees them all.
+    EXPECT_EQ(cache.store()->size(), cache.size());
+    cache.Clear();
+    EXPECT_EQ(cache.store()->size(), 0u);
+    EXPECT_EQ(cache.bytes_used(), 0u);
   }
 }
 
