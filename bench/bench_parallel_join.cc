@@ -1,9 +1,16 @@
 // Thread-scaling of the parallel hash join and the pipelined engine.
 //
-// Two surfaces, both swept over 1/2/4/hardware-max threads:
-//   1. kernel: HashJoinBatch on lineitem ⋈ orders (partitioned parallel
-//      build + morsel-parallel probe) — the isolated operator curve;
-//   2. engine: the consolidated TPC-D Q9 batch on the vectorized backend —
+// Four surfaces, swept over threads (1/2/4, plus hardware-max for the
+// first and last):
+//   1. kernel: HashJoinBatch on lineitem ⋈ orders (parallel CSR build —
+//      one worker per hash partition of the bucket directory — plus a
+//      morsel-parallel probe) — the isolated operator curve;
+//   2. build: JoinHashTable::Build on orders alone — the hash, count and
+//      scatter phases without the probe;
+//   3. duplicate-heavy keys: a synthetic build side with 16 distinct keys
+//      (each repeated rows/16 times) probed by 64 rows, half of them
+//      misses;
+//   4. engine: the consolidated TPC-D Q9 batch on the vectorized backend —
 //      join build/probe and aggregation pipelines end-to-end, the
 //      configuration whose sharing wins the MQO layer proves.
 // Every parallel run is checked row-identical to the serial run (the
@@ -27,6 +34,7 @@
 #include "mqo/mqo_algorithms.h"
 #include "storage/table_reader.h"
 #include "vexec/backend.h"
+#include "vexec/join_table.h"
 #include "workload/tpcd_queries.h"
 
 using namespace mqo;
@@ -105,7 +113,76 @@ int main(int argc, char** argv) {
                       JNum("speedup_vs_1t", speedup)});
     }
 
-    // Surface 2: the consolidated Q9 batch end-to-end (joins + aggregation
+    // Surface 2: the build alone, on the kernel's build side.
+    const int okey = orders.ColumnIndex(cond.right);
+    for (int threads : {1, 2, 4}) {
+      double best_ms = 0.0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        WallTimer timer;
+        const JoinHashTable built =
+            JoinHashTable::Build(orders, {okey}, PipelineOptions{threads});
+        const double ms = timer.ElapsedMillis();
+        if (rep == 0 || ms < best_ms) best_ms = ms;
+      }
+      table.AddRow({std::to_string(rows_per_table), "hash-join build",
+                    std::to_string(threads), FormatDouble(best_ms, 2), "-"});
+      json.AddRecord({JStr("bench", "parallel_join"),
+                      JStr("surface", "hash_join_build"),
+                      JNum("rows_per_table", rows_per_table),
+                      JNum("threads", threads), JNum("time_ms", best_ms),
+                      JNum("build_rows", static_cast<double>(orders.num_rows))});
+    }
+
+    // Surface 3: duplicate-heavy build keys.
+    ColumnBatch dup_build;
+    dup_build.names = {ColumnRef("d", "k"), ColumnRef("d", "v")};
+    dup_build.columns = {ColumnVector(VecType::kInt64),
+                         ColumnVector(VecType::kInt64)};
+    for (int i = 0; i < rows_per_table; ++i) {
+      dup_build.columns[0].ints().push_back(i % 16);
+      dup_build.columns[1].ints().push_back(i);
+    }
+    dup_build.num_rows = static_cast<size_t>(rows_per_table);
+    ColumnBatch dup_probe;
+    dup_probe.names = {ColumnRef("p", "k")};
+    dup_probe.columns = {ColumnVector(VecType::kInt64)};
+    for (int i = 0; i < 64; ++i) dup_probe.columns[0].ints().push_back(i % 32);
+    dup_probe.num_rows = 64;
+    JoinCondition dup_cond;
+    dup_cond.left = ColumnRef("p", "k");
+    dup_cond.right = ColumnRef("d", "k");
+    const JoinPredicate dup_pred({dup_cond});
+    std::vector<NamedRows> dup_serial;
+    for (int threads : {1, 2, 4}) {
+      double best_ms = 0.0;
+      ColumnBatch joined_batch;
+      for (int rep = 0; rep < kReps; ++rep) {
+        WallTimer timer;
+        auto joined = HashJoinBatch(dup_probe, dup_build, dup_pred, threads);
+        const double ms = timer.ElapsedMillis();
+        if (!joined.ok()) {
+          std::printf("join failed: %s\n", joined.status().ToString().c_str());
+          return 1;
+        }
+        if (rep == 0 || ms < best_ms) best_ms = ms;
+        joined_batch = std::move(joined).ValueOrDie();
+      }
+      if (threads == 1) {
+        dup_serial = {BatchToRows(joined_batch)};
+      } else if (!SameResultSets(dup_serial, {BatchToRows(joined_batch)})) {
+        ++failures;
+      }
+      table.AddRow({std::to_string(rows_per_table), "duplicate-heavy join",
+                    std::to_string(threads), FormatDouble(best_ms, 2), "-"});
+      json.AddRecord({JStr("bench", "parallel_join"),
+                      JStr("surface", "hash_join_dup_keys"),
+                      JNum("rows_per_table", rows_per_table),
+                      JNum("threads", threads), JNum("time_ms", best_ms),
+                      JNum("join_rows",
+                           static_cast<double>(joined_batch.num_rows))});
+    }
+
+    // Surface 4: the consolidated Q9 batch end-to-end (joins + aggregation
     // pipelines, materialized-segment reuse).
     double engine_serial_ms = 0.0;
     std::vector<NamedRows> serial_results;

@@ -32,6 +32,18 @@ inline uint64_t HashInts(const std::vector<int>& v) {
   return h;
 }
 
+/// Murmur3's 64-bit finalizer: every input bit affects every output bit.
+/// Use it before taking a subset of a hash's bits (bucket or bit indices):
+/// HashDouble of an integral value, for one, leaves its low bits constant.
+inline uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
 inline uint64_t HashDouble(double d) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));

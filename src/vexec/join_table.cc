@@ -1,6 +1,7 @@
 #include "vexec/join_table.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/hash.h"
 
@@ -17,12 +18,20 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-/// Key hashes for rows [begin, end), written to `out[r]`. The per-column
-/// type dispatch is hoisted out of the row loop, so each column contributes
-/// one flat pass over its contiguous payload.
+/// log2 of a power of two.
+int Log2(size_t pow2) {
+  int bits = 0;
+  while ((size_t{1} << bits) < pow2) ++bits;
+  return bits;
+}
+
+/// Key hashes for rows [begin, end), written to `out[r - begin]`. The
+/// per-column type dispatch is hoisted out of the row loop, so each column
+/// contributes one flat pass over its contiguous payload.
 void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
                   uint32_t begin, uint32_t end, uint64_t* out) {
-  for (uint32_t r = begin; r < end; ++r) out[r] = kJoinHashSeed;
+  const uint32_t n = end - begin;
+  for (uint32_t j = 0; j < n; ++j) out[j] = kJoinHashSeed;
   for (int c : cols) {
     const ColumnVector& col = batch.columns[c];
     switch (col.type()) {
@@ -40,40 +49,39 @@ void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
                 end, static_cast<uint32_t>(
                          (r / kForBlockRows + 1) * kForBlockRows));
             fc.Unpack(r, re, buf);
-            const uint32_t n = re - r;
-            for (uint32_t j = 0; j < n; ++j) {
+            uint64_t* o = out + (r - begin);
+            for (uint32_t j = 0; j < re - r; ++j) {
               const double d = static_cast<double>(buf[j]);
-              out[r + j] =
-                  HashCombine(out[r + j], HashDouble(d == 0.0 ? 0.0 : d));
+              o[j] = HashCombine(o[j], HashDouble(d == 0.0 ? 0.0 : d));
             }
             r = re;
           }
           break;
         }
-        const int64_t* v = col.ints().data();
-        for (uint32_t r = begin; r < end; ++r) {
-          const double d = static_cast<double>(v[r]);
-          out[r] = HashCombine(out[r], HashDouble(d == 0.0 ? 0.0 : d));
+        const int64_t* v = col.ints().data() + begin;
+        for (uint32_t j = 0; j < n; ++j) {
+          const double d = static_cast<double>(v[j]);
+          out[j] = HashCombine(out[j], HashDouble(d == 0.0 ? 0.0 : d));
         }
         break;
       }
       case VecType::kDouble: {
-        const double* v = col.doubles().data();
-        for (uint32_t r = begin; r < end; ++r) {
-          out[r] = HashCombine(out[r], HashDouble(v[r] == 0.0 ? 0.0 : v[r]));
+        const double* v = col.doubles().data() + begin;
+        for (uint32_t j = 0; j < n; ++j) {
+          out[j] = HashCombine(out[j], HashDouble(v[j] == 0.0 ? 0.0 : v[j]));
         }
         break;
       }
       case VecType::kString: {
         if (col.dict_encoded()) {
-          const int32_t* codes = col.codes().data();
+          const int32_t* codes = col.codes().data() + begin;
           const uint64_t* hashes = col.dict()->hashes.data();
-          for (uint32_t r = begin; r < end; ++r) {
-            out[r] = HashCombine(out[r], hashes[codes[r]]);
+          for (uint32_t j = 0; j < n; ++j) {
+            out[j] = HashCombine(out[j], hashes[codes[j]]);
           }
         } else {
-          for (uint32_t r = begin; r < end; ++r) {
-            out[r] = HashCombine(out[r], col.HashCell(r));
+          for (uint32_t j = 0; j < n; ++j) {
+            out[j] = HashCombine(out[j], col.HashCell(begin + j));
           }
         }
         break;
@@ -136,13 +144,6 @@ void HashKeySel(const ColumnBatch& batch, const std::vector<int>& cols,
 
 }  // namespace
 
-uint64_t JoinKeyHash(const ColumnBatch& batch, const std::vector<int>& cols,
-                     uint32_t row) {
-  uint64_t h = kJoinHashSeed;
-  for (int c : cols) h = HashCombine(h, batch.columns[c].HashCell(row));
-  return h;
-}
-
 size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
                       const JoinBloomFilter& bloom, bool use_range,
                       SelVector* sel) {
@@ -172,8 +173,9 @@ size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
 
 void NumericMinMax(const ColumnVector& col, uint32_t begin, uint32_t end,
                    double* lo, double* hi) {
-  double mn = col.Number(begin);
-  double mx = mn;
+  // Accumulators first in std::min/max: a NaN cell never replaces them.
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -mn;
   if (col.for_encoded()) {
     // Block metadata answers fully covered blocks; only the (at most two)
     // partial edge blocks decode per row.
@@ -199,14 +201,14 @@ void NumericMinMax(const ColumnVector& col, uint32_t begin, uint32_t end,
     }
   } else if (col.type() == VecType::kInt64) {
     const int64_t* v = col.ints().data();
-    for (uint32_t r = begin + 1; r < end; ++r) {
+    for (uint32_t r = begin; r < end; ++r) {
       const double d = static_cast<double>(v[r]);
       mn = std::min(mn, d);
       mx = std::max(mx, d);
     }
   } else {
     const double* v = col.doubles().data();
-    for (uint32_t r = begin + 1; r < end; ++r) {
+    for (uint32_t r = begin; r < end; ++r) {
       mn = std::min(mn, v[r]);
       mx = std::max(mx, v[r]);
     }
@@ -222,9 +224,9 @@ std::shared_ptr<JoinBloomFilter> JoinBloomFilter::Build(
   filter->bits_.assign(bits / 64, 0);
   filter->bit_mask_ = bits - 1;
   for (uint64_t h : hashes) {
-    const uint64_t m = h * 0xff51afd7ed558ccdull;
-    const uint64_t i1 = h & filter->bit_mask_;
-    const uint64_t i2 = (m ^ (m >> 29)) & filter->bit_mask_;
+    uint64_t i1 = 0;
+    uint64_t i2 = 0;
+    filter->BitsOf(h, &i1, &i2);
     filter->bits_[i1 >> 6] |= uint64_t{1} << (i1 & 63);
     filter->bits_[i2 >> 6] |= uint64_t{1} << (i2 & 63);
   }
@@ -265,17 +267,25 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
   table.key_cols_ = std::move(key_cols);
   const size_t num_rows = table.build_.num_rows;
   const int threads = options.num_threads;
+  // At least two buckets keeps the shift below 64; at most one per row.
+  const size_t buckets = NextPow2(std::max<size_t>(num_rows, 2));
+  const int bucket_bits = Log2(buckets);
+  table.bucket_shift_ = 64 - bucket_bits;
 
-  // Phase 1: per-row key hashes, morsel-parallel (each worker owns its
-  // morsel's slots of the shared array).
+  // Phase 1: per-row key hashes and bucket ids, morsel-parallel (each
+  // worker owns its morsel's slots of the shared arrays).
   std::vector<uint64_t> hashes(num_rows);
+  std::vector<uint32_t> bucket_of(num_rows);
   ParallelOverMorsels(
       MakeMorsels(num_rows,
                   ResolveMorselRows(num_rows, threads, options.morsel_rows)),
       threads,
       [&](size_t, const Morsel& morsel) {
         HashKeyRange(table.build_, table.key_cols_, morsel.begin, morsel.end,
-                     hashes.data());
+                     hashes.data() + morsel.begin);
+        for (uint32_t r = morsel.begin; r < morsel.end; ++r) {
+          bucket_of[r] = static_cast<uint32_t>(table.BucketOf(hashes[r]));
+        }
       });
 
   // Publish the Bloom filter (sideways information passing): probe-side
@@ -296,22 +306,37 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
     table.bloom_ = std::move(bloom);
   }
 
-  // Phase 2: hash-disjoint partitions, one worker per partition. Each
-  // partition scans the hash array in row order, so bucket row lists are
-  // ascending regardless of the partition count — the merged table is
-  // identical for every thread setting. One partition per worker: each
-  // extra partition costs a full (cheap) re-scan of the hash array, so
-  // oversubscribing partitions for load balance is a net loss.
+  // Phases 2 and 3: count, prefix-sum, scatter. A partition is a
+  // contiguous range of buckets (the top bits of the bucket id), so the
+  // workers count into and scatter to disjoint slots. Each scans the rows
+  // in ascending order, so every bucket lists its rows in ascending order
+  // whatever the partition count. One partition per worker: each costs a
+  // full (cheap) scan of the bucket ids, so more would be a net loss.
   const size_t parts =
-      threads > 1 ? NextPow2(std::min<size_t>(static_cast<size_t>(threads), 64))
+      threads > 1 ? std::min(NextPow2(std::min<size_t>(
+                                 static_cast<size_t>(threads), 64)),
+                             buckets)
                   : 1;
-  table.part_mask_ = parts - 1;
-  table.parts_.resize(parts);
+  const int part_shift = bucket_bits - Log2(parts);
+  std::vector<uint32_t>& offsets = table.offsets_;
+  offsets.assign(buckets + 1, 0);
   ParallelFor(parts, threads, [&](size_t p) {
-    auto& part = table.parts_[p];
-    part.reserve(num_rows / parts + 1);
     for (uint32_t r = 0; r < num_rows; ++r) {
-      if ((hashes[r] & table.part_mask_) == p) part[hashes[r]].push_back(r);
+      const uint32_t b = bucket_of[r];
+      if ((b >> part_shift) == p) ++offsets[b + 1];
+    }
+  });
+  for (size_t b = 0; b < buckets; ++b) offsets[b + 1] += offsets[b];
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  table.rows_.resize(num_rows);
+  table.hashes_.resize(num_rows);
+  ParallelFor(parts, threads, [&](size_t p) {
+    for (uint32_t r = 0; r < num_rows; ++r) {
+      const uint32_t b = bucket_of[r];
+      if ((b >> part_shift) != p) continue;
+      const uint32_t slot = cursor[b]++;
+      table.rows_[slot] = r;
+      table.hashes_[slot] = hashes[r];
     }
   });
   return table;
@@ -364,69 +389,58 @@ JoinHashTable::PreparedProbe JoinHashTable::Prepare(
   return prepared;
 }
 
-void JoinHashTable::ProbeWith(const PreparedProbe& prepared,
-                              const ColumnBatch& probe,
-                              const std::vector<int>& probe_keys, uint32_t row,
-                              SelVector* out) const {
-  // Resolve each dictionary key to its build-side code while hashing; a
-  // probe value absent from the build dictionary cannot match any row.
-  constexpr size_t kMaxInlineKeys = 8;
-  int32_t build_codes[kMaxInlineKeys];
-  uint64_t h = kJoinHashSeed;
+void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
+                               const ColumnBatch& probe,
+                               const std::vector<int>& probe_keys,
+                               uint32_t begin, uint32_t end,
+                               SelVector* left_rows,
+                               SelVector* right_rows) const {
+  if (begin >= end) return;
+  const size_t n = end - begin;
+  std::vector<uint64_t> hashes(n);
+  HashKeyRange(probe, probe_keys, begin, end, hashes.data());
+  // Dictionary keys compare as build-dictionary codes: codes[c * n + j] is
+  // probe row begin + j's code for key c, or -1 when its value is absent
+  // from the build dictionary (and so equals no build code).
   const size_t num_keys = probe_keys.size();
-  const bool inline_codes = num_keys <= kMaxInlineKeys;
+  std::vector<int32_t> codes(prepared.dict_keys > 0 ? num_keys * n : 0);
   for (size_t c = 0; c < num_keys; ++c) {
-    const ColumnVector& pcol = probe.columns[probe_keys[c]];
-    switch (inline_codes ? prepared.keys[c].mode
-                         : PreparedProbe::Mode::kGeneric) {
-      case PreparedProbe::Mode::kSameDict: {
-        const int32_t code = pcol.codes()[row];
-        build_codes[c] = code;
-        h = HashCombine(h, pcol.dict()->hashes[code]);
-        break;
-      }
-      case PreparedProbe::Mode::kRemap: {
-        const int32_t code = pcol.codes()[row];
-        const int32_t bcode = (*prepared.keys[c].remap)[code];
-        if (bcode < 0) return;  // Absent from the build dictionary.
-        build_codes[c] = bcode;
-        h = HashCombine(h, pcol.dict()->hashes[code]);
-        break;
-      }
-      case PreparedProbe::Mode::kGeneric:
-        h = HashCombine(h, pcol.HashCell(row));
-        break;
+    const PreparedProbe::Key& key = prepared.keys[c];
+    if (key.mode == PreparedProbe::Mode::kGeneric) continue;
+    const int32_t* pcodes = probe.columns[probe_keys[c]].codes().data() + begin;
+    int32_t* out = codes.data() + c * n;
+    if (key.mode == PreparedProbe::Mode::kSameDict) {
+      std::copy(pcodes, pcodes + n, out);
+    } else {
+      const int32_t* remap = key.remap->data();
+      for (size_t j = 0; j < n; ++j) out[j] = remap[pcodes[j]];
     }
   }
-  const auto& part = parts_[h & part_mask_];
-  const auto it = part.find(h);
-  if (it == part.end()) return;
-  for (uint32_t r : it->second) {
-    bool match = true;
+  auto keys_equal = [&](size_t j, uint32_t r) {
     for (size_t c = 0; c < num_keys; ++c) {
       const ColumnVector& bcol = build_.columns[key_cols_[c]];
-      if (inline_codes &&
-          prepared.keys[c].mode != PreparedProbe::Mode::kGeneric) {
-        if (bcol.codes()[r] != build_codes[c]) {
-          match = false;
-          break;
+      if (prepared.keys[c].mode == PreparedProbe::Mode::kGeneric) {
+        if (!ColumnVector::CellsEqual(probe.columns[probe_keys[c]],
+                                      begin + j, bcol, r)) {
+          return false;
         }
-        continue;
-      }
-      if (!ColumnVector::CellsEqual(probe.columns[probe_keys[c]], row, bcol,
-                                    r)) {
-        match = false;
-        break;
+      } else if (bcol.codes()[r] != codes[c * n + j]) {
+        return false;
       }
     }
-    if (match) out->push_back(r);
+    return true;
+  };
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t h = hashes[j];
+    const size_t b = BucketOf(h);
+    for (uint32_t e = offsets_[b]; e < offsets_[b + 1]; ++e) {
+      if (hashes_[e] != h) continue;
+      const uint32_t r = rows_[e];
+      if (!keys_equal(j, r)) continue;
+      left_rows->push_back(static_cast<uint32_t>(begin + j));
+      right_rows->push_back(r);
+    }
   }
-}
-
-void JoinHashTable::Probe(const ColumnBatch& probe,
-                          const std::vector<int>& probe_keys, uint32_t row,
-                          SelVector* out) const {
-  ProbeWith(Prepare(probe, probe_keys), probe, probe_keys, row, out);
 }
 
 }  // namespace mqo

@@ -1,14 +1,29 @@
 // The shared equi-join hash table: built once in parallel, probed
 // concurrently.
 //
-// Build is two phases on the pipeline driver's primitives: (1) key hashes
-// for every build row, morsel-parallel into per-row slots; (2) hash-disjoint
-// partitions, one worker per partition, each scanning the hash array in row
-// order so every bucket's row list stays ascending. Because the partitions
-// split the *hash space* (not the row space), the merged table is a plain
-// concatenation of read-only partitions — no locks, no rehash — and its
-// bucket contents are identical for every thread and partition count. Probes
-// are pure reads, so morsel workers probe the finished table concurrently.
+// The table is a CSR (compressed sparse row) directory over flat arrays:
+// `offsets_` (one slot per bucket, plus one) delimits each bucket's run of
+// entries in `rows_` (build row ids) and `hashes_` (each entry's full key
+// hash). There is no per-key node and no per-bucket allocation. A row's
+// bucket is the top bits of its *mixed* key hash (Fmix64): the key hash
+// itself can have constant low bits (HashDouble of an integer key does), so
+// it never picks a bucket directly.
+//
+// Build is a stable counting scatter on the pipeline driver's primitives:
+// (1) key hashes and bucket ids for every build row, morsel-parallel into
+// per-row slots; (2) per-bucket counts, prefix-summed into `offsets_`;
+// (3) a scatter of every row into its bucket's next free slot. Steps (2)
+// and (3) run one worker per partition, a partition being a contiguous
+// range of buckets (the top bits of the bucket id), so workers write
+// disjoint slots with no locks. Every worker scans the rows in ascending
+// order, so each bucket lists its rows in ascending order and the table is
+// identical for every thread count. Probes are pure reads, so morsel
+// workers probe the finished table concurrently.
+//
+// A probe hashes a range of probe rows column-at-a-time with the build's own
+// hash kernel, then per row walks its bucket, skips entries whose full hash
+// differs, and compares the keys of the rest. Matches come out in ascending
+// build-row order.
 //
 // The build also publishes a JoinBloomFilter over the key hashes (plus a
 // numeric min/max zone for single-key joins): probe-side pipelines test it
@@ -20,13 +35,12 @@
 // Dictionary-encoded string keys probe on codes: if both sides share a
 // dictionary, key equality is an int32 compare; if the dictionaries differ,
 // a probe-code→build-code remap (two-pointer merge of the sorted
-// dictionaries, cached per probe dictionary) gives the same O(1) compare and
-// an early reject when the probe value is absent from the build dictionary.
-// Unencoded columns fall back to the generic cell compare.
+// dictionaries, cached per probe dictionary) gives the same O(1) compare.
+// Unencoded columns use the generic cell compare.
 //
-// An empty key set degrades to one bucket holding every build row: probing
-// any row matches all of them, which is exactly the row engine's
-// cross-product semantics for condition-less joins.
+// An empty key set hashes every row to the same value, so one bucket holds
+// every build row: probing any row matches all of them, which is exactly
+// the row engine's cross-product semantics for condition-less joins.
 
 #ifndef MQO_VEXEC_JOIN_TABLE_H_
 #define MQO_VEXEC_JOIN_TABLE_H_
@@ -35,9 +49,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "algebra/logical_expr.h"
+#include "common/hash.h"
 #include "storage/column_batch.h"
 #include "storage/pipeline.h"
 
@@ -60,12 +74,6 @@ Result<JoinSpec> ResolveJoinSpec(const std::vector<ColumnRef>& left,
                                  const std::vector<ColumnRef>& right,
                                  const JoinPredicate& predicate);
 
-/// Full key hash of one row: the value every build row is bucketed under and
-/// every probe row is looked up with. Exposed so scan-side Bloom prefilters
-/// compute bit-identical hashes.
-uint64_t JoinKeyHash(const ColumnBatch& batch, const std::vector<int>& cols,
-                     uint32_t row);
-
 class JoinBloomFilter;
 
 /// Refines `sel` (row positions into `batch`) to the rows whose join-key
@@ -78,7 +86,8 @@ size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
                       SelVector* sel);
 
 /// Min/max of a numeric column over rows [begin, end), as flat typed loops.
-/// Precondition: begin < end.
+/// NaN cells are skipped (they match no join key); with no other cell the
+/// range is empty: lo = +inf, hi = -inf.
 void NumericMinMax(const ColumnVector& col, uint32_t begin, uint32_t end,
                    double* lo, double* hi);
 
@@ -92,9 +101,9 @@ class JoinBloomFilter {
       const std::vector<uint64_t>& hashes);
 
   bool MayContain(uint64_t h) const {
-    const uint64_t m = h * 0xff51afd7ed558ccdull;
-    const uint64_t i1 = h & bit_mask_;
-    const uint64_t i2 = (m ^ (m >> 29)) & bit_mask_;
+    uint64_t i1 = 0;
+    uint64_t i2 = 0;
+    BitsOf(h, &i1, &i2);
     return ((bits_[i1 >> 6] >> (i1 & 63)) & (bits_[i2 >> 6] >> (i2 & 63)) &
             1) != 0;
   }
@@ -112,6 +121,14 @@ class JoinBloomFilter {
   }
 
  private:
+  /// The two bit positions of key hash `h`: the low and high 32-bit halves
+  /// of the mixed hash (the key hash's own low bits can be constant).
+  void BitsOf(uint64_t h, uint64_t* i1, uint64_t* i2) const {
+    const uint64_t m = Fmix64(h);
+    *i1 = m & bit_mask_;
+    *i2 = (m >> 32) & bit_mask_;
+  }
+
   std::vector<uint64_t> bits_;
   uint64_t bit_mask_ = 0;  ///< Bit count minus one (a power of two).
   bool has_range_ = false;
@@ -124,13 +141,14 @@ class JoinBloomFilter {
 class JoinHashTable {
  public:
   /// Builds over `build`, keyed by `key_cols` (column indices into `build`).
-  /// `options.num_threads > 1` parallelizes both build phases.
+  /// `options.num_threads > 1` parallelizes the hash phase by morsel and the
+  /// count and scatter phases by partition.
   static JoinHashTable Build(ColumnBatch build, std::vector<int> key_cols,
                              const PipelineOptions& options);
 
   /// Per-probe-batch key resolution: how each key column compares against
-  /// its build counterpart. Built once per chunk by Prepare(), then shared
-  /// by every row probe into that chunk.
+  /// its build counterpart. Built once per chunk (or morsel) by Prepare(),
+  /// then handed to ProbeRange.
   struct PreparedProbe {
     enum class Mode : uint8_t {
       kGeneric,   ///< Value-semantics CellsEqual.
@@ -153,16 +171,15 @@ class JoinHashTable {
   PreparedProbe Prepare(const ColumnBatch& probe,
                         const std::vector<int>& probe_keys) const;
 
-  /// Appends to `out` the build rows whose keys equal probe row `row` of
-  /// `probe` (key columns `probe_keys`, parallel to the build key columns),
-  /// in ascending build-row order. Thread-safe: the table is immutable.
-  void ProbeWith(const PreparedProbe& prepared, const ColumnBatch& probe,
-                 const std::vector<int>& probe_keys, uint32_t row,
-                 SelVector* out) const;
-
-  /// Prepare + ProbeWith convenience for single-row callers.
-  void Probe(const ColumnBatch& probe, const std::vector<int>& probe_keys,
-             uint32_t row, SelVector* out) const;
+  /// Probes rows [begin, end) of `probe` (key columns `probe_keys`,
+  /// parallel to the build key columns) in ascending order. For each match
+  /// appends the probe row to `left_rows` and the build row to
+  /// `right_rows`; one probe row's matches come in ascending build-row
+  /// order. Thread-safe: the table is immutable.
+  void ProbeRange(const PreparedProbe& prepared, const ColumnBatch& probe,
+                  const std::vector<int>& probe_keys, uint32_t begin,
+                  uint32_t end, SelVector* left_rows,
+                  SelVector* right_rows) const;
 
   /// The build-side batch (for gathering matched rows).
   const ColumnBatch& build() const { return build_; }
@@ -171,8 +188,6 @@ class JoinHashTable {
   const std::shared_ptr<const JoinBloomFilter>& bloom() const {
     return bloom_;
   }
-
-  size_t num_partitions() const { return parts_.size(); }
 
   /// Dictionary remaps built so far (obs: vexec.dict_remap).
   int64_t remap_builds() const {
@@ -193,10 +208,19 @@ class JoinHashTable {
     std::atomic<int64_t> builds{0};
   };
 
+  /// Bucket of key hash `h`: the top bits of the mixed hash.
+  size_t BucketOf(uint64_t h) const {
+    return static_cast<size_t>(Fmix64(h) >> bucket_shift_);
+  }
+
   ColumnBatch build_;
   std::vector<int> key_cols_;
-  uint64_t part_mask_ = 0;  ///< parts_.size() - 1 (a power of two).
-  std::vector<std::unordered_map<uint64_t, SelVector>> parts_;
+  /// 64 minus log2 of the bucket count (at least two buckets, so < 64).
+  int bucket_shift_ = 63;
+  /// Bucket b holds entries [offsets_[b], offsets_[b + 1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;     ///< Build row of each entry.
+  std::vector<uint64_t> hashes_;   ///< Full key hash of each entry.
   std::shared_ptr<const JoinBloomFilter> bloom_;
   std::unique_ptr<RemapState> remap_ = std::make_unique<RemapState>();
 };

@@ -68,18 +68,16 @@ Result<ColumnBatch> ProbeChunkOp::Process(ColumnBatch chunk) const {
   SelVector left_rows;
   SelVector right_rows;
   // Resolve the key columns (dictionary remaps included) once per chunk,
-  // then probe every row through the prepared plan.
+  // then probe the whole chunk through the prepared plan.
   const JoinHashTable::PreparedProbe prepared =
       table_->Prepare(chunk, probe_key_idx_);
   if (prepared.dict_keys > 0 && chunk.num_rows > 0) {
     dict_rows_.fetch_add(static_cast<int64_t>(chunk.num_rows),
                          std::memory_order_relaxed);
   }
-  for (uint32_t r = 0; r < chunk.num_rows; ++r) {
-    const size_t before = right_rows.size();
-    table_->ProbeWith(prepared, chunk, probe_key_idx_, r, &right_rows);
-    for (size_t k = before; k < right_rows.size(); ++k) left_rows.push_back(r);
-  }
+  table_->ProbeRange(prepared, chunk, probe_key_idx_, 0,
+                     static_cast<uint32_t>(chunk.num_rows), &left_rows,
+                     &right_rows);
   ColumnBatch out;
   out.names = out_names_;
   out.columns.reserve(left_out_idx_.size() + table_->build().columns.size());

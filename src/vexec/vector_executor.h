@@ -7,8 +7,9 @@
 // aggregations all go morsel-parallel under ExecOptions::num_threads, with
 // thread-local sink states and a deterministic merge. Breakers are handled
 // between pipelines: a hash join's build side executes first and freezes
-// into a shared read-only JoinHashTable (partitioned parallel build); merge
-// joins keep the independently-implemented sort-merge path.
+// into a shared read-only JoinHashTable (a CSR bucket directory, built one
+// worker per hash partition); merge joins keep the independently-implemented
+// sort-merge path.
 //
 // Consolidated plans run through the shared driver
 // (exec/consolidated_executor.h), which owns materialization, the

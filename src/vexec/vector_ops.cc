@@ -269,16 +269,219 @@ ColumnBatch GatherJoin(const ColumnBatch& left, const ColumnBatch& right,
   return out;
 }
 
-/// Lexicographic key comparison across the join's condition columns.
-bool KeyLess(const ColumnBatch& a, uint32_t i, const ColumnBatch& b, uint32_t j,
-             const std::vector<int>& a_cols, const std::vector<int>& b_cols) {
-  for (size_t c = 0; c < a_cols.size(); ++c) {
-    const ColumnVector& ca = a.columns[a_cols[c]];
-    const ColumnVector& cb = b.columns[b_cols[c]];
-    if (ColumnVector::CellLess(ca, i, cb, j)) return true;
-    if (ColumnVector::CellLess(cb, j, ca, i)) return false;
+/// Sort and merge keys, decoded once into one flat row-major array of
+/// `width` doubles per row. A numeric cell is widened to double as
+/// ColumnVector::Number does; a string cell becomes its rank in a sorted
+/// dictionary (exact in a double). Comparing two rows' keys with `<` and
+/// `==` therefore gives the same answer as CellLess and CellsEqual on the
+/// cells they came from, NaN included.
+struct FlatKeys {
+  FlatKeys(size_t num_rows, size_t key_width)
+      : rows(num_rows), width(key_width), v(num_rows * key_width) {}
+
+  const double* row(size_t r) const { return v.data() + r * width; }
+
+  size_t rows;
+  size_t width;
+  std::vector<double> v;
+};
+
+/// Lexicographic order on two rows of flat keys.
+bool FlatLess(const double* a, const double* b, size_t width) {
+  for (size_t c = 0; c < width; ++c) {
+    if (a[c] < b[c]) return true;
+    if (b[c] < a[c]) return false;
   }
   return false;
+}
+
+/// Writes numeric column `col`'s cells, widened to double, to key slot
+/// `c` of every row. FOR-encoded columns decode block at a time.
+void DecodeNumbers(const ColumnVector& col, size_t c, FlatKeys* keys) {
+  const size_t w = keys->width;
+  const size_t n = keys->rows;
+  double* out = keys->v.data() + c;
+  if (col.type() == VecType::kDouble) {
+    const double* v = col.doubles().data();
+    for (size_t r = 0; r < n; ++r) out[r * w] = v[r];
+  } else if (col.for_encoded()) {
+    const ForColumn& fc = *col.for_column();
+    int64_t buf[kForBlockRows];
+    for (size_t rb = 0; rb < n; rb += kForBlockRows) {
+      const size_t re = std::min(n, rb + kForBlockRows);
+      fc.Unpack(rb, re, buf);
+      for (size_t r = rb; r < re; ++r) {
+        out[r * w] = static_cast<double>(buf[r - rb]);
+      }
+    }
+  } else {
+    const int64_t* v = col.ints().data();
+    for (size_t r = 0; r < n; ++r) out[r * w] = static_cast<double>(v[r]);
+  }
+}
+
+/// `col` in dictionary form (a raw string column is encoded in a copy).
+ColumnVector DictForm(const ColumnVector& col) {
+  ColumnVector encoded = col;
+  encoded.DictEncode();
+  return encoded;
+}
+
+/// Writes the ranks of dictionary-encoded `col`'s cells to key slot `c` of
+/// every row: `rank[code]`, or the code itself when `rank` is null.
+void WriteRanks(const ColumnVector& col, const std::vector<int32_t>* rank,
+                size_t c, FlatKeys* keys) {
+  const size_t w = keys->width;
+  const size_t n = keys->rows;
+  double* out = keys->v.data() + c;
+  const int32_t* codes = col.codes().data();
+  if (rank == nullptr) {
+    for (size_t r = 0; r < n; ++r) out[r * w] = codes[r];
+  } else {
+    for (size_t r = 0; r < n; ++r) out[r * w] = (*rank)[codes[r]];
+  }
+}
+
+/// Ranks both sorted-unique dictionaries' entries in their merged order:
+/// equal strings get equal ranks (a two-pointer merge).
+void MergeRanks(const std::vector<std::string>& a,
+                const std::vector<std::string>& b, std::vector<int32_t>* a_rank,
+                std::vector<int32_t>* b_rank) {
+  a_rank->resize(a.size());
+  b_rank->resize(b.size());
+  size_t i = 0;
+  size_t j = 0;
+  int32_t rank = 0;
+  while (i < a.size() || j < b.size()) {
+    const bool take_a = j == b.size() || (i < a.size() && !(b[j] < a[i]));
+    const bool take_b = i == a.size() || (j < b.size() && !(a[i] < b[j]));
+    if (take_a) (*a_rank)[i++] = rank;
+    if (take_b) (*b_rank)[j++] = rank;
+    ++rank;
+  }
+}
+
+/// Decodes the key columns `cols` of `in` (most significant first) into
+/// flat keys, strings ranked in their own dictionary.
+FlatKeys SortKeys(const ColumnBatch& in, const std::vector<int>& cols) {
+  FlatKeys keys(in.num_rows, cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& col = in.columns[cols[c]];
+    if (col.is_numeric()) {
+      DecodeNumbers(col, c, &keys);
+    } else {
+      WriteRanks(DictForm(col), nullptr, c, &keys);
+    }
+  }
+  return keys;
+}
+
+/// Decodes both join sides' key columns into `lkeys` and `rkeys` (sized to
+/// the sides), one shared rank space per string key. Returns false when
+/// some key pairs a number with a string: such cells never compare equal,
+/// so no row pair matches.
+bool JoinKeys(const ColumnBatch& left, const std::vector<int>& lcols,
+              const ColumnBatch& right, const std::vector<int>& rcols,
+              FlatKeys* lkeys, FlatKeys* rkeys) {
+  for (size_t c = 0; c < lcols.size(); ++c) {
+    if (left.columns[lcols[c]].is_numeric() !=
+        right.columns[rcols[c]].is_numeric()) {
+      return false;
+    }
+  }
+  for (size_t c = 0; c < lcols.size(); ++c) {
+    const ColumnVector& lcol = left.columns[lcols[c]];
+    const ColumnVector& rcol = right.columns[rcols[c]];
+    if (lcol.is_numeric()) {
+      DecodeNumbers(lcol, c, lkeys);
+      DecodeNumbers(rcol, c, rkeys);
+      continue;
+    }
+    const ColumnVector lenc = DictForm(lcol);
+    const ColumnVector renc = DictForm(rcol);
+    if (lenc.dict() == renc.dict()) {
+      WriteRanks(lenc, nullptr, c, lkeys);
+      WriteRanks(renc, nullptr, c, rkeys);
+      continue;
+    }
+    std::vector<int32_t> lrank;
+    std::vector<int32_t> rrank;
+    MergeRanks(lenc.dict()->entries, renc.dict()->entries, &lrank, &rrank);
+    WriteRanks(lenc, &lrank, c, lkeys);
+    WriteRanks(renc, &rrank, c, rkeys);
+  }
+  return true;
+}
+
+/// Row order that stably sorts `keys` (width >= 1). Sorts (first key, row)
+/// entries, so the common comparison reads its operands inline; only a tie
+/// on the first key consults the row's remaining keys.
+SelVector StableOrder(const FlatKeys& keys) {
+  struct Entry {
+    double first;
+    uint32_t row;
+  };
+  std::vector<Entry> entries(keys.rows);
+  for (uint32_t r = 0; r < keys.rows; ++r) entries[r] = {*keys.row(r), r};
+  const size_t rest = keys.width - 1;
+  std::stable_sort(entries.begin(), entries.end(),
+                   [&](const Entry& a, const Entry& b) {
+                     if (a.first < b.first) return true;
+                     if (b.first < a.first) return false;
+                     return FlatLess(keys.row(a.row) + 1, keys.row(b.row) + 1,
+                                     rest);
+                   });
+  SelVector order(keys.rows);
+  for (size_t i = 0; i < order.size(); ++i) order[i] = entries[i].row;
+  return order;
+}
+
+/// The merge join's matching (left row, right row) pairs, left-sorted-major.
+void MergePairs(const ColumnBatch& left, const std::vector<int>& lcols,
+                const ColumnBatch& right, const std::vector<int>& rcols,
+                SelVector* left_idx, SelVector* right_idx) {
+  FlatKeys lkeys(left.num_rows, lcols.size());
+  FlatKeys rkeys(right.num_rows, rcols.size());
+  if (!JoinKeys(left, lcols, right, rcols, &lkeys, &rkeys)) return;
+  const SelVector lorder = StableOrder(lkeys);
+  const SelVector rorder = StableOrder(rkeys);
+  const size_t w = lkeys.width;
+  // Keys of the i-th row in sorted order.
+  auto lk = [&](size_t i) { return lkeys.row(lorder[i]); };
+  auto rk = [&](size_t i) { return rkeys.row(rorder[i]); };
+  size_t li = 0;
+  size_t ri = 0;
+  while (li < lorder.size() && ri < rorder.size()) {
+    if (FlatLess(lk(li), rk(ri), w)) {
+      ++li;
+      continue;
+    }
+    if (FlatLess(rk(ri), lk(li), w)) {
+      ++ri;
+      continue;
+    }
+    // Equal keys: find both runs and emit their cross product.
+    size_t le = li + 1;
+    while (le < lorder.size() && !FlatLess(lk(li), lk(le), w)) {
+      ++le;
+    }
+    size_t re = ri + 1;
+    while (re < rorder.size() && !FlatLess(rk(ri), rk(re), w)) {
+      ++re;
+    }
+    for (size_t a = li; a < le; ++a) {
+      for (size_t b = ri; b < re; ++b) {
+        // Re-verify with ==: run membership was derived from !< both ways,
+        // which NaN keys satisfy against anything, while the row engine's
+        // ValueEq matches NaN to nothing.
+        if (!std::equal(lk(a), lk(a) + w, rk(b))) continue;
+        left_idx->push_back(lorder[a]);
+        right_idx->push_back(rorder[b]);
+      }
+    }
+    li = le;
+    ri = re;
+  }
 }
 
 }  // namespace
@@ -372,8 +575,8 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
     probe_keys.push_back(c.left);
     build_keys.push_back(c.right);
   }
-  // Partitioned parallel build over the right side. An empty condition list
-  // degrades to one all-rows bucket, i.e. the cross product.
+  // Parallel build over the right side. An empty condition list degrades
+  // to one all-rows bucket, i.e. the cross product.
   const JoinHashTable table =
       JoinHashTable::Build(right, std::move(build_keys), pipeline);
   // Morsel-parallel probe: per-morsel pair slots concatenated in morsel
@@ -388,15 +591,9 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
   std::vector<Pairs> parts(morsels.size());
   ParallelOverMorsels(morsels, num_threads, [&](size_t m, const Morsel& morsel) {
     Pairs& pairs = parts[m];
-    const JoinHashTable::PreparedProbe prepared =
-        table.Prepare(left, probe_keys);
-    for (uint32_t l = morsel.begin; l < morsel.end; ++l) {
-      const size_t before = pairs.right_idx.size();
-      table.ProbeWith(prepared, left, probe_keys, l, &pairs.right_idx);
-      for (size_t k = before; k < pairs.right_idx.size(); ++k) {
-        pairs.left_idx.push_back(l);
-      }
-    }
+    table.ProbeRange(table.Prepare(left, probe_keys), left, probe_keys,
+                     morsel.begin, morsel.end, &pairs.left_idx,
+                     &pairs.right_idx);
   });
   size_t total = 0;
   for (const auto& pairs : parts) total += pairs.left_idx.size();
@@ -427,61 +624,10 @@ Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
     lcols.push_back(c.left);
     rcols.push_back(c.right);
   }
-  SelVector lorder(left.num_rows);
-  SelVector rorder(right.num_rows);
-  for (uint32_t i = 0; i < left.num_rows; ++i) lorder[i] = i;
-  for (uint32_t i = 0; i < right.num_rows; ++i) rorder[i] = i;
-  std::stable_sort(lorder.begin(), lorder.end(), [&](uint32_t a, uint32_t b) {
-    return KeyLess(left, a, left, b, lcols, lcols);
-  });
-  std::stable_sort(rorder.begin(), rorder.end(), [&](uint32_t a, uint32_t b) {
-    return KeyLess(right, a, right, b, rcols, rcols);
-  });
+  // The decoded keys die inside MergePairs, before the gather allocates.
   SelVector left_idx;
   SelVector right_idx;
-  size_t li = 0;
-  size_t ri = 0;
-  while (li < lorder.size() && ri < rorder.size()) {
-    if (KeyLess(left, lorder[li], right, rorder[ri], lcols, rcols)) {
-      ++li;
-      continue;
-    }
-    if (KeyLess(right, rorder[ri], left, lorder[li], rcols, lcols)) {
-      ++ri;
-      continue;
-    }
-    // Equal keys: find both runs and emit their cross product.
-    size_t le = li + 1;
-    while (le < lorder.size() &&
-           !KeyLess(left, lorder[li], left, lorder[le], lcols, lcols)) {
-      ++le;
-    }
-    size_t re = ri + 1;
-    while (re < rorder.size() &&
-           !KeyLess(right, rorder[ri], right, rorder[re], rcols, rcols)) {
-      ++re;
-    }
-    for (size_t a = li; a < le; ++a) {
-      for (size_t b = ri; b < re; ++b) {
-        // Re-verify with CellsEqual: run membership was derived from
-        // !CellLess both ways, which NaN keys satisfy against anything,
-        // while the row engine's ValueEq matches NaN to nothing.
-        bool match = true;
-        for (const auto& c : conds) {
-          if (!ColumnVector::CellsEqual(left.columns[c.left], lorder[a],
-                                        right.columns[c.right], rorder[b])) {
-            match = false;
-            break;
-          }
-        }
-        if (!match) continue;
-        left_idx.push_back(lorder[a]);
-        right_idx.push_back(rorder[b]);
-      }
-    }
-    li = le;
-    ri = re;
-  }
+  MergePairs(left, lcols, right, rcols, &left_idx, &right_idx);
   return GatherJoin(left, right, std::move(spec.out_names), left_idx,
                     right_idx);
 }
@@ -493,12 +639,7 @@ Result<ColumnBatch> SortBatch(const ColumnBatch& in, const SortOrder& order) {
     if (idx >= 0) cols.push_back(idx);
   }
   if (cols.empty()) return in;
-  SelVector perm(in.num_rows);
-  for (uint32_t i = 0; i < in.num_rows; ++i) perm[i] = i;
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return KeyLess(in, a, in, b, cols, cols);
-  });
-  return in.Gather(perm);
+  return in.Gather(StableOrder(SortKeys(in, cols)));
 }
 
 Result<ColumnBatch> AggregateBatch(const ColumnBatch& in,

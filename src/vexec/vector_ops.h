@@ -53,8 +53,8 @@ Result<ColumnBatch> FilterBatch(const ColumnBatch& in,
                                 int num_threads = 1,
                                 size_t morsel_rows = kAdaptiveMorselRows);
 
-/// Equijoin: builds a hash table on `right` (partitioned parallel build when
-/// `num_threads > 1`), probes with `left` morsel-parallel, and gathers the
+/// Equijoin: builds a hash table on `right` (one worker per hash partition
+/// when `num_threads > 1`), probes with `left` morsel-parallel, and gathers the
 /// matching index pairs. Empty predicates degrade to the cross product (as
 /// the row engine's nested loops do). Fails with Unimplemented on duplicate
 /// output columns, like JoinRows. Results are identical for every thread
@@ -66,13 +66,17 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
                                   size_t morsel_rows = kAdaptiveMorselRows);
 
 /// Equijoin by argsorting both sides on the key columns and merging equal-key
-/// runs. Bag-equal to HashJoinBatch; used for kMergeJoin plans.
+/// runs. Bag-equal to HashJoinBatch; used for kMergeJoin plans. Keys are
+/// decoded once into flat arrays (strings as ranks in one dictionary order
+/// shared by both sides); the output order is that of a stable sort over
+/// the cell comparators (ColumnVector::CellLess).
 Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                                    const ColumnBatch& right,
                                    const JoinPredicate& predicate);
 
-/// Stable sort by `order` (most-significant first). Order columns missing
-/// from the batch are ignored — sorting never changes the bag.
+/// Stable sort by `order` (most-significant first), on keys decoded once as
+/// MergeJoinBatch does. Order columns missing from the batch are ignored —
+/// sorting never changes the bag.
 Result<ColumnBatch> SortBatch(const ColumnBatch& in, const SortOrder& order);
 
 /// Grouped aggregation with hash grouping and columnar fold states; matches

@@ -748,6 +748,37 @@ TEST(VexecBloomTest, DictionaryProbeCountersSurfaceInMetrics) {
   EXPECT_EQ(CounterOf(&obs, "vexec.dict_remap"), 1.0);
 }
 
+TEST(VexecBloomTest, RejectsAbsentKeysInsideTheBuildRange) {
+  // Build on the even integers in [0, 2n) and probe the odd ones: every
+  // probe key lies inside the build's min/max, so only the bit array can
+  // reject it. HashDouble of an integral key has constant low bits, so bit
+  // positions taken from the key hash unmixed pass most absent keys.
+  for (int n : {1000, 10000, 50000}) {
+    ColumnBatch build;
+    build.names = {ColumnRef("b", "k")};
+    ColumnVector bk(VecType::kInt64);
+    ColumnBatch probe;
+    probe.names = {ColumnRef("p", "k")};
+    ColumnVector pk(VecType::kInt64);
+    SelVector sel;
+    for (int i = 0; i < n; ++i) {
+      bk.ints().push_back(2 * i);
+      pk.ints().push_back(2 * i + 1);
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+    build.columns = {bk};
+    build.num_rows = n;
+    probe.columns = {pk};
+    probe.num_rows = n;
+    const JoinHashTable table =
+        JoinHashTable::Build(std::move(build), {0}, PipelineOptions{});
+    ASSERT_NE(table.bloom(), nullptr);
+    const size_t dropped =
+        BloomRefineSel(probe, {0}, *table.bloom(), /*use_range=*/false, &sel);
+    EXPECT_GE(dropped, static_cast<size_t>(n) * 9 / 10) << n << " build keys";
+  }
+}
+
 // ---- Zone-map scan skipping and compressed-domain filters -------------------
 
 /// A clustered (sorted) scan source: "k" = row / 2, so a narrow band filter
