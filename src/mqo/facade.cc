@@ -333,9 +333,11 @@ Result<MqoExecutionOutcome> MqoSession::Run(
   // concurrent runs merging their observations back cannot race with this
   // run's estimator reads.
   CardinalityFeedback feedback_snapshot;
+  uint64_t feedback_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     feedback_snapshot = feedback_;
+    feedback_epoch = feedback_epoch_;
   }
   effective.feedback = &feedback_snapshot;
   // Scope the run's trace by its batch id: events export under pid=batch_id,
@@ -351,10 +353,13 @@ Result<MqoExecutionOutcome> MqoSession::Run(
   outcome.batch_id = batch_id;
   // Fold this run's observations into the session: the next batch's
   // estimates — and the footprints/eviction weights derived from them —
-  // re-seed from what actually happened.
+  // re-seed from what actually happened. A run that overlapped an
+  // invalidation may have measured the old data, so its observations go.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    feedback_.MergeFrom(outcome.feedback);
+    if (feedback_epoch == feedback_epoch_) {
+      feedback_.MergeFrom(outcome.feedback);
+    }
   }
   if (MetricsRegistry* m = MetricsOf(session_obs())) {
     m->ObserveMs("session.run_ms",
@@ -369,6 +374,13 @@ Result<MqoExecutionOutcome> MqoSession::Run(
 
 void MqoSession::InvalidateTable(const std::string& table) {
   registry_.Invalidate(table);
+  {
+    // Feedback is keyed by class fingerprint, not by table, so every
+    // observed cardinality goes: some may count rows of the old table.
+    std::lock_guard<std::mutex> lock(mu_);
+    feedback_.clear();
+    ++feedback_epoch_;
+  }
   if (cache_) cache_->InvalidateTable(table);
 }
 
@@ -377,6 +389,7 @@ void MqoSession::InvalidateStats() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     feedback_.clear();
+    ++feedback_epoch_;
   }
   if (cache_) cache_->Clear();
 }

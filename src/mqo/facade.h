@@ -250,15 +250,17 @@ class MqoSession {
   }
 
   /// Mutation hook for one base table (append, in-place update): drops its
-  /// collected statistics and every cached segment computed from it, so the
-  /// next lookup re-analyzes and the next materialization recomputes.
-  /// Observed cardinalities stay — they are advisory estimates, refreshed
-  /// last-write-wins by subsequent runs. The call is internally synchronized
-  /// and safe while runs are in flight: they keep the statistics they
-  /// already fetched, and segments they publish carry the table versions
-  /// they started with. The mutation it announces is the caller's and is
-  /// not synchronized: runs read `data` in place, so change a table only
-  /// while no Run is in flight, and call this before the next Run starts.
+  /// collected statistics, every cached segment computed from it and the
+  /// observed cardinalities (feedback is keyed by class fingerprint, not by
+  /// table, so all of it goes), so the next lookup re-analyzes, the next
+  /// estimate comes from the new data and the next materialization
+  /// recomputes. The call is internally synchronized and safe while runs
+  /// are in flight: they keep the statistics they already fetched, segments
+  /// they publish carry the table versions they started with, and their
+  /// feedback is dropped instead of merged. The mutation it announces is
+  /// the caller's and is not synchronized: runs read `data` in place, so
+  /// change a table only while no Run is in flight, and call this before
+  /// the next Run starts.
   void InvalidateTable(const std::string& table);
 
   /// Data-regeneration hook: drops collected statistics, observed
@@ -274,8 +276,11 @@ class MqoSession {
   ObsContext session_obs_;
   TableStatsRegistry registry_;
   std::unique_ptr<SharedSegmentCache> cache_;
-  mutable std::mutex mu_;              ///< Guards feedback_.
+  mutable std::mutex mu_;  ///< Guards feedback_ and feedback_epoch_.
   CardinalityFeedback feedback_;
+  /// Bumped by every invalidation; a run merges its feedback only if none
+  /// happened since it took its snapshot.
+  uint64_t feedback_epoch_ = 0;
   std::atomic<uint64_t> next_batch_id_{1};
 };
 

@@ -160,7 +160,9 @@ ColumnVector ColumnVector::Gather(const SelVector& sel) const {
       ints.resize(n);
       int64_t* dst = ints.data();
       if (data_->fr) {
-        // Gathers are sparse; the output is a fresh plain vector.
+        // One ValueAt per selected row. Join and chunk gathers are dense
+        // and repeat rows, so this loop is hot, not sparse. The output is
+        // a fresh plain vector.
         const ForColumn& fr = *data_->fr;
         for (size_t k = 0; k < n; ++k) dst[k] = fr.ValueAt(s[k]);
       } else {

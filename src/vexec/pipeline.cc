@@ -108,7 +108,9 @@ namespace {
 
 /// Emits the "pipeline" span and nested per-operator spans after a traced
 /// run. Counts are sums over workers, so they are identical for every thread
-/// count and morsel size; the per-op span durations are the summed
+/// count and morsel size. Widths are schema sizes: `src_cols` is the number
+/// of source columns gathered into chunks and each op's `out_cols` the
+/// number of columns it emits. The per-op span durations are the summed
 /// worker-side Process times, clamped into the pipeline window so spans nest
 /// (the true unclamped total rides along as the self_ms arg).
 void EmitPipelineTrace(Tracer* tracer, const VecPipeline& pipeline,
@@ -129,15 +131,19 @@ void EmitPipelineTrace(Tracer* tracer, const VecPipeline& pipeline,
   }
   const int64_t window = end_ns - start_ns;
   for (size_t i = 0; i < totals.size(); ++i) {
-    tracer->Emit(std::string("op.") + pipeline.ops[i]->name(), "vexec",
-                 start_ns, std::min(totals[i].ns, window),
+    const PipelineOp& op = *pipeline.ops[i];
+    tracer->Emit(std::string("op.") + op.name(), "vexec", start_ns,
+                 std::min(totals[i].ns, window),
                  {TNum("in_rows", static_cast<double>(totals[i].in_rows)),
                   TNum("out_rows", static_cast<double>(totals[i].out_rows)),
                   TNum("self_ms", NanosToMillis(totals[i].ns)),
-                  TNum("op_index", static_cast<double>(i))});
+                  TNum("op_index", static_cast<double>(i)),
+                  TNum("out_cols",
+                       static_cast<double>(op.output_names().size()))});
   }
   std::vector<TraceArg> args = {
       TNum("src_rows", static_cast<double>(pipeline.source.num_rows)),
+      TNum("src_cols", static_cast<double>(pipeline.keep_idx.size())),
       TNum("source_rows", static_cast<double>(source_rows)),
       TNum("out_rows", static_cast<double>(out_rows)),
       TNum("morsels", static_cast<double>(morsels)),

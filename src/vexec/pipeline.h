@@ -84,7 +84,9 @@ class ProjectChunkOp : public PipelineOp {
 };
 
 /// Probes a shared read-only JoinHashTable with each chunk row and emits the
-/// joined chunk (probe-side class attributes, then build-side columns).
+/// joined chunk: the probe-side columns some operator above reads (plus the
+/// probe keys), then every column of the build side, which was executed
+/// with its own share of that need.
 class ProbeChunkOp : public PipelineOp {
  public:
   ProbeChunkOp(std::shared_ptr<const JoinHashTable> table,

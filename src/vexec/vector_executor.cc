@@ -1,7 +1,5 @@
 #include "vexec/vector_executor.h"
 
-#include <set>
-
 #include "obs/obs.h"
 
 namespace mqo {
@@ -15,10 +13,67 @@ struct ChainDesc {
   enum Kind { kFilter, kProject, kProbe } kind;
   const Predicate* predicate = nullptr;             ///< kFilter
   const std::vector<ColumnRef>* project = nullptr;  ///< kProject
-  const JoinPredicate* join_predicate = nullptr;    ///< kProbe
-  EqId probe_eq = -1;  ///< kProbe: class of the probe-side child.
-  ColumnBatch build;   ///< kProbe: executed build side.
+  std::vector<ColumnRef> probe_out;   ///< kProbe: probe-side columns kept.
+  std::vector<ColumnRef> probe_keys;  ///< kProbe: key columns, both sides
+  std::vector<ColumnRef> build_keys;  ///< in condition order.
+  ColumnBatch build;  ///< kProbe: executed build side, pruned to its need.
 };
+
+/// The attributes of class `eq` that `need` names, in class order.
+std::vector<ColumnRef> NeedAttrs(Memo* memo, EqId eq,
+                                 const ColumnNeed& need) {
+  std::vector<ColumnRef> out;
+  for (const auto& col : memo->Attributes(memo->Find(eq))) {
+    if (need.count(col) > 0) out.push_back(col);
+  }
+  return out;
+}
+
+/// A join's need split across its inputs: what each side must emit (its
+/// share of the need plus its join keys) and the key columns, one per
+/// condition, in condition order.
+struct JoinNeed {
+  ColumnNeed left;
+  ColumnNeed right;
+  std::vector<ColumnRef> left_keys;
+  std::vector<ColumnRef> right_keys;
+};
+
+/// Splits a join's need across its inputs, classes `left` and `right`.
+/// Keys resolve against the full class attributes, so overlapping aliases
+/// fail with the row engine's Unimplemented whatever is pruned.
+Result<JoinNeed> SplitJoinNeed(Memo* memo, const ColumnNeed& need, EqId left,
+                               EqId right, const JoinPredicate& predicate) {
+  const std::vector<ColumnRef>& left_attrs =
+      memo->Attributes(memo->Find(left));
+  const std::vector<ColumnRef>& right_attrs =
+      memo->Attributes(memo->Find(right));
+  MQO_ASSIGN_OR_RETURN(JoinSpec spec,
+                       ResolveJoinSpec(left_attrs, right_attrs, predicate));
+  JoinNeed split;
+  for (const auto& col : left_attrs) {
+    if (need.count(col) > 0) split.left.insert(col);
+  }
+  for (const auto& col : right_attrs) {
+    if (need.count(col) > 0) split.right.insert(col);
+  }
+  for (const auto& c : spec.conds) {
+    split.left_keys.push_back(left_attrs[c.left]);
+    split.right_keys.push_back(right_attrs[c.right]);
+    split.left.insert(left_attrs[c.left]);
+    split.right.insert(right_attrs[c.right]);
+  }
+  return split;
+}
+
+/// What an aggregate sink reads: its group keys and aggregate arguments.
+ColumnNeed AggregateNeed(const MemoOp& agg) {
+  ColumnNeed need(agg.group_by.begin(), agg.group_by.end());
+  for (const auto& a : agg.aggregates) {
+    if (!a.arg.name.empty()) need.insert(a.arg);
+  }
+  return need;
+}
 
 }  // namespace
 
@@ -32,18 +87,16 @@ Result<ColumnBatch> VectorPlanExecutor::Filter(const ColumnBatch& in,
   return FilterBatch(in, predicate, options_.num_threads, options_.morsel_rows);
 }
 
-Result<ColumnBatch> VectorPlanExecutor::ToClassAttrs(EqId eq,
-                                                     ColumnBatch batch) {
-  const auto& attrs = memo_->Attributes(memo_->Find(eq));
-  return ProjectBatch(batch, attrs);
-}
-
-Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq) {
+Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq,
+                                                       const ColumnNeed& need) {
   MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(eq));
-  // The COW copy shares the pinned payloads and keeps them alive after the
-  // pin drops, even if the store later evicts the segment.
-  if (pinned.valid()) return ColumnBatch(pinned.batch());
-  return EvaluateClassBatch(memo_->Find(eq));
+  const std::vector<ColumnRef> cols = NeedAttrs(memo_, eq, need);
+  // The projection's COW column handles share the pinned payloads and keep
+  // them alive after the pin drops, even if the store later evicts the
+  // segment.
+  if (pinned.valid()) return ProjectBatch(pinned.batch(), cols);
+  MQO_ASSIGN_OR_RETURN(ColumnBatch full, EvaluateClassBatch(memo_->Find(eq)));
+  return ProjectBatch(full, cols);
 }
 
 Result<ColumnBatch> VectorPlanExecutor::EvaluateOpBatch(const MemoOp& op) {
@@ -80,14 +133,18 @@ Result<ColumnBatch> VectorPlanExecutor::EvaluateClassBatch(EqId eq) {
   auto ops = memo_->ClassOps(eq);
   if (ops.empty()) return Status::Internal("empty class");
   MQO_ASSIGN_OR_RETURN(ColumnBatch raw, EvaluateOpBatch(memo_->op(ops.front())));
-  return ToClassAttrs(eq, std::move(raw));
+  return ProjectBatch(raw, memo_->Attributes(eq));
 }
 
 Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
-                                                       const MemoOp* agg) {
+                                                       const MemoOp* agg,
+                                                       ColumnNeed need) {
+  if (agg != nullptr) need = AggregateNeed(*agg);
+  const ColumnNeed sink_need = need;
   // Descend from the pipeline root to its source, recording the operator
-  // chain. Anything that cannot stream (merge joins, nested aggregates)
-  // breaks the pipeline: it executes recursively and becomes the source.
+  // chain and carrying the running need down it: each join's build side
+  // executes with its share, and a breaker at the source (merge join,
+  // nested aggregate) executes recursively with what is left.
   std::vector<ChainDesc> descs;
   ColumnBatch source;
   // Holds the pipeline's source segment pinned (when the source is a
@@ -104,6 +161,9 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         ChainDesc d;
         d.kind = ChainDesc::kFilter;
         d.predicate = &op->predicate;
+        for (const auto& cmp : op->predicate.conjuncts()) {
+          need.insert(cmp.column);
+        }
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
@@ -113,6 +173,8 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         ChainDesc d;
         d.kind = ChainDesc::kProject;
         d.project = &op->project_columns;
+        need = ColumnNeed(op->project_columns.begin(),
+                          op->project_columns.end());
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
@@ -128,15 +190,25 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         if (op == nullptr) return Status::Internal("join without op");
         ChainDesc d;
         d.kind = ChainDesc::kProbe;
-        d.join_predicate = &op->join_predicate;
-        d.probe_eq = cur->children[0]->eq;
-        if (cur->children.size() > 1) {
-          MQO_ASSIGN_OR_RETURN(d.build, ExecuteBatch(cur->children[1]));
+        const EqId probe_eq = cur->children[0]->eq;
+        const bool build_child = cur->children.size() > 1;
+        const EqId build_eq =
+            build_child ? cur->children[1]->eq : op->children[1];
+        MQO_ASSIGN_OR_RETURN(JoinNeed split,
+                             SplitJoinNeed(memo_, need, probe_eq, build_eq,
+                                           op->join_predicate));
+        if (build_child) {
+          MQO_ASSIGN_OR_RETURN(d.build,
+                               ExecuteBatch(cur->children[1], split.right));
         } else {
           // BNL/index probes rescan a base relation or materialized node
           // that is not part of the plan tree.
-          MQO_ASSIGN_OR_RETURN(d.build, SideInputBatch(op->children[1]));
+          MQO_ASSIGN_OR_RETURN(d.build, SideInputBatch(build_eq, split.right));
         }
+        need = std::move(split.left);
+        d.probe_out = NeedAttrs(memo_, probe_eq, need);
+        d.probe_keys = std::move(split.left_keys);
+        d.build_keys = std::move(split.right_keys);
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
@@ -172,14 +244,15 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         // Pipeline breaker (merge join, nested aggregate) or a malformed
         // batch root: execute it whole — ExecuteBatchRaw dispatches these
         // directly, so this never re-enters pipeline compilation for the
-        // same node — and stream its class-projected output. Anything else
-        // would loop without progress, so fail loudly instead.
+        // same node — and stream its output, projected onto the running
+        // need. Anything else would loop without progress, so fail loudly
+        // instead.
         if (cur->op != PhysOp::kMergeJoin &&
             cur->op != PhysOp::kSortAggregate &&
             cur->op != PhysOp::kBatchRoot) {
           return Status::Internal("unknown physical operator");
         }
-        MQO_ASSIGN_OR_RETURN(source, ExecuteBatch(cur));
+        MQO_ASSIGN_OR_RETURN(source, ExecuteBatch(cur, need));
         at_source = true;
         break;
       }
@@ -209,18 +282,9 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
     descs.pop_back();
   }
 
-  // Column pruning: walk the remaining chain top-down to find what the sink
-  // and every operator actually read from the source.
-  std::set<ColumnRef> required;
-  if (agg != nullptr) {
-    for (const auto& g : agg->group_by) required.insert(g);
-    for (const auto& a : agg->aggregates) {
-      if (!a.arg.name.empty()) required.insert(a.arg);
-    }
-  } else {
-    const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
-    required.insert(attrs.begin(), attrs.end());
-  }
+  // Chunk columns: walk the remaining chain top-down again, without the
+  // fused filters, to find what the chain reads from the source.
+  ColumnNeed required = sink_need;
   for (const ChainDesc& d : descs) {
     switch (d.kind) {
       case ChainDesc::kFilter:
@@ -232,14 +296,11 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         required.clear();
         required.insert(d.project->begin(), d.project->end());
         break;
-      case ChainDesc::kProbe: {
-        // The probe emits exactly (probe-side class attrs, build columns);
+      case ChainDesc::kProbe:
+        // The probe emits (its pruned probe-side columns, the pruned build);
         // everything above is satisfied from those.
-        const auto& attrs = memo_->Attributes(memo_->Find(d.probe_eq));
-        required.clear();
-        required.insert(attrs.begin(), attrs.end());
+        required = ColumnNeed(d.probe_out.begin(), d.probe_out.end());
         break;
-      }
     }
   }
   for (size_t i = 0; i < pipeline.source.names.size(); ++i) {
@@ -290,24 +351,21 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         break;
       }
       case ChainDesc::kProbe: {
-        const std::vector<ColumnRef> left_attrs =
-            memo_->Attributes(memo_->Find(d.probe_eq));
-        MQO_ASSIGN_OR_RETURN(
-            JoinSpec spec,
-            ResolveJoinSpec(left_attrs, d.build.names, *d.join_predicate));
         std::vector<int> probe_keys;
         std::vector<int> build_keys;
-        for (const auto& c : spec.conds) {
-          const int i = ColumnIndexIn(schema, left_attrs[c.left]);
-          if (i < 0) {
+        for (size_t k = 0; k < d.probe_keys.size(); ++k) {
+          const int i = ColumnIndexIn(schema, d.probe_keys[k]);
+          const int j = ColumnIndexIn(d.build.names, d.build_keys[k]);
+          if (i < 0 || j < 0) {
             return Status::Internal("join condition column missing: " +
-                                    left_attrs[c.left].ToString());
+                                    d.probe_keys[k].ToString() + " = " +
+                                    d.build_keys[k].ToString());
           }
           probe_keys.push_back(i);
-          build_keys.push_back(c.right);
+          build_keys.push_back(j);
         }
         std::vector<int> left_out;
-        for (const auto& col : left_attrs) {
+        for (const auto& col : d.probe_out) {
           const int i = ColumnIndexIn(schema, col);
           if (i < 0) {
             return Status::Internal("probe column missing: " + col.ToString());
@@ -328,10 +386,12 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
             pipeline.bloom_key_idx.push_back(pipeline.keep_idx[k]);
           }
         }
-        schema = spec.out_names;
+        schema = d.probe_out;
+        schema.insert(schema.end(), table->build().names.begin(),
+                      table->build().names.end());
         pipeline.ops.push_back(std::make_unique<ProbeChunkOp>(
             std::move(table), std::move(probe_keys), std::move(left_out),
-            std::move(spec.out_names)));
+            schema));
         break;
       }
     }
@@ -367,7 +427,7 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
 }
 
 Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
-    const PlanNodePtr& plan) {
+    const PlanNodePtr& plan, const ColumnNeed& need) {
   const MemoOp* op =
       plan->logical_op >= 0 ? &memo_->op(plan->logical_op) : nullptr;
   switch (plan->op) {
@@ -376,12 +436,20 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
       // independently-implemented second join path hot; equi-predicates in
       // BNL/index plans take the pipelined hash probe instead.
       if (op == nullptr) return Status::Internal("join without op");
-      MQO_ASSIGN_OR_RETURN(ColumnBatch left, ExecuteBatch(plan->children[0]));
+      const bool right_child = plan->children.size() > 1;
+      const EqId right_eq =
+          right_child ? plan->children[1]->eq : op->children[1];
+      MQO_ASSIGN_OR_RETURN(
+          JoinNeed split, SplitJoinNeed(memo_, need, plan->children[0]->eq,
+                                        right_eq, op->join_predicate));
+      MQO_ASSIGN_OR_RETURN(ColumnBatch left,
+                           ExecuteBatch(plan->children[0], split.left));
       ColumnBatch right;
-      if (plan->children.size() > 1) {
-        MQO_ASSIGN_OR_RETURN(right, ExecuteBatch(plan->children[1]));
+      if (right_child) {
+        MQO_ASSIGN_OR_RETURN(right,
+                             ExecuteBatch(plan->children[1], split.right));
       } else {
-        MQO_ASSIGN_OR_RETURN(right, SideInputBatch(op->children[1]));
+        MQO_ASSIGN_OR_RETURN(right, SideInputBatch(right_eq, split.right));
       }
       return MergeJoinBatch(left, right, op->join_predicate);
     }
@@ -389,7 +457,7 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
       if (op == nullptr) return Status::Internal("aggregate without op");
       // The chain under the aggregate feeds thread-local aggregation states
       // directly (no intermediate materialized batch).
-      return RunPipelineFor(plan->children[0], op);
+      return RunPipelineFor(plan->children[0], op, {});
     }
     case PhysOp::kBatchRoot:
       return Status::Unimplemented("execute batch roots via ExecuteConsolidated");
@@ -401,14 +469,20 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
     case PhysOp::kSort:
     case PhysOp::kProject:
     case PhysOp::kReadMaterialized:
-      return RunPipelineFor(plan, nullptr);
+      return RunPipelineFor(plan, nullptr, need);
   }
   return Status::Internal("unknown physical operator");
 }
 
+Result<ColumnBatch> VectorPlanExecutor::ExecuteBatch(const PlanNodePtr& plan,
+                                                     const ColumnNeed& need) {
+  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, ExecuteBatchRaw(plan, need));
+  return ProjectBatch(raw, NeedAttrs(memo_, plan->eq, need));
+}
+
 Result<ColumnBatch> VectorPlanExecutor::ExecuteBatch(const PlanNodePtr& plan) {
-  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, ExecuteBatchRaw(plan));
-  return ToClassAttrs(plan->eq, std::move(raw));
+  const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
+  return ExecuteBatch(plan, ColumnNeed(attrs.begin(), attrs.end()));
 }
 
 Result<NamedRows> VectorPlanExecutor::Execute(const PlanNodePtr& plan) {

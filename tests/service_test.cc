@@ -218,6 +218,27 @@ TEST_F(ServiceTest, InvalidateTableDropsStaleSegments) {
   EXPECT_GT(control_rerun.ValueOrDie().cross_batch_hits, 0);
 }
 
+// Observed cardinalities describe the data they were measured on: after a
+// table changes, the next run must not estimate from the old row counts.
+TEST_F(ServiceTest, InvalidateTableDropsStaleFeedback) {
+  MqoOptions options;
+  options.stats_mode = StatsMode::kCollected;
+  MqoSession session(&catalog_, &data_, options);
+  auto warm = session.Run(Template(1));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_FALSE(session.feedback().empty());
+
+  session.InvalidateTable("lineitem");
+  EXPECT_TRUE(session.feedback().empty());
+
+  // The next run measures afresh.
+  auto again = session.Run(Template(1));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(session.feedback().empty());
+  EXPECT_TRUE(SameResults(warm.ValueOrDie().results,
+                          again.ValueOrDie().results));
+}
+
 // InvalidateTable may run while batches are in flight: an optimization that
 // already fetched a table's collected statistics keeps reading them after
 // the registry drops them, and segments published by runs that started

@@ -13,6 +13,7 @@
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
 #include "obs/obs.h"
+#include "parser/parser.h"
 #include "support/env.h"
 #include "support/trace_check.h"
 #include "vexec/backend.h"
@@ -92,7 +93,9 @@ std::vector<ExecOptions> VectorConfigs() {
 /// stats-collected leg re-runs the whole suite on data-driven statistics
 /// (different plans, identical answers — statistics are a performance
 /// decision, never a semantic one).
-void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
+void CheckBackendsAgreeOn(
+    Memo* memo, const DataSet& data,
+    const std::vector<ExecOptions>& configs = VectorConfigs()) {
   TableStatsRegistry registry(&data);
   BatchOptimizerOptions optimizer_options;
   if (TestEnv().stats_mode == StatsMode::kCollected) {
@@ -112,7 +115,7 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
       auto row = ExecutePlanWith(ExecBackend::kRow, memo, &data, plan,
                                  WithEnvStore());
       ASSERT_TRUE(row.ok()) << row.status().ToString();
-      for (const ExecOptions& exec : VectorConfigs()) {
+      for (const ExecOptions& exec : configs) {
         auto vec =
             ExecutePlanWith(ExecBackend::kVector, memo, &data, plan, exec);
         ASSERT_TRUE(vec.ok()) << vec.status().ToString();
@@ -148,7 +151,7 @@ void CheckBackendsAgreeOn(Memo* memo, const DataSet& data) {
                            " row budgeted");
       }
     }
-    for (ExecOptions exec : VectorConfigs()) {
+    for (ExecOptions exec : configs) {
       for (size_t budget : {size_t{0}, size_t{1}}) {
         exec.mat_budget_bytes = budget;
         auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, memo, &data,
@@ -500,6 +503,248 @@ TEST(VexecDifferentialTest, StringKeysWithEmptyStrings) {
   CheckBackendsAgreeOn(&memo, data);
 }
 
+// ---- Need-driven column pruning ---------------------------------------------
+
+/// Thread counts the pruning cases run at: serial, and 2 and 4 workers over
+/// 4-row morsels so every parallel build, probe and merge path splits.
+std::vector<ExecOptions> PruningConfigs() {
+  std::vector<ExecOptions> configs = {WithEnvStore()};
+  for (int threads : {2, 4}) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    exec.morsel_rows = 4;
+    configs.push_back(WithEnvStore(exec));
+  }
+  return configs;
+}
+
+bool IsJoin(PhysOp op) {
+  return op == PhysOp::kBlockNLJoin || op == PhysOp::kIndexNLJoin ||
+         op == PhysOp::kMergeJoin;
+}
+
+/// `plan` with every join executed as `join`. The vector engine runs a
+/// BNL/index join as a pipelined hash probe and a merge join as a sort-merge
+/// breaker, so the rewrite pins each shape whatever the optimizer picked;
+/// the row engine answers the same either way.
+PlanNodePtr WithJoinsAs(const PlanNodePtr& plan, PhysOp join) {
+  std::vector<PlanNodePtr> children;
+  for (const PlanNodePtr& c : plan->children) {
+    children.push_back(WithJoinsAs(c, join));
+  }
+  return MakePlanNode(IsJoin(plan->op) ? join : plan->op, plan->eq,
+                      plan->output_order, plan->op_cost, plan->detail,
+                      std::move(children), plan->logical_op);
+}
+
+ConsolidatedPlan WithJoinsAs(ConsolidatedPlan plan, PhysOp join) {
+  plan.root_plan = WithJoinsAs(plan.root_plan, join);
+  for (auto& m : plan.materialized) {
+    m.compute_plan = WithJoinsAs(m.compute_plan, join);
+  }
+  return plan;
+}
+
+/// Joins in `plan` whose inner side is a segment of `materialized` read as
+/// a side input (not a plan child).
+int SegmentInnerJoins(const Memo& memo, const PlanNodePtr& plan,
+                      const std::set<EqId>& materialized) {
+  int n = 0;
+  if (IsJoin(plan->op) && plan->children.size() == 1 &&
+      materialized.count(memo.Find(memo.op(plan->logical_op).children[1])) >
+          0) {
+    ++n;
+  }
+  for (const PlanNodePtr& c : plan->children) {
+    n += SegmentInnerJoins(memo, c, materialized);
+  }
+  return n;
+}
+
+/// One pruning case. First the differential check at threads 1/2/4 under
+/// every MQO algorithm; then the no-sharing plan and every single-class
+/// materialization, each with all joins forced to hash probes and to merge
+/// joins, row engine against vector engine. Adds to `segment_inners` the
+/// joins executed with a materialized inner side.
+void CheckPruningAgrees(Memo* memo, const DataSet& data,
+                        int* segment_inners = nullptr) {
+  CheckBackendsAgreeOn(memo, data, PruningConfigs());
+  BatchOptimizer optimizer(memo, CostModel());
+  MaterializationProblem problem(&optimizer);
+  std::vector<ConsolidatedPlan> plans = {optimizer.Plan({})};
+  for (EqId e : problem.universe()) plans.push_back(optimizer.Plan({e}));
+  for (const ConsolidatedPlan& chosen : plans) {
+    std::set<EqId> materialized;
+    for (const auto& m : chosen.materialized) {
+      materialized.insert(memo->Find(m.eq));
+    }
+    for (PhysOp join : {PhysOp::kBlockNLJoin, PhysOp::kMergeJoin}) {
+      const ConsolidatedPlan plan = WithJoinsAs(chosen, join);
+      if (segment_inners != nullptr) {
+        *segment_inners +=
+            SegmentInnerJoins(*memo, plan.root_plan, materialized);
+      }
+      const std::string context = std::string(PhysOpToString(join)) + " mat " +
+                                  std::to_string(materialized.size());
+      auto row = ExecuteConsolidatedWith(ExecBackend::kRow, memo, &data, plan,
+                                         WithEnvStore());
+      ASSERT_TRUE(row.ok()) << context << ": " << row.status().ToString();
+      for (const ExecOptions& exec : PruningConfigs()) {
+        auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, memo, &data,
+                                           plan, exec);
+        ASSERT_TRUE(vec.ok()) << context << ": " << vec.status().ToString();
+        ASSERT_EQ(vec.ValueOrDie().size(), row.ValueOrDie().size());
+        for (size_t q = 0; q < row.ValueOrDie().size(); ++q) {
+          ExpectSameRows(row.ValueOrDie()[q], vec.ValueOrDie()[q],
+                         context + " q" + std::to_string(q) + " t" +
+                             std::to_string(exec.num_threads));
+        }
+      }
+    }
+  }
+}
+
+/// Tiny-catalog data with repeated keys, so every join fans out.
+DataSet PruningData(const Catalog& catalog) {
+  DataGenOptions gen;
+  gen.max_rows_per_table = 24;
+  gen.domain_cap = 6;
+  gen.seed = 18;
+  return GenerateData(catalog, gen);
+}
+
+void CheckPruningQueries(const std::vector<LogicalExprPtr>& queries,
+                         int* segment_inners = nullptr) {
+  Catalog catalog = MakeTinyCatalog();
+  Memo memo(&catalog);
+  memo.InsertBatch(queries);
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  CheckPruningAgrees(&memo, PruningData(catalog), segment_inners);
+}
+
+LogicalExprPtr Join12() {
+  return LogicalExpr::Join(LogicalExpr::Scan("t1"), LogicalExpr::Scan("t2"),
+                           JoinPredicate({KeyJoin("t1", "t2")}));
+}
+
+LogicalExprPtr Join123() {
+  return LogicalExpr::Join(Join12(), LogicalExpr::Scan("t3"),
+                           JoinPredicate({KeyJoin("t2", "t3")}));
+}
+
+TEST(VexecPruningTest, SelectStarOverThreeWayJoinPrunesNothing) {
+  // Query roots keep every class attribute: nothing can be pruned, and
+  // each join input still emits all of its columns.
+  CheckPruningQueries(
+      {Join123(),
+       LogicalExpr::Select(Join12(),
+                           Predicate({Cmp("t1", "v", CompareOp::kLe, 6)}))});
+}
+
+TEST(VexecPruningTest, ProjectionOverJoin) {
+  CheckPruningQueries(
+      {LogicalExpr::Project(
+           LogicalExpr::Select(Join123(),
+                               Predicate({Cmp("t3", "v", CompareOp::kGt, 2)})),
+           {ColumnRef("t1", "k"), ColumnRef("t3", "tag")}),
+       LogicalExpr::Project(Join12(), {ColumnRef("t2", "v")})});
+}
+
+TEST(VexecPruningTest, CountStarOverJoinNeedsOnlyKeys) {
+  CheckPruningQueries(
+      {LogicalExpr::Aggregate(Join123(), {}, {Agg(AggFunc::kCount)}),
+       LogicalExpr::Aggregate(Join12(), {}, {Agg(AggFunc::kCount)})});
+}
+
+TEST(VexecPruningTest, GroupByBuildSideColumn) {
+  // Grouping on a column of the joins' inner sides: the build keeps its
+  // key and the group column; the hash probes force it to the build side.
+  CheckPruningQueries(
+      {LogicalExpr::Aggregate(Join123(), {ColumnRef("t3", "tag")},
+                              {Agg(AggFunc::kSum, ColumnRef("t1", "v"))}),
+       LogicalExpr::Aggregate(Join12(), {ColumnRef("t2", "tag")},
+                              {Agg(AggFunc::kMax, ColumnRef("t1", "k")),
+                               Agg(AggFunc::kCount)})});
+}
+
+TEST(VexecPruningTest, JoinWithMaterializedSegmentAsInnerSide) {
+  // σ(t2) is shared by both queries and, materialized, is read as the
+  // rescanned inner side of a BNL join: the segment is full-width and the
+  // side input projects it onto what the probe reads.
+  auto shared = LogicalExpr::Select(
+      LogicalExpr::Scan("t2"), Predicate({Cmp("t2", "v", CompareOp::kLe, 6)}));
+  auto q1 = LogicalExpr::Aggregate(
+      LogicalExpr::Join(LogicalExpr::Scan("t1"), shared,
+                        JoinPredicate({KeyJoin("t1", "t2")})),
+      {ColumnRef("t1", "tag")}, {Agg(AggFunc::kSum, ColumnRef("t2", "v"))});
+  auto q2 = LogicalExpr::Project(
+      LogicalExpr::Join(LogicalExpr::Scan("t3"), shared,
+                        JoinPredicate({KeyJoin("t3", "t2")})),
+      {ColumnRef("t3", "v"), ColumnRef("t2", "tag")});
+  int segment_inners = 0;
+  CheckPruningQueries({q1, q2}, &segment_inners);
+  EXPECT_GT(segment_inners, 0);
+}
+
+TEST(VexecPruningTest, MergeJoinUnderAggregate) {
+  // The merge rewrite puts a sort-merge breaker directly under each
+  // aggregate: it executes with the aggregate's need split across its
+  // inputs.
+  CheckPruningQueries(
+      {LogicalExpr::Aggregate(Join12(), {ColumnRef("t1", "tag")},
+                              {Agg(AggFunc::kSum, ColumnRef("t2", "v")),
+                               Agg(AggFunc::kMin, ColumnRef("t2", "tag"))}),
+       LogicalExpr::Aggregate(Join123(), {ColumnRef("t2", "k")},
+                              {Agg(AggFunc::kAvg, ColumnRef("t3", "v"))})});
+}
+
+TEST(VexecPruningTest, TwoColumnJoinKey) {
+  JoinCondition tags;
+  tags.left = ColumnRef("t1", "tag");
+  tags.right = ColumnRef("t2", "tag");
+  auto join =
+      LogicalExpr::Join(LogicalExpr::Scan("t1"), LogicalExpr::Scan("t2"),
+                        JoinPredicate({KeyJoin("t1", "t2"), tags}));
+  CheckPruningQueries(
+      {LogicalExpr::Aggregate(join, {}, {Agg(AggFunc::kCount)}),
+       LogicalExpr::Aggregate(join, {ColumnRef("t2", "v")},
+                              {Agg(AggFunc::kSum, ColumnRef("t1", "v"))})});
+}
+
+TEST(VexecPruningTest, SelfJoinWithOneAliasFailsLikeRowEngine) {
+  // Both inputs are t1 under one alias: the output would repeat every
+  // column. Keys resolve against the full class attributes, so the vector
+  // engine rejects the join whatever its consumers read — under the count
+  // that needs only keys as under SELECT * — as the row engine does.
+  auto self =
+      LogicalExpr::Join(LogicalExpr::Scan("t1"), LogicalExpr::Scan("t1"),
+                        JoinPredicate({KeyJoin("t1", "t1")}));
+  for (const LogicalExprPtr& query :
+       {self, LogicalExpr::Aggregate(self, {}, {Agg(AggFunc::kCount)})}) {
+    Catalog catalog = MakeTinyCatalog();
+    Memo memo(&catalog);
+    memo.InsertBatch({query});
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    const DataSet data = PruningData(catalog);
+    BatchOptimizer optimizer(&memo, CostModel());
+    const ConsolidatedPlan chosen = optimizer.Plan({});
+    for (PhysOp join : {PhysOp::kBlockNLJoin, PhysOp::kMergeJoin}) {
+      const ConsolidatedPlan plan = WithJoinsAs(chosen, join);
+      auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                         WithEnvStore());
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().code(), StatusCode::kUnimplemented);
+      for (const ExecOptions& exec : PruningConfigs()) {
+        auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                           plan, exec);
+        ASSERT_FALSE(vec.ok()) << PhysOpToString(join);
+        EXPECT_EQ(vec.status().code(), StatusCode::kUnimplemented)
+            << PhysOpToString(join) << ": " << vec.status().ToString();
+      }
+    }
+  }
+}
+
 TEST(VexecFacadeTest, OptimizeAndExecuteAgreesAcrossBackends) {
   Catalog catalog = MakeTpcdCatalog(1);
   const std::vector<std::string> batch = {
@@ -602,6 +847,70 @@ TEST(VexecTraceTest, OperatorRowCountsDeterministicAcrossThreadCounts) {
           << "event " << i << " diverged at t" << configs[c].num_threads
           << ": " << std::get<0>(baseline[i]) << " vs " << std::get<0>(got[i]);
     }
+  }
+}
+
+TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
+  // orders has 9 columns and lineitem 16, so a full-width join emits 25.
+  // The aggregate reads o_custkey and l_extendedprice and the join adds its
+  // two keys: the probe must emit 4. The date filter fuses into the orders
+  // scan, so its column never reaches a chunk. The widths are identical at
+  // every thread count.
+  Catalog catalog = MakeTpcdCatalog(1);
+  auto query = ParseQuery(
+      "SELECT o_custkey, SUM(l_extendedprice) FROM orders, lineitem "
+      "WHERE o_orderkey = l_orderkey AND o_orderdate < date '1995-03-15' "
+      "GROUP BY o_custkey",
+      catalog);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Memo memo(&catalog);
+  memo.InsertBatch({query.ValueOrDie()});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  BatchOptimizer optimizer(&memo, CostModel());
+  // Hash probes whatever join the optimizer picked.
+  const ConsolidatedPlan plan =
+      WithJoinsAs(optimizer.Plan({}), PhysOp::kBlockNLJoin);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 60;
+  gen.domain_cap = 25;
+  gen.seed = 18;
+  DataSet data = GenerateData(catalog, gen);
+
+  // (event name, width) in emission order.
+  using Widths = std::vector<std::pair<std::string, double>>;
+  auto traced_widths = [&](const ExecOptions& base) {
+    ObsOptions obs_options;
+    obs_options.trace = true;
+    ObsContext obs(obs_options);
+    ExecOptions exec = base;
+    exec.obs = &obs;
+    auto results = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                           plan, exec);
+    EXPECT_TRUE(results.ok()) << results.status().ToString();
+    Widths widths;
+    for (const TraceEvent& e : obs.tracer()->Events()) {
+      if (e.cat != "vexec") continue;
+      if (e.name.rfind("op.", 0) == 0) {
+        widths.emplace_back(e.name, ArgOf(e, "out_cols"));
+      } else if (e.name == "pipeline") {
+        widths.emplace_back(e.name, ArgOf(e, "src_cols"));
+      }
+    }
+    return widths;
+  };
+
+  std::vector<ExecOptions> configs = PruningConfigs();
+  const Widths baseline = traced_widths(configs[0]);
+  int probes = 0;
+  for (const auto& [name, width] : baseline) {
+    if (name != "op.probe") continue;
+    ++probes;
+    EXPECT_EQ(width, 4) << "the join emits columns no consumer reads";
+  }
+  EXPECT_EQ(probes, 1);
+  for (size_t c = 1; c < configs.size(); ++c) {
+    EXPECT_EQ(traced_widths(configs[c]), baseline)
+        << "t" << configs[c].num_threads;
   }
 }
 
