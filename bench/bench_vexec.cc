@@ -12,12 +12,17 @@
 // past the row interpreter's nested loops. Results must stay identical
 // across all configurations.
 //
+// Separate sections time the string, Bloom, numeric, sort and group-by
+// kernels on their own.
+//
 // Usage: bench_vexec [rows_per_table ...]   (default: 400 1600 6400; pass
 // tiny counts, e.g. `bench_vexec 64 128`, for CI smoke runs). Alongside the
 // table, machine-readable records are written to BENCH_vexec.json.
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <numeric>
 
 #include "bench_util/bench_args.h"
 #include "bench_util/bench_json.h"
@@ -32,6 +37,7 @@
 #include "obs/obs.h"
 #include "vexec/backend.h"
 #include "vexec/pipeline.h"
+#include "vexec/vector_ops.h"
 #include "workload/tpcd_queries.h"
 
 using namespace mqo;
@@ -153,9 +159,11 @@ VecPipeline JoinPipeline(const ColumnBatch& source,
   pipe.chunk_names = source.names;
   std::vector<ColumnRef> out_names = source.names;
   for (const auto& n : table->build().names) out_names.push_back(n);
+  std::vector<int> build_out(table->build().columns.size());
+  std::iota(build_out.begin(), build_out.end(), 0);
   pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
       std::move(table), std::vector<int>{0}, std::vector<int>{0, 1},
-      std::move(out_names)));
+      std::move(build_out), std::move(out_names)));
   return pipe;
 }
 
@@ -431,6 +439,117 @@ void RunNumericSweep(int rows, int reps, BenchJsonWriter* json,
                    JNum("bytes_for", SourceBytes(for_probe))});
 }
 
+/// `rows` pseudo-random int64 values in [0, mod).
+ColumnVector RandomInts(int rows, int64_t mod, uint64_t seed) {
+  ColumnVector col(VecType::kInt64);
+  uint64_t x = seed;
+  for (int i = 0; i < rows; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    col.ints().push_back(static_cast<int64_t>((x >> 33) % mod));
+  }
+  return col;
+}
+
+/// True iff `batch` is ordered by its first `keys` columns (CellLess never
+/// finds a row before its predecessor).
+bool SortedBy(const ColumnBatch& batch, size_t keys) {
+  for (size_t r = 1; r < batch.num_rows; ++r) {
+    for (size_t c = 0; c < keys; ++c) {
+      const ColumnVector& col = batch.columns[c];
+      if (ColumnVector::CellLess(col, r, col, r - 1)) return false;
+      if (ColumnVector::CellLess(col, r - 1, col, r)) break;
+    }
+  }
+  return true;
+}
+
+/// The sort and grouping kernels on their own, serial, best of `reps`:
+/// SortBatch on one random int64 key, on two keys (int64, then double),
+/// and on one key holding a NaN (the comparison-sort fallback), and
+/// AggregateBatch with about rows / 4 groups.
+void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
+  std::printf("\n=== sort and group-by kernels (serial, %d rows) ===\n\n",
+              rows);
+  TablePrinter table({"kernel", "variant", "time (ms)", "ns/row"});
+  auto best_of = [&](auto&& run) {
+    double best_ms = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      WallTimer timer;
+      run();
+      const double ms = timer.ElapsedMillis();
+      if (rep == 0 || ms < best_ms) best_ms = ms;
+    }
+    return best_ms;
+  };
+  auto report = [&](const char* bench, const char* variant, double ms,
+                    std::vector<JsonField> extra) {
+    table.AddRow({bench, variant, FormatDouble(ms, 3),
+                  FormatDouble(ms * 1e6 / rows, 1)});
+    std::vector<JsonField> fields = {JStr("bench", bench),
+                                     JStr("variant", variant),
+                                     JNum("rows", rows), JNum("time_ms", ms)};
+    fields.insert(fields.end(), extra.begin(), extra.end());
+    json->AddRecord(std::move(fields));
+  };
+
+  ColumnBatch in;
+  in.names = {ColumnRef("s", "k"), ColumnRef("s", "d")};
+  in.columns = {RandomInts(rows, int64_t{1} << 40, 1),
+                ColumnVector(VecType::kDouble)};
+  for (int64_t v : RandomInts(rows, 1000, 2).ints()) {
+    in.columns[1].doubles().push_back(static_cast<double>(v) / 8.0);
+  }
+  in.num_rows = rows;
+  ColumnBatch two_keys = in;
+  two_keys.columns[0] = RandomInts(rows, 64, 3);  // ties for the second key
+  ColumnBatch with_nan = in;
+  with_nan.names = {ColumnRef("s", "d"), ColumnRef("s", "k")};
+  std::swap(with_nan.columns[0], with_nan.columns[1]);
+  with_nan.columns[0].doubles()[rows / 2] =
+      std::numeric_limits<double>::quiet_NaN();
+  struct SortCase {
+    const char* variant;
+    const ColumnBatch* batch;
+    SortOrder order;
+    bool check;  // NaN has no order to check
+  };
+  for (const SortCase& c :
+       {SortCase{"int64", &in, {ColumnRef("s", "k")}, true},
+        SortCase{"two_keys", &two_keys,
+                 {ColumnRef("s", "k"), ColumnRef("s", "d")}, true},
+        SortCase{"nan_fallback", &with_nan, {ColumnRef("s", "d")}, false}}) {
+    ColumnBatch out;
+    const double ms = best_of([&] {
+      out = SortBatch(*c.batch, c.order).ValueOrDie();
+    });
+    if (out.num_rows != static_cast<size_t>(rows) ||
+        (c.check && !SortedBy(out, c.order.size()))) {
+      ++*failures;
+    }
+    report("vexec_sort", c.variant, ms, {JNum("keys", c.order.size())});
+  }
+
+  ColumnBatch grouped;
+  grouped.names = {ColumnRef("g", "k"), ColumnRef("g", "v")};
+  grouped.columns = {RandomInts(rows, std::max(1, rows / 4), 4),
+                     RandomInts(rows, 1000, 5)};
+  grouped.num_rows = rows;
+  ColumnBatch out;
+  const double ms = best_of([&] {
+    out = AggregateBatch(grouped, {ColumnRef("g", "k")},
+                         {BenchAgg(AggFunc::kCount),
+                          BenchAgg(AggFunc::kSum, ColumnRef("g", "v"))},
+                         {})
+              .ValueOrDie();
+  });
+  double counted = 0.0;
+  for (size_t r = 0; r < out.num_rows; ++r) counted += out.columns[1].Number(r);
+  if (counted != rows) ++*failures;
+  report("vexec_group", "int64_key", ms,
+         {JNum("groups", static_cast<double>(out.num_rows))});
+  table.Print();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -537,6 +656,8 @@ int main(int argc, char** argv) {
   // runs, so it gets a higher floor.
   RunNumericSweep(std::max(16384, row_counts.back() * 8), kReps, &json,
                   &failures);
+  RunKernelBench(std::max(16384, row_counts.back() * 8), kReps, &json,
+                 &failures);
 
   // MQO_TRACE=1 (optionally MQO_TRACE_FILE=<path>): one extra traced run of
   // the consolidated plan on the vector backend, separate from the timed

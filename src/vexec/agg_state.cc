@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/hash.h"
+#include "vexec/join_table.h"
 
 namespace mqo {
 
@@ -39,30 +40,51 @@ bool ValuesEqual(const Value& a, const Value& b) {
 
 }  // namespace
 
+template <typename Same>
+size_t AggAccumulator::FindSlot(uint64_t hash, Same same) {
+  const size_t groups = group_hash_.size();
+  if (2 * (groups + 1) > slots_.size()) {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), 0);
+    const size_t mask = slots_.size() - 1;
+    for (size_t g = 0; g < groups; ++g) {
+      size_t s = Fmix64(group_hash_[g]) & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = static_cast<uint32_t>(g + 1);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t s = Fmix64(hash) & mask;
+  for (; slots_[s] != 0; s = (s + 1) & mask) {
+    const size_t gid = slots_[s] - 1;
+    if (group_hash_[gid] == hash && same(gid)) break;
+  }
+  return s;
+}
+
+size_t AggAccumulator::AddGroup(size_t slot, uint64_t hash, uint64_t pos) {
+  const size_t gid = group_hash_.size();
+  slots_[slot] = static_cast<uint32_t>(gid + 1);
+  group_hash_.push_back(hash);
+  first_seen_.push_back(pos);
+  return gid;
+}
+
 size_t AggAccumulator::GroupOf(const ColumnBatch& batch,
                                const std::vector<int>& group_idx, uint32_t row,
                                uint64_t hash, uint64_t pos, size_t num_aggs) {
-  std::vector<uint32_t>& bucket = buckets_[hash];
-  for (uint32_t gid : bucket) {
-    bool same = true;
-    for (size_t c = 0; c < group_idx.size(); ++c) {
-      if (!CellEqualsValue(batch.columns[group_idx[c]], row,
-                           group_keys_[gid][c])) {
-        same = false;
-        break;
+  const size_t slot = FindSlot(hash, [&](size_t gid) {
+    const Value* keys = keys_.data() + gid * width_;
+    for (size_t c = 0; c < width_; ++c) {
+      if (!CellEqualsValue(batch.columns[group_idx[c]], row, keys[c])) {
+        return false;
       }
     }
-    if (same) return gid;
-  }
-  const size_t gid = group_keys_.size();
-  std::vector<Value> keys;
-  keys.reserve(group_idx.size());
-  for (int c : group_idx) keys.push_back(batch.columns[c].GetValue(row));
-  group_keys_.push_back(std::move(keys));
-  group_hash_.push_back(hash);
-  first_seen_.push_back(pos);
+    return true;
+  });
+  if (slots_[slot] != 0) return slots_[slot] - 1;
+  const size_t gid = AddGroup(slot, hash, pos);
+  for (int c : group_idx) keys_.push_back(batch.columns[c].GetValue(row));
   cells_.resize(cells_.size() + num_aggs);
-  bucket.push_back(static_cast<uint32_t>(gid));
   return gid;
 }
 
@@ -72,70 +94,100 @@ void AggAccumulator::Consume(const ColumnBatch& batch,
                              const std::vector<AggExpr>& aggs,
                              uint64_t order_base) {
   const size_t num_aggs = aggs.size();
-  // Dictionary fast path: a single dictionary-encoded group column maps each
-  // row to its group through a code-indexed table — no per-row hashing or
-  // key comparison once a code has been seen.
+  const uint32_t n = static_cast<uint32_t>(batch.num_rows);
+  width_ = group_idx.size();
+  // Phase 1: every row's group id. Dictionary fast path: a single
+  // dictionary-encoded group column maps each row to its group through a
+  // code-indexed table — no per-row hashing or key comparison once a code
+  // has been seen. Otherwise the key hashes come column at a time.
+  std::vector<uint32_t> gids(n);
   const ColumnVector* gcol =
       group_idx.size() == 1 ? &batch.columns[group_idx[0]] : nullptr;
-  const bool fast = gcol != nullptr && gcol->dict_encoded();
-  const int32_t* codes = nullptr;
-  if (fast) {
+  if (gcol != nullptr && gcol->dict_encoded()) {
     if (fast_dict_ != gcol->dict()) {
       fast_dict_ = gcol->dict();
       code_to_gid_.assign(fast_dict_->entries.size(), -1);
     }
-    codes = gcol->codes().data();
-    dict_hit_rows_ += batch.num_rows;
-  }
-  for (uint32_t r = 0; r < batch.num_rows; ++r) {
-    const uint64_t pos = order_base + r;
-    size_t gid;
-    if (fast) {
-      const int32_t code = codes[r];
-      int32_t cached = code_to_gid_[code];
+    const int32_t* codes = gcol->codes().data();
+    dict_hit_rows_ += n;
+    for (uint32_t r = 0; r < n; ++r) {
+      int32_t& cached = code_to_gid_[codes[r]];
       if (cached < 0) {
         const uint64_t h =
-            HashCombine(kGroupHashSeed, fast_dict_->hashes[code]);
+            HashCombine(kGroupHashSeed, fast_dict_->hashes[codes[r]]);
         cached = static_cast<int32_t>(
-            GroupOf(batch, group_idx, r, h, pos, num_aggs));
-        code_to_gid_[code] = cached;
+            GroupOf(batch, group_idx, r, h, order_base + r, num_aggs));
       }
-      gid = static_cast<size_t>(cached);
-    } else {
-      uint64_t h = kGroupHashSeed;
-      for (int c : group_idx) h = HashCombine(h, batch.columns[c].HashCell(r));
-      gid = GroupOf(batch, group_idx, r, h, pos, num_aggs);
+      gids[r] = static_cast<uint32_t>(cached);
     }
-    if (first_seen_[gid] > pos) first_seen_[gid] = pos;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      Cell& cell = cells_[gid * num_aggs + a];
-      cell.count += 1.0;
-      const int c = arg_idx[a];
-      if (c < 0) continue;  // COUNT(*): rows only
-      const ColumnVector& col = batch.columns[c];
-      switch (aggs[a].func) {
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          if (col.is_numeric()) cell.sum += col.Number(r);
-          break;
-        case AggFunc::kCount:
-          break;
-        case AggFunc::kMin:
-          // Strictly-less replaces, so equal values keep the earliest
-          // position — the serial fold's tie-break.
+  } else {
+    std::vector<uint64_t> hashes(n);
+    HashKeyRange(batch, group_idx, 0, n, kGroupHashSeed, hashes.data());
+    for (uint32_t r = 0; r < n; ++r) {
+      gids[r] = static_cast<uint32_t>(GroupOf(batch, group_idx, r, hashes[r],
+                                              order_base + r, num_aggs));
+    }
+  }
+  for (uint32_t r = 0; r < n; ++r) {
+    uint64_t& first = first_seen_[gids[r]];
+    first = std::min(first, order_base + r);
+  }
+  // Phase 2: fold one aggregate at a time, rows in order. `update` sees the
+  // cell before this row marks it non-empty.
+  for (size_t a = 0; a < num_aggs; ++a) {
+    Cell* cells = cells_.data() + a;
+    const int c = arg_idx[a];
+    if (c < 0) {  // COUNT(*): rows only
+      for (uint32_t r = 0; r < n; ++r) cells[gids[r] * num_aggs].count += 1.0;
+      continue;
+    }
+    auto fold = [&](auto&& update) {
+      for (uint32_t r = 0; r < n; ++r) {
+        Cell& cell = cells[gids[r] * num_aggs];
+        cell.count += 1.0;
+        update(cell, r);
+        cell.any = true;
+      }
+    };
+    const ColumnVector& col = batch.columns[c];
+    switch (aggs[a].func) {
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (col.type() == VecType::kDouble) {
+          const double* v = col.doubles().data();
+          fold([&](Cell& cell, uint32_t r) { cell.sum += v[r]; });
+        } else if (col.type() == VecType::kInt64 && !col.for_encoded()) {
+          const int64_t* v = col.ints().data();
+          fold([&](Cell& cell, uint32_t r) {
+            cell.sum += static_cast<double>(v[r]);
+          });
+        } else if (col.is_numeric()) {
+          fold([&](Cell& cell, uint32_t r) { cell.sum += col.Number(r); });
+        } else {
+          fold([](Cell&, uint32_t) {});
+        }
+        break;
+      case AggFunc::kCount:
+        fold([](Cell&, uint32_t) {});
+        break;
+      case AggFunc::kMin:
+        // Strictly-less replaces, so equal values keep the earliest
+        // position — the serial fold's tie-break.
+        fold([&](Cell& cell, uint32_t r) {
           if (!cell.any || CellLessValue(col, r, cell.min_value)) {
             cell.min_value = col.GetValue(r);
-            cell.min_pos = pos;
+            cell.min_pos = order_base + r;
           }
-          break;
-        case AggFunc::kMax:
+        });
+        break;
+      case AggFunc::kMax:
+        fold([&](Cell& cell, uint32_t r) {
           if (!cell.any || ValueLessCell(cell.max_value, col, r)) {
             cell.max_value = col.GetValue(r);
-            cell.max_pos = pos;
+            cell.max_pos = order_base + r;
           }
-          break;
-      }
-      cell.any = true;
+        });
+        break;
     }
   }
 }
@@ -143,35 +195,32 @@ void AggAccumulator::Consume(const ColumnBatch& batch,
 void AggAccumulator::MergeFrom(const AggAccumulator& other,
                                const std::vector<AggExpr>& aggs) {
   const size_t num_aggs = aggs.size();
-  for (size_t og = 0; og < other.group_keys_.size(); ++og) {
+  if (!other.group_hash_.empty()) width_ = other.width_;
+  for (size_t og = 0; og < other.group_hash_.size(); ++og) {
     // Locate (or adopt) the group in this accumulator.
-    std::vector<uint32_t>& bucket = buckets_[other.group_hash_[og]];
-    size_t gid = group_keys_.size();
-    for (uint32_t cand : bucket) {
-      if (group_keys_[cand].size() == other.group_keys_[og].size()) {
-        bool same = true;
-        for (size_t c = 0; c < group_keys_[cand].size(); ++c) {
-          if (!ValuesEqual(group_keys_[cand][c], other.group_keys_[og][c])) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          gid = cand;
-          break;
-        }
+    const Value* their_keys = other.keys_.data() + og * width_;
+    const size_t slot = FindSlot(other.group_hash_[og], [&](size_t gid) {
+      const Value* mine = keys_.data() + gid * width_;
+      for (size_t c = 0; c < width_; ++c) {
+        if (!ValuesEqual(mine[c], their_keys[c])) return false;
       }
-    }
-    if (gid == group_keys_.size()) {
-      group_keys_.push_back(other.group_keys_[og]);
-      group_hash_.push_back(other.group_hash_[og]);
-      first_seen_.push_back(other.first_seen_[og]);
+      return true;
+    });
+    if (slots_[slot] == 0) {
+      AddGroup(slot, other.group_hash_[og], other.first_seen_[og]);
+      keys_.insert(keys_.end(), their_keys, their_keys + width_);
       cells_.insert(cells_.end(), other.cells_.begin() + og * num_aggs,
                     other.cells_.begin() + (og + 1) * num_aggs);
-      bucket.push_back(static_cast<uint32_t>(gid));
       continue;
     }
-    first_seen_[gid] = std::min(first_seen_[gid], other.first_seen_[og]);
+    const size_t gid = slots_[slot] - 1;
+    if (other.first_seen_[og] < first_seen_[gid]) {
+      // The earliest occurrence names the group (equal keys can differ in
+      // the sign of zero), as in the serial fold.
+      first_seen_[gid] = other.first_seen_[og];
+      std::copy(their_keys, their_keys + width_,
+                keys_.begin() + gid * width_);
+    }
     for (size_t a = 0; a < num_aggs; ++a) {
       Cell& mine = cells_[gid * num_aggs + a];
       const Cell& theirs = other.cells_[og * num_aggs + a];
@@ -217,7 +266,7 @@ Result<ColumnBatch> AggAccumulator::Finish(
       out.names.push_back(aggs[a].OutputColumn());
     }
   }
-  const size_t num_groups = group_keys_.size();
+  const size_t num_groups = group_hash_.size();
   if (num_groups == 0 && group_by.empty()) {
     // Scalar aggregate over empty input: one row of fold identities.
     for (size_t a = 0; a < num_aggs; ++a) {
@@ -239,7 +288,7 @@ Result<ColumnBatch> AggAccumulator::Finish(
   for (size_t c = 0; c < group_by.size(); ++c) {
     ColumnBuilder builder;
     for (size_t g : order) {
-      MQO_RETURN_NOT_OK(builder.Append(group_keys_[g][c]));
+      MQO_RETURN_NOT_OK(builder.Append(keys_[g * width_ + c]));
     }
     MQO_ASSIGN_OR_RETURN(ColumnVector col, std::move(builder).Finish());
     out.columns.push_back(std::move(col));

@@ -11,6 +11,17 @@
 // (equal values) keep the earliest position, again matching the serial
 // fold.
 //
+// Groups live in flat arrays indexed by a dense group id: the key arena
+// holds group g's key values at [g * width, (g + 1) * width), next to its
+// full key hash, first-occurrence position and fold cells. They are found
+// through an open-addressing table: a power-of-two array of slots holding
+// gid + 1 (0 = empty), probed linearly from Fmix64 of the key hash and
+// doubled whenever it would pass half full. A single dictionary-encoded
+// group column skips the table through a cached code -> group id map.
+// Consume works in two phases: every row's group id (key hashes computed
+// column-at-a-time by the hash join's HashKeyRange), then one pass per
+// aggregate over the chunk.
+//
 // Semantics mirror exec/row_ops.h AggState: COUNT counts rows, SUM folds
 // numeric arguments (non-numeric columns sum to 0), AVG is sum/count, and a
 // scalar aggregate over zero input rows yields one identity row of 0.0 —
@@ -18,8 +29,6 @@
 
 #ifndef MQO_VEXEC_AGG_STATE_H_
 #define MQO_VEXEC_AGG_STATE_H_
-
-#include <unordered_map>
 
 #include "algebra/logical_expr.h"
 #include "storage/column_batch.h"
@@ -70,8 +79,19 @@ class AggAccumulator {
   size_t GroupOf(const ColumnBatch& batch, const std::vector<int>& group_idx,
                  uint32_t row, uint64_t hash, uint64_t pos, size_t num_aggs);
 
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
-  std::vector<std::vector<Value>> group_keys_;
+  /// Makes room for one more group (load factor at most 1/2), then returns
+  /// the table slot holding the group with `hash` for which `same(gid)`
+  /// holds, or the empty slot where such a group belongs.
+  template <typename Same>
+  size_t FindSlot(uint64_t hash, Same same);
+
+  /// Appends a group with `hash` and no keys or fold cells yet (the caller
+  /// appends them) and indexes it at the empty table slot `slot`.
+  size_t AddGroup(size_t slot, uint64_t hash, uint64_t pos);
+
+  std::vector<uint32_t> slots_;  ///< gid + 1, or 0 for an empty slot.
+  size_t width_ = 0;             ///< Group columns per key.
+  std::vector<Value> keys_;      ///< Group g's keys at [g*width_, +width_).
   std::vector<uint64_t> group_hash_;
   std::vector<uint64_t> first_seen_;
   std::vector<Cell> cells_;  ///< group * num_aggs + agg.

@@ -25,13 +25,12 @@ int Log2(size_t pow2) {
   return bits;
 }
 
-/// Key hashes for rows [begin, end), written to `out[r - begin]`. The
-/// per-column type dispatch is hoisted out of the row loop, so each column
-/// contributes one flat pass over its contiguous payload.
+}  // namespace
+
 void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
-                  uint32_t begin, uint32_t end, uint64_t* out) {
+                  uint32_t begin, uint32_t end, uint64_t seed, uint64_t* out) {
   const uint32_t n = end - begin;
-  for (uint32_t j = 0; j < n; ++j) out[j] = kJoinHashSeed;
+  for (uint32_t j = 0; j < n; ++j) out[j] = seed;
   for (int c : cols) {
     const ColumnVector& col = batch.columns[c];
     switch (col.type()) {
@@ -89,6 +88,8 @@ void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
     }
   }
 }
+
+namespace {
 
 /// Key hashes for the selected rows, written to `out[j]` for `sel[j]`. Same
 /// hoisted-dispatch shape as HashKeyRange, indirected through the selection
@@ -282,7 +283,7 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
       threads,
       [&](size_t, const Morsel& morsel) {
         HashKeyRange(table.build_, table.key_cols_, morsel.begin, morsel.end,
-                     hashes.data() + morsel.begin);
+                     kJoinHashSeed, hashes.data() + morsel.begin);
         for (uint32_t r = morsel.begin; r < morsel.end; ++r) {
           bucket_of[r] = static_cast<uint32_t>(table.BucketOf(hashes[r]));
         }
@@ -398,7 +399,7 @@ void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
   if (begin >= end) return;
   const size_t n = end - begin;
   std::vector<uint64_t> hashes(n);
-  HashKeyRange(probe, probe_keys, begin, end, hashes.data());
+  HashKeyRange(probe, probe_keys, begin, end, kJoinHashSeed, hashes.data());
   // Dictionary keys compare as build-dictionary codes: codes[c * n + j] is
   // probe row begin + j's code for key c, or -1 when its value is absent
   // from the build dictionary (and so equals no build code).

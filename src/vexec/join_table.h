@@ -74,6 +74,15 @@ Result<JoinSpec> ResolveJoinSpec(const std::vector<ColumnRef>& left,
                                  const std::vector<ColumnRef>& right,
                                  const JoinPredicate& predicate);
 
+/// Key hashes of rows [begin, end) of `batch` over key columns `cols`,
+/// written to `out[r - begin]`: `seed` folded through HashCombine with each
+/// column's ColumnVector::HashCell, so equal keys hash equally across
+/// physical forms. The per-column type dispatch is hoisted out of the row
+/// loop, so each column contributes one flat pass over its payload (FOR
+/// columns unpack a block at a time).
+void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
+                  uint32_t begin, uint32_t end, uint64_t seed, uint64_t* out);
+
 class JoinBloomFilter;
 
 /// Refines `sel` (row positions into `batch`) to the rows whose join-key

@@ -80,12 +80,12 @@ Result<ColumnBatch> ProbeChunkOp::Process(ColumnBatch chunk) const {
                      &right_rows);
   ColumnBatch out;
   out.names = out_names_;
-  out.columns.reserve(left_out_idx_.size() + table_->build().columns.size());
+  out.columns.reserve(left_out_idx_.size() + build_out_idx_.size());
   for (int c : left_out_idx_) {
     out.columns.push_back(chunk.columns[c].Gather(left_rows));
   }
-  for (const auto& col : table_->build().columns) {
-    out.columns.push_back(col.Gather(right_rows));
+  for (int c : build_out_idx_) {
+    out.columns.push_back(table_->build().columns[c].Gather(right_rows));
   }
   out.num_rows = left_rows.size();
   return out;

@@ -84,17 +84,18 @@ class ProjectChunkOp : public PipelineOp {
 };
 
 /// Probes a shared read-only JoinHashTable with each chunk row and emits the
-/// joined chunk: the probe-side columns some operator above reads (plus the
-/// probe keys), then every column of the build side, which was executed
-/// with its own share of that need.
+/// joined chunk: the probe-side columns some operator above reads, then the
+/// build-side columns it reads. Key columns reach the probe and the build
+/// for the match, but are gathered into the output only when read above.
 class ProbeChunkOp : public PipelineOp {
  public:
   ProbeChunkOp(std::shared_ptr<const JoinHashTable> table,
                std::vector<int> probe_key_idx, std::vector<int> left_out_idx,
-               std::vector<ColumnRef> out_names)
+               std::vector<int> build_out_idx, std::vector<ColumnRef> out_names)
       : table_(std::move(table)),
         probe_key_idx_(std::move(probe_key_idx)),
         left_out_idx_(std::move(left_out_idx)),
+        build_out_idx_(std::move(build_out_idx)),
         out_names_(std::move(out_names)) {}
   Result<ColumnBatch> Process(ColumnBatch chunk) const override;
   const std::vector<ColumnRef>& output_names() const override {
@@ -107,6 +108,7 @@ class ProbeChunkOp : public PipelineOp {
   std::shared_ptr<const JoinHashTable> table_;
   std::vector<int> probe_key_idx_;  ///< Key columns in the incoming chunk.
   std::vector<int> left_out_idx_;   ///< Chunk columns kept in the output.
+  std::vector<int> build_out_idx_;  ///< Build columns kept in the output.
   std::vector<ColumnRef> out_names_;
   /// Rows probed through dictionary-code kernels (obs: vexec.dict_hits),
   /// accumulated per chunk — never per row — and drained by FlushMetrics.

@@ -16,6 +16,7 @@ struct ChainDesc {
   std::vector<ColumnRef> probe_out;   ///< kProbe: probe-side columns kept.
   std::vector<ColumnRef> probe_keys;  ///< kProbe: key columns, both sides
   std::vector<ColumnRef> build_keys;  ///< in condition order.
+  ColumnNeed build_out;  ///< kProbe: build-side columns kept.
   ColumnBatch build;  ///< kProbe: executed build side, pruned to its need.
 };
 
@@ -30,11 +31,14 @@ std::vector<ColumnRef> NeedAttrs(Memo* memo, EqId eq,
 }
 
 /// A join's need split across its inputs: what each side must emit (its
-/// share of the need plus its join keys) and the key columns, one per
+/// share of the need plus its join keys), what the join itself must emit
+/// from each side (that share alone), and the key columns, one per
 /// condition, in condition order.
 struct JoinNeed {
   ColumnNeed left;
   ColumnNeed right;
+  ColumnNeed left_out;
+  ColumnNeed right_out;
   std::vector<ColumnRef> left_keys;
   std::vector<ColumnRef> right_keys;
 };
@@ -52,11 +56,13 @@ Result<JoinNeed> SplitJoinNeed(Memo* memo, const ColumnNeed& need, EqId left,
                        ResolveJoinSpec(left_attrs, right_attrs, predicate));
   JoinNeed split;
   for (const auto& col : left_attrs) {
-    if (need.count(col) > 0) split.left.insert(col);
+    if (need.count(col) > 0) split.left_out.insert(col);
   }
   for (const auto& col : right_attrs) {
-    if (need.count(col) > 0) split.right.insert(col);
+    if (need.count(col) > 0) split.right_out.insert(col);
   }
+  split.left = split.left_out;
+  split.right = split.right_out;
   for (const auto& c : spec.conds) {
     split.left_keys.push_back(left_attrs[c.left]);
     split.right_keys.push_back(right_attrs[c.right]);
@@ -206,9 +212,10 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           MQO_ASSIGN_OR_RETURN(d.build, SideInputBatch(build_eq, split.right));
         }
         need = std::move(split.left);
-        d.probe_out = NeedAttrs(memo_, probe_eq, need);
+        d.probe_out = NeedAttrs(memo_, probe_eq, split.left_out);
         d.probe_keys = std::move(split.left_keys);
         d.build_keys = std::move(split.right_keys);
+        d.build_out = std::move(split.right_out);
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
@@ -298,8 +305,9 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         break;
       case ChainDesc::kProbe:
         // The probe emits (its pruned probe-side columns, the pruned build);
-        // everything above is satisfied from those.
+        // everything above is satisfied from those, and it reads its keys.
         required = ColumnNeed(d.probe_out.begin(), d.probe_out.end());
+        required.insert(d.probe_keys.begin(), d.probe_keys.end());
         break;
     }
   }
@@ -387,11 +395,17 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           }
         }
         schema = d.probe_out;
-        schema.insert(schema.end(), table->build().names.begin(),
-                      table->build().names.end());
+        std::vector<int> build_out;
+        const std::vector<ColumnRef>& build_names = table->build().names;
+        for (size_t j = 0; j < build_names.size(); ++j) {
+          if (d.build_out.count(build_names[j]) > 0) {
+            build_out.push_back(static_cast<int>(j));
+            schema.push_back(build_names[j]);
+          }
+        }
         pipeline.ops.push_back(std::make_unique<ProbeChunkOp>(
             std::move(table), std::move(probe_keys), std::move(left_out),
-            schema));
+            std::move(build_out), schema));
         break;
       }
     }

@@ -6,6 +6,7 @@
 
 #include "common/hash.h"
 #include "storage/table_reader.h"
+#include "vexec/agg_state.h"
 #include "vexec/join_table.h"
 
 namespace mqo {
@@ -413,10 +414,13 @@ bool JoinKeys(const ColumnBatch& left, const std::vector<int>& lcols,
   return true;
 }
 
-/// Row order that stably sorts `keys` (width >= 1). Sorts (first key, row)
-/// entries, so the common comparison reads its operands inline; only a tie
-/// on the first key consults the row's remaining keys.
-SelVector StableOrder(const FlatKeys& keys) {
+/// Row order that stably sorts `keys` (width >= 1) by comparison. Sorts
+/// (first key, row) entries, so the common comparison reads its operands
+/// inline; only a tie on the first key consults the row's remaining keys.
+/// `<` on NaN is no strict weak ordering, so the permutation of NaN keys is
+/// this sort's own (the one the oracle tests pin); StableOrder keeps this
+/// sort for them.
+SelVector ComparisonOrder(const FlatKeys& keys) {
   struct Entry {
     double first;
     uint32_t row;
@@ -433,6 +437,63 @@ SelVector StableOrder(const FlatKeys& keys) {
                    });
   SelVector order(keys.rows);
   for (size_t i = 0; i < order.size(); ++i) order[i] = entries[i].row;
+  return order;
+}
+
+/// Unsigned bits that order as the (non-NaN) double does: -0.0 becomes
+/// +0.0, negatives flip every bit, non-negatives set the sign bit. Then
+/// `a < b` iff OrderedBits(a) < OrderedBits(b), and `==` agrees too.
+uint64_t OrderedBits(double d) {
+  uint64_t bits = HashDouble(d == 0.0 ? 0.0 : d);
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+/// Row order that stably sorts `keys` (width >= 1): a stable LSD radix sort
+/// over OrderedBits, least-significant key column first, one counting
+/// scatter per 8-bit digit. A column's 8 digit histograms come from one
+/// read, and a digit that puts every row in one bucket is skipped (integral
+/// doubles leave most low mantissa bytes constant). For non-NaN keys this
+/// is exactly the permutation of a stable comparison sort; any NaN key
+/// takes ComparisonOrder instead.
+SelVector StableOrder(const FlatKeys& keys) {
+  const size_t n = keys.rows;
+  const size_t w = keys.width;
+  for (double d : keys.v) {
+    if (std::isnan(d)) return ComparisonOrder(keys);
+  }
+  SelVector order(n);
+  for (uint32_t r = 0; r < n; ++r) order[r] = r;
+  std::vector<uint64_t> bits(n);
+  std::vector<uint64_t> bits_tmp(n);
+  SelVector order_tmp(n);
+  for (size_t c = w; c-- > 0;) {
+    const double* col = keys.v.data() + c;
+    size_t hist[8][256] = {};
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t b = OrderedBits(col[order[i] * w]);
+      bits[i] = b;
+      for (int d = 0; d < 8; ++d) ++hist[d][(b >> (8 * d)) & 0xff];
+    }
+    for (int d = 0; d < 8; ++d) {
+      const int shift = 8 * d;
+      size_t* count = hist[d];
+      if (n == 0 || count[(bits[0] >> shift) & 0xff] == n) continue;
+      size_t offset = 0;
+      for (int b = 0; b < 256; ++b) {
+        const size_t rows = count[b];
+        count[b] = offset;
+        offset += rows;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const size_t to = count[(bits[i] >> shift) & 0xff]++;
+        bits_tmp[to] = bits[i];
+        order_tmp[to] = order[i];
+      }
+      bits.swap(bits_tmp);
+      order.swap(order_tmp);
+    }
+  }
   return order;
 }
 
@@ -668,122 +729,9 @@ Result<ColumnBatch> AggregateBatch(const ColumnBatch& in,
     arg_idx.push_back(i);
   }
 
-  // Hash grouping: every row is assigned a dense group id; the first row of
-  // each group is its representative for key extraction.
-  std::unordered_map<uint64_t, SelVector> buckets;
-  std::vector<uint32_t> group_rep;
-  std::vector<uint32_t> group_of(in.num_rows, 0);
-  for (uint32_t r = 0; r < in.num_rows; ++r) {
-    uint64_t h = 0x2545f4914f6cdd1dull;
-    for (int c : group_idx) h = HashCombine(h, in.columns[c].HashCell(r));
-    SelVector& bucket = buckets[h];
-    uint32_t gid = static_cast<uint32_t>(group_rep.size());
-    for (uint32_t cand : bucket) {
-      bool same = true;
-      for (int c : group_idx) {
-        if (!ColumnVector::CellsEqual(in.columns[c], r, in.columns[c],
-                                      group_rep[cand])) {
-          same = false;
-          break;
-        }
-      }
-      if (same) {
-        gid = cand;
-        break;
-      }
-    }
-    if (gid == group_rep.size()) {
-      group_rep.push_back(r);
-      bucket.push_back(gid);
-    }
-    group_of[r] = gid;
-  }
-
-  // Columnar fold states, matching row_ops' AggState semantics: count counts
-  // rows, sum folds numeric arguments, min/max track extreme argument rows.
-  const size_t num_groups = group_rep.size();
-  const size_t num_aggs = aggs.size();
-  std::vector<double> sum(num_groups * num_aggs, 0.0);
-  std::vector<double> count(num_groups * num_aggs, 0.0);
-  std::vector<uint32_t> min_row(num_groups * num_aggs, 0);
-  std::vector<uint32_t> max_row(num_groups * num_aggs, 0);
-  std::vector<char> any(num_groups * num_aggs, 0);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const int c = arg_idx[a];
-    if (c < 0) {
-      for (uint32_t r = 0; r < in.num_rows; ++r) {
-        count[group_of[r] * num_aggs + a] += 1.0;
-      }
-      continue;
-    }
-    const ColumnVector& col = in.columns[c];
-    const bool numeric = col.is_numeric();
-    for (uint32_t r = 0; r < in.num_rows; ++r) {
-      const size_t s = group_of[r] * num_aggs + a;
-      count[s] += 1.0;
-      if (numeric) sum[s] += col.Number(r);
-      if (!any[s] || ColumnVector::CellLess(col, r, col, min_row[s])) {
-        min_row[s] = r;
-      }
-      if (!any[s] || ColumnVector::CellLess(col, max_row[s], col, r)) {
-        max_row[s] = r;
-      }
-      any[s] = 1;
-    }
-  }
-
-  ColumnBatch out;
-  out.names = group_by;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (a < renames.size() && !renames[a].empty()) {
-      out.names.emplace_back("", renames[a]);
-    } else {
-      out.names.push_back(aggs[a].OutputColumn());
-    }
-  }
-  if (num_groups == 0 && group_by.empty()) {
-    // Scalar aggregate over empty input: one row of fold identities (all of
-    // AggState's Finish values degenerate to 0.0 on an empty fold).
-    for (size_t a = 0; a < num_aggs; ++a) {
-      ColumnBuilder builder;
-      MQO_RETURN_NOT_OK(builder.Append(Value(0.0)));
-      MQO_ASSIGN_OR_RETURN(ColumnVector col, std::move(builder).Finish());
-      out.columns.push_back(std::move(col));
-    }
-    out.num_rows = 1;
-    return out;
-  }
-  SelVector reps(group_rep.begin(), group_rep.end());
-  for (int c : group_idx) out.columns.push_back(in.columns[c].Gather(reps));
-  for (size_t a = 0; a < num_aggs; ++a) {
-    ColumnBuilder builder;
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t s = g * num_aggs + a;
-      Value v(0.0);
-      switch (aggs[a].func) {
-        case AggFunc::kSum:
-          v = Value(sum[s]);
-          break;
-        case AggFunc::kCount:
-          v = Value(count[s]);
-          break;
-        case AggFunc::kAvg:
-          v = Value(count[s] > 0 ? sum[s] / count[s] : 0.0);
-          break;
-        case AggFunc::kMin:
-          v = any[s] ? in.columns[arg_idx[a]].GetValue(min_row[s]) : Value(0.0);
-          break;
-        case AggFunc::kMax:
-          v = any[s] ? in.columns[arg_idx[a]].GetValue(max_row[s]) : Value(0.0);
-          break;
-      }
-      MQO_RETURN_NOT_OK(builder.Append(v));
-    }
-    MQO_ASSIGN_OR_RETURN(ColumnVector col, std::move(builder).Finish());
-    out.columns.push_back(std::move(col));
-  }
-  out.num_rows = num_groups;
-  return out;
+  AggAccumulator acc;
+  acc.Consume(in, group_idx, arg_idx, aggs, 0);
+  return acc.Finish(group_by, aggs, renames);
 }
 
 }  // namespace mqo

@@ -67,21 +67,25 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
 
 /// Equijoin by argsorting both sides on the key columns and merging equal-key
 /// runs. Bag-equal to HashJoinBatch; used for kMergeJoin plans. Keys are
-/// decoded once into flat arrays (strings as ranks in one dictionary order
-/// shared by both sides); the output order is that of a stable sort over
-/// the cell comparators (ColumnVector::CellLess).
+/// decoded once into flat arrays of doubles (strings as ranks in one
+/// dictionary order shared by both sides) and argsorted by a stable LSD
+/// radix sort over order-preserving key bits; the output order is that of
+/// a stable sort over the cell comparators (ColumnVector::CellLess). A side
+/// with a NaN key is argsorted by std::stable_sort instead, whose order on
+/// NaN is the established one.
 Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                                    const ColumnBatch& right,
                                    const JoinPredicate& predicate);
 
-/// Stable sort by `order` (most-significant first), on keys decoded once as
-/// MergeJoinBatch does. Order columns missing from the batch are ignored —
-/// sorting never changes the bag.
+/// Stable sort by `order` (most-significant first), on keys decoded once
+/// and radix-ordered as MergeJoinBatch does (NaN keys: std::stable_sort).
+/// Order columns missing from the batch are ignored — sorting never changes
+/// the bag.
 Result<ColumnBatch> SortBatch(const ColumnBatch& in, const SortOrder& order);
 
-/// Grouped aggregation with hash grouping and columnar fold states; matches
-/// AggregateRows (including the empty-input scalar identity row and the
-/// aggregate-subsumption renames).
+/// Grouped aggregation through one AggAccumulator (vexec/agg_state.h):
+/// groups in first-occurrence order; matches AggregateRows (including the
+/// empty-input scalar identity row and the aggregate-subsumption renames).
 Result<ColumnBatch> AggregateBatch(const ColumnBatch& in,
                                    const std::vector<ColumnRef>& group_by,
                                    const std::vector<AggExpr>& aggs,

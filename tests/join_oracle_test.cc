@@ -1,4 +1,4 @@
-// Oracle tests for the vector engine's join and sort kernels.
+// Oracle tests for the vector engine's join, sort and aggregation kernels.
 //
 // Hash joins (HashJoinBatch, and a ProbeChunkOp pipeline with and without
 // Bloom pushdown) are checked against a nested-loop reference; merge joins
@@ -8,14 +8,29 @@
 // physical key form: plain and FOR-encoded int64, doubles with signed zeros
 // and NaN, and strings sharing a dictionary, with different dictionaries
 // and raw.
+//
+// Merge joins and sorts order their keys with a stable LSD radix sort
+// unless some key is NaN, which keeps the comparison sort. Of Cases(), only
+// signed_zero_nan takes the comparison sort; every other case takes the
+// radix path. RadixCases() are NaN-free and large (thousands of rows,
+// heavy duplication, signed zeros, negatives, infinities, int64 past 2^53,
+// sorted and reverse-sorted input, constant high digits), so every digit
+// pass and every digit skip of the radix path runs.
+//
+// AggOracleTest checks AggregateBatch and the pipeline aggregate sink at
+// threads 1/2/4 against the row engine's AggregateRows: the same groups,
+// emitted in first-occurrence order, with cells identical down to the sign
+// of zero.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 
+#include "exec/row_ops.h"
 #include "vexec/pipeline.h"
 #include "vexec/vector_ops.h"
 
@@ -174,6 +189,73 @@ std::vector<JoinCase> Cases() {
       Side("r", {{"k", Ints(Cycle(20, 3))}}), {});
   add("number_vs_string", Side("l", {{"k", Ints(Cycle(40, 4))}}),
       Side("r", {{"k", DictStrings(Names("", Cycle(30, 4)))}}), {"k"});
+  return cases;
+}
+
+/// n deterministic pseudo-random values base + (LCG state % mod).
+std::vector<int64_t> Scrambled(int n, int64_t mod, int64_t base = 0,
+                               uint64_t seed = 1) {
+  std::vector<int64_t> out;
+  uint64_t x = seed;
+  for (int i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    out.push_back(base + static_cast<int64_t>((x >> 33) % mod));
+  }
+  return out;
+}
+
+/// Sort and merge-join cases large enough to exercise every digit pass of
+/// the radix order: thousands of rows, heavy key duplication, every sign
+/// and magnitude class of double, and int64 values past 2^53.
+std::vector<JoinCase> RadixCases() {
+  std::vector<JoinCase> cases;
+  auto add = [&](std::string name, ColumnBatch left, ColumnBatch right,
+                 std::vector<std::string> keys) {
+    cases.push_back({std::move(name), std::move(left), std::move(right),
+                     std::move(keys)});
+  };
+  add("radix_duplicates", Side("l", {{"k", Ints(Scrambled(6000, 97))}}),
+      Side("r", {{"k", ForInts(Scrambled(4000, 131, -50, 7))}}), {"k"});
+  // Signed zeros, negatives, subnormals and both infinities: every branch
+  // of the order-preserving bit map. No NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      0.0,    -0.0,    -1.5,  1.5,  -1e300, 1e300, inf, -inf,
+      4e-320, -4e-320, -2.25, 2.25, -7.0,   7.0,   -0.5};
+  add("radix_signed_doubles",
+      Side("l", {{"k", Doubles(Pick<double>(specials, Scrambled(3000, 15)))}}),
+      Side("r", {{"k", Doubles(Pick<double>(specials,
+                                            Scrambled(1000, 15, 0, 3)))}}),
+      {"k"});
+  // Past 2^53 neighbouring int64 values share a double, so they sort (and
+  // match) as equals, exactly as CellLess compares them.
+  std::vector<int64_t> big = Scrambled(4000, 64);
+  for (int64_t& v : big) v = (int64_t{1} << 53) + v * 3 - 96;
+  std::vector<int64_t> huge = Scrambled(3000, 40, 0, 5);
+  for (int64_t& v : huge) {
+    v = (v % 2 == 0 ? 1 : -1) * ((int64_t{1} << 62) + v);
+  }
+  std::vector<int64_t> mixed = big;
+  mixed.insert(mixed.end(), huge.begin(), huge.end());
+  add("radix_int64_past_2p53", Side("l", {{"k", Ints(mixed)}}),
+      Side("r", {{"k", ForInts(Scrambled(2500, 64, (int64_t{1} << 53) - 32,
+                                         11))}}),
+      {"k"});
+  // Already sorted against reverse sorted.
+  std::vector<int64_t> ascending = Cycle(5000, 5000);
+  for (int64_t& v : ascending) v /= 3;
+  std::vector<int64_t> descending(ascending.rbegin(), ascending.rend());
+  add("radix_sorted_vs_reversed", Side("l", {{"k", Ints(ascending)}}),
+      Side("r", {{"k", Ints(descending)}}), {"k"});
+  // Two keys whose high digits never change: the first key is one large
+  // constant plus a few low bits, the second a small dictionary.
+  std::vector<int64_t> low_bits = Scrambled(4000, 4, int64_t{1} << 40, 13);
+  add("radix_two_keys_constant_high",
+      Side("l", {{"k", Ints(low_bits)},
+                 {"k2", DictStrings(Names("t", Scrambled(4000, 5, 0, 17)))}}),
+      Side("r", {{"k", ForInts(Scrambled(600, 4, int64_t{1} << 40, 19))},
+                 {"k2", RawStrings(Names("t", Scrambled(600, 6, 0, 23)))}}),
+      {"k", "k2"});
   return cases;
 }
 
@@ -345,8 +427,11 @@ Result<ColumnBatch> RunProbePipeline(const JoinCase& c, const ExecOptions& exec,
     pipe.bloom = table->bloom();
     pipe.bloom_key_idx = probe_keys;
   }
+  std::vector<int> build_out(c.right.columns.size());
+  std::iota(build_out.begin(), build_out.end(), 0);
   pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
-      table, probe_keys, pipe.keep_idx, std::move(spec.out_names)));
+      table, probe_keys, pipe.keep_idx, std::move(build_out),
+      std::move(spec.out_names)));
   return RunVecPipeline(pipe, exec);
 }
 
@@ -384,49 +469,60 @@ TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
   }
 }
 
-TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
-  for (const JoinCase& c : Cases()) {
-    auto got = MergeJoinBatch(c.left, c.right, c.predicate());
-    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-    ExpectJoinRows(got.ValueOrDie(), c, OracleMergePairs(c), c.name);
-  }
+void ExpectMergeJoinMatchesOracle(const JoinCase& c) {
+  auto got = MergeJoinBatch(c.left, c.right, c.predicate());
+  ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+  ExpectJoinRows(got.ValueOrDie(), c, OracleMergePairs(c), c.name);
 }
 
-TEST(JoinOracleTest, SortMatchesCellComparatorStableSort) {
-  for (const JoinCase& c : Cases()) {
-    for (const ColumnBatch* in : {&c.left, &c.right}) {
-      // Every key column most-significant first, then reversed, then the
-      // unique id last (a no-op tiebreak that must not disturb stability).
-      const std::string& alias = in->names[0].qualifier;
-      std::vector<SortOrder> orders(2);
-      for (const auto& k : c.keys) {
-        orders[0].emplace_back(alias, k);
-        orders[1].insert(orders[1].begin(), ColumnRef(alias, k));
-      }
-      orders.push_back(orders[0]);
-      orders.back().emplace_back(alias, "id");
-      for (const SortOrder& order : orders) {
-        if (order.empty()) continue;
-        std::vector<int> cols;
-        for (const auto& col : order) cols.push_back(in->ColumnIndex(col));
-        const SelVector want = OracleSortOrder(*in, cols);
-        auto got = SortBatch(*in, order);
-        const std::string context =
-            c.name + " sort " + alias + " by " + std::to_string(order.size()) +
-            " keys";
-        ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-        const ColumnBatch& out = got.ValueOrDie();
-        ASSERT_EQ(out.num_rows, in->num_rows) << context;
-        for (size_t col = 0; col < in->columns.size(); ++col) {
-          for (size_t i = 0; i < out.num_rows; ++i) {
-            ASSERT_TRUE(SameCell(out.columns[col], i, in->columns[col],
-                                 want[i]))
-                << context << ": row " << i << " column " << col;
-          }
+/// Sorts both sides by every key column most-significant first, then
+/// reversed, then with the unique id last (a no-op tiebreak that must not
+/// disturb stability).
+void ExpectSortsMatchOracle(const JoinCase& c) {
+  for (const ColumnBatch* in : {&c.left, &c.right}) {
+    const std::string& alias = in->names[0].qualifier;
+    std::vector<SortOrder> orders(2);
+    for (const auto& k : c.keys) {
+      orders[0].emplace_back(alias, k);
+      orders[1].insert(orders[1].begin(), ColumnRef(alias, k));
+    }
+    orders.push_back(orders[0]);
+    orders.back().emplace_back(alias, "id");
+    for (const SortOrder& order : orders) {
+      if (order.empty()) continue;
+      std::vector<int> cols;
+      for (const auto& col : order) cols.push_back(in->ColumnIndex(col));
+      const SelVector want = OracleSortOrder(*in, cols);
+      auto got = SortBatch(*in, order);
+      const std::string context = c.name + " sort " + alias + " by " +
+                                  std::to_string(order.size()) + " keys";
+      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+      const ColumnBatch& out = got.ValueOrDie();
+      ASSERT_EQ(out.num_rows, in->num_rows) << context;
+      for (size_t col = 0; col < in->columns.size(); ++col) {
+        for (size_t i = 0; i < out.num_rows; ++i) {
+          ASSERT_TRUE(SameCell(out.columns[col], i, in->columns[col], want[i]))
+              << context << ": row " << i << " column " << col;
         }
       }
     }
   }
+}
+
+TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
+  for (const JoinCase& c : Cases()) ExpectMergeJoinMatchesOracle(c);
+}
+
+TEST(JoinOracleTest, SortMatchesCellComparatorStableSort) {
+  for (const JoinCase& c : Cases()) ExpectSortsMatchOracle(c);
+}
+
+TEST(JoinOracleTest, RadixMergeJoinMatchesCellComparatorSortMerge) {
+  for (const JoinCase& c : RadixCases()) ExpectMergeJoinMatchesOracle(c);
+}
+
+TEST(JoinOracleTest, RadixSortMatchesCellComparatorStableSort) {
+  for (const JoinCase& c : RadixCases()) ExpectSortsMatchOracle(c);
 }
 
 TEST(JoinOracleTest, CasesCoverMatchesAndEdges) {
@@ -440,6 +536,267 @@ TEST(JoinOracleTest, CasesCoverMatchesAndEdges) {
       EXPECT_EQ(matches, 30000u);
     } else {
       EXPECT_GT(matches, 0u) << c.name;
+    }
+  }
+  // The radix cases are NaN-free (or they would take the comparison sort),
+  // large, key-duplicating, and joinable.
+  for (const JoinCase& c : RadixCases()) {
+    EXPECT_GE(c.left.num_rows, 2000u) << c.name;
+    EXPECT_GT(OracleMergePairs(c).left.size(), 0u) << c.name;
+    for (const ColumnBatch* side : {&c.left, &c.right}) {
+      for (const ColumnVector& col : side->columns) {
+        for (size_t i = 0; col.is_numeric() && i < col.size(); ++i) {
+          ASSERT_FALSE(std::isnan(col.Number(i))) << c.name;
+        }
+      }
+    }
+  }
+}
+
+/// One grouped aggregation over a batch.
+struct AggCase {
+  std::string name;
+  ColumnBatch in;
+  std::vector<ColumnRef> group_by;
+  std::vector<AggExpr> aggs;
+};
+
+AggExpr Agg(AggFunc func, ColumnRef arg = {}) {
+  AggExpr a;
+  a.func = func;
+  a.arg = std::move(arg);
+  return a;
+}
+
+/// A batch of columns t.<name>.
+ColumnBatch Table(std::vector<std::pair<std::string, ColumnVector>> cols) {
+  ColumnBatch batch;
+  batch.num_rows = cols.front().second.size();
+  for (auto& [name, col] : cols) {
+    batch.names.emplace_back("t", name);
+    batch.columns.push_back(std::move(col));
+  }
+  return batch;
+}
+
+/// Every aggregate function over the numeric `x`, plus MIN/MAX over the
+/// string `s` when there is one.
+std::vector<AggExpr> AllAggs(bool with_string) {
+  const ColumnRef x("t", "x");
+  std::vector<AggExpr> aggs = {Agg(AggFunc::kCount), Agg(AggFunc::kSum, x),
+                               Agg(AggFunc::kAvg, x), Agg(AggFunc::kMin, x),
+                               Agg(AggFunc::kMax, x), Agg(AggFunc::kCount, x)};
+  if (with_string) {
+    aggs.push_back(Agg(AggFunc::kMin, ColumnRef("t", "s")));
+    aggs.push_back(Agg(AggFunc::kMax, ColumnRef("t", "s")));
+  }
+  return aggs;
+}
+
+/// Arguments are integers, halves or signed zeros, so every sum is exact in
+/// any fold order and the engines must agree bit for bit.
+std::vector<AggCase> AggCases() {
+  std::vector<AggCase> cases;
+  const ColumnRef k("t", "k");
+  // More groups than 100k: the table doubles many times, and at threads
+  // > 1 the merge inserts most groups again. Three aggregates keep the
+  // fold cells (and the test's run time) small.
+  const ColumnRef x("t", "x");
+  cases.push_back(
+      {"many_groups",
+       Table({{"k", Ints(Scrambled(125000, 400000))},
+              {"x", Ints(Scrambled(125000, 1000, -500, 3))}}),
+       {k},
+       {Agg(AggFunc::kCount), Agg(AggFunc::kSum, x), Agg(AggFunc::kMax, x)}});
+  // One key column of each physical form.
+  std::vector<double> halves;
+  for (int64_t v : Scrambled(6000, 3, 0, 5)) halves.push_back(v / 2.0);
+  cases.push_back(
+      {"mixed_keys",
+       Table({{"i", Ints(Scrambled(6000, 3, 0, 2))},
+              {"f", ForInts(Scrambled(6000, 2, 1000000, 3))},
+              {"d", Doubles(halves)},
+              {"ds", DictStrings(Names("d", Scrambled(6000, 2, 0, 7)))},
+              {"rs", RawStrings(Names("r", Scrambled(6000, 3, 0, 11)))},
+              {"x", Ints(Scrambled(6000, 100, -50, 13))},
+              {"s", DictStrings(Names("v", Scrambled(6000, 40, 0, 17)))}}),
+       {ColumnRef("t", "i"), ColumnRef("t", "f"), ColumnRef("t", "d"),
+        ColumnRef("t", "ds"), ColumnRef("t", "rs")},
+       AllAggs(true)});
+  // -0.0 and 0.0 are one group, keyed by whichever came first (-0.0).
+  std::vector<int64_t> zero_first = Scrambled(3000, 4, 0, 19);
+  zero_first[0] = 0;
+  cases.push_back(
+      {"signed_zero_keys",
+       Table({{"k", Doubles(Pick<double>({-0.0, 0.0, 1.5, -1.5}, zero_first))},
+              {"x", Ints(Scrambled(3000, 10, 0, 23))}}),
+       {k},
+       AllAggs(false)});
+  // MIN and MAX over equal values (signed zeros) keep the earliest row's;
+  // group 4's 0.25 keeps the result columns double, so the sign survives.
+  std::vector<int64_t> groups = Scrambled(4000, 5, 0, 29);
+  std::vector<int64_t> zero_pick = Scrambled(4000, 2, 0, 31);
+  std::vector<double> zeros;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    zeros.push_back(groups[i] == 4 ? 0.25 : (zero_pick[i] == 0 ? -0.0 : 0.0));
+  }
+  cases.push_back({"min_max_ties",
+                   Table({{"k", Ints(groups)}, {"x", Doubles(zeros)}}),
+                   {k},
+                   AllAggs(false)});
+  // COUNT(*) and friends over no rows: the scalar identity row, and no
+  // rows at all once grouped.
+  cases.push_back(
+      {"empty_scalar", Table({{"x", Ints({})}}), {}, AllAggs(false)});
+  cases.push_back({"empty_grouped", Table({{"k", Ints({})}, {"x", Ints({})}}),
+                   {k},
+                   AllAggs(false)});
+  return cases;
+}
+
+/// Cell identity on Values: same string, or the same number down to the
+/// sign of zero.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_number() != b.is_number()) return false;
+  if (!a.is_number()) return a.str() == b.str();
+  return a.number() == b.number() &&
+         std::signbit(a.number()) == std::signbit(b.number());
+}
+
+/// The row engine's group equality (neither key ValueLess than the other).
+struct KeyLess {
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end(), ValueLess);
+  }
+};
+
+/// AggregateRows' result for `c`, its groups reordered by first occurrence
+/// in the input; a scalar aggregate has its one row even over no input.
+NamedRows ExpectedAggRows(const AggCase& c) {
+  const NamedRows in = BatchToRows(c.in);
+  NamedRows want = AggregateRows(in, c.group_by, c.aggs, {}).ValueOrDie();
+  const size_t width = c.group_by.size();
+  std::map<std::vector<Value>, size_t, KeyLess> want_row;
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    want_row.emplace(std::vector<Value>(want.rows[i].begin(),
+                                        want.rows[i].begin() + width),
+                     i);
+  }
+  NamedRows ordered;
+  ordered.columns = want.columns;
+  if (width == 0) {
+    ordered.rows = want.rows;
+    return ordered;
+  }
+  std::vector<int> group_idx;
+  for (const auto& g : c.group_by) group_idx.push_back(in.ColumnIndex(g));
+  for (const auto& row : in.rows) {
+    std::vector<Value> key;
+    for (int g : group_idx) key.push_back(row[g]);
+    auto it = want_row.find(key);
+    if (it == want_row.end()) continue;  // not a first occurrence
+    ordered.rows.push_back(std::move(want.rows[it->second]));
+    want_row.erase(it);
+  }
+  return ordered;
+}
+
+/// The expected rows of every AggCases() case, computed once: the row
+/// engine's std::map grouping dominates these tests' run time.
+const std::vector<NamedRows>& ExpectedAggs() {
+  static const std::vector<NamedRows>* const expected = [] {
+    auto* out = new std::vector<NamedRows>;
+    for (const AggCase& c : AggCases()) out->push_back(ExpectedAggRows(c));
+    return out;
+  }();
+  return *expected;
+}
+
+/// `got` must hold exactly `want`'s rows in `want`'s order, every cell
+/// (keys included) identical down to the sign of zero.
+void ExpectAggRows(const ColumnBatch& got, const NamedRows& want,
+                   const std::string& context) {
+  const NamedRows rows = BatchToRows(got);
+  ASSERT_TRUE(rows.columns == want.columns) << context;
+  ASSERT_EQ(rows.rows.size(), want.rows.size()) << context;
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    for (size_t col = 0; col < want.columns.size(); ++col) {
+      ASSERT_TRUE(SameValue(rows.rows[i][col], want.rows[i][col]))
+          << context << ": group " << i << " column "
+          << want.columns[col].ToString() << " got "
+          << rows.rows[i][col].ToString() << " want "
+          << want.rows[i][col].ToString();
+    }
+  }
+}
+
+/// The aggregation as a pipeline sink over `c.in`.
+Result<ColumnBatch> RunAggPipeline(const AggCase& c, const ExecOptions& exec) {
+  VecPipeline pipe;
+  pipe.source = c.in;
+  for (size_t i = 0; i < c.in.columns.size(); ++i) {
+    pipe.keep_idx.push_back(static_cast<int>(i));
+  }
+  pipe.chunk_names = c.in.names;
+  pipe.aggregate = true;
+  pipe.agg_group_by = c.group_by;
+  pipe.agg_aggs = c.aggs;
+  for (const auto& g : c.group_by) {
+    pipe.agg_group_idx.push_back(c.in.ColumnIndex(g));
+  }
+  for (const auto& a : c.aggs) {
+    pipe.agg_arg_idx.push_back(a.arg.name.empty() ? -1
+                                                  : c.in.ColumnIndex(a.arg));
+  }
+  return RunVecPipeline(pipe, exec);
+}
+
+TEST(AggOracleTest, AggregateBatchMatchesRowEngine) {
+  const std::vector<AggCase> cases = AggCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const AggCase& c = cases[i];
+    auto got = AggregateBatch(c.in, c.group_by, c.aggs, {});
+    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+    ExpectAggRows(got.ValueOrDie(), ExpectedAggs()[i], c.name);
+  }
+}
+
+TEST(AggOracleTest, PipelineSinkMatchesRowEngineAtEveryThreadCount) {
+  const std::vector<AggCase> cases = AggCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const AggCase& c = cases[i];
+    for (int threads : {1, 2, 4}) {
+      const std::string context = c.name + " t" + std::to_string(threads);
+      ExecOptions exec;
+      exec.num_threads = threads;
+      exec.morsel_rows = 512;  // Many morsels, so workers merge real states.
+      auto got = RunAggPipeline(c, exec);
+      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+      ExpectAggRows(got.ValueOrDie(), ExpectedAggs()[i], context);
+    }
+  }
+}
+
+TEST(AggOracleTest, CasesCoverTheirEdges) {
+  // Guards the oracle itself.
+  const std::vector<AggCase> cases = AggCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const AggCase& c = cases[i];
+    const size_t groups = ExpectedAggs()[i].rows.size();
+    if (c.name == "many_groups") {
+      EXPECT_GT(groups, 100000u);
+      EXPECT_LT(groups, c.in.num_rows) << "no key repeats";
+    } else if (c.name == "signed_zero_keys") {
+      EXPECT_EQ(groups, 3u);
+      EXPECT_TRUE(std::signbit(c.in.columns[0].Number(0)));
+    } else if (c.name == "empty_scalar") {
+      EXPECT_EQ(groups, 1u);
+    } else if (c.name == "empty_grouped") {
+      EXPECT_EQ(groups, 0u);
+    } else {
+      EXPECT_GT(groups, 1u) << c.name;
     }
   }
 }

@@ -852,10 +852,11 @@ TEST(VexecTraceTest, OperatorRowCountsDeterministicAcrossThreadCounts) {
 
 TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
   // orders has 9 columns and lineitem 16, so a full-width join emits 25.
-  // The aggregate reads o_custkey and l_extendedprice and the join adds its
-  // two keys: the probe must emit 4. The date filter fuses into the orders
-  // scan, so its column never reaches a chunk. The widths are identical at
-  // every thread count.
+  // The aggregate reads o_custkey and l_extendedprice: the probe must emit
+  // those 2. Its keys o_orderkey and l_orderkey reach the probe and the
+  // build, but nothing above reads them, so they are not gathered. The date
+  // filter fuses into the orders scan, so its column never reaches a chunk.
+  // The widths are identical at every thread count.
   Catalog catalog = MakeTpcdCatalog(1);
   auto query = ParseQuery(
       "SELECT o_custkey, SUM(l_extendedprice) FROM orders, lineitem "
@@ -905,7 +906,7 @@ TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
   for (const auto& [name, width] : baseline) {
     if (name != "op.probe") continue;
     ++probes;
-    EXPECT_EQ(width, 4) << "the join emits columns no consumer reads";
+    EXPECT_EQ(width, 2) << "the join emits columns no consumer reads";
   }
   EXPECT_EQ(probes, 1);
   for (size_t c = 1; c < configs.size(); ++c) {
@@ -956,7 +957,7 @@ struct BloomFixture {
     pipe.chunk_names = probe.names;
     pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
         table, std::vector<int>{0}, std::vector<int>{0, 1},
-        std::vector<ColumnRef>{ColumnRef("p", "k"), ColumnRef("p", "v"),
+        std::vector<int>{0}, std::vector<ColumnRef>{ColumnRef("p", "k"), ColumnRef("p", "v"),
                                ColumnRef("b", "k")}));
     if (with_bloom) {
       pipe.bloom = table->bloom();
@@ -1042,7 +1043,7 @@ TEST(VexecBloomTest, DictionaryProbeCountersSurfaceInMetrics) {
   pipe.keep_idx = {0};
   pipe.chunk_names = probe.names;
   pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
-      table, std::vector<int>{0}, std::vector<int>{0},
+      table, std::vector<int>{0}, std::vector<int>{0}, std::vector<int>{0},
       std::vector<ColumnRef>{ColumnRef("p", "tag"), ColumnRef("b", "tag")}));
 
   ObsOptions obs_options;
