@@ -1,8 +1,6 @@
 #include "optimizer/batch_optimizer.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -90,20 +88,22 @@ uint64_t BatchOptimizer::SetKey(const std::set<EqId>& canonical) const {
 std::pair<double, double> BatchOptimizer::Evaluate(PlanSearch* search,
                                                    const std::set<EqId>& mat) {
   const int64_t costings_before = search->num_costings();
-  PlanNodePtr root = search->UsePlan(memo_->root(), {});
-  assert(root != nullptr);
-  double buc = root->total_cost;
+  const std::pair<double, double> result = SearchCosts(search, mat);
+  num_costings_.fetch_add(search->num_costings() - costings_before,
+                          std::memory_order_relaxed);
+  return result;
+}
+
+std::pair<double, double> BatchOptimizer::SearchCosts(
+    PlanSearch* search, const std::set<EqId>& mat) const {
+  const double buc = search->UseCost(memo_->root());
   double bc = buc;
   for (EqId e : mat) {
     // A class already resident in the cross-batch cache costs nothing to
     // materialize: the executor serves it without recomputation or a write.
     if (IsCachedClass(e)) continue;
-    PlanNodePtr compute = search->ComputePlan(e, {});
-    assert(compute != nullptr);
-    bc += compute->total_cost + search->WriteCost(e);
+    bc += search->ComputeCost(e) + search->WriteCost(e);
   }
-  num_costings_.fetch_add(search->num_costings() - costings_before,
-                          std::memory_order_relaxed);
   return {bc, buc};
 }
 
@@ -203,17 +203,10 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
     reuse_hits = overlay.reuse_hits();
     if (options_.verify_cone) {
       PlanSearch fresh(memo_, &stats_, cm_, s, options_.search, index_);
-      PlanNodePtr root = fresh.UsePlan(memo_->root(), {});
-      double buc = root->total_cost;
-      double bc = buc;
-      for (EqId e : s) {
-        if (IsCachedClass(e)) continue;  // mirror Evaluate's zero-cost skip
-        PlanNodePtr compute = fresh.ComputePlan(e, {});
-        bc += compute->total_cost + fresh.WriteCost(e);
-      }
-      const double tol = 1e-9 * std::max({1.0, std::abs(bc), std::abs(buc)});
-      if (std::abs(bc - result.first) > tol ||
-          std::abs(buc - result.second) > tol) {
+      const auto [bc, buc] = SearchCosts(&fresh, s);
+      // Exact: an overlay sums the same winners in the same order as a
+      // fresh search, so any differing bit is a bug.
+      if (bc != result.first || buc != result.second) {
         std::fprintf(stderr,
                      "verify_cone: cone-scoped bc/buc (%.17g, %.17g) != fresh "
                      "full search (%.17g, %.17g) for |S|=%zu\n",
@@ -272,16 +265,15 @@ ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
   std::set<EqId> copy;
   const std::set<EqId>& s = Canonical(mat, &copy);
   PlanSearch search(memo_, &stats_, cm_, s, options_.search, index_);
-  search.AnnotatePlans();
   ConsolidatedPlan out;
-  out.root_plan = search.UsePlan(memo_->root(), {});
+  out.root_plan = search.UsePlan(memo_->root());
   assert(out.root_plan != nullptr);
   out.best_use_cost = out.root_plan->total_cost;
   out.best_cost = out.best_use_cost;
   for (EqId e : s) {
     ConsolidatedPlan::MatNode node;
     node.eq = e;
-    node.compute_plan = search.ComputePlan(e, {});
+    node.compute_plan = search.ComputePlan(e);
     assert(node.compute_plan != nullptr);
     if (IsCachedClass(e)) {
       // Zero-cost cached class (mirrors Evaluate): the compute plan stays as
@@ -300,10 +292,8 @@ ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
 }
 
 double BatchOptimizer::StandaloneMatCost(EqId eq) {
-  PlanSearch search(memo_, &stats_, cm_, {}, SearchOptions{}, index_);
-  PlanNodePtr compute = search.ComputePlan(memo_->Find(eq), {});
-  assert(compute != nullptr);
-  return compute->total_cost + search.WriteCost(eq);
+  PlanSearch search(memo_, &stats_, cm_, {}, options_.search, index_);
+  return search.ComputeCost(eq) + search.WriteCost(eq);
 }
 
 double BatchOptimizer::MatFootprintBytes(EqId eq) {

@@ -15,10 +15,12 @@
 // call-local search — a cone-scoped overlay over the pinned incremental base
 // when the set differs by one element, a fresh full search otherwise. The
 // memo and statistics caches are pre-warmed, and what every search reads
-// (SearchIndex) is precomputed: per-class operator lists and join keys at
+// (SearchIndex) is precomputed: per-class operators, sizes and children,
+// per-operator orders and index paths, and the interned sort orders at
 // construction, ancestor cones on the first SetIncrementalBase, so
 // concurrent reads stay pure. Between rounds the driver re-pins the base,
-// which toggles it in place.
+// which toggles it in place. Searches cost only; Plan builds the plan tree
+// of the chosen set once, from the winners of one search.
 
 #ifndef MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
 #define MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
@@ -193,6 +195,9 @@ class BatchOptimizer {
   /// Runs bc+buc on `search`, charging only the costings delta.
   std::pair<double, double> Evaluate(PlanSearch* search,
                                      const std::set<EqId>& mat);
+  /// {bc, buc} of `mat` read off `search` (no counter is charged).
+  std::pair<double, double> SearchCosts(PlanSearch* search,
+                                        const std::set<EqId>& mat) const;
   /// Warms every per-class cache concurrent evaluations read (union-find
   /// paths, statistics, attribute sets) so worker threads never mutate
   /// shared state. Idempotent.
@@ -206,7 +211,7 @@ class BatchOptimizer {
   /// Canonical classes whose fingerprint hit `options_.cached_fingerprints`;
   /// built once in the constructor, immutable afterwards.
   std::unordered_set<EqId> cached_classes_;
-  /// Class operators and join keys of the expanded memo, built in the
+  /// What every search reads of the expanded memo, built in the
   /// constructor, plus ancestor cones, built by the first
   /// SetIncrementalBase; shared read-only by every search.
   std::shared_ptr<SearchIndex> index_;

@@ -47,10 +47,9 @@ struct PlanNode {
   SortOrder output_order;    ///< Sort order of the produced stream.
   double op_cost = 0.0;      ///< This operator's own cost contribution.
   double total_cost = 0.0;   ///< op_cost + sum of children's total_cost.
-  std::string detail;        ///< Predicate / condition / table annotation,
-                             ///< filled only by searches that render plans
-                             ///< (PlanSearch::AnnotatePlans); sorts and
-                             ///< reads render theirs from the node itself.
+  std::string detail;        ///< Predicate / condition / table annotation
+                             ///< for PlanToString; sorts and reads render
+                             ///< theirs from the node itself.
   std::vector<PlanNodePtr> children;
 };
 

@@ -72,6 +72,15 @@ Result<JoinNeed> SplitJoinNeed(Memo* memo, const ColumnNeed& need, EqId left,
   return split;
 }
 
+/// Indices of the columns of `batch` that `need` names, in batch order.
+std::vector<int> ColumnsIn(const ColumnBatch& batch, const ColumnNeed& need) {
+  std::vector<int> cols;
+  for (size_t i = 0; i < batch.names.size(); ++i) {
+    if (need.count(batch.names[i]) > 0) cols.push_back(static_cast<int>(i));
+  }
+  return cols;
+}
+
 /// What an aggregate sink reads: its group keys and aggregate arguments.
 ColumnNeed AggregateNeed(const MemoOp& agg) {
   ColumnNeed need(agg.group_by.begin(), agg.group_by.end());
@@ -465,7 +474,21 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
       } else {
         MQO_ASSIGN_OR_RETURN(right, SideInputBatch(right_eq, split.right));
       }
-      return MergeJoinBatch(left, right, op->join_predicate);
+      // Each side's keys are read by the merge but gathered only when a
+      // consumer reads them.
+      TraceSpan span(TracerOf(options_.obs), "op.merge_join", "vexec");
+      MQO_ASSIGN_OR_RETURN(
+          ColumnBatch out,
+          MergeJoinBatch(left, right, op->join_predicate,
+                         ColumnsIn(left, split.left_out),
+                         ColumnsIn(right, split.right_out)));
+      if (span.active()) {
+        span.AddNum("in_rows",
+                    static_cast<double>(left.num_rows + right.num_rows));
+        span.AddNum("out_rows", static_cast<double>(out.num_rows));
+        span.AddNum("out_cols", static_cast<double>(out.columns.size()));
+      }
+      return out;
     }
     case PhysOp::kSortAggregate: {
       if (op == nullptr) return Status::Internal("aggregate without op");

@@ -251,20 +251,30 @@ void CompareColumn(const ColumnVector& col, const Comparison& cmp,
   }
 }
 
-/// Assembles the joined batch from matching (left row, right row) pairs,
-/// one column per worker when `num_threads > 1`.
+/// Every column index of `batch`, in order.
+std::vector<int> AllColumns(const ColumnBatch& batch) {
+  std::vector<int> cols(batch.columns.size());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
+  return cols;
+}
+
+/// Assembles the joined batch from matching (left row, right row) pairs:
+/// columns `left_cols` of `left`, then `right_cols` of `right`, one column
+/// per worker when `num_threads > 1`.
 ColumnBatch GatherJoin(const ColumnBatch& left, const ColumnBatch& right,
-                       std::vector<ColumnRef> out_names,
+                       const std::vector<int>& left_cols,
+                       const std::vector<int>& right_cols,
                        const SelVector& left_idx, const SelVector& right_idx,
                        int num_threads = 1) {
   ColumnBatch out;
-  out.names = std::move(out_names);
-  const size_t left_cols = left.columns.size();
-  out.columns.resize(left_cols + right.columns.size());
+  for (int c : left_cols) out.names.push_back(left.names[c]);
+  for (int c : right_cols) out.names.push_back(right.names[c]);
+  out.columns.resize(out.names.size());
   ParallelFor(out.columns.size(), num_threads, [&](size_t c) {
-    out.columns[c] = c < left_cols
-                         ? left.columns[c].Gather(left_idx)
-                         : right.columns[c - left_cols].Gather(right_idx);
+    out.columns[c] =
+        c < left_cols.size()
+            ? left.columns[left_cols[c]].Gather(left_idx)
+            : right.columns[right_cols[c - left_cols.size()]].Gather(right_idx);
   });
   out.num_rows = left_idx.size();
   return out;
@@ -668,17 +678,39 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
     right_idx.insert(right_idx.end(), pairs.right_idx.begin(),
                      pairs.right_idx.end());
   }
-  return GatherJoin(left, right, std::move(spec.out_names), left_idx,
+  return GatherJoin(left, right, AllColumns(left), AllColumns(right), left_idx,
                     right_idx, num_threads);
 }
 
 Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                                    const ColumnBatch& right,
                                    const JoinPredicate& predicate) {
+  return MergeJoinBatch(left, right, predicate, AllColumns(left),
+                        AllColumns(right));
+}
+
+Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
+                                   const ColumnBatch& right,
+                                   const JoinPredicate& predicate,
+                                   const std::vector<int>& left_out,
+                                   const std::vector<int>& right_out) {
   MQO_ASSIGN_OR_RETURN(JoinSpec spec,
                        ResolveJoinSpec(left.names, right.names, predicate));
   const std::vector<JoinSpec::Cond>& conds = spec.conds;
-  if (conds.empty()) return HashJoinBatch(left, right, predicate);
+  if (conds.empty()) {
+    // The cross product, as the hash join forms it, cut to the kept columns.
+    MQO_ASSIGN_OR_RETURN(ColumnBatch full,
+                         HashJoinBatch(left, right, predicate));
+    ColumnBatch out;
+    out.num_rows = full.num_rows;
+    auto keep = [&](size_t c) {
+      out.names.push_back(full.names[c]);
+      out.columns.push_back(full.columns[c]);
+    };
+    for (int c : left_out) keep(c);
+    for (int c : right_out) keep(left.columns.size() + c);
+    return out;
+  }
   std::vector<int> lcols;
   std::vector<int> rcols;
   for (const auto& c : conds) {
@@ -689,8 +721,7 @@ Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
   SelVector left_idx;
   SelVector right_idx;
   MergePairs(left, lcols, right, rcols, &left_idx, &right_idx);
-  return GatherJoin(left, right, std::move(spec.out_names), left_idx,
-                    right_idx);
+  return GatherJoin(left, right, left_out, right_out, left_idx, right_idx);
 }
 
 Result<ColumnBatch> SortBatch(const ColumnBatch& in, const SortOrder& order) {

@@ -72,10 +72,17 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
 /// radix sort over order-preserving key bits; the output order is that of
 /// a stable sort over the cell comparators (ColumnVector::CellLess). A side
 /// with a NaN key is argsorted by std::stable_sort instead, whose order on
-/// NaN is the established one.
+/// NaN is the established one. The output holds columns `left_out` of
+/// `left`, then `right_out` of `right` (column indices, in that order); the
+/// overload without them keeps every column of both sides.
 Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                                    const ColumnBatch& right,
                                    const JoinPredicate& predicate);
+Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
+                                   const ColumnBatch& right,
+                                   const JoinPredicate& predicate,
+                                   const std::vector<int>& left_out,
+                                   const std::vector<int>& right_out);
 
 /// Stable sort by `order` (most-significant first), on keys decoded once
 /// and radix-ordered as MergeJoinBatch does (NaN keys: std::stable_sort).

@@ -101,6 +101,26 @@ TEST(IncrementalExample1Test, RemovalDeltaAlsoMatches) {
   }
 }
 
+TEST(SearchIndexConesTest, ConesMatchMemoAncestors) {
+  // The index's flat cones walk the same live parent edges as
+  // Memo::AncestorClasses: same classes, ascending.
+  for (int bq = 1; bq <= 4; ++bq) {
+    Catalog catalog = MakeTpcdCatalog(1);
+    Memo memo(&catalog);
+    memo.InsertBatch(MakeBatchedWorkload(bq));
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    StatsEstimator stats(&memo);
+    SearchIndex index(memo, &stats);
+    index.BuildCones(memo);
+    for (EqId c : memo.AllClasses()) {
+      const SearchIndex::ClassSpan cone = index.Cone(c);
+      EXPECT_EQ(std::vector<EqId>(cone.begin(), cone.end()),
+                memo.AncestorClasses(c))
+          << "BQ" << bq << " E" << c;
+    }
+  }
+}
+
 TEST(IncrementalExample1Test, ToggleIsInverseOfItself) {
   Catalog catalog = MakeExample1Catalog();
   Memo memo(&catalog);
@@ -113,10 +133,10 @@ TEST(IncrementalExample1Test, ToggleIsInverseOfItself) {
   auto index = std::make_shared<SearchIndex>(memo, &stats);
   index->BuildCones(memo);
   PlanSearch search(&memo, &stats, CostModel(), {}, SearchOptions{}, index);
-  const double before = search.UsePlan(memo.root(), {})->total_cost;
+  const double before = search.UsePlan(memo.root())->total_cost;
   search.ToggleMaterialized(shareable[0], true);
   search.ToggleMaterialized(shareable[0], false);
-  const double after = search.UsePlan(memo.root(), {})->total_cost;
+  const double after = search.UsePlan(memo.root())->total_cost;
   EXPECT_DOUBLE_EQ(before, after);
 }
 

@@ -382,24 +382,41 @@ bool SameCell(const ColumnVector& a, size_t i, const ColumnVector& b,
   return x == y && std::signbit(x) == std::signbit(y);
 }
 
-/// `out` must be the left columns at `want.left` then the right columns at
-/// `want.right`, row for row.
-void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
-                    const Pairs& want, const std::string& context) {
+/// `out` must be the left columns `left_cols` at `want.left` then the right
+/// columns `right_cols` at `want.right`, row for row.
+void ExpectJoinColumns(const ColumnBatch& out, const JoinCase& c,
+                       const Pairs& want, const std::vector<int>& left_cols,
+                       const std::vector<int>& right_cols,
+                       const std::string& context) {
   ASSERT_EQ(out.num_rows, want.left.size()) << context;
-  const size_t left_cols = c.left.columns.size();
-  ASSERT_EQ(out.columns.size(), left_cols + c.right.columns.size()) << context;
+  ASSERT_EQ(out.columns.size(), left_cols.size() + right_cols.size())
+      << context;
   for (size_t oc = 0; oc < out.columns.size(); ++oc) {
-    const bool is_left = oc < left_cols;
-    const ColumnVector& src = is_left ? c.left.columns[oc]
-                                      : c.right.columns[oc - left_cols];
+    const bool is_left = oc < left_cols.size();
+    const ColumnBatch& side = is_left ? c.left : c.right;
+    const int col = is_left ? left_cols[oc] : right_cols[oc - left_cols.size()];
+    ASSERT_EQ(out.names[oc], side.names[col]) << context;
     const SelVector& rows = is_left ? want.left : want.right;
     for (size_t i = 0; i < out.num_rows; ++i) {
-      ASSERT_TRUE(SameCell(out.columns[oc], i, src, rows[i]))
+      ASSERT_TRUE(SameCell(out.columns[oc], i, side.columns[col], rows[i]))
           << context << ": output row " << i << " column "
           << out.names[oc].ToString();
     }
   }
+}
+
+std::vector<int> AllColumnsOf(const ColumnBatch& batch) {
+  std::vector<int> cols(batch.columns.size());
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
+/// `out` must be every left column at `want.left` then every right column
+/// at `want.right`, row for row.
+void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
+                    const Pairs& want, const std::string& context) {
+  ExpectJoinColumns(out, c, want, AllColumnsOf(c.left), AllColumnsOf(c.right),
+                    context);
 }
 
 /// The join as a compiled probe pipeline: `c.left` streams through a
@@ -511,6 +528,45 @@ void ExpectSortsMatchOracle(const JoinCase& c) {
 
 TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
   for (const JoinCase& c : Cases()) ExpectMergeJoinMatchesOracle(c);
+}
+
+TEST(JoinOracleTest, MergeJoinGathersOnlyTheListedColumns) {
+  // Per-side output lists: the same pairs in the same order, with only the
+  // listed columns gathered — every other column, none, or one side's
+  // non-key columns alone (the keys are read by the merge, not emitted).
+  for (const JoinCase& c : Cases()) {
+    const Pairs want = OracleMergePairs(c);
+    auto non_keys = [&](const ColumnBatch& side) {
+      std::vector<int> cols;
+      for (size_t i = 0; i < side.names.size(); ++i) {
+        const std::string& name = side.names[i].name;
+        if (std::find(c.keys.begin(), c.keys.end(), name) == c.keys.end()) {
+          cols.push_back(static_cast<int>(i));
+        }
+      }
+      return cols;
+    };
+    auto every_other = [](const ColumnBatch& side, size_t first) {
+      std::vector<int> cols;
+      for (size_t i = first; i < side.columns.size(); i += 2) {
+        cols.push_back(static_cast<int>(i));
+      }
+      return cols;
+    };
+    const std::vector<std::pair<std::vector<int>, std::vector<int>>> lists = {
+        {every_other(c.left, 0), every_other(c.right, 1)},
+        {{}, {}},
+        {non_keys(c.left), {}},
+        {{}, non_keys(c.right)}};
+    for (size_t k = 0; k < lists.size(); ++k) {
+      const std::string context = c.name + " lists " + std::to_string(k);
+      auto got = MergeJoinBatch(c.left, c.right, c.predicate(), lists[k].first,
+                                lists[k].second);
+      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+      ExpectJoinColumns(got.ValueOrDie(), c, want, lists[k].first,
+                        lists[k].second, context);
+    }
+  }
 }
 
 TEST(JoinOracleTest, SortMatchesCellComparatorStableSort) {

@@ -17,9 +17,9 @@
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
 #include "mqo/mqo_algorithms.h"
-#include "parser/parser.h"
 #include "physical/plan.h"
 #include "submodular/instances.h"
+#include "support/dashboard.h"
 #include "support/env.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
@@ -257,34 +257,6 @@ TEST(ConeVerifyTest, ConeScopedCostsMatchFreshSearches) {
   }
 }
 
-/// Template t of a dashboard burst over the date window [day, day + width):
-/// two templates share a windowed orders ⋈ lineitem core, two a windowed
-/// lineitem scan.
-std::string DashboardSql(int t, int day, int width) {
-  const std::string lo = std::to_string(day);
-  const std::string hi = std::to_string(day + width);
-  switch (t) {
-    case 0:
-      return "SELECT o_custkey, sum(l_extendedprice) FROM orders, lineitem "
-             "WHERE o_orderkey = l_orderkey AND o_orderdate >= " + lo +
-             " AND o_orderdate < " + hi + " GROUP BY o_custkey";
-    case 1:
-      return "SELECT l_orderkey, sum(l_extendedprice) "
-             "FROM orders, lineitem, customer "
-             "WHERE o_orderkey = l_orderkey AND o_custkey = c_custkey "
-             "AND o_orderdate >= " + lo + " AND o_orderdate < " + hi +
-             " GROUP BY l_orderkey";
-    case 2:
-      return "SELECT sum(l_extendedprice) FROM lineitem "
-             "WHERE l_shipdate >= " + lo + " AND l_shipdate < " + hi +
-             " AND l_quantity < 24";
-    default:
-      return "SELECT s_nationkey, sum(l_extendedprice) FROM lineitem, supplier "
-             "WHERE l_suppkey = s_suppkey AND l_shipdate >= " + lo +
-             " AND l_shipdate < " + hi + " GROUP BY s_nationkey";
-  }
-}
-
 TEST(ConeVerifyTest, WholeGreedyRunsOnDashboardBatchMatchFullSearch) {
   // Whole greedy runs chain in-place base toggles across picks, evaluate
   // removal deltas (the canonical decomposition pins the full universe),
@@ -293,15 +265,10 @@ TEST(ConeVerifyTest, WholeGreedyRunsOnDashboardBatchMatchFullSearch) {
   // must also reproduce the non-incremental run's choice bit for bit.
   Catalog catalog = MakeTpcdCatalog(1);
   std::vector<LogicalExprPtr> queries;
-  constexpr int kQueries = 48;
-  constexpr int kWindows = 6;
-  for (int i = 0; i < kQueries; ++i) {
-    const int t = i % 4;
-    const int day = 100 + 211 * ((i / 4) % kWindows);
-    auto parsed = ParseQuery(DashboardSql(t, day, t < 2 ? 90 : 365), catalog);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    queries.push_back(parsed.ValueOrDie());
-  }
+  std::string error;
+  ASSERT_TRUE(MakeDashboardBatch(catalog, /*num_queries=*/48,
+                                 /*num_windows=*/6, &queries, &error))
+      << error;
   Memo memo(&catalog);
   memo.InsertBatch(queries);
   ASSERT_TRUE(ExpandMemo(&memo).ok());

@@ -142,6 +142,76 @@ TEST_F(OptimizerTest, StandaloneMatCostExceedsWriteCost) {
   }
 }
 
+TEST(SearchIndexOrdersTest, InternedOrdersAnswerOrderSatisfies) {
+  // Every interned order is distinct, its prefixes are interned, and the
+  // id-level Satisfies/Prefix agree with OrderSatisfies on the orders.
+  Catalog catalog = MakeTpcdCatalog(1);
+  Memo memo(&catalog);
+  memo.InsertBatch(MakeBatchedWorkload(3));
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  StatsEstimator stats(&memo);
+  SearchIndex index(memo, &stats);
+  ASSERT_GT(index.num_orders(), 1);
+  EXPECT_TRUE(index.Order(kAnyOrder).empty());
+  for (OrderId a = 0; a < index.num_orders(); ++a) {
+    const SortOrder& actual = index.Order(a);
+    for (size_t len = 0; len <= actual.size(); ++len) {
+      EXPECT_EQ(index.Order(index.Prefix(a, static_cast<int>(len))),
+                SortOrder(actual.begin(), actual.begin() + len));
+    }
+    for (OrderId b = 0; b < index.num_orders(); ++b) {
+      if (a != b) EXPECT_NE(actual, index.Order(b));
+      EXPECT_EQ(index.Satisfies(a, b), OrderSatisfies(actual, index.Order(b)))
+          << SortOrderToString(actual) << " vs "
+          << SortOrderToString(index.Order(b));
+    }
+  }
+}
+
+TEST(OptimizerInljTest, StandaloneMatCostSearchesTheConfiguredOperators) {
+  // The standalone materialization cost (admission control, use-benefit
+  // decomposition) must come from the operator set bc() searches: with the
+  // index nested-loops join on, it is exactly the compute + write cost that
+  // Plan({e}) reports for e, and it differs from the paper-set cost for
+  // some node whose best compute plan probes an index. Both queries share
+  // a join of a few orders rows with lineitem, whose clustered index leads
+  // with the join key: an index probe per outer row beats a scan.
+  Catalog catalog = MakeTpcdCatalog(1);
+  std::vector<LogicalExprPtr> queries;
+  for (const char* sql :
+       {"SELECT o_custkey, sum(l_extendedprice) FROM orders, lineitem "
+        "WHERE o_orderkey = l_orderkey AND o_orderkey < 20 GROUP BY o_custkey",
+        "SELECT l_suppkey, sum(l_quantity) FROM orders, lineitem "
+        "WHERE o_orderkey = l_orderkey AND o_orderkey < 20 "
+        "GROUP BY l_suppkey"}) {
+    auto parsed = ParseQuery(sql, catalog);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    queries.push_back(parsed.ValueOrDie());
+  }
+  Memo memo(&catalog);
+  memo.InsertBatch(queries);
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  BatchOptimizer paper(&memo, CostModel(), EnvOptimizerOptions());
+  BatchOptimizerOptions inlj_opts = EnvOptimizerOptions();
+  inlj_opts.search.enable_index_nl_join = true;
+  BatchOptimizer inlj(&memo, CostModel(), inlj_opts);
+  int changed = 0;
+  for (EqId e : ShareableNodes(memo)) {
+    const ConsolidatedPlan plan = inlj.Plan({e});
+    ASSERT_EQ(plan.materialized.size(), 1u);
+    const ConsolidatedPlan::MatNode& node = plan.materialized[0];
+    EXPECT_EQ(inlj.StandaloneMatCost(e),
+              node.compute_plan->total_cost + node.write_cost)
+        << "E" << e;
+    if (inlj.StandaloneMatCost(e) != paper.StandaloneMatCost(e)) {
+      ++changed;
+      EXPECT_GT(CountPlanOps(node.compute_plan, PhysOp::kIndexNLJoin), 0)
+          << "E" << e;
+    }
+  }
+  EXPECT_GT(changed, 0) << "no shareable node's compute plan uses an INLJ";
+}
+
 TEST(OptimizerExample1Test, MaterializedReadPreservesComputeOrder) {
   // The materialized (B ⋈ C) is stored in its compute plan's order, so the
   // reading side avoids a re-sort (merge-joinable directly when useful).

@@ -852,11 +852,12 @@ TEST(VexecTraceTest, OperatorRowCountsDeterministicAcrossThreadCounts) {
 
 TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
   // orders has 9 columns and lineitem 16, so a full-width join emits 25.
-  // The aggregate reads o_custkey and l_extendedprice: the probe must emit
-  // those 2. Its keys o_orderkey and l_orderkey reach the probe and the
-  // build, but nothing above reads them, so they are not gathered. The date
-  // filter fuses into the orders scan, so its column never reaches a chunk.
-  // The widths are identical at every thread count.
+  // The aggregate reads o_custkey and l_extendedprice: the join must emit
+  // those 2, as a hash probe and as a sort-merge breaker. Its keys
+  // o_orderkey and l_orderkey reach both inputs, but nothing above reads
+  // them, so they are not gathered. The date filter fuses into the orders
+  // scan, so its column never reaches a chunk. The widths are identical at
+  // every thread count.
   Catalog catalog = MakeTpcdCatalog(1);
   auto query = ParseQuery(
       "SELECT o_custkey, SUM(l_extendedprice) FROM orders, lineitem "
@@ -868,9 +869,6 @@ TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
   memo.InsertBatch({query.ValueOrDie()});
   ASSERT_TRUE(ExpandMemo(&memo).ok());
   BatchOptimizer optimizer(&memo, CostModel());
-  // Hash probes whatever join the optimizer picked.
-  const ConsolidatedPlan plan =
-      WithJoinsAs(optimizer.Plan({}), PhysOp::kBlockNLJoin);
   DataGenOptions gen;
   gen.max_rows_per_table = 60;
   gen.domain_cap = 25;
@@ -879,7 +877,8 @@ TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
 
   // (event name, width) in emission order.
   using Widths = std::vector<std::pair<std::string, double>>;
-  auto traced_widths = [&](const ExecOptions& base) {
+  auto traced_widths = [&](const ConsolidatedPlan& plan,
+                           const ExecOptions& base) {
     ObsOptions obs_options;
     obs_options.trace = true;
     ObsContext obs(obs_options);
@@ -900,18 +899,25 @@ TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
     return widths;
   };
 
-  std::vector<ExecOptions> configs = PruningConfigs();
-  const Widths baseline = traced_widths(configs[0]);
-  int probes = 0;
-  for (const auto& [name, width] : baseline) {
-    if (name != "op.probe") continue;
-    ++probes;
-    EXPECT_EQ(width, 2) << "the join emits columns no consumer reads";
-  }
-  EXPECT_EQ(probes, 1);
-  for (size_t c = 1; c < configs.size(); ++c) {
-    EXPECT_EQ(traced_widths(configs[c]), baseline)
-        << "t" << configs[c].num_threads;
+  // Each join shape whatever join the optimizer picked: a BNL join runs as
+  // a hash probe, a merge join as a sort-merge breaker.
+  const std::vector<std::pair<PhysOp, std::string>> shapes = {
+      {PhysOp::kBlockNLJoin, "op.probe"}, {PhysOp::kMergeJoin, "op.merge_join"}};
+  for (const auto& [join, span] : shapes) {
+    const ConsolidatedPlan plan = WithJoinsAs(optimizer.Plan({}), join);
+    std::vector<ExecOptions> configs = PruningConfigs();
+    const Widths baseline = traced_widths(plan, configs[0]);
+    int joins = 0;
+    for (const auto& [name, width] : baseline) {
+      if (name != span) continue;
+      ++joins;
+      EXPECT_EQ(width, 2) << span << " emits columns no consumer reads";
+    }
+    EXPECT_EQ(joins, 1) << span;
+    for (size_t c = 1; c < configs.size(); ++c) {
+      EXPECT_EQ(traced_widths(plan, configs[c]), baseline)
+          << span << " t" << configs[c].num_threads;
+    }
   }
 }
 
