@@ -10,6 +10,8 @@
 // heuristics — and the bench exits non-zero if any run disagrees.
 //
 //   wall_ms       — optimization wall clock (decomposition + greedy).
+//   select_ms_per_query — wall_ms / batch size: selection time per query,
+//                   the figure to compare across batch sizes.
 //   optimizations — bc() cache misses (distinct sets actually searched).
 //   costings      — operator costings across those searches: the work proxy
 //                   that cone-scoping must shrink (and that stays flat
@@ -20,9 +22,10 @@
 //                   allocation-lean evaluation path (serial runs repeat it
 //                   exactly; parallel runs add the worker pool's own).
 //
-// Usage: bench_optimizer [batch_size ...]   (default: 100 400 1200; pass
-// tiny sizes, e.g. `bench_optimizer 8 16`, for CI smoke runs). Writes
-// machine-readable records to BENCH_optimizer.json.
+// Usage: bench_optimizer [batch_size ...]   (default: 100 400 1200 2400;
+// pass small sizes, e.g. `bench_optimizer 16 48 200`, for CI smoke runs).
+// Batches above 1200 run the cone rows only. Writes machine-readable
+// records to BENCH_optimizer.json.
 
 #include <algorithm>
 #include <atomic>
@@ -216,12 +219,12 @@ RunResult RunOne(Memo* memo, const RunConfig& cfg) {
 
 int main(int argc, char** argv) {
   const std::vector<int> batch_sizes =
-      ParseRowCounts(argc, argv, {100, 400, 1200});
+      ParseRowCounts(argc, argv, {100, 400, 1200, 2400});
   std::printf("=== E-opt: optimizer scalability "
               "(parallel + cone-scoped evaluation) ===\n\n");
   TablePrinter table({"batch", "shareable", "mode", "greedy", "threads",
-                      "wall ms", "opts", "costings", "evals", "allocs",
-                      "same set"});
+                      "wall ms", "ms/query", "opts", "costings", "evals",
+                      "allocs", "same set"});
   BenchJsonWriter json;
   int failures = 0;
 
@@ -241,13 +244,15 @@ int main(int argc, char** argv) {
     // rows are the parallel one. The fresh-search baseline's work grows
     // roughly cubically with the batch, so past these cutoffs its rows are
     // skipped (announced below, never silently): full-lazy serial survives
-    // to the largest batch as the baseline of record, and the thread sweep
-    // runs on the cone mode that a large batch would actually ship with.
+    // to batch 1200 as the baseline of record, larger batches run the cone
+    // rows only, and the thread sweep runs on the cone mode that a large
+    // batch would actually ship with.
+    const bool full_lazy_ok = batch <= 1200;
     const bool full_eager_ok = batch <= 256;
     const bool full_parallel_ok = batch <= 128;
     std::vector<RunConfig> configs;
     for (bool lazy : {false, true}) {
-      if (lazy || full_eager_ok) {
+      if (lazy ? full_lazy_ok : full_eager_ok) {
         configs.push_back({/*cone=*/false, lazy, /*threads=*/1});
       }
       configs.push_back({/*cone=*/true, lazy, /*threads=*/1});
@@ -259,7 +264,11 @@ int main(int argc, char** argv) {
         configs.push_back({/*cone=*/true, lazy, threads});
       }
     }
-    if (!full_eager_ok) {
+    if (!full_lazy_ok) {
+      std::printf("batch %d: skipping every full-mode row "
+                  "(fresh-search baseline is O(batch^3); cone rows only)\n",
+                  batch);
+    } else if (!full_eager_ok) {
       std::printf("batch %d: skipping full-mode eager%s rows "
                   "(fresh-search baseline is O(batch^3); "
                   "full-lazy serial kept as baseline)\n",
@@ -279,9 +288,11 @@ int main(int argc, char** argv) {
       if (!same) ++failures;
       const std::string mode = cfg.cone ? "cone" : "full";
       const std::string greedy = cfg.lazy ? "lazy" : "eager";
+      const double ms_per_query = r.mqo.optimization_time_ms / batch;
       table.AddRow({std::to_string(batch), std::to_string(r.universe), mode,
                     greedy, std::to_string(cfg.threads),
                     FormatDouble(r.mqo.optimization_time_ms, 1),
+                    FormatDouble(ms_per_query, 4),
                     std::to_string(r.mqo.optimizations),
                     std::to_string(r.costings),
                     std::to_string(r.mqo.function_evals),
@@ -292,6 +303,7 @@ int main(int argc, char** argv) {
                       JStr("mode", mode), JStr("greedy", greedy),
                       JNum("threads", cfg.threads),
                       JNum("wall_ms", r.mqo.optimization_time_ms),
+                      JNum("select_ms_per_query", ms_per_query),
                       JNum("optimizations",
                            static_cast<double>(r.mqo.optimizations)),
                       JNum("costings", static_cast<double>(r.costings)),

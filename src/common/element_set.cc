@@ -7,14 +7,7 @@ namespace mqo {
 std::vector<int> ElementSet::ToVector() const {
   std::vector<int> out;
   out.reserve(Size());
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
-    uint64_t w = words_[wi];
-    while (w != 0) {
-      int bit = __builtin_ctzll(w);
-      out.push_back(static_cast<int>(wi) * 64 + bit);
-      w &= w - 1;
-    }
-  }
+  ForEach([&out](int e) { out.push_back(e); });
   return out;
 }
 

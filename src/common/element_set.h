@@ -112,6 +112,30 @@ class ElementSet {
     return s;
   }
 
+  /// Calls `fn(e)` for every element, in ascending order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (size_t wi = 0; wi < words_.size(); ++wi) {
+      for (uint64_t w = words_[wi]; w != 0; w &= w - 1) {
+        fn(static_cast<int>(wi) * 64 + __builtin_ctzll(w));
+      }
+    }
+  }
+
+  /// The one element in exactly one of this set and `other` (same universe
+  /// required), or -1 when they differ in no element or in several.
+  int OnlyDifference(const ElementSet& other) const {
+    assert(n_ == other.n_);
+    int found = -1;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      const uint64_t x = words_[i] ^ other.words_[i];
+      if (x == 0) continue;
+      if (found >= 0 || (x & (x - 1)) != 0) return -1;
+      found = static_cast<int>(i) * 64 + __builtin_ctzll(x);
+    }
+    return found;
+  }
+
   /// Elements in ascending order.
   std::vector<int> ToVector() const;
 

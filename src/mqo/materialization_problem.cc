@@ -5,22 +5,6 @@
 
 namespace mqo {
 
-namespace {
-
-/// Evaluates `fn(i)` for every i in [0, n) — across the worker pool when the
-/// optimizer is configured for it, serially otherwise. `fn` writes only its
-/// own index's slot, so downstream index-order consumption is deterministic.
-void ForEachIndex(size_t n, int num_threads,
-                  const std::function<void(size_t)>& fn) {
-  if (num_threads > 1 && n > 1) {
-    ParallelFor(n, num_threads, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
-
 MaterializationProblem::MaterializationProblem(BatchOptimizer* optimizer)
     : optimizer_(optimizer), universe_(ShareableNodes(*optimizer->memo())) {
   const CostModel& cm = optimizer_->cost_model();
@@ -33,13 +17,13 @@ MaterializationProblem::MaterializationProblem(BatchOptimizer* optimizer)
     // cost undercuts one sequential read of their own result — segments
     // that can never repay the budget pressure of holding them.
     // The per-node footprint/standalone-cost evaluations are independent, so
-    // they fan across the worker pool; the refusal filter below runs
-    // serially in universe order, keeping refusal order and tracing
-    // identical to the serial run.
+    // they fan across the worker pool (each writes only its own slot); the
+    // refusal filter below runs serially in universe order, keeping refusal
+    // order and tracing identical to the serial run.
     Tracer* tracer = TracerOf(optimizer_->obs());
     std::vector<double> footprints(universe_.size());
     std::vector<double> standalones(universe_.size());
-    ForEachIndex(universe_.size(), num_threads, [&](size_t i) {
+    ParallelFor(universe_.size(), num_threads, [&](size_t i) {
       footprints[i] = optimizer_->MatFootprintBytes(universe_[i]);
       standalones[i] = optimizer_->StandaloneMatCost(universe_[i]);
     });
@@ -74,57 +58,61 @@ MaterializationProblem::MaterializationProblem(BatchOptimizer* optimizer)
   const int n = static_cast<int>(universe_.size());
   benefit_ = std::make_unique<LambdaSetFunction>(
       n, [this](const ElementSet& s) {
-        const std::set<EqId> eqs = ToEqIds(s);
-        return VolcanoCost() - (optimizer_->BestCost(eqs) + SpillPenalty(eqs));
+        const ElementSet classes = ClassSet(s);
+        return VolcanoCost() -
+               (optimizer_->Costs(classes).first + SpillPenalty(classes));
       });
   best_cost_ = std::make_unique<LambdaSetFunction>(
       n, [this](const ElementSet& s) {
-        const std::set<EqId> eqs = ToEqIds(s);
-        return optimizer_->BestCost(eqs) + SpillPenalty(eqs);
+        const ElementSet classes = ClassSet(s);
+        return optimizer_->Costs(classes).first + SpillPenalty(classes);
       });
 }
 
 double MaterializationProblem::VolcanoCost() {
-  std::call_once(volcano_once_,
-                 [this] { volcano_cost_ = optimizer_->BestCost({}); });
+  std::call_once(volcano_once_, [this] {
+    volcano_cost_ =
+        optimizer_->Costs(ClassSet(ElementSet(universe_size()))).first;
+  });
   return volcano_cost_;
 }
 
-double MaterializationProblem::FootprintBytes(const std::set<EqId>& eqs) const {
+ElementSet MaterializationProblem::ClassSet(const ElementSet& s) const {
+  // The universe is ascending and canonical, so the class set lists the
+  // same ids in the same order as the universe bits it came from.
+  ElementSet classes(optimizer_->memo()->num_classes());
+  s.ForEach([&](int i) { classes.Add(universe_[i]); });
+  return classes;
+}
+
+double MaterializationProblem::FootprintBytes(const ElementSet& classes) const {
   double bytes = 0.0;
-  for (EqId e : eqs) bytes += optimizer_->MatFootprintBytes(e);
+  classes.ForEach([&](EqId e) { bytes += optimizer_->MatFootprintBytes(e); });
   return bytes;
 }
 
-double MaterializationProblem::SpillPenalty(const std::set<EqId>& eqs) const {
-  return optimizer_->cost_model().SpillPenalty(FootprintBytes(eqs));
-}
-
-std::set<EqId> MaterializationProblem::ToEqIds(const ElementSet& s) const {
-  std::set<EqId> out;
-  for (int i : s.ToVector()) out.insert(universe_[i]);
-  return out;
+double MaterializationProblem::SpillPenalty(const ElementSet& classes) const {
+  return optimizer_->cost_model().SpillPenalty(FootprintBytes(classes));
 }
 
 Decomposition MaterializationProblem::CanonicalDecomposition() {
   // c*(e) needs bc(U) and bc(U \ {e}) for every e: pin the full universe as
   // the incremental base so each bc(U \ {e}) re-plans only e's ancestor
   // cone, and fan the n independent evaluations across the worker pool.
-  std::set<EqId> full(universe_.begin(), universe_.end());
-  optimizer_->SetIncrementalBase(full);
+  optimizer_->PinIncrementalBase(ClassSet(ElementSet::Full(universe_size())));
   Decomposition d = ::mqo::CanonicalDecomposition(
       *benefit_, optimizer_->options().num_threads);
-  optimizer_->SetIncrementalBase({});
+  optimizer_->PinIncrementalBase(ClassSet(ElementSet(universe_size())));
   return d;
 }
 
 Decomposition MaterializationProblem::UseBenefitDecomposition() {
   Decomposition d;
   d.costs.resize(universe_.size());
-  ForEachIndex(universe_.size(), optimizer_->options().num_threads,
-               [&](size_t i) {
-                 d.costs[i] = optimizer_->StandaloneMatCost(universe_[i]);
-               });
+  ParallelFor(universe_.size(), optimizer_->options().num_threads,
+              [&](size_t i) {
+                d.costs[i] = optimizer_->StandaloneMatCost(universe_[i]);
+              });
   return d;
 }
 

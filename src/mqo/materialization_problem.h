@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "optimizer/batch_optimizer.h"
@@ -44,14 +43,16 @@ class MaterializationProblem {
   /// Shareable nodes the admission control refused (empty without a budget).
   const std::vector<EqId>& admission_refused() const { return refused_; }
 
-  /// Estimated store footprint of S in bytes (sum of segment footprints).
-  double FootprintBytes(const std::set<EqId>& eqs) const;
+  /// The optimizer's class set (BatchOptimizer) of universe-index set `s`.
+  ElementSet ClassSet(const ElementSet& s) const;
 
-  /// CostModel::SpillPenalty of S's footprint (0 without a budget).
-  double SpillPenalty(const std::set<EqId>& eqs) const;
+  /// Estimated store footprint in bytes of class set `classes` (the sum of
+  /// its segment footprints, in ascending class order).
+  double FootprintBytes(const ElementSet& classes) const;
 
-  /// Translates an index set into equivalence-node ids.
-  std::set<EqId> ToEqIds(const ElementSet& s) const;
+  /// CostModel::SpillPenalty of the footprint of class set `classes` (0
+  /// without a budget).
+  double SpillPenalty(const ElementSet& classes) const;
 
   /// mb(S) = bc(∅) − bc(S); normalized (mb(∅)=0), submodular under the
   /// monotonicity heuristic.

@@ -12,8 +12,9 @@ MqoResult Finalize(MaterializationProblem* problem, std::string name,
                    int64_t optimizations_before, int64_t evals) {
   MqoResult r;
   r.algorithm = std::move(name);
-  r.materialized = problem->ToEqIds(selected);
-  r.total_cost = problem->optimizer()->BestCost(r.materialized);
+  const ElementSet classes = problem->ClassSet(selected);
+  classes.ForEach([&r](EqId e) { r.materialized.insert(e); });
+  r.total_cost = problem->optimizer()->Costs(classes).first;
   r.volcano_cost = problem->VolcanoCost();
   r.benefit = r.volcano_cost - r.total_cost;
   r.num_materialized = static_cast<int>(r.materialized.size());
@@ -53,10 +54,10 @@ MqoResult RunGreedy(MaterializationProblem* problem, bool lazy) {
   for (int i = 0; i < problem->universe_size(); ++i) candidates[i] = i;
   // Pin the incremental re-optimization base to the committed set X, so each
   // trial bc(X ∪ {x}) re-plans only the ancestors of x.
-  problem->optimizer()->SetIncrementalBase({});
   auto on_pick = [problem](const ElementSet& x) {
-    problem->optimizer()->SetIncrementalBase(problem->ToEqIds(x));
+    problem->optimizer()->PinIncrementalBase(problem->ClassSet(x));
   };
+  on_pick(ElementSet(problem->universe_size()));
   CostGreedyResult greedy =
       CostGreedyMin(problem->best_cost(), candidates, lazy, on_pick,
                     TracerOf(problem->optimizer()->obs()),
@@ -79,10 +80,10 @@ MqoResult RunMarginalGreedy(MaterializationProblem* problem,
   greedy_options.universe_reduction = options.universe_reduction;
   greedy_options.tracer = TracerOf(problem->optimizer()->obs());
   greedy_options.num_threads = problem->optimizer()->options().num_threads;
-  problem->optimizer()->SetIncrementalBase({});
   greedy_options.on_pick = [problem](const ElementSet& x) {
-    problem->optimizer()->SetIncrementalBase(problem->ToEqIds(x));
+    problem->optimizer()->PinIncrementalBase(problem->ClassSet(x));
   };
+  greedy_options.on_pick(ElementSet(problem->universe_size()));
   GreedyResult greedy = MarginalGreedy(problem->benefit(), d, greedy_options);
   return Finalize(problem, "MarginalGreedy", greedy.selected,
                   timer.ElapsedMillis(), before, greedy.function_evals);

@@ -4,13 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/hash.h"
 #include "obs/obs.h"
 #include "stats/feedback.h"
 
 namespace mqo {
 
-bool CostCache::Get(uint64_t hash, const std::set<EqId>& set,
+bool CostCache::Get(uint64_t hash, const ElementSet& set,
                     std::pair<double, double>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = buckets_.find(hash);
@@ -24,7 +23,7 @@ bool CostCache::Get(uint64_t hash, const std::set<EqId>& set,
   return false;
 }
 
-void CostCache::Put(uint64_t hash, const std::set<EqId>& set,
+void CostCache::Put(uint64_t hash, const ElementSet& set,
                     std::pair<double, double> value) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry>& bucket = buckets_[hash];
@@ -36,7 +35,11 @@ void CostCache::Put(uint64_t hash, const std::set<EqId>& set,
 
 BatchOptimizer::BatchOptimizer(Memo* memo, CostModel cost_model,
                                BatchOptimizerOptions options)
-    : memo_(memo), cm_(cost_model), options_(options), stats_(memo, options.stats) {
+    : memo_(memo),
+      cm_(cost_model),
+      options_(options),
+      stats_(memo, options.stats),
+      cached_classes_(memo->num_classes()) {
   assert(memo_->root() >= 0 && "InsertBatch must run before optimization");
   if (options_.num_threads > 1) PrewarmSharedCaches();
   index_ = std::make_shared<SearchIndex>(*memo_, &stats_);
@@ -49,7 +52,7 @@ BatchOptimizer::BatchOptimizer(Memo* memo, CostModel cost_model,
     for (EqId c : memo_->TopologicalClasses()) {
       if (options_.cached_fingerprints->count(
               ClassFingerprint(*memo_, c, &fp_cache)) > 0) {
-        cached_classes_.insert(memo_->Find(c));
+        cached_classes_.Add(memo_->Find(c));
       }
     }
   }
@@ -64,98 +67,48 @@ void BatchOptimizer::PrewarmSharedCaches() {
   for (EqId c : memo_->TopologicalClasses()) (void)stats_.ClassStats(c);
 }
 
-const std::set<EqId>& BatchOptimizer::Canonical(
-    const std::set<EqId>& mat, std::set<EqId>* copy) const {
-  bool canonical = true;
-  for (EqId e : mat) {
-    if (memo_->Find(e) != e) {
-      canonical = false;
-      break;
-    }
-  }
-  if (canonical) return mat;
-  copy->clear();
-  for (EqId e : mat) copy->insert(memo_->Find(e));
-  return *copy;
-}
-
-uint64_t BatchOptimizer::SetKey(const std::set<EqId>& canonical) const {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (EqId e : canonical) h = HashCombine(h, static_cast<uint64_t>(e));
-  return h;
+ElementSet BatchOptimizer::ClassSet(const std::set<EqId>& ids) const {
+  ElementSet s(memo_->num_classes());
+  for (EqId e : ids) s.Add(memo_->Find(e));
+  return s;
 }
 
 std::pair<double, double> BatchOptimizer::Evaluate(PlanSearch* search,
-                                                   const std::set<EqId>& mat) {
+                                                   const ElementSet& s) {
   const int64_t costings_before = search->num_costings();
-  const std::pair<double, double> result = SearchCosts(search, mat);
+  const std::pair<double, double> result = SearchCosts(search, s);
   num_costings_.fetch_add(search->num_costings() - costings_before,
                           std::memory_order_relaxed);
   return result;
 }
 
 std::pair<double, double> BatchOptimizer::SearchCosts(
-    PlanSearch* search, const std::set<EqId>& mat) const {
+    PlanSearch* search, const ElementSet& s) const {
   const double buc = search->UseCost(memo_->root());
   double bc = buc;
-  for (EqId e : mat) {
+  s.ForEach([&](EqId e) {
     // A class already resident in the cross-batch cache costs nothing to
     // materialize: the executor serves it without recomputation or a write.
-    if (IsCachedClass(e)) continue;
+    if (cached_classes_.Contains(e)) return;
     bc += search->ComputeCost(e) + search->WriteCost(e);
-  }
+  });
   return {bc, buc};
 }
 
-namespace {
-
-/// Returns the single differing element if |a Δ b| == 1, else -1. `added` is
-/// set to true when the element is in `a` but not `b`. One merge pass over
-/// the two ordered sets.
-EqId SymmetricDiffOne(const std::set<EqId>& a, const std::set<EqId>& b,
-                      bool* added) {
-  if (a.size() != b.size() + 1 && b.size() != a.size() + 1) return -1;
-  EqId diff = -1;
-  bool in_a = false;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() || ib != b.end()) {
-    if (ib == b.end() || (ia != a.end() && *ia < *ib)) {
-      if (diff >= 0) return -1;
-      diff = *ia++;
-      in_a = true;
-    } else if (ia == a.end() || *ib < *ia) {
-      if (diff >= 0) return -1;
-      diff = *ib++;
-      in_a = false;
-    } else {
-      ++ia;
-      ++ib;
-    }
-  }
-  *added = in_a;
-  return diff;
-}
-
-}  // namespace
-
-void BatchOptimizer::SetIncrementalBase(const std::set<EqId>& mat) {
+void BatchOptimizer::PinIncrementalBase(const ElementSet& s) {
   if (!options_.incremental) return;
   // Only the pinned base and its overlays read cones, so runs that never pin
   // one skip computing them. No search runs during this call (see the class
   // comment), so filling the shared index here is race-free.
   if (!index_->has_cones()) index_->BuildCones(*memo_);
-  std::set<EqId> copy;
-  const std::set<EqId>& s = Canonical(mat, &copy);
   if (base_ != nullptr && base_->materialized() == s) return;
-  bool added = false;
   const EqId delta =
-      base_ != nullptr ? SymmetricDiffOne(s, base_->materialized(), &added) : -1;
+      base_ != nullptr ? s.OnlyDifference(base_->materialized()) : -1;
   if (delta >= 0) {
     // One pick away from the pinned base: toggle it in place, dropping only
     // the toggled node's cone. No overlay is alive between rounds, so
     // nothing reads the base while it changes.
-    base_->ToggleMaterialized(delta, added);
+    base_->ToggleMaterialized(delta, s.Contains(delta));
   } else {
     base_ = std::make_unique<PlanSearch>(memo_, &stats_, cm_, s,
                                          options_.search, index_);
@@ -163,12 +116,10 @@ void BatchOptimizer::SetIncrementalBase(const std::set<EqId>& mat) {
   (void)Evaluate(base_.get(), s);  // warm the caches overlays fall through to
 }
 
-double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
-  std::set<EqId> copy;
-  const std::set<EqId>& s = Canonical(mat, &copy);
-  const uint64_t key = SetKey(s);
+std::pair<double, double> BatchOptimizer::Costs(const ElementSet& s) {
+  const uint64_t key = s.Hash();
   std::pair<double, double> result;
-  if (cache_.Get(key, s, &result)) return result.first;
+  if (cache_.Get(key, s, &result)) return result;
 
   num_optimizations_.fetch_add(1, std::memory_order_relaxed);
   TraceSpan span(TracerOf(options_.obs), "plan_search", "optimizer");
@@ -178,13 +129,12 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
   // kNoDelta = not within one toggle (fresh full search).
   constexpr EqId kNoDelta = -2;
   EqId delta = kNoDelta;
-  bool added = false;
   if (options_.incremental && base_ != nullptr) {
     if (base_->materialized() == s) {
       delta = -1;
-    } else {
-      const EqId one = SymmetricDiffOne(s, base_->materialized(), &added);
-      if (one >= 0) delta = one;
+    } else if (const EqId one = s.OnlyDifference(base_->materialized());
+               one >= 0) {
+      delta = one;
     }
   }
 
@@ -196,7 +146,7 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
     // Cone-scoped overlay: recompute only delta's precomputed ancestor cone,
     // serve the rest from the pinned base. Call-local, so worker threads
     // never share mutable search state.
-    PlanSearch overlay(base_.get(), delta, added);
+    PlanSearch overlay(base_.get(), delta, delta >= 0 && s.Contains(delta));
     result = Evaluate(&overlay, s);
     call_costings = overlay.num_costings();
     cone_classes = overlay.cone_size();
@@ -209,8 +159,8 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
       if (bc != result.first || buc != result.second) {
         std::fprintf(stderr,
                      "verify_cone: cone-scoped bc/buc (%.17g, %.17g) != fresh "
-                     "full search (%.17g, %.17g) for |S|=%zu\n",
-                     result.first, result.second, bc, buc, s.size());
+                     "full search (%.17g, %.17g) for |S|=%d\n",
+                     result.first, result.second, bc, buc, s.Size());
         std::abort();
       }
     }
@@ -225,7 +175,7 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
   cache_.Put(key, s, result);
 
   if (span.active()) {
-    span.AddNum("mat_set_size", static_cast<double>(s.size()));
+    span.AddNum("mat_set_size", s.Size());
     span.AddNum("incremental", incremental_call ? 1 : 0);
     span.AddNum("costings", static_cast<double>(call_costings));
     span.AddNum("cone_classes", static_cast<double>(cone_classes));
@@ -244,40 +194,24 @@ double BatchOptimizer::BestCost(const std::set<EqId>& mat) {
                     static_cast<double>(reuse_hits));
     }
   }
-  return result.first;
+  return result;
 }
 
-double BatchOptimizer::BestUseCost(const std::set<EqId>& mat) {
-  std::set<EqId> copy;
-  const std::set<EqId>& s = Canonical(mat, &copy);
-  const uint64_t key = SetKey(s);
-  std::pair<double, double> cached;
-  if (!cache_.Get(key, s, &cached)) {
-    BestCost(mat);
-    const bool hit = cache_.Get(key, s, &cached);
-    assert(hit);
-    (void)hit;
-  }
-  return cached.second;
-}
-
-ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
-  std::set<EqId> copy;
-  const std::set<EqId>& s = Canonical(mat, &copy);
+ConsolidatedPlan BatchOptimizer::PlanOf(const ElementSet& s) {
   PlanSearch search(memo_, &stats_, cm_, s, options_.search, index_);
   ConsolidatedPlan out;
   out.root_plan = search.UsePlan(memo_->root());
   assert(out.root_plan != nullptr);
   out.best_use_cost = out.root_plan->total_cost;
   out.best_cost = out.best_use_cost;
-  for (EqId e : s) {
+  s.ForEach([&](EqId e) {
     ConsolidatedPlan::MatNode node;
     node.eq = e;
     node.compute_plan = search.ComputePlan(e);
     assert(node.compute_plan != nullptr);
-    if (IsCachedClass(e)) {
-      // Zero-cost cached class (mirrors Evaluate): the compute plan stays as
-      // the executor's fallback for a cache miss at execution time (the
+    if (cached_classes_.Contains(e)) {
+      // Zero-cost cached class (mirrors SearchCosts): the compute plan stays
+      // as the executor's fallback for a cache miss at execution time (the
       // segment may have been invalidated or evicted in between), but the
       // reported bc charges neither compute nor write.
       node.write_cost = 0.0;
@@ -286,13 +220,14 @@ ConsolidatedPlan BatchOptimizer::Plan(const std::set<EqId>& mat) {
       out.best_cost += node.compute_plan->total_cost + node.write_cost;
     }
     out.materialized.push_back(std::move(node));
-  }
+  });
   out.mat_cost = out.best_cost - out.best_use_cost;
   return out;
 }
 
 double BatchOptimizer::StandaloneMatCost(EqId eq) {
-  PlanSearch search(memo_, &stats_, cm_, {}, options_.search, index_);
+  PlanSearch search(memo_, &stats_, cm_, ElementSet(memo_->num_classes()),
+                    options_.search, index_);
   return search.ComputeCost(eq) + search.WriteCost(eq);
 }
 
@@ -303,7 +238,7 @@ double BatchOptimizer::MatFootprintBytes(EqId eq) {
 namespace {
 
 void CountSegmentReads(const Memo& memo, const PlanNodePtr& plan,
-                       const std::set<EqId>& materialized,
+                       const ElementSet& materialized,
                        std::unordered_map<EqId, double>* reads) {
   if (plan == nullptr) return;
   if (plan->op == PhysOp::kReadMaterialized) {
@@ -316,7 +251,7 @@ void CountSegmentReads(const Memo& memo, const PlanNodePtr& plan,
     // input; the executors serve that from the store when materialized.
     const MemoOp& op = memo.op(plan->logical_op);
     const EqId inner = memo.Find(op.children[1]);
-    if (materialized.count(inner) > 0) (*reads)[inner] += 1.0;
+    if (materialized.Contains(inner)) (*reads)[inner] += 1.0;
   }
   for (const PlanNodePtr& child : plan->children) {
     CountSegmentReads(memo, child, materialized, reads);
@@ -327,8 +262,8 @@ void CountSegmentReads(const Memo& memo, const PlanNodePtr& plan,
 
 std::unordered_map<EqId, double> ExpectedSegmentReads(
     const Memo& memo, const ConsolidatedPlan& plan) {
-  std::set<EqId> materialized;
-  for (const auto& m : plan.materialized) materialized.insert(memo.Find(m.eq));
+  ElementSet materialized(memo.num_classes());
+  for (const auto& m : plan.materialized) materialized.Add(memo.Find(m.eq));
   std::unordered_map<EqId, double> reads;
   CountSegmentReads(memo, plan.root_plan, materialized, &reads);
   for (const auto& m : plan.materialized) {

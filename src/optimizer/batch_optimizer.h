@@ -11,16 +11,22 @@
 //
 // The oracle is safe to call from the worker pool: the greedy drivers fan a
 // round's candidate evaluations across threads (submodular/algorithms.cc),
-// and every BestCost call either hits the concurrent cost cache or builds a
+// and every Costs call either hits the concurrent cost cache or builds a
 // call-local search — a cone-scoped overlay over the pinned incremental base
 // when the set differs by one element, a fresh full search otherwise. The
 // memo and statistics caches are pre-warmed, and what every search reads
 // (SearchIndex) is precomputed: per-class operators, sizes and children,
 // per-operator orders and index paths, and the interned sort orders at
-// construction, ancestor cones on the first SetIncrementalBase, so
+// construction, ancestor cones on the first PinIncrementalBase, so
 // concurrent reads stay pure. Between rounds the driver re-pins the base,
-// which toggles it in place. Searches cost only; Plan builds the plan tree
+// which toggles it in place. Searches cost only; PlanOf builds the plan tree
 // of the chosen set once, from the winners of one search.
+//
+// S has one type from the greedy to the plan search: an ElementSet over the
+// memo's canonical class ids [0, memo->num_classes()). The greedy maps its
+// candidate bits into it once per evaluation, the cost cache is keyed by
+// it, and every plan search holds it. The std::set<EqId> methods are
+// adapters for callers holding class ids (tests, reports, MqoResult).
 
 #ifndef MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
 #define MQO_OPTIMIZER_BATCH_OPTIMIZER_H_
@@ -91,23 +97,24 @@ struct BatchOptimizerOptions {
   std::shared_ptr<const std::unordered_set<uint64_t>> cached_fingerprints;
 };
 
-/// Concurrent bc/buc cache keyed by the exact materialized set. The 64-bit
-/// set hash is only a bucket index; every hit verifies the stored set, so a
-/// hash collision costs a probe instead of silently returning a wrong cost.
-/// Get/Put take the caller-computed hash so tests can force collisions.
+/// Concurrent bc/buc cache keyed by the exact materialized class set. The
+/// 64-bit set hash is only a bucket index; every hit verifies the stored set
+/// with operator==, so a hash collision costs a probe instead of silently
+/// returning a wrong cost. Get/Put take the caller-computed hash so tests
+/// can force collisions.
 class CostCache {
  public:
   /// Looks up `set` under `hash`; fills `out` {bc, buc} on a verified hit.
-  bool Get(uint64_t hash, const std::set<EqId>& set,
+  bool Get(uint64_t hash, const ElementSet& set,
            std::pair<double, double>* out) const;
 
   /// Stores {bc, buc} for `set` under `hash` (first writer wins).
-  void Put(uint64_t hash, const std::set<EqId>& set,
+  void Put(uint64_t hash, const ElementSet& set,
            std::pair<double, double> value);
 
  private:
   struct Entry {
-    std::set<EqId> set;
+    ElementSet set;
     std::pair<double, double> cost;
   };
   mutable std::mutex mu_;
@@ -124,24 +131,49 @@ class CostCache {
 std::unordered_map<EqId, double> ExpectedSegmentReads(
     const Memo& memo, const ConsolidatedPlan& plan);
 
-/// Cost oracle for the MQO algorithms. Evaluations are cached per set, and
-/// instrumentation counters expose how many full optimizations were run.
-/// BestCost/BestUseCost are thread-safe between SetIncrementalBase calls;
-/// SetIncrementalBase and Plan must be called from one thread at a time.
+/// Cost oracle for the MQO algorithms. A materialized set is an ElementSet
+/// of canonical class ids over [0, memo()->num_classes()). Evaluations are
+/// cached per set, and instrumentation counters expose how many full
+/// optimizations were run. Costs is thread-safe between PinIncrementalBase
+/// calls; PinIncrementalBase and PlanOf must be called from one thread at a
+/// time.
 class BatchOptimizer {
  public:
   /// The memo must already contain the batch (InsertBatch) and be expanded.
   BatchOptimizer(Memo* memo, CostModel cost_model,
                  BatchOptimizerOptions options = {});
 
-  /// bc(S). S holds equivalence class ids (any representatives).
-  double BestCost(const std::set<EqId>& mat);
+  /// The class set of `ids`, which may name any representatives.
+  ElementSet ClassSet(const std::set<EqId>& ids) const;
 
-  /// buc(S).
-  double BestUseCost(const std::set<EqId>& mat);
+  /// {bc(S), buc(S)} of class set S.
+  std::pair<double, double> Costs(const ElementSet& s);
 
-  /// Full consolidated plan for S (uncached; use for final reporting).
-  ConsolidatedPlan Plan(const std::set<EqId>& mat);
+  /// Full consolidated plan for class set S (uncached; use for final
+  /// reporting).
+  ConsolidatedPlan PlanOf(const ElementSet& s);
+
+  /// Pins class set S as the incremental base: subsequent bc(S ∪ {x}) /
+  /// bc(S \ {x}) calls overlay the pinned search and re-plan only the
+  /// ancestor cone of x. The MQO greedy drivers call this after each
+  /// committed pick; when S is one element away from the current base, the
+  /// base is toggled in place (re-planning only that element's cone) rather
+  /// than rebuilt.
+  void PinIncrementalBase(const ElementSet& s);
+
+  /// The same for sets of class ids (any representatives).
+  double BestCost(const std::set<EqId>& mat) {
+    return Costs(ClassSet(mat)).first;
+  }
+  double BestUseCost(const std::set<EqId>& mat) {
+    return Costs(ClassSet(mat)).second;
+  }
+  ConsolidatedPlan Plan(const std::set<EqId>& mat) {
+    return PlanOf(ClassSet(mat));
+  }
+  void SetIncrementalBase(const std::set<EqId>& mat) {
+    PinIncrementalBase(ClassSet(mat));
+  }
 
   /// Cost of computing node `eq` with nothing else materialized, plus the
   /// write; the "standalone materialization cost" used by the use-benefit
@@ -152,13 +184,6 @@ class BatchOptimizer {
   /// stats layer's result-size estimate) — what the memory-governed store's
   /// budget would be charged for holding it.
   double MatFootprintBytes(EqId eq);
-
-  /// Pins S as the incremental base: subsequent bc(S ∪ {x}) / bc(S \ {x})
-  /// calls overlay the pinned search and re-plan only the ancestor cone of
-  /// x. The MQO greedy drivers call this after each committed pick; when S
-  /// is one element away from the current base, the base is toggled in
-  /// place (re-planning only that element's cone) rather than rebuilt.
-  void SetIncrementalBase(const std::set<EqId>& mat);
 
   /// Number of distinct bc() optimizations actually executed (cache misses).
   int64_t num_optimizations() const { return num_optimizations_.load(); }
@@ -174,8 +199,7 @@ class BatchOptimizer {
   /// executor serves it without recomputation). Read-only after
   /// construction, so safe from concurrent evaluations.
   bool IsCachedClass(EqId eq) const {
-    return !cached_classes_.empty() &&
-           cached_classes_.count(memo_->Find(eq)) > 0;
+    return cached_classes_.Contains(memo_->Find(eq));
   }
 
   Memo* memo() { return memo_; }
@@ -187,17 +211,11 @@ class BatchOptimizer {
   const BatchOptimizerOptions& options() const { return options_; }
 
  private:
-  /// `mat` with every id replaced by its class representative: `mat` itself
-  /// when it already is canonical (the common case), else `*copy`.
-  const std::set<EqId>& Canonical(const std::set<EqId>& mat,
-                                  std::set<EqId>* copy) const;
-  uint64_t SetKey(const std::set<EqId>& canonical) const;
   /// Runs bc+buc on `search`, charging only the costings delta.
-  std::pair<double, double> Evaluate(PlanSearch* search,
-                                     const std::set<EqId>& mat);
-  /// {bc, buc} of `mat` read off `search` (no counter is charged).
+  std::pair<double, double> Evaluate(PlanSearch* search, const ElementSet& s);
+  /// {bc, buc} of `s` read off `search` (no counter is charged).
   std::pair<double, double> SearchCosts(PlanSearch* search,
-                                        const std::set<EqId>& mat) const;
+                                        const ElementSet& s) const;
   /// Warms every per-class cache concurrent evaluations read (union-find
   /// paths, statistics, attribute sets) so worker threads never mutate
   /// shared state. Idempotent.
@@ -210,10 +228,10 @@ class BatchOptimizer {
   CostCache cache_;
   /// Canonical classes whose fingerprint hit `options_.cached_fingerprints`;
   /// built once in the constructor, immutable afterwards.
-  std::unordered_set<EqId> cached_classes_;
+  ElementSet cached_classes_;
   /// What every search reads of the expanded memo, built in the
   /// constructor, plus ancestor cones, built by the first
-  /// SetIncrementalBase; shared read-only by every search.
+  /// PinIncrementalBase; shared read-only by every search.
   std::shared_ptr<SearchIndex> index_;
   std::unique_ptr<PlanSearch> base_;  // pinned committed base (greedy's X)
   std::atomic<int64_t> num_optimizations_{0};

@@ -259,7 +259,7 @@ class PlanSearch::Best {
 };
 
 PlanSearch::PlanSearch(Memo* memo, StatsEstimator* stats,
-                       const CostModel& cost_model, std::set<EqId> materialized,
+                       const CostModel& cost_model, ElementSet materialized,
                        SearchOptions options,
                        std::shared_ptr<const SearchIndex> index)
     : memo_(memo),
@@ -267,15 +267,11 @@ PlanSearch::PlanSearch(Memo* memo, StatsEstimator* stats,
       cm_(cost_model),
       options_(options),
       index_(std::move(index)),
-      mat_flags_(memo->num_classes(), 0),
+      mat_(std::move(materialized)),
       heads_(memo->num_classes(), -1) {
   assert(index_ != nullptr);
+  assert(mat_.universe_size() == memo->num_classes());
   slots_.reserve(memo->num_classes());
-  for (EqId e : materialized) {
-    const EqId c = memo_->Find(e);
-    mat_.insert(c);
-    mat_flags_[c] = 1;
-  }
 }
 
 PlanSearch::PlanSearch(const PlanSearch* base, EqId toggled, bool materialized)
@@ -295,9 +291,9 @@ PlanSearch::PlanSearch(const PlanSearch* base, EqId toggled, bool materialized)
 }
 
 bool PlanSearch::IsMaterialized(EqId eq) const {
-  if (base_ == nullptr) return mat_flags_[eq] != 0;
+  if (base_ == nullptr) return mat_.Contains(eq);
   if (eq == toggled_) return toggled_materialized_;
-  return base_->mat_flags_[eq] != 0;
+  return base_->mat_.Contains(eq);
 }
 
 PlanSearch::ClassRef PlanSearch::Locate(EqId eq) const {
@@ -361,11 +357,10 @@ void PlanSearch::ToggleMaterialized(EqId eq, bool materialized) {
   assert(base_ == nullptr && "toggle the base, not an overlay");
   eq = memo_->Find(eq);
   if (materialized) {
-    mat_.insert(eq);
+    mat_.Add(eq);
   } else {
-    mat_.erase(eq);
+    mat_.Remove(eq);
   }
-  mat_flags_[eq] = materialized ? 1 : 0;
   for (EqId ancestor : index_->Cone(eq)) {
     int32_t& head = heads_[ancestor];
     if (head < 0) continue;

@@ -25,11 +25,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/element_set.h"
 #include "cost/cost_model.h"
 #include "cost/stats.h"
 #include "physical/plan.h"
@@ -178,11 +178,12 @@ class SearchIndex {
 /// One plan search, valid for a fixed materialized set.
 class PlanSearch {
  public:
-  /// `materialized` holds canonical EqIds. The memo must be fully expanded.
-  /// `index` is the SearchIndex of this memo (non-null); ToggleMaterialized
-  /// and overlays of this search need its cones built.
+  /// `materialized` is a set of canonical class ids over the universe
+  /// [0, memo->num_classes()). The memo must be fully expanded. `index` is
+  /// the SearchIndex of this memo (non-null); ToggleMaterialized and
+  /// overlays of this search need its cones built.
   PlanSearch(Memo* memo, StatsEstimator* stats, const CostModel& cost_model,
-             std::set<EqId> materialized, SearchOptions options,
+             ElementSet materialized, SearchOptions options,
              std::shared_ptr<const SearchIndex> index);
 
   /// Cone-scoped overlay: a search for base's set with the materialization
@@ -247,7 +248,7 @@ class PlanSearch {
   void ToggleMaterialized(EqId eq, bool materialized);
 
   /// The materialized set of a non-overlay search.
-  const std::set<EqId>& materialized() const { return mat_; }
+  const ElementSet& materialized() const { return mat_; }
 
  private:
   /// The cheapest compute plan of one (class, order): its cost and what
@@ -337,11 +338,9 @@ class PlanSearch {
   CostModel cm_;
   SearchOptions options_;
   std::shared_ptr<const SearchIndex> index_;
-  /// Materialized set of a non-overlay search, as a set and as per-class
-  /// flags. An overlay keeps both empty and answers from the base's flags
-  /// plus its own toggle.
-  std::set<EqId> mat_;
-  std::vector<char> mat_flags_;
+  /// Materialized class set of a non-overlay search. An overlay keeps it
+  /// empty and answers from the base's set plus its own toggle.
+  ElementSet mat_;
   /// Overlay state: the pinned read-only base search, the toggled class and
   /// its new status, and its ancestor cone (owned by `index_`). Classes
   /// outside the cone fall through to `base_`'s winners. Null/-1 for an

@@ -4,25 +4,15 @@
 
 namespace mqo {
 
-Decomposition CanonicalDecomposition(const SetFunction& f) {
-  return CanonicalDecomposition(f, /*num_threads=*/1);
-}
-
 Decomposition CanonicalDecomposition(const SetFunction& f, int num_threads) {
   const int n = f.universe_size();
   const ElementSet full = ElementSet::Full(n);
   const double f_full = f.Value(full);  // shared by every marginal below
   Decomposition d;
   d.costs.resize(n);
-  if (num_threads > 1 && n > 1) {
-    ParallelFor(static_cast<size_t>(n), num_threads, [&](size_t e) {
-      d.costs[e] = f.Value(full.Without(static_cast<int>(e))) - f_full;
-    });
-  } else {
-    for (int e = 0; e < n; ++e) {
-      d.costs[e] = f.Value(full.Without(e)) - f_full;
-    }
-  }
+  ParallelFor(static_cast<size_t>(n), num_threads, [&](size_t e) {
+    d.costs[e] = f.Value(full.Without(static_cast<int>(e))) - f_full;
+  });
   return d;
 }
 

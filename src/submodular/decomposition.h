@@ -41,8 +41,8 @@ struct Decomposition {
 /// The n per-element evaluations are independent; with `num_threads` > 1
 /// they fan across the worker pool (f(U) is computed first either way, and
 /// the result is identical for every thread count).
-Decomposition CanonicalDecomposition(const SetFunction& f);
-Decomposition CanonicalDecomposition(const SetFunction& f, int num_threads);
+Decomposition CanonicalDecomposition(const SetFunction& f,
+                                     int num_threads = 1);
 
 /// Proposition 2: given any decomposition with monotone fM, subtract
 /// d(e) = fM(U) − fM(U \ {e}) from both parts; the result is still a valid

@@ -107,6 +107,19 @@ TEST(ElementSetTest, HashAndEquality) {
   EXPECT_NE(a, c);
 }
 
+TEST(ElementSetTest, OnlyDifferenceFindsASingleToggleInAnyWord) {
+  const ElementSet base(130, {3, 64, 127});
+  EXPECT_EQ(base.OnlyDifference(base), -1);
+  // One element added or removed, in the first, middle and last word.
+  EXPECT_EQ(base.Without(3).OnlyDifference(base), 3);
+  EXPECT_EQ(base.OnlyDifference(base.Without(64)), 64);
+  EXPECT_EQ(base.With(129).OnlyDifference(base), 129);
+  // Two differences, in one word or in two.
+  EXPECT_EQ(base.With(5).With(6).OnlyDifference(base), -1);
+  EXPECT_EQ(base.With(5).With(70).OnlyDifference(base), -1);
+  EXPECT_EQ(base.With(0).Without(127).OnlyDifference(base), -1);
+}
+
 TEST(RngTest, DeterministicStreams) {
   Rng a(123);
   Rng b(123);

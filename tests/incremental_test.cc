@@ -132,7 +132,8 @@ TEST(IncrementalExample1Test, ToggleIsInverseOfItself) {
   StatsEstimator stats(&memo);
   auto index = std::make_shared<SearchIndex>(memo, &stats);
   index->BuildCones(memo);
-  PlanSearch search(&memo, &stats, CostModel(), {}, SearchOptions{}, index);
+  PlanSearch search(&memo, &stats, CostModel(), ElementSet(memo.num_classes()),
+                    SearchOptions{}, index);
   const double before = search.UsePlan(memo.root())->total_cost;
   search.ToggleMaterialized(shareable[0], true);
   search.ToggleMaterialized(shareable[0], false);

@@ -212,21 +212,35 @@ TEST(CostCacheTest, HashCollisionsAreVerifiedNotTrusted) {
   // The 64-bit hash is only a bucket index: two different sets forced into
   // the same bucket must each get their own stored cost back, and a set that
   // merely collides must miss.
+  const int n = 130;  // three words: equality must compare all of them
+  const ElementSet one(n, {1});
+  const ElementSet two(n, {2});
   CostCache cache;
-  cache.Put(42, {1}, {10.0, 5.0});
-  cache.Put(42, {2}, {20.0, 7.0});  // forced collision with {1}
+  cache.Put(42, one, {10.0, 5.0});
+  cache.Put(42, two, {20.0, 7.0});  // forced collision with {1}
   std::pair<double, double> out;
-  ASSERT_TRUE(cache.Get(42, {1}, &out));
+  ASSERT_TRUE(cache.Get(42, one, &out));
   EXPECT_DOUBLE_EQ(out.first, 10.0);
   EXPECT_DOUBLE_EQ(out.second, 5.0);
-  ASSERT_TRUE(cache.Get(42, {2}, &out));
+  ASSERT_TRUE(cache.Get(42, two, &out));
   EXPECT_DOUBLE_EQ(out.first, 20.0);
   EXPECT_DOUBLE_EQ(out.second, 7.0);
-  EXPECT_FALSE(cache.Get(42, {3}, &out));  // collides, verifies, misses
-  EXPECT_FALSE(cache.Get(7, {1}, &out));   // right set, wrong bucket
+  EXPECT_FALSE(cache.Get(42, ElementSet(n, {3}), &out));  // collides, misses
+  EXPECT_FALSE(cache.Get(7, one, &out));                  // wrong bucket
+  // Sets that agree on the first word and differ only above bit 63 are
+  // different keys too.
+  cache.Put(42, ElementSet(n, {1, 70}), {30.0, 9.0});
+  cache.Put(42, ElementSet(n, {1, 129}), {40.0, 11.0});
+  ASSERT_TRUE(cache.Get(42, ElementSet(n, {1, 70}), &out));
+  EXPECT_DOUBLE_EQ(out.first, 30.0);
+  ASSERT_TRUE(cache.Get(42, ElementSet(n, {1, 129}), &out));
+  EXPECT_DOUBLE_EQ(out.first, 40.0);
+  EXPECT_FALSE(cache.Get(42, ElementSet(n, {1, 71}), &out));
+  ASSERT_TRUE(cache.Get(42, one, &out));
+  EXPECT_DOUBLE_EQ(out.first, 10.0);
   // Concurrent evaluators may race to store the same set: first writer wins.
-  cache.Put(42, {1}, {99.0, 99.0});
-  ASSERT_TRUE(cache.Get(42, {1}, &out));
+  cache.Put(42, one, {99.0, 99.0});
+  ASSERT_TRUE(cache.Get(42, one, &out));
   EXPECT_DOUBLE_EQ(out.first, 10.0);
 }
 

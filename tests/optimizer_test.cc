@@ -212,6 +212,61 @@ TEST(OptimizerInljTest, StandaloneMatCostSearchesTheConfiguredOperators) {
   EXPECT_GT(changed, 0) << "no shareable node's compute plan uses an INLJ";
 }
 
+TEST(OptimizerCanonicalizationTest, AliasIdsCostExactlyLikeTheirClass) {
+  // (A ⋈ B) ⋈ C and A ⋈ (B ⋈ C) end in one class after expansion, so one of
+  // the two inserted ids is not its class's representative. The std::set
+  // entry points canonicalize: passing that alias must give the same bits
+  // as passing the representative. Each side gets its own optimizer, so no
+  // answer comes out of the other side's cost cache.
+  auto key_join = [](const char* l, const char* r) {
+    JoinCondition c;
+    c.left = ColumnRef(l, "k");
+    c.right = ColumnRef(r, "k");
+    return JoinPredicate({c});
+  };
+  const LogicalExprPtr left_assoc = LogicalExpr::Join(
+      LogicalExpr::Join(LogicalExpr::Scan("A"), LogicalExpr::Scan("B"),
+                        key_join("A", "B")),
+      LogicalExpr::Scan("C"), key_join("B", "C"));
+  const LogicalExprPtr right_assoc = LogicalExpr::Join(
+      LogicalExpr::Scan("A"),
+      LogicalExpr::Join(LogicalExpr::Scan("B"), LogicalExpr::Scan("C"),
+                        key_join("B", "C")),
+      key_join("A", "B"));
+  Catalog catalog = MakeExample1Catalog();
+  Memo memo(&catalog);
+  const EqId e1 = memo.Insert(NormalizeTree(left_assoc));
+  const EqId e2 = memo.Insert(NormalizeTree(right_assoc));
+  memo.InsertBatch({left_assoc, right_assoc});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  const EqId rep = memo.Find(e1);
+  ASSERT_EQ(memo.Find(e2), rep);
+  const EqId alias = e1 == rep ? e2 : e1;
+  ASSERT_NE(alias, rep);
+
+  BatchOptimizer by_alias(&memo, CostModel(), EnvOptimizerOptions());
+  BatchOptimizer by_rep(&memo, CostModel(), EnvOptimizerOptions());
+  EXPECT_EQ(by_alias.BestCost({alias}), by_rep.BestCost({rep}));
+  EXPECT_EQ(by_alias.BestUseCost({alias}), by_rep.BestUseCost({rep}));
+  const ConsolidatedPlan alias_plan = by_alias.Plan({alias});
+  EXPECT_EQ(alias_plan.best_cost, by_rep.Plan({rep}).best_cost);
+  ASSERT_EQ(alias_plan.materialized.size(), 1u);
+  EXPECT_EQ(alias_plan.materialized[0].eq, rep);
+
+  // A base pinned by the alias is the representative's set: evaluating it
+  // is an overlay of the base, not a fresh search, and every bit agrees.
+  BatchOptimizer pinned_alias(&memo, CostModel(), EnvOptimizerOptions());
+  BatchOptimizer pinned_rep(&memo, CostModel(), EnvOptimizerOptions());
+  pinned_alias.SetIncrementalBase({alias});
+  pinned_rep.SetIncrementalBase({rep});
+  EXPECT_EQ(pinned_alias.BestCost({rep}), pinned_rep.BestCost({alias}));
+  EXPECT_EQ(pinned_alias.BestCost({}), pinned_rep.BestCost({}));
+  EXPECT_EQ(pinned_alias.BestCost({alias}), by_rep.BestCost({rep}));
+  if (pinned_alias.options().incremental) {
+    EXPECT_EQ(pinned_alias.num_incremental(), 2);
+  }
+}
+
 TEST(OptimizerExample1Test, MaterializedReadPreservesComputeOrder) {
   // The materialized (B ⋈ C) is stored in its compute plan's order, so the
   // reading side avoids a re-sort (merge-joinable directly when useful).

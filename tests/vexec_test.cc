@@ -1428,10 +1428,10 @@ TEST(VexecBudgetTest, AdmissionRefusesNodesCheaperToRecompute) {
   if (tight_problem.universe_size() > 0) {
     ElementSet single(tight_problem.universe_size());
     single.Add(0);
-    const std::set<EqId> eqs = tight_problem.ToEqIds(single);
-    EXPECT_GT(tight_problem.SpillPenalty(eqs), 0.0);
+    const ElementSet classes = tight_problem.ClassSet(single);
+    EXPECT_GT(tight_problem.SpillPenalty(classes), 0.0);
     EXPECT_GE(tight_problem.best_cost().Value(single),
-              bounded.BestCost(eqs));
+              bounded.Costs(classes).first);
   }
 }
 
