@@ -33,22 +33,11 @@ struct ExecOptions : PipelineOptions {
   size_t mat_budget_bytes = 0;
   /// Spill directory for evicted segments; empty = a unique temp directory.
   std::string mat_spill_dir;
-  /// Bloom-filter pushdown (sideways information passing): hash-join builds
-  /// publish a Bloom filter over their keys, and probe-side scan pipelines
-  /// drop rows (and skip whole morsels via zone min/max) that cannot match
-  /// before materializing chunks. Conservative — never a false negative —
-  /// so results are identical with it on or off; off exists for benching.
-  bool bloom_filters = true;
   /// Zone-map scan skipping: scan pipelines consult a column's persisted
   /// per-zone min/max to skip whole zones for any constant numeric filter —
   /// no join upstream required. Conservative (a pruned zone contains no
   /// passing row), so results are identical with it on or off.
   bool zone_maps = true;
-  /// Build-time numeric compression of *materialized segments* (base tables
-  /// are governed by ColumnStore build flags): FOR-encode int64 columns when
-  /// that shrinks them and attach zone maps, so MatStore budget accounting
-  /// sees encoded bytes and segment reads can zone-skip.
-  bool numeric_compression = true;
   /// Observability sink (obs/obs.h): pipeline/operator spans, store events,
   /// executor metrics. Null = off; execution is unaffected either way.
   ObsContext* obs = nullptr;

@@ -50,8 +50,6 @@ MqoResult RunGreedy(MaterializationProblem* problem, bool lazy) {
   TraceSpan span = AlgoSpan(problem, "mqo.greedy");
   WallTimer timer;
   const int64_t before = problem->optimizer()->num_optimizations();
-  std::vector<int> candidates(problem->universe_size());
-  for (int i = 0; i < problem->universe_size(); ++i) candidates[i] = i;
   // Pin the incremental re-optimization base to the committed set X, so each
   // trial bc(X ∪ {x}) re-plans only the ancestors of x.
   auto on_pick = [problem](const ElementSet& x) {
@@ -59,7 +57,7 @@ MqoResult RunGreedy(MaterializationProblem* problem, bool lazy) {
   };
   on_pick(ElementSet(problem->universe_size()));
   CostGreedyResult greedy =
-      CostGreedyMin(problem->best_cost(), candidates, lazy, on_pick,
+      CostGreedyMin(problem->best_cost(), lazy, on_pick,
                     TracerOf(problem->optimizer()->obs()),
                     problem->optimizer()->options().num_threads);
   return Finalize(problem, "Greedy", greedy.selected, timer.ElapsedMillis(),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <queue>
 
 #include "obs/trace.h"
@@ -12,43 +13,211 @@ namespace mqo {
 
 namespace {
 
-std::vector<int> DefaultCandidates(const SetFunction& f,
-                                   const std::vector<int>& given) {
-  if (!given.empty()) return given;
-  std::vector<int> all(f.universe_size());
-  for (int i = 0; i < f.universe_size(); ++i) all[i] = i;
-  return all;
-}
+/// What one greedy family tells the two engines below. Both commit, round
+/// after round, the best-scoring candidate while its score is strictly
+/// above the stop value.
+struct GreedyRule {
+  /// Score of candidate `e` against the committed set `x`; higher is
+  /// better. Runs concurrently on the worker pool.
+  std::function<double(int e, const ElementSet& x)> score;
+  /// Optional: computes the value every score of a round shares before the
+  /// round fans out, so workers do not race to compute the same base value
+  /// (a shared cost cache makes the race benign, but the duplicate misses
+  /// would inflate the optimizer's work counters relative to the serial run).
+  std::function<void(const ElementSet& x)> prewarm;
+  /// A pick must score strictly above the stop value; this is the first
+  /// round's.
+  double stop = 0.0;
+  /// Called with each committed score; returns the next round's stop value.
+  /// Null keeps `stop` fixed.
+  std::function<double(double score)> commit;
+  /// Drop a candidate for good once it scores at or below the stop value.
+  bool drop_at_stop = false;
+  /// Trace argument key of a score, and the sign it is traced with.
+  const char* trace_key = "ratio";
+  double trace_sign = 1.0;
+  int limit = std::numeric_limits<int>::max();  ///< Maximum number of picks.
+  std::function<void(const ElementSet&)> on_pick;
+  Tracer* tracer = nullptr;  ///< Null when tracing is off.
+  int num_threads = 1;
+};
 
-/// Runs `fn(i)` exactly once for every i in [0, n), fanning across the
-/// persistent worker pool when `num_threads` > 1. `fn` must write only to
-/// its own index's result slot, so the merged results — and everything the
-/// caller derives from them in index order — are bit-identical to the
-/// serial run. Wrapped in a "greedy.parallel_eval" span when tracing is on
-/// (allocation-free otherwise: `tracer` is already null when disabled).
-void EvaluateIndexed(size_t n, int num_threads, Tracer* tracer,
-                     const std::function<void(size_t)>& fn) {
-  if (num_threads > 1 && n > 1) {
-    TraceSpan span(tracer, "greedy.parallel_eval", "submodular");
-    if (span.active()) span.AddNum("evals", static_cast<double>(n));
-    ParallelFor(n, num_threads, fn);
+/// Scores `elems` against `x` into `scores`, counts the evaluations and
+/// traces one "greedy.candidate" instant per score. The scores land by index
+/// on up to `num_threads` workers, so everything derived from them in index
+/// order is bit-identical to the serial run. A fan-out is wrapped in a
+/// "greedy.parallel_eval" span when tracing is on.
+void ScoreAll(const GreedyRule& rule, const std::vector<int>& elems,
+              const ElementSet& x, std::vector<double>* scores,
+              GreedyResult* result) {
+  const bool fan_out = rule.num_threads > 1 && elems.size() > 1;
+  if (fan_out && rule.prewarm) rule.prewarm(x);
+  scores->resize(elems.size());
+  auto score_one = [&](size_t i) { (*scores)[i] = rule.score(elems[i], x); };
+  if (fan_out && rule.tracer != nullptr) {
+    TraceSpan span(rule.tracer, "greedy.parallel_eval", "submodular");
+    span.AddNum("evals", static_cast<double>(elems.size()));
+    ParallelFor(elems.size(), rule.num_threads, score_one);
   } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
+    ParallelFor(elems.size(), rule.num_threads, score_one);
+  }
+  result->function_evals += static_cast<int64_t>(elems.size());
+  if (rule.tracer == nullptr) return;
+  for (size_t i = 0; i < elems.size(); ++i) {
+    rule.tracer->Instant("greedy.candidate", "submodular",
+                         {TNum("elem", elems[i]),
+                          TNum(rule.trace_key, rule.trace_sign * (*scores)[i]),
+                          TNum("round", result->pick_order.size())});
   }
 }
 
-/// Positive-cost candidates go through the ratio loop; non-positive-cost
-/// elements are appended at the end (they can only raise f, since fM is
-/// monotone — see the discussion after Algorithm 2).
-void SplitByCost(const Decomposition& d, const std::vector<int>& candidates,
-                 std::vector<int>* positive, std::vector<int>* free) {
-  for (int e : candidates) {
-    if (d.costs[e] > 0) {
-      positive->push_back(e);
-    } else {
-      free->push_back(e);
+/// A "greedy.round" span: the committed pick and its score, or picked = -1
+/// when the round ends the run.
+void TraceRound(const GreedyRule& rule, int64_t start_ns, size_t round,
+                double pool, int picked, double score) {
+  std::vector<TraceArg> args = {TNum("round", round), TNum("pool", pool),
+                                TNum("picked", picked)};
+  if (picked >= 0) {
+    args.push_back(TNum(rule.trace_key, rule.trace_sign * score));
+  }
+  rule.tracer->CompleteSince(start_ns, "greedy.round", "submodular",
+                             std::move(args));
+}
+
+/// Adds `e` to the committed set and records the pick.
+void RecordPick(int e, double score, GreedyResult* result) {
+  result->selected.Add(e);
+  result->pick_order.push_back(e);
+  result->pick_ratios.push_back(score);
+}
+
+/// Eager greedy: every round rescores the whole pool against X and commits
+/// the first candidate with the highest score. The scores land in an index
+/// array (in parallel when requested) and the selection reduces serially in
+/// index order, so picks, tie-breaks, drops and tracing match the serial
+/// run at every thread count.
+void EagerGreedy(const GreedyRule& rule, std::vector<int> pool,
+                 GreedyResult* result) {
+  ElementSet& x = result->selected;
+  double stop = rule.stop;
+  std::vector<double> scores;
+  while (!pool.empty() && x.Size() < rule.limit) {
+    const int64_t round_start_ns = rule.tracer ? MonotonicNanos() : 0;
+    const size_t round = result->pick_order.size();
+    const int pool_before = static_cast<int>(pool.size());
+    ScoreAll(rule, pool, x, &scores, result);
+    int best = -1;
+    double best_score = -std::numeric_limits<double>::infinity();
+    size_t kept = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const int e = pool[i];
+      if (rule.drop_at_stop && scores[i] <= stop) continue;
+      pool[kept++] = e;
+      // Strict > keeps the earliest index on ties.
+      if (scores[i] > best_score) {
+        best_score = scores[i];
+        best = e;
+      }
+    }
+    pool.resize(kept);
+    const bool picked = best >= 0 && best_score > stop;
+    if (picked) {
+      RecordPick(best, best_score, result);
+      pool.erase(std::remove(pool.begin(), pool.end(), best), pool.end());
+      if (rule.commit) stop = rule.commit(best_score);
+    }
+    if (rule.tracer) {
+      TraceRound(rule, round_start_ns, round, pool_before, picked ? best : -1,
+                 best_score);
+    }
+    if (!picked) break;
+    if (rule.on_pick) rule.on_pick(x);
+  }
+}
+
+/// Wave-lazy greedy (Minoux): a max-heap of stale scores, valid as upper
+/// bounds while scores only shrink as X grows, so a re-scored top of the
+/// heap is exact. Stale tops sharing the maximal bound are gathered into
+/// one wave and rescored together (in parallel when requested) — the
+/// initial wave of infinite bounds is the whole pool, which is where
+/// nearly all of the evaluations happen. Serial and parallel runs execute
+/// the exact same waves, so picks and evaluation counts are identical.
+void LazyGreedy(const GreedyRule& rule, const std::vector<int>& pool,
+                GreedyResult* result) {
+  struct HeapEntry {
+    double bound;
+    int e;
+    int stamp;  // |X| at which the bound was computed
+    bool operator<(const HeapEntry& o) const {
+      // Bound descending, element index ascending: on equal bounds the
+      // smallest index pops first, matching the eager scan's tie-break.
+      if (bound != o.bound) return bound < o.bound;
+      return e > o.e;
+    }
+  };
+  ElementSet& x = result->selected;
+  double stop = rule.stop;
+  std::priority_queue<HeapEntry> heap;
+  for (int e : pool) {
+    heap.push({std::numeric_limits<double>::infinity(), e, -1});
+  }
+  std::vector<int> wave;
+  std::vector<double> scores;
+  int64_t round_start_ns = rule.tracer ? MonotonicNanos() : 0;
+  while (!heap.empty() && x.Size() < rule.limit) {
+    const HeapEntry top = heap.top();
+    if (top.stamp == x.Size()) {
+      // Fresh bound: it is the exact score and it dominates the heap.
+      heap.pop();
+      if (top.bound <= stop) break;
+      RecordPick(top.e, top.bound, result);
+      if (rule.commit) stop = rule.commit(top.bound);
+      if (rule.tracer) {
+        TraceRound(rule, round_start_ns, result->pick_order.size() - 1,
+                   static_cast<double>(heap.size()), top.e, top.bound);
+        round_start_ns = MonotonicNanos();
+      }
+      if (rule.on_pick) rule.on_pick(x);
+      continue;
+    }
+    wave.clear();
+    while (!heap.empty() && heap.top().bound == top.bound &&
+           heap.top().stamp != x.Size()) {
+      wave.push_back(heap.top().e);
+      heap.pop();
+    }
+    ScoreAll(rule, wave, x, &scores, result);
+    for (size_t i = 0; i < wave.size(); ++i) {
+      if (rule.drop_at_stop && scores[i] <= stop) continue;
+      heap.push({scores[i], wave[i], x.Size()});
     }
   }
+}
+
+/// One double-greedy pass over the elements in index order: X grows from ∅
+/// and Y shrinks from U, and e joins X iff `take(a, b)` holds for its
+/// forward marginal a = f(X∪{e}) − f(X) and backward marginal
+/// b = f(Y\{e}) − f(Y).
+GreedyResult DoubleGreedyPass(const SetFunction& f,
+                              const std::function<bool(double, double)>& take) {
+  GreedyResult result;
+  const int n = f.universe_size();
+  ElementSet x(n);                     // starts empty
+  ElementSet y = ElementSet::Full(n);  // starts full
+  for (int e = 0; e < n; ++e) {
+    const double a = f.Marginal(e, x);
+    const double b = f.Value(y.Without(e)) - f.Value(y);
+    result.function_evals += 2;
+    if (take(a, b)) {
+      x.Add(e);
+      result.pick_order.push_back(e);
+    } else {
+      y.Remove(e);
+    }
+  }
+  result.selected = x;
+  result.value = f.Value(x);
+  return result;
 }
 
 }  // namespace
@@ -69,11 +238,8 @@ std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
     // (wasteful) function calls entirely.
     return candidates;
   }
-  const ElementSet full = [&] {
-    ElementSet s(f.universe_size());
-    for (int e : candidates) s.Add(e);
-    return s;
-  }();
+  ElementSet full(f.universe_size());
+  for (int e : candidates) full.Add(e);
   // Rank by f'M(e, U\{e}) / c(e) (only positive costs are rankable; elements
   // with non-positive cost always stay, as their ratio is effectively +inf).
   struct Ranked {
@@ -94,13 +260,10 @@ std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
   // so workers only compute their own f(U \ {e}).
   if (num_threads > 1 && rankable.size() > 1) (void)f.Value(full);
   std::vector<Ranked> ranked(rankable.size());
-  EvaluateIndexed(rankable.size(), num_threads, /*tracer=*/nullptr,
-                  [&](size_t i) {
-                    const int e = rankable[i];
-                    const double marginal =
-                        d.MonotoneMarginal(f, e, full.Without(e));
-                    ranked[i] = {e, marginal / d.costs[e]};
-                  });
+  ParallelFor(rankable.size(), num_threads, [&](size_t i) {
+    const int e = rankable[i];
+    ranked[i] = {e, d.MonotoneMarginal(f, e, full.Without(e)) / d.costs[e]};
+  });
   local_evals += static_cast<int64_t>(rankable.size());
   if (static_cast<int>(keep_always.size()) >= k || ranked.empty()) {
     if (evals != nullptr) *evals += local_evals;
@@ -118,10 +281,9 @@ std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
   // Keep e iff fM({e})/c(e) >= threshold; the singleton values share f(∅).
   if (num_threads > 1 && ranked.size() > 1) (void)f.Value(empty);
   std::vector<double> singleton(ranked.size());
-  EvaluateIndexed(ranked.size(), num_threads, /*tracer=*/nullptr,
-                  [&](size_t i) {
-                    singleton[i] = d.MonotoneMarginal(f, ranked[i].e, empty);
-                  });
+  ParallelFor(ranked.size(), num_threads, [&](size_t i) {
+    singleton[i] = d.MonotoneMarginal(f, ranked[i].e, empty);
+  });
   local_evals += static_cast<int64_t>(ranked.size());
   for (size_t i = 0; i < ranked.size(); ++i) {
     if (singleton[i] / d.costs[ranked[i].e] >= threshold) {
@@ -136,19 +298,20 @@ std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
 GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& raw_d,
                             const MarginalGreedyOptions& options) {
   GreedyResult result;
-  std::vector<int> candidates = DefaultCandidates(f, options.candidates);
-  const int limit = options.cardinality_limit >= 0 ? options.cardinality_limit
-                                                   : f.universe_size();
-
-  // Apply the positive-scaling of Proposition 1's proof when requested.
+  result.selected = ElementSet(f.universe_size());
+  // Proposition 1's proof notes the costs "can be suitably scaled to ensure
+  // that c is zero only at ∅ and positive everywhere else": non-positive
+  // costs are clamped to a tiny epsilon, so every element competes in the
+  // ratio loop (free elements then rank by marginal benefit and are still
+  // accepted iff the benefit is positive).
   Decomposition d = raw_d;
-  if (options.clamp_nonpositive_costs) {
-    double max_abs = 1.0;
-    for (double c : d.costs) max_abs = std::max(max_abs, std::fabs(c));
-    const double eps = 1e-9 * max_abs;
-    for (double& c : d.costs) c = std::max(c, eps);
-  }
+  double max_abs = 1.0;
+  for (double c : d.costs) max_abs = std::max(max_abs, std::fabs(c));
+  const double eps = 1e-9 * max_abs;
+  for (double& c : d.costs) c = std::max(c, eps);
 
+  std::vector<int> candidates(f.universe_size());
+  std::iota(candidates.begin(), candidates.end(), 0);
   if (options.universe_reduction && options.cardinality_limit >= 0) {
     candidates = UniverseReduction(f, d, std::move(candidates),
                                    options.cardinality_limit,
@@ -157,303 +320,83 @@ GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& raw_d,
   }
   result.universe_after_reduction = static_cast<int>(candidates.size());
 
-  std::vector<int> pool;
-  std::vector<int> free_elems;
-  SplitByCost(d, candidates, &pool, &free_elems);
-
-  ElementSet x(f.universe_size());
-  Tracer* tracer =
+  GreedyRule rule;
+  rule.score = [&f, &d](int e, const ElementSet& x) {
+    return d.MonotoneMarginal(f, e, x) / d.costs[e];
+  };
+  // Every marginal of a round shares f(X).
+  rule.prewarm = [&f](const ElementSet& x) { (void)f.Value(x); };
+  rule.stop = 1.0;
+  // Section 5.1: by submodularity a ratio ≤ 1 never rises above 1 again.
+  rule.drop_at_stop = options.prune_ratio_below_one;
+  rule.limit = options.cardinality_limit >= 0 ? options.cardinality_limit
+                                              : f.universe_size();
+  rule.on_pick = options.on_pick;
+  rule.tracer =
       options.tracer && options.tracer->enabled() ? options.tracer : nullptr;
-
-  if (!options.lazy) {
-    // Eager MarginalGreedy: full rescan per iteration, with the Section 5.1
-    // drop-below-one pruning applied during the scan. The rescan's marginals
-    // are independent, so they evaluate into an index array (in parallel when
-    // requested) and the selection below reduces serially in index order —
-    // the pick, tie-breaks, pruning, and tracing all match the serial run.
-    while (!pool.empty() && x.Size() < limit) {
-      const int64_t round_start_ns = tracer ? MonotonicNanos() : 0;
-      const int pool_before = static_cast<int>(pool.size());
-      // Every marginal shares f(X); warm it once before fanning out so
-      // workers don't race to compute the same base value (the shared cost
-      // cache makes the race benign, but the duplicate misses would inflate
-      // the optimizer's work counters relative to the serial run).
-      if (options.num_threads > 1 && pool.size() > 1) (void)f.Value(x);
-      std::vector<double> ratios(pool.size());
-      EvaluateIndexed(pool.size(), options.num_threads, tracer, [&](size_t i) {
-        ratios[i] = d.MonotoneMarginal(f, pool[i], x) / d.costs[pool[i]];
-      });
-      result.function_evals += static_cast<int64_t>(pool.size());
-      int best = -1;
-      double best_ratio = -std::numeric_limits<double>::infinity();
-      std::vector<int> next_pool;
-      next_pool.reserve(pool.size());
-      for (size_t i = 0; i < pool.size(); ++i) {
-        const int e = pool[i];
-        const double ratio = ratios[i];
-        if (tracer) {
-          tracer->Instant("greedy.candidate", "submodular",
-                          {TNum("elem", e), TNum("ratio", ratio),
-                           TNum("round", result.pick_order.size())});
-        }
-        if (options.prune_ratio_below_one && ratio <= 1.0) {
-          continue;  // can never be picked later either (submodularity)
-        }
-        next_pool.push_back(e);
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best = e;
-        }
-      }
-      pool = std::move(next_pool);
-      if (best < 0 || best_ratio <= 1.0) {
-        if (tracer) {
-          tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                                {TNum("round", result.pick_order.size()),
-                                 TNum("pool", pool_before),
-                                 TNum("picked", -1)});
-        }
-        break;
-      }
-      x.Add(best);
-      result.pick_order.push_back(best);
-      result.pick_ratios.push_back(best_ratio);
-      pool.erase(std::remove(pool.begin(), pool.end(), best), pool.end());
-      if (tracer) {
-        tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                              {TNum("round", result.pick_order.size() - 1),
-                               TNum("pool", pool_before),
-                               TNum("picked", best),
-                               TNum("ratio", best_ratio)});
-      }
-      if (options.on_pick) options.on_pick(x);
-    }
+  rule.num_threads = options.num_threads;
+  if (options.lazy) {
+    LazyGreedy(rule, candidates, &result);
   } else {
-    // LazyMarginalGreedy: heap of stale upper bounds on the ratio. Marginals
-    // only shrink as X grows, so a re-validated top-of-heap is exact. Stale
-    // tops that share the maximal bound are gathered into one "wave" and
-    // re-evaluated together (in parallel when requested) — the initial wave
-    // of infinite bounds is the whole pool, which is where nearly all of the
-    // lazy variant's evaluations happen. Serial and parallel runs execute the
-    // exact same waves, so picks and evaluation counts are identical.
-    struct HeapEntry {
-      double bound;
-      int e;
-      int stamp;  // |X| at which the bound was computed
-      bool operator<(const HeapEntry& o) const {
-        // Bound descending, element index ascending: on equal bounds the
-        // smallest index pops first, matching the eager scan's "first strict
-        // improvement wins" tie-break.
-        if (bound != o.bound) return bound < o.bound;
-        return e > o.e;
-      }
-    };
-    std::priority_queue<HeapEntry> heap;
-    for (int e : pool) {
-      heap.push({std::numeric_limits<double>::infinity(), e, -1});
-    }
-    int64_t round_start_ns = tracer ? MonotonicNanos() : 0;
-    while (!heap.empty() && x.Size() < limit) {
-      const HeapEntry top = heap.top();
-      if (top.stamp == x.Size()) {
-        // Fresh bound: it is the exact ratio and it dominates the heap.
-        heap.pop();
-        if (top.bound <= 1.0) break;
-        x.Add(top.e);
-        result.pick_order.push_back(top.e);
-        result.pick_ratios.push_back(top.bound);
-        if (tracer) {
-          tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                                {TNum("round", result.pick_order.size() - 1),
-                                 TNum("pool", static_cast<double>(heap.size())),
-                                 TNum("picked", top.e),
-                                 TNum("ratio", top.bound)});
-          round_start_ns = MonotonicNanos();
-        }
-        if (options.on_pick) options.on_pick(x);
-        continue;
-      }
-      // Gather the wave of consecutive stale tops sharing the maximal bound.
-      std::vector<HeapEntry> wave;
-      while (!heap.empty() && heap.top().bound == top.bound &&
-             heap.top().stamp != x.Size()) {
-        wave.push_back(heap.top());
-        heap.pop();
-      }
-      if (options.num_threads > 1 && wave.size() > 1) (void)f.Value(x);
-      std::vector<double> ratios(wave.size());
-      EvaluateIndexed(wave.size(), options.num_threads, tracer, [&](size_t i) {
-        ratios[i] = d.MonotoneMarginal(f, wave[i].e, x) / d.costs[wave[i].e];
-      });
-      result.function_evals += static_cast<int64_t>(wave.size());
-      for (size_t i = 0; i < wave.size(); ++i) {
-        if (tracer) {
-          tracer->Instant("greedy.candidate", "submodular",
-                          {TNum("elem", wave[i].e), TNum("ratio", ratios[i]),
-                           TNum("round", result.pick_order.size())});
-        }
-        if (options.prune_ratio_below_one && ratios[i] <= 1.0) {
-          continue;  // drop permanently
-        }
-        heap.push({ratios[i], wave[i].e, x.Size()});
-      }
-    }
+    EagerGreedy(rule, std::move(candidates), &result);
   }
-
-  // Finally add the elements with non-positive cost. Under exact
-  // submodularity of f their marginal is ≥ −c(e) ≥ 0, so the paper adds them
-  // all unconditionally; the cost functions arising from a real optimizer can
-  // violate the monotonicity heuristic, so we keep the (theory-neutral) guard
-  // of only adding an element while its actual marginal is positive.
-  for (int e : free_elems) {
-    if (x.Size() >= limit) break;
-    const double marginal = f.Marginal(e, x);
-    ++result.function_evals;
-    if (marginal <= 0) continue;
-    x.Add(e);
-    result.pick_order.push_back(e);
-    result.pick_ratios.push_back(std::numeric_limits<double>::infinity());
-    if (tracer) {
-      tracer->Instant("greedy.free_pick", "submodular",
-                      {TNum("elem", e), TNum("marginal", marginal)});
-    }
-    if (options.on_pick) options.on_pick(x);
-  }
-
-  result.selected = x;
-  result.value = f.Value(x);
+  result.value = f.Value(result.selected);
   return result;
 }
 
 CostGreedyResult CostGreedyMin(
-    const SetFunction& g, const std::vector<int>& candidates, bool lazy,
+    const SetFunction& g, bool lazy,
     const std::function<void(const ElementSet&)>& on_pick, Tracer* raw_tracer,
     int num_threads) {
-  CostGreedyResult result;
-  std::vector<int> pool = DefaultCandidates(g, candidates);
-  ElementSet x(g.universe_size());
-  Tracer* tracer = raw_tracer && raw_tracer->enabled() ? raw_tracer : nullptr;
+  GreedyResult run;
+  run.selected = ElementSet(g.universe_size());
+  std::vector<int> pool(g.universe_size());
+  std::iota(pool.begin(), pool.end(), 0);
   // Also serves as the parallel prewarm: g(X) is in the cost cache before any
-  // wave fans out, and each candidate's g(X∪{e}) is a distinct set, so
+  // round fans out, and each candidate's g(X∪{e}) is a distinct set, so
   // workers never race to compute the same value.
-  double current = g.Value(x);
-  ++result.function_evals;
+  double current = g.Value(run.selected);
+  ++run.function_evals;
 
+  GreedyRule rule;
+  rule.on_pick = on_pick;
+  rule.tracer = raw_tracer && raw_tracer->enabled() ? raw_tracer : nullptr;
+  rule.num_threads = num_threads;
   if (!lazy) {
-    while (!pool.empty()) {
-      const int64_t round_start_ns = tracer ? MonotonicNanos() : 0;
-      const int pool_before = static_cast<int>(pool.size());
-      std::vector<double> costs(pool.size());
-      EvaluateIndexed(pool.size(), num_threads, tracer, [&](size_t i) {
-        costs[i] = g.Value(x.With(pool[i]));
-      });
-      result.function_evals += static_cast<int64_t>(pool.size());
-      int best = -1;
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < pool.size(); ++i) {
-        const int e = pool[i];
-        const double c = costs[i];
-        if (tracer) {
-          tracer->Instant("greedy.candidate", "submodular",
-                          {TNum("elem", e), TNum("cost", c),
-                           TNum("round", result.pick_order.size())});
-        }
-        // Strict < keeps the earliest index on ties, same as the serial scan.
-        if (c < best_cost) {
-          best_cost = c;
-          best = e;
-        }
-      }
-      if (best < 0 || best_cost >= current) {
-        if (tracer) {
-          tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                                {TNum("round", result.pick_order.size()),
-                                 TNum("pool", pool_before),
-                                 TNum("picked", -1)});
-        }
-        break;
-      }
-      x.Add(best);
-      current = best_cost;
-      result.pick_order.push_back(best);
-      pool.erase(std::remove(pool.begin(), pool.end(), best), pool.end());
-      if (tracer) {
-        tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                              {TNum("round", result.pick_order.size() - 1),
-                               TNum("pool", pool_before),
-                               TNum("picked", best),
-                               TNum("cost", best_cost)});
-      }
-      if (on_pick) on_pick(x);
-    }
-  } else {
-    // Lazy variant under the "monotonicity heuristic" (supermodularity of g):
-    // benefit(e, X) = g(X) − g(X∪{e}) only shrinks as X grows, so stale
-    // benefit upper bounds are safe (this is Roy et al.'s third optimization).
-    // Stale tops sharing the maximal bound re-evaluate as one wave, in
-    // parallel when requested — identical waves, picks, and evaluation
-    // counts at every thread count (see the lazy MarginalGreedy above).
-    struct HeapEntry {
-      double benefit_bound;
-      int e;
-      int stamp;
-      bool operator<(const HeapEntry& o) const {
-        if (benefit_bound != o.benefit_bound) {
-          return benefit_bound < o.benefit_bound;
-        }
-        return e > o.e;  // equal bounds: smallest index first (eager parity)
-      }
+    // Score −g(X∪{e}) against stop −g(X): negation is exact, so the strict
+    // comparisons pick exactly what `cost < best` would (a benefit
+    // g(X) − g(X∪{e}) could round two costs an ulp apart into a tie).
+    rule.score = [&g](int e, const ElementSet& x) {
+      return -g.Value(x.With(e));
     };
-    std::priority_queue<HeapEntry> heap;
-    for (int e : pool) {
-      heap.push({std::numeric_limits<double>::infinity(), e, -1});
-    }
-    int64_t round_start_ns = tracer ? MonotonicNanos() : 0;
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      if (top.stamp == x.Size()) {
-        heap.pop();
-        if (top.benefit_bound <= 0) break;
-        x.Add(top.e);
-        current -= top.benefit_bound;
-        result.pick_order.push_back(top.e);
-        if (tracer) {
-          tracer->CompleteSince(round_start_ns, "greedy.round", "submodular",
-                                {TNum("round", result.pick_order.size() - 1),
-                                 TNum("pool", static_cast<double>(heap.size())),
-                                 TNum("picked", top.e),
-                                 TNum("benefit", top.benefit_bound)});
-          round_start_ns = MonotonicNanos();
-        }
-        if (on_pick) on_pick(x);
-        continue;
-      }
-      std::vector<HeapEntry> wave;
-      while (!heap.empty() && heap.top().benefit_bound == top.benefit_bound &&
-             heap.top().stamp != x.Size()) {
-        wave.push_back(heap.top());
-        heap.pop();
-      }
-      std::vector<double> benefits(wave.size());
-      EvaluateIndexed(wave.size(), num_threads, tracer, [&](size_t i) {
-        benefits[i] = current - g.Value(x.With(wave[i].e));
-      });
-      result.function_evals += static_cast<int64_t>(wave.size());
-      for (size_t i = 0; i < wave.size(); ++i) {
-        if (tracer) {
-          tracer->Instant("greedy.candidate", "submodular",
-                          {TNum("elem", wave[i].e),
-                           TNum("benefit", benefits[i]),
-                           TNum("round", result.pick_order.size())});
-        }
-        if (benefits[i] <= 0) continue;  // never beneficial again
-        heap.push({benefits[i], wave[i].e, x.Size()});
-      }
-    }
+    rule.stop = -current;
+    rule.commit = [](double score) { return score; };
+    rule.trace_key = "cost";
+    rule.trace_sign = -1.0;
+    EagerGreedy(rule, std::move(pool), &run);
+  } else {
+    // Under the "monotonicity heuristic" (supermodularity of g) the benefit
+    // g(X) − g(X∪{e}) only shrinks as X grows, so stale benefits are safe
+    // upper bounds (Roy et al.'s third optimization), and a benefit ≤ 0 is
+    // never positive again.
+    rule.score = [&g, &current](int e, const ElementSet& x) {
+      return current - g.Value(x.With(e));
+    };
+    rule.stop = 0.0;
+    rule.drop_at_stop = true;
+    rule.commit = [&current](double benefit) {
+      current -= benefit;
+      return 0.0;
+    };
+    rule.trace_key = "benefit";
+    LazyGreedy(rule, pool, &run);
   }
 
-  result.selected = x;
-  result.cost = g.Value(x);
+  CostGreedyResult result;
+  result.selected = std::move(run.selected);
+  result.cost = g.Value(result.selected);
+  result.pick_order = std::move(run.pick_order);
+  result.function_evals = run.function_evals;
   return result;
 }
 
@@ -495,46 +438,15 @@ GreedyResult KnapsackRatioGreedy(const SetFunction& f, const Decomposition& d,
 }
 
 GreedyResult DoubleGreedy(const SetFunction& f) {
-  GreedyResult result;
-  const int n = f.universe_size();
-  ElementSet x(n);              // starts empty
-  ElementSet y = ElementSet::Full(n);  // starts full
-  for (int e = 0; e < n; ++e) {
-    const double a = f.Marginal(e, x);
-    const double b = f.Value(y.Without(e)) - f.Value(y);
-    result.function_evals += 2;
-    if (a >= b) {
-      x.Add(e);
-      result.pick_order.push_back(e);
-    } else {
-      y.Remove(e);
-    }
-  }
-  result.selected = x;
-  result.value = f.Value(x);
-  return result;
+  return DoubleGreedyPass(f, [](double a, double b) { return a >= b; });
 }
 
 GreedyResult RandomizedDoubleGreedy(const SetFunction& f, Rng* rng) {
-  GreedyResult result;
-  const int n = f.universe_size();
-  ElementSet x(n);
-  ElementSet y = ElementSet::Full(n);
-  for (int e = 0; e < n; ++e) {
-    const double a = std::max(0.0, f.Marginal(e, x));
-    const double b = std::max(0.0, f.Value(y.Without(e)) - f.Value(y));
-    result.function_evals += 2;
-    const double p = (a + b) > 0 ? a / (a + b) : 1.0;
-    if (rng->NextBool(p)) {
-      x.Add(e);
-      result.pick_order.push_back(e);
-    } else {
-      y.Remove(e);
-    }
-  }
-  result.selected = x;
-  result.value = f.Value(x);
-  return result;
+  return DoubleGreedyPass(f, [rng](double a, double b) {
+    a = std::max(0.0, a);
+    b = std::max(0.0, b);
+    return rng->NextBool((a + b) > 0 ? a / (a + b) : 1.0);
+  });
 }
 
 GreedyResult ExhaustiveMax(const SetFunction& f) {

@@ -1,8 +1,10 @@
 // Algorithms for unconstrained normalized submodular maximization.
 //
 //  - MarginalGreedy (Algorithm 2 in the paper): greedily add the element with
-//    the highest marginal-benefit-to-cost ratio f'M(x,X)/c(x) while > 1, then
-//    add all elements with non-positive cost. Theorem 1 guarantees
+//    the highest marginal-benefit-to-cost ratio f'M(x,X)/c(x) while > 1.
+//    Non-positive costs are first clamped to a tiny positive epsilon, the
+//    positive scaling of Proposition 1's proof, so free elements compete in
+//    the same loop. Theorem 1 guarantees
 //    f(X) ≥ [1 − (c(Θ)/f(Θ))·ln(1 + f(Θ)/c(Θ))]·f(Θ).
 //  - LazyMarginalGreedy (Section 5.2): same output, fewer evaluations, using
 //    a max-heap of stale upper bounds (valid under submodularity).
@@ -14,6 +16,12 @@
 //    al.'s Algorithm 1, phrased over an arbitrary set function), deterministic
 //    double greedy (Buchbinder et al., for non-negative f), and exhaustive
 //    search for small universes.
+//
+// MarginalGreedy and CostGreedyMin are two rules over one pair of engines:
+// an eager scan that rescores every candidate each round, and a wave-lazy
+// max-heap of stale scores (Minoux's lazy greedy). A rule supplies the
+// candidate score (the ratio, or the cost reduction), the stop value a pick
+// must clear, and whether a score at or below it drops the element for good.
 
 #ifndef MQO_SUBMODULAR_ALGORITHMS_H_
 #define MQO_SUBMODULAR_ALGORITHMS_H_
@@ -43,17 +51,6 @@ struct MarginalGreedyOptions {
   /// with a cardinality limit; a k==n check short-circuits it, as the proof's
   /// Case 1 prescribes).
   bool universe_reduction = false;
-  /// Restrict the search to these elements (empty = whole universe). Used by
-  /// the MQO layer to pass the shareable-node set.
-  std::vector<int> candidates;
-  /// Proposition 1's proof notes the additive costs "can be suitably scaled
-  /// to ensure that c is zero only at ∅ and positive everywhere else". With
-  /// this on (default), non-positive costs are clamped to a tiny epsilon so
-  /// every element competes in the ratio loop (free elements then rank by
-  /// marginal benefit and are still accepted iff the benefit is positive).
-  /// With it off, the literal Algorithm 2 is run: elements with non-positive
-  /// cost are appended after the ratio loop.
-  bool clamp_nonpositive_costs = true;
   /// Invoked with the current set after every committed pick. The MQO layer
   /// uses it to pin the optimizer's incremental re-optimization base.
   std::function<void(const ElementSet&)> on_pick;
@@ -80,7 +77,7 @@ struct GreedyResult {
 };
 
 /// Runs MarginalGreedy on f with decomposition d (Algorithm 2 + Section 5
-/// optimizations per `options`).
+/// optimizations per `options`) over the whole universe.
 GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& d,
                             const MarginalGreedyOptions& options = {});
 
@@ -94,8 +91,11 @@ std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
                                    int num_threads = 1);
 
 /// Roy et al.'s greedy (Algorithm 1), phrased over an arbitrary cost
-/// objective g to minimize: repeatedly add the element minimizing g(X∪{x})
-/// while that improves on g(X).
+/// objective g to minimize: repeatedly add the element of the universe
+/// minimizing g(X∪{x}) while that improves on g(X). `lazy` applies their
+/// heap optimization, exact when g is supermodular (the "monotonicity
+/// heuristic"). Candidate evaluations fan out on `num_threads` workers with
+/// picks and evaluation counts identical at every thread count.
 struct CostGreedyResult {
   ElementSet selected;
   double cost = 0.0;  ///< g(selected).
@@ -103,7 +103,7 @@ struct CostGreedyResult {
   int64_t function_evals = 0;
 };
 CostGreedyResult CostGreedyMin(
-    const SetFunction& g, const std::vector<int>& candidates, bool lazy = false,
+    const SetFunction& g, bool lazy = false,
     const std::function<void(const ElementSet&)>& on_pick = {},
     Tracer* tracer = nullptr, int num_threads = 1);
 

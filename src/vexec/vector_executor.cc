@@ -97,11 +97,6 @@ Result<ColumnBatch> VectorPlanExecutor::Scan(const std::string& table,
   return ScanBatch(*data_, table, alias);
 }
 
-Result<ColumnBatch> VectorPlanExecutor::Filter(const ColumnBatch& in,
-                                               const Predicate& predicate) {
-  return FilterBatch(in, predicate, options_.num_threads, options_.morsel_rows);
-}
-
 Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq,
                                                        const ColumnNeed& need) {
   MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(eq));
@@ -110,44 +105,19 @@ Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq,
   // them alive after the pin drops, even if the store later evicts the
   // segment.
   if (pinned.valid()) return ProjectBatch(pinned.batch(), cols);
-  MQO_ASSIGN_OR_RETURN(ColumnBatch full, EvaluateClassBatch(memo_->Find(eq)));
+  MQO_ASSIGN_OR_RETURN(ColumnBatch full, BaseRelationBatch(eq));
   return ProjectBatch(full, cols);
 }
 
-Result<ColumnBatch> VectorPlanExecutor::EvaluateOpBatch(const MemoOp& op) {
-  switch (op.kind) {
-    case LogicalOp::kScan:
-      return Scan(op.table, op.alias);
-    case LogicalOp::kSelect: {
-      MQO_ASSIGN_OR_RETURN(ColumnBatch in, EvaluateClassBatch(op.children[0]));
-      return Filter(in, op.predicate);
-    }
-    case LogicalOp::kJoin: {
-      MQO_ASSIGN_OR_RETURN(ColumnBatch left, EvaluateClassBatch(op.children[0]));
-      MQO_ASSIGN_OR_RETURN(ColumnBatch right,
-                           EvaluateClassBatch(op.children[1]));
-      return HashJoinBatch(left, right, op.join_predicate,
-                           options_.num_threads, options_.morsel_rows);
-    }
-    case LogicalOp::kProject: {
-      MQO_ASSIGN_OR_RETURN(ColumnBatch in, EvaluateClassBatch(op.children[0]));
-      return ProjectBatch(in, op.project_columns);
-    }
-    case LogicalOp::kAggregate: {
-      MQO_ASSIGN_OR_RETURN(ColumnBatch in, EvaluateClassBatch(op.children[0]));
-      return AggregateBatch(in, op.group_by, op.aggregates, op.output_renames);
-    }
-    case LogicalOp::kBatch:
-      return Status::Unimplemented("batch root is not evaluable");
-  }
-  return Status::Internal("unknown operator kind");
-}
-
-Result<ColumnBatch> VectorPlanExecutor::EvaluateClassBatch(EqId eq) {
+Result<ColumnBatch> VectorPlanExecutor::BaseRelationBatch(EqId eq) {
   eq = memo_->Find(eq);
-  auto ops = memo_->ClassOps(eq);
-  if (ops.empty()) return Status::Internal("empty class");
-  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, EvaluateOpBatch(memo_->op(ops.front())));
+  const std::vector<OpId> ops = memo_->ClassOps(eq);
+  if (ops.empty() || memo_->op(ops.front()).kind != LogicalOp::kScan) {
+    return Status::Internal("E" + std::to_string(eq) +
+                            " is neither materialized nor a base relation");
+  }
+  const MemoOp& scan = memo_->op(ops.front());
+  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, Scan(scan.table, scan.alias));
   return ProjectBatch(raw, memo_->Attributes(eq));
 }
 
@@ -237,7 +207,7 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
       }
       case PhysOp::kIndexScan: {
         if (op == nullptr) return Status::Internal("index scan without op");
-        MQO_ASSIGN_OR_RETURN(source, EvaluateClassBatch(op->children[0]));
+        MQO_ASSIGN_OR_RETURN(source, BaseRelationBatch(op->children[0]));
         ChainDesc d;
         d.kind = ChainDesc::kFilter;
         d.predicate = &op->predicate;
@@ -395,8 +365,8 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         // columns are source columns (chunk column i materializes source
         // column keep_idx[i]), so the build's Bloom filter can reject rows
         // before chunk materialization.
-        if (options_.bloom_filters && pipeline.ops.empty() &&
-            !probe_keys.empty() && table->bloom() != nullptr) {
+        if (pipeline.ops.empty() && !probe_keys.empty() &&
+            table->bloom() != nullptr) {
           pipeline.bloom = table->bloom();
           pipeline.bloom_key_idx.clear();
           for (int k : probe_keys) {
@@ -536,14 +506,13 @@ Result<ColumnBatch> VectorPlanExecutor::ComputeSegment(
   // chunks were gathered on the workers and concatenated column-parallel,
   // so no serial whole-result gather happens on this thread.
   MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan));
-  if (options_.numeric_compression) {
-    // Compress the segment before it lands: MatStore budget accounting,
-    // eviction weights, and spill penalties then see encoded bytes, and
-    // later reads of this segment can zone-skip like base-table scans.
-    for (ColumnVector& col : batch.columns) {
-      col.ForEncode();
-      col.BuildZoneMap();
-    }
+  // Compress the segment before it lands: MatStore budget accounting,
+  // eviction weights, and spill penalties then see encoded bytes, and later
+  // reads of this segment can zone-skip like base-table scans. FOR encoding
+  // applies only where it shrinks an int64 column.
+  for (ColumnVector& col : batch.columns) {
+    col.ForEncode();
+    col.BuildZoneMap();
   }
   return batch;
 }

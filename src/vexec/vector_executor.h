@@ -76,18 +76,16 @@ class VectorPlanExecutor final : public ConsolidatedExecutor {
   /// aggregate node, and the sink's inputs replace `need`.
   Result<ColumnBatch> RunPipelineFor(const PlanNodePtr& plan,
                                      const MemoOp* agg, ColumnNeed need);
-  /// Logical evaluation of a class (first live operator), for index-scan
-  /// inputs and join side-inputs that are not plan children.
-  Result<ColumnBatch> EvaluateClassBatch(EqId eq);
-  Result<ColumnBatch> EvaluateOpBatch(const MemoOp& op);
   /// Join inner side not in the plan tree: materialized store first, then
-  /// logical evaluation (mirrors PlanExecutor::SideInput), projected
-  /// zero-copy onto the attributes `need` names.
+  /// the base relation (BNL inners are materialized or base, INL inners are
+  /// clustered base scans), projected zero-copy onto the attributes `need`
+  /// names.
   Result<ColumnBatch> SideInputBatch(EqId eq, const ColumnNeed& need);
+  /// Scan of base-relation class `eq` (an index scan's input or an unshared
+  /// join inner), in class-attribute order; Internal for any other class.
+  Result<ColumnBatch> BaseRelationBatch(EqId eq);
   /// Base-table scan: a zero-copy TableReader view (no conversion, no cache).
   Result<ColumnBatch> Scan(const std::string& table, const std::string& alias);
-  /// Filter with this executor's thread/morsel configuration.
-  Result<ColumnBatch> Filter(const ColumnBatch& in, const Predicate& predicate);
 
   const DataSet* data_;
 };

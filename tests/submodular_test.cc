@@ -237,10 +237,8 @@ TEST_P(AlgorithmTest, CostGreedyMinLazyMatchesEagerOnSupermodularCost) {
   LambdaSetFunction g(cover.universe_size(), [&](const ElementSet& s) {
     return 30.0 - cover.Value(s) + mod.Value(s);  // supermodular + modular
   });
-  std::vector<int> all;
-  for (int i = 0; i < cover.universe_size(); ++i) all.push_back(i);
-  CostGreedyResult a = CostGreedyMin(g, all, /*lazy=*/false);
-  CostGreedyResult b = CostGreedyMin(g, all, /*lazy=*/true);
+  CostGreedyResult a = CostGreedyMin(g, /*lazy=*/false);
+  CostGreedyResult b = CostGreedyMin(g, /*lazy=*/true);
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_LE(b.function_evals, a.function_evals);
 }
