@@ -2,14 +2,16 @@
 //
 // Four surfaces, swept over threads (1/2/4, plus hardware-max for the
 // first and last):
-//   1. kernel: HashJoinBatch on lineitem ⋈ orders (parallel CSR build —
-//      one worker per hash partition of the bucket directory — plus a
-//      morsel-parallel probe) — the isolated operator curve;
+//   1. probe pipeline: lineitem ⋈ orders as the engine runs a hash join —
+//      a parallel CSR build (one worker per hash partition of the bucket
+//      directory) frozen into a shared table, then a pipeline of one
+//      ProbeChunkOp streaming lineitem morsel-parallel — the isolated
+//      operator curve;
 //   2. build: JoinHashTable::Build on orders alone — the hash, count and
 //      scatter phases without the probe;
-//   3. duplicate-heavy keys: a synthetic build side with 16 distinct keys
-//      (each repeated rows/16 times) probed by 64 rows, half of them
-//      misses;
+//   3. duplicate-heavy keys: the same one-probe pipeline over a synthetic
+//      build side with 16 distinct keys (each repeated rows/16 times),
+//      probed by 64 rows, half of them misses;
 //   4. engine: the consolidated TPC-D Q9 batch on the vectorized backend —
 //      join build/probe and aggregation pipelines end-to-end, the
 //      configuration whose sharing wins the MQO layer proves.
@@ -33,6 +35,7 @@
 #include "lqdag/rules.h"
 #include "mqo/mqo_algorithms.h"
 #include "storage/table_reader.h"
+#include "support/pipelines.h"
 #include "vexec/backend.h"
 #include "vexec/join_table.h"
 #include "workload/tpcd_queries.h"
@@ -68,7 +71,7 @@ int main(int argc, char** argv) {
     gen.seed = 2026;
     DataSet data = GenerateData(catalog, gen);
 
-    // Surface 1: the join kernel on the two largest relations.
+    // Surface 1: the probe pipeline on the two largest relations.
     const ColumnBatch lineitem =
         TableReader(data.GetTable("lineitem").ValueOrDie()).Columnar("l");
     const ColumnBatch orders =
@@ -77,14 +80,16 @@ int main(int argc, char** argv) {
     cond.left = ColumnRef("l", "l_orderkey");
     cond.right = ColumnRef("o", "o_orderkey");
     const JoinPredicate join_pred({cond});
-    double kernel_serial_ms = 0.0;
-    std::vector<NamedRows> kernel_serial;
+    double probe_serial_ms = 0.0;
+    std::vector<NamedRows> probe_serial;
     for (int threads : BenchThreadSweep()) {
+      ExecOptions exec;
+      exec.num_threads = threads;
       double best_ms = 0.0;
       ColumnBatch joined_batch;
       for (int rep = 0; rep < kReps; ++rep) {
         WallTimer timer;
-        auto joined = HashJoinBatch(lineitem, orders, join_pred, threads);
+        auto joined = RunProbePipeline(lineitem, orders, join_pred, exec);
         const double ms = timer.ElapsedMillis();
         if (!joined.ok()) {
           std::printf("join failed: %s\n", joined.status().ToString().c_str());
@@ -95,25 +100,24 @@ int main(int argc, char** argv) {
       }
       const size_t out_rows = joined_batch.num_rows;
       if (threads == 1) {
-        kernel_serial_ms = best_ms;
-        kernel_serial = {BatchToRows(joined_batch)};
-      } else if (!SameResultSets(kernel_serial,
-                                 {BatchToRows(joined_batch)})) {
+        probe_serial_ms = best_ms;
+        probe_serial = {BatchToRows(joined_batch)};
+      } else if (!SameResultSets(probe_serial, {BatchToRows(joined_batch)})) {
         ++failures;  // determinism contract broken: not row-identical
       }
-      const double speedup = kernel_serial_ms / std::max(best_ms, 1e-9);
-      table.AddRow({std::to_string(rows_per_table), "hash-join kernel",
+      const double speedup = probe_serial_ms / std::max(best_ms, 1e-9);
+      table.AddRow({std::to_string(rows_per_table), "hash-join probe",
                     std::to_string(threads), FormatDouble(best_ms, 2),
                     FormatDouble(speedup, 2) + "x"});
       json.AddRecord({JStr("bench", "parallel_join"),
-                      JStr("surface", "hash_join_kernel"),
+                      JStr("surface", "hash_join_probe"),
                       JNum("rows_per_table", rows_per_table),
                       JNum("threads", threads), JNum("time_ms", best_ms),
                       JNum("join_rows", static_cast<double>(out_rows)),
                       JNum("speedup_vs_1t", speedup)});
     }
 
-    // Surface 2: the build alone, on the kernel's build side.
+    // Surface 2: the build alone, on the probe pipeline's build side.
     const int okey = orders.ColumnIndex(cond.right);
     for (int threads : {1, 2, 4}) {
       double best_ms = 0.0;
@@ -154,11 +158,13 @@ int main(int argc, char** argv) {
     const JoinPredicate dup_pred({dup_cond});
     std::vector<NamedRows> dup_serial;
     for (int threads : {1, 2, 4}) {
+      ExecOptions exec;
+      exec.num_threads = threads;
       double best_ms = 0.0;
       ColumnBatch joined_batch;
       for (int rep = 0; rep < kReps; ++rep) {
         WallTimer timer;
-        auto joined = HashJoinBatch(dup_probe, dup_build, dup_pred, threads);
+        auto joined = RunProbePipeline(dup_probe, dup_build, dup_pred, exec);
         const double ms = timer.ElapsedMillis();
         if (!joined.ok()) {
           std::printf("join failed: %s\n", joined.status().ToString().c_str());
@@ -175,7 +181,7 @@ int main(int argc, char** argv) {
       table.AddRow({std::to_string(rows_per_table), "duplicate-heavy join",
                     std::to_string(threads), FormatDouble(best_ms, 2), "-"});
       json.AddRecord({JStr("bench", "parallel_join"),
-                      JStr("surface", "hash_join_dup_keys"),
+                      JStr("surface", "hash_join_probe_dup_keys"),
                       JNum("rows_per_table", rows_per_table),
                       JNum("threads", threads), JNum("time_ms", best_ms),
                       JNum("join_rows",

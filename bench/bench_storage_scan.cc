@@ -1,10 +1,12 @@
 // Morsel-parallel table scan + filter over native columnar storage.
 //
 // Generates one wide TPC-D lineitem table at growing row counts, takes a
-// zero-copy TableReader view, and runs the vectorized filter kernel at 1, 2,
-// and 4 worker threads (fixed morsel size). The selection must be identical
-// at every thread count — morsel merge order is deterministic — and the
-// scaling column shows what the std::thread pool buys on a hot scan.
+// zero-copy TableReader view, and filters it as the vector engine does: a
+// scan pipeline with the predicate fused into its source (zone maps and
+// compressed-domain compares included), at 1, 2, and 4 worker threads
+// (fixed morsel size). The selection must be identical at every thread
+// count — morsel merge order is deterministic — and the scaling column
+// shows what the worker pool buys on a hot scan.
 //
 // Usage: bench_storage_scan [num_rows ...]   (default: 50000 200000; pass a
 // tiny count, e.g. `bench_storage_scan 5000`, for CI smoke runs). Writes
@@ -20,8 +22,9 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "exec/row_ops.h"
+#include "storage/morsel.h"
 #include "storage/table_reader.h"
-#include "vexec/vector_ops.h"
+#include "support/pipelines.h"
 
 using namespace mqo;
 
@@ -71,15 +74,18 @@ int main(int argc, char** argv) {
     }
     TableReader reader(store.ValueOrDie());
     const ColumnBatch view = reader.Columnar("l");
-    const size_t morsels = reader.Morsels(kMorselRows).size();
+    const size_t morsels = MakeMorsels(view.num_rows, kMorselRows).size();
     double serial_ms = 0.0;
     std::vector<NamedRows> serial_rows;
     for (int threads : {1, 2, 4}) {
+      ExecOptions exec;
+      exec.num_threads = threads;
+      exec.morsel_rows = kMorselRows;
       double best_ms = 0.0;
       ColumnBatch last;
       for (int rep = 0; rep < kReps; ++rep) {
         WallTimer timer;
-        auto filtered = FilterBatch(view, predicate, threads, kMorselRows);
+        auto filtered = RunFilterPipeline(view, predicate, exec);
         const double ms = timer.ElapsedMillis();
         if (!filtered.ok()) {
           std::printf("filter failed: %s\n",

@@ -12,8 +12,8 @@
 // past the row interpreter's nested loops. Results must stay identical
 // across all configurations.
 //
-// Separate sections time the string, Bloom, numeric, sort and group-by
-// kernels on their own.
+// Separate sections time the string, Bloom, numeric, merge-join and
+// group-by operators on their own, each as the engine runs it.
 //
 // Usage: bench_vexec [rows_per_table ...]   (default: 400 1600 6400; pass
 // tiny counts, e.g. `bench_vexec 64 128`, for CI smoke runs). Alongside the
@@ -35,6 +35,7 @@
 #include "mqo/facade.h"
 #include "mqo/mqo_algorithms.h"
 #include "obs/obs.h"
+#include "support/pipelines.h"
 #include "vexec/backend.h"
 #include "vexec/pipeline.h"
 #include "vexec/vector_ops.h"
@@ -97,8 +98,9 @@ AggExpr BenchAgg(AggFunc f, ColumnRef arg = {}) {
   return a;
 }
 
-/// Serial best-of-`reps` wall time of one pipeline under `exec`; the result
-/// lands in `*out` so callers can differential-check variants.
+/// Best-of-`reps` wall time of one pipeline under `exec` (serial unless
+/// `exec` says otherwise); the result lands in `*out` so callers can
+/// differential-check variants.
 double BestOfRuns(const VecPipeline& pipe, const ExecOptions& exec, int reps,
                   ColumnBatch* out) {
   double best_ms = 0.0;
@@ -329,8 +331,10 @@ double SourceBytes(const ColumnBatch& source) {
 /// FOR codes + zone skipping across filter selectivities, serial: a sorted
 /// (clustered) int64 key column where `k < cutoff` passes a controlled
 /// fraction of rows at the front of the table and the zone maps prune every
-/// granule past it. Variants: plain vector, FOR codes (compressed-domain
-/// compare, no skipping), FOR + zone maps. All three must produce identical
+/// granule past it. Variants: plain vector, FOR codes without zone maps
+/// (compressed-domain compare, no skipping), FOR + zone maps. Zone skipping
+/// is always on, so a variant skips zones iff its source carries zone
+/// maps. All three must produce identical
 /// batches; bytes-resident rides along so the space win is visible next to
 /// the time win.
 void RunNumericSweep(int rows, int reps, BenchJsonWriter* json,
@@ -358,27 +362,24 @@ void RunNumericSweep(int rows, int reps, BenchJsonWriter* json,
     ++*failures;
     return;
   }
-  for_src.columns[0].BuildZoneMap();
-  for_src.columns[1].BuildZoneMap();
+  ColumnBatch zoned_src = for_src;  // the same FOR codes, plus zone maps
+  zoned_src.columns[0].BuildZoneMap();
+  zoned_src.columns[1].BuildZoneMap();
   const double bytes_plain = SourceBytes(plain_src);
-  const double bytes_for = SourceBytes(for_src);
+  const double bytes_for = SourceBytes(zoned_src);
 
-  ExecOptions no_zones;
-  no_zones.zone_maps = false;
-  ExecOptions with_zones;
-  with_zones.zone_maps = true;
   const double max_key = static_cast<double>(rows) / 4.0;
   for (const double sel : {0.01, 0.1, 0.5}) {
     const double cutoff = max_key * sel;
     ColumnBatch plain_out;
     ColumnBatch for_out;
     ColumnBatch zone_out;
-    const double plain_ms = BestOfRuns(NumericFilterPipeline(plain_src, cutoff),
-                                       no_zones, reps, &plain_out);
-    const double for_ms = BestOfRuns(NumericFilterPipeline(for_src, cutoff),
-                                     no_zones, reps, &for_out);
-    const double zone_ms = BestOfRuns(NumericFilterPipeline(for_src, cutoff),
-                                      with_zones, reps, &zone_out);
+    const double plain_ms =
+        BestOfRuns(NumericFilterPipeline(plain_src, cutoff), reps, &plain_out);
+    const double for_ms =
+        BestOfRuns(NumericFilterPipeline(for_src, cutoff), reps, &for_out);
+    const double zone_ms =
+        BestOfRuns(NumericFilterPipeline(zoned_src, cutoff), reps, &zone_out);
     if (!BatchesEqual(plain_out, for_out) ||
         !BatchesEqual(plain_out, zone_out)) {
       ++*failures;
@@ -422,11 +423,9 @@ void RunNumericSweep(int rows, int reps, BenchJsonWriter* json,
   ColumnBatch plain_join_out;
   ColumnBatch for_join_out;
   const double plain_join_ms =
-      BestOfRuns(JoinPipeline(probe, plain_table), no_zones, reps,
-                 &plain_join_out);
+      BestOfRuns(JoinPipeline(probe, plain_table), reps, &plain_join_out);
   const double for_join_ms =
-      BestOfRuns(JoinPipeline(for_probe, for_table), no_zones, reps,
-                 &for_join_out);
+      BestOfRuns(JoinPipeline(for_probe, for_table), reps, &for_join_out);
   if (!BatchesEqual(plain_join_out, for_join_out)) ++*failures;
   std::printf("\njoin keys: plain %.2f ms, FOR %.2f ms (build/probe encoded: "
               "%d/%d)\n", plain_join_ms, for_join_ms, build_enc ? 1 : 0,
@@ -450,11 +449,11 @@ ColumnVector RandomInts(int rows, int64_t mod, uint64_t seed) {
   return col;
 }
 
-/// True iff `batch` is ordered by its first `keys` columns (CellLess never
-/// finds a row before its predecessor).
-bool SortedBy(const ColumnBatch& batch, size_t keys) {
+/// True iff `batch` is ordered by columns `cols`, most significant first
+/// (CellLess never finds a row before its predecessor).
+bool SortedBy(const ColumnBatch& batch, const std::vector<int>& cols) {
   for (size_t r = 1; r < batch.num_rows; ++r) {
-    for (size_t c = 0; c < keys; ++c) {
+    for (int c : cols) {
       const ColumnVector& col = batch.columns[c];
       if (ColumnVector::CellLess(col, r, col, r - 1)) return false;
       if (ColumnVector::CellLess(col, r - 1, col, r)) break;
@@ -463,14 +462,26 @@ bool SortedBy(const ColumnBatch& batch, size_t keys) {
   return true;
 }
 
-/// The sort and grouping kernels on their own, serial, best of `reps`:
-/// SortBatch on one random int64 key, on two keys (int64, then double),
-/// and on one key holding a NaN (the comparison-sort fallback), and
-/// AggregateBatch with about rows / 4 groups.
+/// `batch` with every column re-qualified under `alias`.
+ColumnBatch Requalified(const ColumnBatch& batch, const std::string& alias) {
+  ColumnBatch out = batch;
+  for (ColumnRef& name : out.names) name.qualifier = alias;
+  return out;
+}
+
+/// The merge join and the aggregate sink on their own, best of `reps`.
+/// MergeJoinBatch — the engine's one caller of the radix argsort — self-
+/// joins `rows` rows on one random int64 key, on two keys (int64 with ties,
+/// then double), and on one double key holding a NaN (the comparison-sort
+/// fallback); the output, left-sorted-major, must be ordered by the left
+/// keys in the predicate's (canonical) condition order.
+/// The aggregate sink groups `rows` rows into about rows / 4 groups at 1
+/// and 4 threads; the parallel groups must equal the serial ones.
 void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
-  std::printf("\n=== sort and group-by kernels (serial, %d rows) ===\n\n",
+  std::printf("\n=== merge-join and group-by operators (%d rows) ===\n\n",
               rows);
-  TablePrinter table({"kernel", "variant", "time (ms)", "ns/row"});
+  TablePrinter table({"operator", "variant", "threads", "time (ms)",
+                      "ns/row"});
   auto best_of = [&](auto&& run) {
     double best_ms = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -481,13 +492,13 @@ void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
     }
     return best_ms;
   };
-  auto report = [&](const char* bench, const char* variant, double ms,
-                    std::vector<JsonField> extra) {
-    table.AddRow({bench, variant, FormatDouble(ms, 3),
+  auto report = [&](const char* bench, const char* variant, int threads,
+                    double ms, std::vector<JsonField> extra) {
+    table.AddRow({bench, variant, std::to_string(threads), FormatDouble(ms, 3),
                   FormatDouble(ms * 1e6 / rows, 1)});
-    std::vector<JsonField> fields = {JStr("bench", bench),
-                                     JStr("variant", variant),
-                                     JNum("rows", rows), JNum("time_ms", ms)};
+    std::vector<JsonField> fields = {
+        JStr("bench", bench), JStr("variant", variant), JNum("rows", rows),
+        JNum("threads", threads), JNum("time_ms", ms)};
     fields.insert(fields.end(), extra.begin(), extra.end());
     json->AddRecord(std::move(fields));
   };
@@ -496,37 +507,61 @@ void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
   in.names = {ColumnRef("s", "k"), ColumnRef("s", "d")};
   in.columns = {RandomInts(rows, int64_t{1} << 40, 1),
                 ColumnVector(VecType::kDouble)};
-  for (int64_t v : RandomInts(rows, 1000, 2).ints()) {
+  // A named column: a range-for over a temporary's ints() would read freed
+  // memory.
+  const ColumnVector eighths = RandomInts(rows, 1000, 2);
+  for (int64_t v : eighths.ints()) {
     in.columns[1].doubles().push_back(static_cast<double>(v) / 8.0);
   }
   in.num_rows = rows;
   ColumnBatch two_keys = in;
   two_keys.columns[0] = RandomInts(rows, 64, 3);  // ties for the second key
-  ColumnBatch with_nan = in;
+  // A near-unique double key, so the self-join stays about `rows` rows.
+  ColumnBatch with_nan;
   with_nan.names = {ColumnRef("s", "d"), ColumnRef("s", "k")};
-  std::swap(with_nan.columns[0], with_nan.columns[1]);
+  with_nan.columns = {ColumnVector(VecType::kDouble), in.columns[0]};
+  for (int64_t v : in.columns[0].ints()) {
+    with_nan.columns[0].doubles().push_back(static_cast<double>(v) / 8.0);
+  }
   with_nan.columns[0].doubles()[rows / 2] =
       std::numeric_limits<double>::quiet_NaN();
-  struct SortCase {
+  with_nan.num_rows = rows;
+  struct MergeCase {
     const char* variant;
     const ColumnBatch* batch;
-    SortOrder order;
-    bool check;  // NaN has no order to check
+    size_t keys;  // the batch's leading columns
+    bool check;   // NaN has no order to check
   };
-  for (const SortCase& c :
-       {SortCase{"int64", &in, {ColumnRef("s", "k")}, true},
-        SortCase{"two_keys", &two_keys,
-                 {ColumnRef("s", "k"), ColumnRef("s", "d")}, true},
-        SortCase{"nan_fallback", &with_nan, {ColumnRef("s", "d")}, false}}) {
+  for (const MergeCase& c : {MergeCase{"int64", &in, 1, true},
+                             MergeCase{"two_keys", &two_keys, 2, true},
+                             MergeCase{"nan_fallback", &with_nan, 1, false}}) {
+    const ColumnBatch right = Requalified(*c.batch, "t");
+    std::vector<JoinCondition> conds;
+    for (size_t k = 0; k < c.keys; ++k) {
+      JoinCondition cond;
+      cond.left = c.batch->names[k];
+      cond.right = right.names[k];
+      conds.push_back(cond);
+    }
+    const JoinPredicate pred(std::move(conds));
+    std::vector<int> sort_cols;  // left key columns, in merge order
+    for (const JoinCondition& cond : pred.conditions()) {
+      const int left = c.batch->ColumnIndex(cond.left);
+      sort_cols.push_back(left >= 0 ? left : c.batch->ColumnIndex(cond.right));
+    }
+    const std::vector<int> all = AllColumnsOf(*c.batch);
     ColumnBatch out;
     const double ms = best_of([&] {
-      out = SortBatch(*c.batch, c.order).ValueOrDie();
+      out = MergeJoinBatch(*c.batch, right, pred, all, all).ValueOrDie();
     });
-    if (out.num_rows != static_cast<size_t>(rows) ||
-        (c.check && !SortedBy(out, c.order.size()))) {
+    // Every row meets at least itself, bar the NaN row, which meets nothing.
+    const size_t min_rows = static_cast<size_t>(rows) - (c.check ? 0 : 1);
+    if (out.num_rows < min_rows || (c.check && !SortedBy(out, sort_cols))) {
       ++*failures;
     }
-    report("vexec_sort", c.variant, ms, {JNum("keys", c.order.size())});
+    report("vexec_merge_join", c.variant, 1, ms,
+           {JNum("keys", c.keys),
+            JNum("join_rows", static_cast<double>(out.num_rows))});
   }
 
   ColumnBatch grouped;
@@ -534,19 +569,26 @@ void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
   grouped.columns = {RandomInts(rows, std::max(1, rows / 4), 4),
                      RandomInts(rows, 1000, 5)};
   grouped.num_rows = rows;
-  ColumnBatch out;
-  const double ms = best_of([&] {
-    out = AggregateBatch(grouped, {ColumnRef("g", "k")},
-                         {BenchAgg(AggFunc::kCount),
-                          BenchAgg(AggFunc::kSum, ColumnRef("g", "v"))},
-                         {})
-              .ValueOrDie();
-  });
-  double counted = 0.0;
-  for (size_t r = 0; r < out.num_rows; ++r) counted += out.columns[1].Number(r);
-  if (counted != rows) ++*failures;
-  report("vexec_group", "int64_key", ms,
-         {JNum("groups", static_cast<double>(out.num_rows))});
+  const VecPipeline group_pipe = GroupByPipeline(grouped);
+  ColumnBatch serial_groups;
+  for (int threads : {1, 4}) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    ColumnBatch out;
+    const double ms = BestOfRuns(group_pipe, exec, reps, &out);
+    double counted = 0.0;
+    for (size_t r = 0; r < out.num_rows; ++r) {
+      counted += out.columns[1].Number(r);
+    }
+    if (counted != rows) ++*failures;
+    if (threads == 1) {
+      serial_groups = out;
+    } else if (!BatchesEqual(serial_groups, out)) {
+      ++*failures;  // the sink merge must reproduce the serial groups
+    }
+    report("vexec_group", "int64_key", threads, ms,
+           {JNum("groups", static_cast<double>(out.num_rows))});
+  }
   table.Print();
 }
 

@@ -33,11 +33,6 @@ struct ExecOptions : PipelineOptions {
   size_t mat_budget_bytes = 0;
   /// Spill directory for evicted segments; empty = a unique temp directory.
   std::string mat_spill_dir;
-  /// Zone-map scan skipping: scan pipelines consult a column's persisted
-  /// per-zone min/max to skip whole zones for any constant numeric filter —
-  /// no join upstream required. Conservative (a pruned zone contains no
-  /// passing row), so results are identical with it on or off.
-  bool zone_maps = true;
   /// Observability sink (obs/obs.h): pipeline/operator spans, store events,
   /// executor metrics. Null = off; execution is unaffected either way.
   ObsContext* obs = nullptr;

@@ -204,14 +204,14 @@ Result<ExpansionStats> ExpandMemo(Memo* memo, const ExpansionOptions& options) {
     // up within the same pass (indices only grow).
     for (OpId oid = 0; oid < memo->num_ops(); ++oid) {
       if (memo->op(oid).deleted) continue;
-      if (options.join_commutativity) ApplyCommutativity(memo, oid);
-      if (options.join_associativity) ApplyAssociativity(memo, oid);
+      ApplyCommutativity(memo, oid);
+      ApplyAssociativity(memo, oid);
       if (memo->num_ops() > options.max_ops) {
         return Status::OutOfRange("memo expansion exceeded max_ops");
       }
     }
-    if (options.select_subsumption) ApplySelectSubsumption(memo);
-    if (options.aggregate_subsumption) ApplyAggregateSubsumption(memo);
+    ApplySelectSubsumption(memo);
+    ApplyAggregateSubsumption(memo);
     if (memo->num_ops() > options.max_ops) {
       return Status::OutOfRange("memo expansion exceeded max_ops");
     }

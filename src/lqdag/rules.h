@@ -14,13 +14,9 @@
 
 namespace mqo {
 
-/// Knobs for memo expansion. All rules default to on; `max_ops` bounds the
+/// Knobs for memo expansion. Every rule always runs; `max_ops` bounds the
 /// DAG size defensively (expansion fails with OutOfRange when exceeded).
 struct ExpansionOptions {
-  bool join_commutativity = true;
-  bool join_associativity = true;
-  bool select_subsumption = true;
-  bool aggregate_subsumption = true;
   int max_ops = 500000;
 };
 
@@ -33,7 +29,7 @@ struct ExpansionStats {
   int merges = 0;
 };
 
-/// Applies all enabled transformation rules to fixpoint (the "expanded
+/// Applies every transformation rule to fixpoint (the "expanded
 /// LQDAG"). Idempotent: a second call adds nothing.
 Result<ExpansionStats> ExpandMemo(Memo* memo, const ExpansionOptions& options = {});
 

@@ -30,10 +30,10 @@
 
 namespace mqo {
 
-/// Rows per FOR block and per zone-map entry. Matches kDefaultMorselRows
-/// (storage/morsel.h) so a default-granule morsel is exactly one block, but
-/// is deliberately a separate constant: the adaptive morsel granule changes
-/// with the thread count, the codec granule never does.
+/// Rows per FOR block and per zone-map entry. A fixed codec granule,
+/// independent of the morsel size: the adaptive morsel granule changes with
+/// the thread count and input size, the codec granule never does, so block
+/// and zone counters are identical at every thread count.
 constexpr size_t kForBlockRows = 1024;
 
 /// Bits needed to represent `v` (0 for 0).

@@ -31,12 +31,6 @@
 
 namespace mqo {
 
-/// Default rows per morsel: big enough to amortize dispatch, small enough
-/// that a few thousand rows already parallelize. Used where a fixed granule
-/// is wanted (e.g. TableReader::Morsels); the pipeline driver sizes morsels
-/// adaptively instead (AdaptiveMorselRows).
-constexpr size_t kDefaultMorselRows = 1024;
-
 /// Sentinel for PipelineOptions::morsel_rows: derive the granule from the
 /// input size and worker count instead of a fixed constant.
 constexpr size_t kAdaptiveMorselRows = 0;

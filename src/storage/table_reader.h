@@ -5,7 +5,7 @@
 //
 //   - the vectorized engine calls Columnar(alias): a zero-copy ColumnBatch
 //     view (COW column payloads shared with the store) with names qualified
-//     under the scan alias, sliced into morsels for parallel scans. The view
+//     under the scan alias, which scan pipelines slice into morsels. The view
 //     carries the store's physical encodings verbatim — string dictionaries,
 //     frame-of-reference int64 blocks, and persisted per-zone min/max maps
 //     all ride along on the shared payload handle, so scan pipelines can
@@ -22,7 +22,6 @@
 
 #include "storage/column_batch.h"
 #include "storage/column_store.h"
-#include "storage/morsel.h"
 
 namespace mqo {
 
@@ -33,11 +32,6 @@ class TableReader {
 
   /// Zero-copy columnar view with names qualified under `alias`.
   ColumnBatch Columnar(const std::string& alias) const;
-
-  /// Fixed-size morsel partition of the table's rows.
-  std::vector<Morsel> Morsels(size_t morsel_rows = kDefaultMorselRows) const {
-    return MakeMorsels(store_->num_rows(), morsel_rows);
-  }
 
   /// Row-at-a-time adapter for the row interpreter: call Next() until it
   /// returns false; Get(c) reads column `c` of the current row.

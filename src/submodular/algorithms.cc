@@ -220,6 +220,52 @@ GreedyResult DoubleGreedyPass(const SetFunction& f,
   return result;
 }
 
+/// Theorem 4 preprocessing: the reduced candidate list U' (ascending) for a
+/// cardinality limit k >= 0 over the whole universe. Guaranteed not to
+/// change MarginalGreedy's output. Costs must be positive (MarginalGreedy
+/// clamps them first). The per-element rankings evaluate in parallel on
+/// `num_threads` workers, with identical output and evaluation count for
+/// every value.
+std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
+                                   int k, int64_t* evals, int num_threads) {
+  const int n = f.universe_size();
+  std::vector<int> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  if (k >= n) {
+    // Case 1 of Theorem 4: every element passes the filter; skip the
+    // (wasteful) function calls entirely.
+    return all;
+  }
+  const ElementSet full = ElementSet::Full(n);
+  // Rank by f'M(e, U\{e}) / c(e). The marginals against U \ {e} all share
+  // f(U): warm it before fanning out so workers only compute their own
+  // f(U \ {e}).
+  if (num_threads > 1 && n > 1) (void)f.Value(full);
+  std::vector<double> last_ratio(n);
+  ParallelFor(n, num_threads, [&](size_t e) {
+    last_ratio[e] = d.MonotoneMarginal(f, static_cast<int>(e),
+                                       full.Without(static_cast<int>(e))) /
+                    d.costs[e];
+  });
+  *evals += n;
+  if (k == 0) return all;  // reduction cannot apply meaningfully
+  std::sort(last_ratio.begin(), last_ratio.end(), std::greater<double>());
+  const double threshold = last_ratio[k - 1];
+  const ElementSet empty(n);
+  // Keep e iff fM({e})/c(e) >= threshold; the singleton values share f(∅).
+  if (num_threads > 1 && n > 1) (void)f.Value(empty);
+  std::vector<double> singleton(n);
+  ParallelFor(n, num_threads, [&](size_t e) {
+    singleton[e] = d.MonotoneMarginal(f, static_cast<int>(e), empty);
+  });
+  *evals += n;
+  std::vector<int> out;
+  for (int e = 0; e < n; ++e) {
+    if (singleton[e] / d.costs[e] >= threshold) out.push_back(e);
+  }
+  return out;
+}
+
 }  // namespace
 
 double Theorem1Bound(double f_opt, double c_opt) {
@@ -227,72 +273,6 @@ double Theorem1Bound(double f_opt, double c_opt) {
   if (c_opt <= 0) return f_opt;
   const double gamma = f_opt / c_opt;
   return (1.0 - std::log1p(gamma) / gamma) * f_opt;
-}
-
-std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
-                                   std::vector<int> candidates, int k,
-                                   int64_t* evals, int num_threads) {
-  const int n = static_cast<int>(candidates.size());
-  if (k >= n || k < 0) {
-    // Case 1 of Theorem 4: every element passes the filter; skip the
-    // (wasteful) function calls entirely.
-    return candidates;
-  }
-  ElementSet full(f.universe_size());
-  for (int e : candidates) full.Add(e);
-  // Rank by f'M(e, U\{e}) / c(e) (only positive costs are rankable; elements
-  // with non-positive cost always stay, as their ratio is effectively +inf).
-  struct Ranked {
-    int e;
-    double last_ratio;
-  };
-  std::vector<int> rankable;
-  std::vector<int> keep_always;
-  int64_t local_evals = 0;
-  for (int e : candidates) {
-    if (d.costs[e] <= 0) {
-      keep_always.push_back(e);
-    } else {
-      rankable.push_back(e);
-    }
-  }
-  // The marginals against U \ {e} all share f(U): warm it before fanning out
-  // so workers only compute their own f(U \ {e}).
-  if (num_threads > 1 && rankable.size() > 1) (void)f.Value(full);
-  std::vector<Ranked> ranked(rankable.size());
-  ParallelFor(rankable.size(), num_threads, [&](size_t i) {
-    const int e = rankable[i];
-    ranked[i] = {e, d.MonotoneMarginal(f, e, full.Without(e)) / d.costs[e]};
-  });
-  local_evals += static_cast<int64_t>(rankable.size());
-  if (static_cast<int>(keep_always.size()) >= k || ranked.empty()) {
-    if (evals != nullptr) *evals += local_evals;
-    return candidates;  // reduction cannot apply meaningfully
-  }
-  std::vector<Ranked> sorted = ranked;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Ranked& a, const Ranked& b) {
-              return a.last_ratio > b.last_ratio;
-            });
-  const int kth = std::min(k, static_cast<int>(sorted.size())) - 1;
-  const double threshold = sorted[kth].last_ratio;
-  std::vector<int> out = keep_always;
-  const ElementSet empty(f.universe_size());
-  // Keep e iff fM({e})/c(e) >= threshold; the singleton values share f(∅).
-  if (num_threads > 1 && ranked.size() > 1) (void)f.Value(empty);
-  std::vector<double> singleton(ranked.size());
-  ParallelFor(ranked.size(), num_threads, [&](size_t i) {
-    singleton[i] = d.MonotoneMarginal(f, ranked[i].e, empty);
-  });
-  local_evals += static_cast<int64_t>(ranked.size());
-  for (size_t i = 0; i < ranked.size(); ++i) {
-    if (singleton[i] / d.costs[ranked[i].e] >= threshold) {
-      out.push_back(ranked[i].e);
-    }
-  }
-  if (evals != nullptr) *evals += local_evals;
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& raw_d,
@@ -313,8 +293,7 @@ GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& raw_d,
   std::vector<int> candidates(f.universe_size());
   std::iota(candidates.begin(), candidates.end(), 0);
   if (options.universe_reduction && options.cardinality_limit >= 0) {
-    candidates = UniverseReduction(f, d, std::move(candidates),
-                                   options.cardinality_limit,
+    candidates = UniverseReduction(f, d, options.cardinality_limit,
                                    &result.function_evals,
                                    options.num_threads);
   }

@@ -81,15 +81,6 @@ struct GreedyResult {
 GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& d,
                             const MarginalGreedyOptions& options = {});
 
-/// Theorem 4 preprocessing: returns the reduced candidate list U' for a
-/// cardinality limit k. Guaranteed not to change MarginalGreedy's output.
-/// The per-element rankings evaluate in parallel on `num_threads` workers
-/// (identical output and evaluation count for every value).
-std::vector<int> UniverseReduction(const SetFunction& f, const Decomposition& d,
-                                   std::vector<int> candidates, int k,
-                                   int64_t* evals = nullptr,
-                                   int num_threads = 1);
-
 /// Roy et al.'s greedy (Algorithm 1), phrased over an arbitrary cost
 /// objective g to minimize: repeatedly add the element of the universe
 /// minimizing g(X∪{x}) while that improves on g(X). `lazy` applies their

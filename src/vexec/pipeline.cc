@@ -192,29 +192,26 @@ Result<ColumnBatch> RunVecPipeline(const VecPipeline& pipeline,
   // surviving row set is unchanged.
   std::vector<char> zone_pruned;
   int64_t zones_pruned = 0;
-  if (options.zone_maps) {
-    for (size_t c = 0; c < pipeline.source_filters.size(); ++c) {
-      const Comparison& cmp = pipeline.source_filters[c];
-      if (!cmp.literal.is_number()) continue;
-      const ColumnVector& col =
-          pipeline.source.columns[pipeline.source_filter_idx[c]];
-      if (!col.is_numeric()) continue;
-      const std::shared_ptr<const ZoneMap>& zm = col.zone_map();
-      // Staleness guard: a zone map only prunes when it covers exactly the
-      // source's current rows.
-      if (zm == nullptr || zm->num_rows != pipeline.source.num_rows) continue;
-      if (zone_pruned.empty()) zone_pruned.assign(zm->zones.size(), 0);
-      const double lit = cmp.literal.number();
-      for (size_t z = 0; z < zm->zones.size(); ++z) {
-        if (zone_pruned[z] == 0 && ZoneExcludes(zm->zones[z].min,
-                                                zm->zones[z].max, cmp.op,
-                                                lit)) {
-          zone_pruned[z] = 1;
-        }
+  for (size_t c = 0; c < pipeline.source_filters.size(); ++c) {
+    const Comparison& cmp = pipeline.source_filters[c];
+    if (!cmp.literal.is_number()) continue;
+    const ColumnVector& col =
+        pipeline.source.columns[pipeline.source_filter_idx[c]];
+    if (!col.is_numeric()) continue;
+    const std::shared_ptr<const ZoneMap>& zm = col.zone_map();
+    // Staleness guard: a zone map only prunes when it covers exactly the
+    // source's current rows.
+    if (zm == nullptr || zm->num_rows != pipeline.source.num_rows) continue;
+    if (zone_pruned.empty()) zone_pruned.assign(zm->zones.size(), 0);
+    const double lit = cmp.literal.number();
+    for (size_t z = 0; z < zm->zones.size(); ++z) {
+      if (zone_pruned[z] == 0 &&
+          ZoneExcludes(zm->zones[z].min, zm->zones[z].max, cmp.op, lit)) {
+        zone_pruned[z] = 1;
       }
     }
-    for (char p : zone_pruned) zones_pruned += p;
   }
+  for (char p : zone_pruned) zones_pruned += p;
 
   const JoinBloomFilter* bloom = pipeline.bloom.get();
   const bool bloom_zone =

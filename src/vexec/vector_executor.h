@@ -5,18 +5,20 @@
 // between pipeline breakers into a VecPipeline (vexec/pipeline.h) and
 // running it on the shared pipeline driver: scans, filters, join probes and
 // aggregations all go morsel-parallel under ExecOptions::num_threads, with
-// thread-local sink states and a deterministic merge. Breakers are handled
-// between pipelines: a hash join's build side executes first and freezes
-// into a shared read-only JoinHashTable (a CSR bucket directory, built one
-// worker per hash partition); merge joins keep the independently-implemented
-// sort-merge path.
+// thread-local sink states and a deterministic merge. The pipeline is the
+// engine's only filter, hash-join and aggregation implementation; sort
+// enforcers stream through it unsorted (bag semantics).
+// Breakers are handled between pipelines: a hash join's build side executes
+// first and freezes into a shared read-only JoinHashTable (a CSR bucket
+// directory, built one worker per hash partition); merge joins run
+// MergeJoinBatch (vexec/vector_ops.h), the engine's one sorting kernel.
 //
 // Consolidated plans run through the shared driver
 // (exec/consolidated_executor.h), which owns materialization, the
 // cross-batch cache consult/publish, feedback and segment telemetry. This
 // engine supplies plan execution and the segment format: a materialized
 // node's compute pipeline runs once and the sink's merged batch (FOR-encoded
-// with zone maps when numeric compression is on) becomes the segment.
+// with zone maps) becomes the segment.
 // ReadMaterialized leaves and join side-inputs read segments zero-copy and
 // pin them for the lifetime of the pipeline consuming them.
 //

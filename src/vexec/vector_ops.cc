@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "storage/table_reader.h"
-#include "vexec/agg_state.h"
 #include "vexec/join_table.h"
 
 namespace mqo {
@@ -251,35 +250,6 @@ void CompareColumn(const ColumnVector& col, const Comparison& cmp,
   }
 }
 
-/// Every column index of `batch`, in order.
-std::vector<int> AllColumns(const ColumnBatch& batch) {
-  std::vector<int> cols(batch.columns.size());
-  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-  return cols;
-}
-
-/// Assembles the joined batch from matching (left row, right row) pairs:
-/// columns `left_cols` of `left`, then `right_cols` of `right`, one column
-/// per worker when `num_threads > 1`.
-ColumnBatch GatherJoin(const ColumnBatch& left, const ColumnBatch& right,
-                       const std::vector<int>& left_cols,
-                       const std::vector<int>& right_cols,
-                       const SelVector& left_idx, const SelVector& right_idx,
-                       int num_threads = 1) {
-  ColumnBatch out;
-  for (int c : left_cols) out.names.push_back(left.names[c]);
-  for (int c : right_cols) out.names.push_back(right.names[c]);
-  out.columns.resize(out.names.size());
-  ParallelFor(out.columns.size(), num_threads, [&](size_t c) {
-    out.columns[c] =
-        c < left_cols.size()
-            ? left.columns[left_cols[c]].Gather(left_idx)
-            : right.columns[right_cols[c - left_cols.size()]].Gather(right_idx);
-  });
-  out.num_rows = left_idx.size();
-  return out;
-}
-
 /// Sort and merge keys, decoded once into one flat row-major array of
 /// `width` doubles per row. A numeric cell is widened to double as
 /// ColumnVector::Number does; a string cell becomes its rank in a sorted
@@ -370,21 +340,6 @@ void MergeRanks(const std::vector<std::string>& a,
     if (take_b) (*b_rank)[j++] = rank;
     ++rank;
   }
-}
-
-/// Decodes the key columns `cols` of `in` (most significant first) into
-/// flat keys, strings ranked in their own dictionary.
-FlatKeys SortKeys(const ColumnBatch& in, const std::vector<int>& cols) {
-  FlatKeys keys(in.num_rows, cols.size());
-  for (size_t c = 0; c < cols.size(); ++c) {
-    const ColumnVector& col = in.columns[cols[c]];
-    if (col.is_numeric()) {
-      DecodeNumbers(col, c, &keys);
-    } else {
-      WriteRanks(DictForm(col), nullptr, c, &keys);
-    }
-  }
-  return keys;
 }
 
 /// Decodes both join sides' key columns into `lkeys` and `rkeys` (sized to
@@ -594,101 +549,6 @@ Result<ColumnBatch> ScanBatch(const DataSet& data, const std::string& table,
   return TableReader(base).Columnar(alias);
 }
 
-Result<ColumnBatch> FilterBatch(const ColumnBatch& in,
-                                const Predicate& predicate, int num_threads,
-                                size_t morsel_rows) {
-  std::vector<int> idx;
-  for (const auto& cmp : predicate.conjuncts()) {
-    const int i = in.ColumnIndex(cmp.column);
-    if (i < 0) {
-      return Status::Internal("predicate column missing: " +
-                              cmp.column.ToString());
-    }
-    idx.push_back(i);
-  }
-  if (predicate.Empty()) return in;
-  const auto& conjuncts = predicate.conjuncts();
-  const std::vector<Morsel> morsels = MakeMorsels(
-      in.num_rows, ResolveMorselRows(in.num_rows, num_threads, morsel_rows));
-  if (num_threads <= 1 || morsels.size() < 2) {
-    SelVector sel;
-    FilterRangeInto(in, conjuncts, idx, 0, static_cast<uint32_t>(in.num_rows),
-                    &sel);
-    return in.Gather(sel);
-  }
-  // Morsel-parallel scan: each worker refines its own selection vector; the
-  // per-morsel slots are concatenated in morsel order, so the final selection
-  // is ascending and identical to the serial result.
-  std::vector<SelVector> parts(morsels.size());
-  ParallelOverMorsels(morsels, num_threads,
-                      [&](size_t m, const Morsel& morsel) {
-                        FilterRangeInto(in, conjuncts, idx, morsel.begin,
-                                        morsel.end, &parts[m]);
-                      });
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  SelVector sel;
-  sel.reserve(total);
-  for (const auto& part : parts) sel.insert(sel.end(), part.begin(), part.end());
-  return in.Gather(sel);
-}
-
-Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
-                                  const ColumnBatch& right,
-                                  const JoinPredicate& predicate,
-                                  int num_threads, size_t morsel_rows) {
-  MQO_ASSIGN_OR_RETURN(JoinSpec spec,
-                       ResolveJoinSpec(left.names, right.names, predicate));
-  const PipelineOptions pipeline{num_threads, morsel_rows};
-  std::vector<int> probe_keys;
-  std::vector<int> build_keys;
-  for (const auto& c : spec.conds) {
-    probe_keys.push_back(c.left);
-    build_keys.push_back(c.right);
-  }
-  // Parallel build over the right side. An empty condition list degrades
-  // to one all-rows bucket, i.e. the cross product.
-  const JoinHashTable table =
-      JoinHashTable::Build(right, std::move(build_keys), pipeline);
-  // Morsel-parallel probe: per-morsel pair slots concatenated in morsel
-  // order reproduce the serial left-major match order exactly.
-  const std::vector<Morsel> morsels = MakeMorsels(
-      left.num_rows,
-      ResolveMorselRows(left.num_rows, num_threads, morsel_rows));
-  struct Pairs {
-    SelVector left_idx;
-    SelVector right_idx;
-  };
-  std::vector<Pairs> parts(morsels.size());
-  ParallelOverMorsels(morsels, num_threads, [&](size_t m, const Morsel& morsel) {
-    Pairs& pairs = parts[m];
-    table.ProbeRange(table.Prepare(left, probe_keys), left, probe_keys,
-                     morsel.begin, morsel.end, &pairs.left_idx,
-                     &pairs.right_idx);
-  });
-  size_t total = 0;
-  for (const auto& pairs : parts) total += pairs.left_idx.size();
-  SelVector left_idx;
-  SelVector right_idx;
-  left_idx.reserve(total);
-  right_idx.reserve(total);
-  for (const auto& pairs : parts) {
-    left_idx.insert(left_idx.end(), pairs.left_idx.begin(),
-                    pairs.left_idx.end());
-    right_idx.insert(right_idx.end(), pairs.right_idx.begin(),
-                     pairs.right_idx.end());
-  }
-  return GatherJoin(left, right, AllColumns(left), AllColumns(right), left_idx,
-                    right_idx, num_threads);
-}
-
-Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
-                                   const ColumnBatch& right,
-                                   const JoinPredicate& predicate) {
-  return MergeJoinBatch(left, right, predicate, AllColumns(left),
-                        AllColumns(right));
-}
-
 Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                                    const ColumnBatch& right,
                                    const JoinPredicate& predicate,
@@ -698,18 +558,7 @@ Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
                        ResolveJoinSpec(left.names, right.names, predicate));
   const std::vector<JoinSpec::Cond>& conds = spec.conds;
   if (conds.empty()) {
-    // The cross product, as the hash join forms it, cut to the kept columns.
-    MQO_ASSIGN_OR_RETURN(ColumnBatch full,
-                         HashJoinBatch(left, right, predicate));
-    ColumnBatch out;
-    out.num_rows = full.num_rows;
-    auto keep = [&](size_t c) {
-      out.names.push_back(full.names[c]);
-      out.columns.push_back(full.columns[c]);
-    };
-    for (int c : left_out) keep(c);
-    for (int c : right_out) keep(left.columns.size() + c);
-    return out;
+    return Status::InvalidArgument("merge join needs an equi-join condition");
   }
   std::vector<int> lcols;
   std::vector<int> rcols;
@@ -721,48 +570,17 @@ Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
   SelVector left_idx;
   SelVector right_idx;
   MergePairs(left, lcols, right, rcols, &left_idx, &right_idx);
-  return GatherJoin(left, right, left_out, right_out, left_idx, right_idx);
-}
-
-Result<ColumnBatch> SortBatch(const ColumnBatch& in, const SortOrder& order) {
-  std::vector<int> cols;
-  for (const auto& col : order) {
-    const int idx = in.ColumnIndex(col);
-    if (idx >= 0) cols.push_back(idx);
+  ColumnBatch out;
+  for (int c : left_out) {
+    out.names.push_back(left.names[c]);
+    out.columns.push_back(left.columns[c].Gather(left_idx));
   }
-  if (cols.empty()) return in;
-  return in.Gather(StableOrder(SortKeys(in, cols)));
-}
-
-Result<ColumnBatch> AggregateBatch(const ColumnBatch& in,
-                                   const std::vector<ColumnRef>& group_by,
-                                   const std::vector<AggExpr>& aggs,
-                                   const std::vector<std::string>& renames) {
-  std::vector<int> group_idx;
-  for (const auto& g : group_by) {
-    const int i = in.ColumnIndex(g);
-    if (i < 0) {
-      return Status::Internal("group column missing: " + g.ToString());
-    }
-    group_idx.push_back(i);
+  for (int c : right_out) {
+    out.names.push_back(right.names[c]);
+    out.columns.push_back(right.columns[c].Gather(right_idx));
   }
-  std::vector<int> arg_idx;
-  for (const auto& agg : aggs) {
-    if (agg.arg.name.empty()) {
-      arg_idx.push_back(-1);  // COUNT(*)
-      continue;
-    }
-    const int i = in.ColumnIndex(agg.arg);
-    if (i < 0) {
-      return Status::Internal("aggregate argument missing: " +
-                              agg.arg.ToString());
-    }
-    arg_idx.push_back(i);
-  }
-
-  AggAccumulator acc;
-  acc.Consume(in, group_idx, arg_idx, aggs, 0);
-  return acc.Finish(group_by, aggs, renames);
+  out.num_rows = left_idx.size();
+  return out;
 }
 
 }  // namespace mqo

@@ -1,26 +1,27 @@
-// Oracle tests for the vector engine's join, sort and aggregation kernels.
+// Oracle tests for the vector engine's join and aggregation operators, run
+// as the engine runs them.
 //
-// Hash joins (HashJoinBatch, and a ProbeChunkOp pipeline with and without
-// Bloom pushdown) are checked against a nested-loop reference; merge joins
-// and sorts against an argsort over the cell comparators (std::stable_sort
-// with CellLess, runs re-verified with CellsEqual). Every check demands
-// identical rows in identical order, at every thread count, over every
-// physical key form: plain and FOR-encoded int64, doubles with signed zeros
-// and NaN, and strings sharing a dictionary, with different dictionaries
-// and raw.
+// Hash joins (a ProbeChunkOp pipeline, with and without Bloom pushdown, at
+// threads 1/2/4/8) are checked against a nested-loop reference; merge joins
+// (MergeJoinBatch) against a sort-merge over the cell comparators
+// (std::stable_sort with CellLess, runs re-verified with CellsEqual). Every
+// check demands identical rows in identical order over every physical key
+// form: plain and FOR-encoded int64, doubles with signed zeros and NaN, and
+// strings sharing a dictionary, with different dictionaries and raw.
 //
-// Merge joins and sorts order their keys with a stable LSD radix sort
-// unless some key is NaN, which keeps the comparison sort. Of Cases(), only
-// signed_zero_nan takes the comparison sort; every other case takes the
-// radix path. RadixCases() are NaN-free and large (thousands of rows,
-// heavy duplication, signed zeros, negatives, infinities, int64 past 2^53,
-// sorted and reverse-sorted input, constant high digits), so every digit
-// pass and every digit skip of the radix path runs.
+// Merge joins order their keys with a stable LSD radix sort unless some key
+// is NaN, which keeps the comparison sort. Of Cases(), only signed_zero_nan
+// takes the comparison sort; every other keyed case takes the radix path.
+// RadixCases() are NaN-free and large (thousands of rows, heavy
+// duplication, signed zeros, negatives, infinities, int64 past 2^53, sorted
+// and reverse-sorted input, constant high digits), so every digit pass and
+// every digit skip of the radix path runs. The condition-less
+// cross_product case runs only through the probe pipeline: merge joins
+// reject it.
 //
-// AggOracleTest checks AggregateBatch and the pipeline aggregate sink at
-// threads 1/2/4 against the row engine's AggregateRows: the same groups,
-// emitted in first-occurrence order, with cells identical down to the sign
-// of zero.
+// AggOracleTest checks the pipeline aggregate sink at threads 1/2/4
+// against the row engine's AggregateRows: the same groups, emitted in
+// first-occurrence order, with cells identical down to the sign of zero.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,7 @@
 #include <numeric>
 
 #include "exec/row_ops.h"
-#include "vexec/pipeline.h"
+#include "support/pipelines.h"
 #include "vexec/vector_ops.h"
 
 namespace mqo {
@@ -314,10 +315,10 @@ SelVector OracleSortOrder(const ColumnBatch& in, const std::vector<int>& cols) {
 }
 
 /// Sort-merge over the cell comparators: equal-key runs found with
-/// !CellLess both ways, each pair re-verified with CellsEqual.
+/// !CellLess both ways, each pair re-verified with CellsEqual. `c` must
+/// have a key.
 Pairs OracleMergePairs(const JoinCase& c) {
   const std::vector<JoinSpec::Cond> conds = CondsOf(c);
-  if (conds.empty()) return NestedLoopPairs(c);
   std::vector<int> lcols;
   std::vector<int> rcols;
   for (const auto& cond : conds) {
@@ -405,12 +406,6 @@ void ExpectJoinColumns(const ColumnBatch& out, const JoinCase& c,
   }
 }
 
-std::vector<int> AllColumnsOf(const ColumnBatch& batch) {
-  std::vector<int> cols(batch.columns.size());
-  std::iota(cols.begin(), cols.end(), 0);
-  return cols;
-}
-
 /// `out` must be every left column at `want.left` then every right column
 /// at `want.right`, row for row.
 void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
@@ -419,54 +414,8 @@ void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
                     context);
 }
 
-/// The join as a compiled probe pipeline: `c.left` streams through a
-/// ProbeChunkOp over a table built on `c.right`.
-Result<ColumnBatch> RunProbePipeline(const JoinCase& c, const ExecOptions& exec,
-                                     bool bloom) {
-  MQO_ASSIGN_OR_RETURN(
-      JoinSpec spec, ResolveJoinSpec(c.left.names, c.right.names,
-                                     c.predicate()));
-  std::vector<int> probe_keys;
-  std::vector<int> build_keys;
-  for (const auto& cond : spec.conds) {
-    probe_keys.push_back(cond.left);
-    build_keys.push_back(cond.right);
-  }
-  auto table = std::make_shared<const JoinHashTable>(
-      JoinHashTable::Build(c.right, std::move(build_keys), exec));
-  VecPipeline pipe;
-  pipe.source = c.left;
-  for (size_t i = 0; i < c.left.columns.size(); ++i) {
-    pipe.keep_idx.push_back(static_cast<int>(i));
-  }
-  pipe.chunk_names = c.left.names;
-  if (bloom && table->bloom() != nullptr) {
-    pipe.bloom = table->bloom();
-    pipe.bloom_key_idx = probe_keys;
-  }
-  std::vector<int> build_out(c.right.columns.size());
-  std::iota(build_out.begin(), build_out.end(), 0);
-  pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
-      table, probe_keys, pipe.keep_idx, std::move(build_out),
-      std::move(spec.out_names)));
-  return RunVecPipeline(pipe, exec);
-}
-
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr size_t kMorselRows = 16;  // Many morsels per side.
-
-TEST(JoinOracleTest, HashJoinMatchesNestedLoopAtEveryThreadCount) {
-  for (const JoinCase& c : Cases()) {
-    const Pairs want = NestedLoopPairs(c);
-    for (int threads : kThreadCounts) {
-      const std::string context = c.name + " t" + std::to_string(threads);
-      auto got = HashJoinBatch(c.left, c.right, c.predicate(), threads,
-                               kMorselRows);
-      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-      ExpectJoinRows(got.ValueOrDie(), c, want, context);
-    }
-  }
-}
 
 TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
   for (const JoinCase& c : Cases()) {
@@ -478,7 +427,8 @@ TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
         ExecOptions exec;
         exec.num_threads = threads;
         exec.morsel_rows = kMorselRows;
-        auto got = RunProbePipeline(c, exec, bloom);
+        auto got =
+            RunProbePipeline(c.left, c.right, c.predicate(), exec, bloom);
         ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
         ExpectJoinRows(got.ValueOrDie(), c, want, context);
       }
@@ -487,47 +437,31 @@ TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
 }
 
 void ExpectMergeJoinMatchesOracle(const JoinCase& c) {
-  auto got = MergeJoinBatch(c.left, c.right, c.predicate());
+  auto got = MergeJoinBatch(c.left, c.right, c.predicate(),
+                            AllColumnsOf(c.left), AllColumnsOf(c.right));
   ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
   ExpectJoinRows(got.ValueOrDie(), c, OracleMergePairs(c), c.name);
 }
 
-/// Sorts both sides by every key column most-significant first, then
-/// reversed, then with the unique id last (a no-op tiebreak that must not
-/// disturb stability).
-void ExpectSortsMatchOracle(const JoinCase& c) {
-  for (const ColumnBatch* in : {&c.left, &c.right}) {
-    const std::string& alias = in->names[0].qualifier;
-    std::vector<SortOrder> orders(2);
-    for (const auto& k : c.keys) {
-      orders[0].emplace_back(alias, k);
-      orders[1].insert(orders[1].begin(), ColumnRef(alias, k));
-    }
-    orders.push_back(orders[0]);
-    orders.back().emplace_back(alias, "id");
-    for (const SortOrder& order : orders) {
-      if (order.empty()) continue;
-      std::vector<int> cols;
-      for (const auto& col : order) cols.push_back(in->ColumnIndex(col));
-      const SelVector want = OracleSortOrder(*in, cols);
-      auto got = SortBatch(*in, order);
-      const std::string context = c.name + " sort " + alias + " by " +
-                                  std::to_string(order.size()) + " keys";
-      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-      const ColumnBatch& out = got.ValueOrDie();
-      ASSERT_EQ(out.num_rows, in->num_rows) << context;
-      for (size_t col = 0; col < in->columns.size(); ++col) {
-        for (size_t i = 0; i < out.num_rows; ++i) {
-          ASSERT_TRUE(SameCell(out.columns[col], i, in->columns[col], want[i]))
-              << context << ": row " << i << " column " << col;
-        }
-      }
-    }
+TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
+  for (const JoinCase& c : Cases()) {
+    if (!c.keys.empty()) ExpectMergeJoinMatchesOracle(c);
   }
 }
 
-TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
-  for (const JoinCase& c : Cases()) ExpectMergeJoinMatchesOracle(c);
+TEST(JoinOracleTest, MergeJoinRejectsPredicateWithoutConditions) {
+  // The plan search offers merge joins only for keyed joins; a
+  // condition-less predicate is the caller's error, not a cross product.
+  int conditionless = 0;
+  for (const JoinCase& c : Cases()) {
+    if (!c.keys.empty()) continue;
+    ++conditionless;
+    auto got = MergeJoinBatch(c.left, c.right, c.predicate(),
+                              AllColumnsOf(c.left), AllColumnsOf(c.right));
+    ASSERT_FALSE(got.ok()) << c.name;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << c.name;
+  }
+  EXPECT_EQ(conditionless, 1);
 }
 
 TEST(JoinOracleTest, MergeJoinGathersOnlyTheListedColumns) {
@@ -535,6 +469,7 @@ TEST(JoinOracleTest, MergeJoinGathersOnlyTheListedColumns) {
   // listed columns gathered — every other column, none, or one side's
   // non-key columns alone (the keys are read by the merge, not emitted).
   for (const JoinCase& c : Cases()) {
+    if (c.keys.empty()) continue;
     const Pairs want = OracleMergePairs(c);
     auto non_keys = [&](const ColumnBatch& side) {
       std::vector<int> cols;
@@ -569,16 +504,8 @@ TEST(JoinOracleTest, MergeJoinGathersOnlyTheListedColumns) {
   }
 }
 
-TEST(JoinOracleTest, SortMatchesCellComparatorStableSort) {
-  for (const JoinCase& c : Cases()) ExpectSortsMatchOracle(c);
-}
-
 TEST(JoinOracleTest, RadixMergeJoinMatchesCellComparatorSortMerge) {
   for (const JoinCase& c : RadixCases()) ExpectMergeJoinMatchesOracle(c);
-}
-
-TEST(JoinOracleTest, RadixSortMatchesCellComparatorStableSort) {
-  for (const JoinCase& c : RadixCases()) ExpectSortsMatchOracle(c);
 }
 
 TEST(JoinOracleTest, CasesCoverMatchesAndEdges) {
@@ -788,37 +715,6 @@ void ExpectAggRows(const ColumnBatch& got, const NamedRows& want,
   }
 }
 
-/// The aggregation as a pipeline sink over `c.in`.
-Result<ColumnBatch> RunAggPipeline(const AggCase& c, const ExecOptions& exec) {
-  VecPipeline pipe;
-  pipe.source = c.in;
-  for (size_t i = 0; i < c.in.columns.size(); ++i) {
-    pipe.keep_idx.push_back(static_cast<int>(i));
-  }
-  pipe.chunk_names = c.in.names;
-  pipe.aggregate = true;
-  pipe.agg_group_by = c.group_by;
-  pipe.agg_aggs = c.aggs;
-  for (const auto& g : c.group_by) {
-    pipe.agg_group_idx.push_back(c.in.ColumnIndex(g));
-  }
-  for (const auto& a : c.aggs) {
-    pipe.agg_arg_idx.push_back(a.arg.name.empty() ? -1
-                                                  : c.in.ColumnIndex(a.arg));
-  }
-  return RunVecPipeline(pipe, exec);
-}
-
-TEST(AggOracleTest, AggregateBatchMatchesRowEngine) {
-  const std::vector<AggCase> cases = AggCases();
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const AggCase& c = cases[i];
-    auto got = AggregateBatch(c.in, c.group_by, c.aggs, {});
-    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-    ExpectAggRows(got.ValueOrDie(), ExpectedAggs()[i], c.name);
-  }
-}
-
 TEST(AggOracleTest, PipelineSinkMatchesRowEngineAtEveryThreadCount) {
   const std::vector<AggCase> cases = AggCases();
   for (size_t i = 0; i < cases.size(); ++i) {
@@ -828,7 +724,7 @@ TEST(AggOracleTest, PipelineSinkMatchesRowEngineAtEveryThreadCount) {
       ExecOptions exec;
       exec.num_threads = threads;
       exec.morsel_rows = 512;  // Many morsels, so workers merge real states.
-      auto got = RunAggPipeline(c, exec);
+      auto got = RunAggPipeline(c.in, c.group_by, c.aggs, exec);
       ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
       ExpectAggRows(got.ValueOrDie(), ExpectedAggs()[i], context);
     }

@@ -243,18 +243,6 @@ TEST_F(MemoTest, ExpansionFailsCleanlyWhenOpBudgetExceeded) {
   EXPECT_FALSE(memo_.ToString().empty());
 }
 
-TEST_F(MemoTest, RulesCanBeDisabledIndividually) {
-  memo_.InsertBatch(MakeExample1Queries());
-  ExpansionOptions off;
-  off.join_commutativity = false;
-  off.join_associativity = false;
-  off.select_subsumption = false;
-  off.aggregate_subsumption = false;
-  const int before = memo_.num_live_ops();
-  ASSERT_TRUE(ExpandMemo(&memo_, off).ok());
-  EXPECT_EQ(memo_.num_live_ops(), before);  // nothing may change
-}
-
 TEST(PredicateImplicationTest, RangeImplications) {
   auto cmp = [](CompareOp op, double v) {
     Comparison c;

@@ -24,8 +24,8 @@
 #include "stats/sketch.h"
 #include "stats/table_stats.h"
 #include "storage/morsel.h"
+#include "support/pipelines.h"
 #include "vexec/vector_executor.h"
-#include "vexec/vector_ops.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -582,8 +582,11 @@ TEST(MorselSizingTest, AdaptiveFilterMatchesFixedGranule) {
   cmp.op = CompareOp::kLt;
   cmp.literal = Literal(50.0);
   Predicate pred({cmp});
-  auto fixed = FilterBatch(batch.ValueOrDie(), pred, 4, 64);
-  auto adaptive = FilterBatch(batch.ValueOrDie(), pred, 4);
+  ExecOptions exec;
+  exec.num_threads = 4;
+  auto adaptive = RunFilterPipeline(batch.ValueOrDie(), pred, exec);
+  exec.morsel_rows = 64;
+  auto fixed = RunFilterPipeline(batch.ValueOrDie(), pred, exec);
   ASSERT_TRUE(fixed.ok());
   ASSERT_TRUE(adaptive.ok());
   ASSERT_EQ(fixed.ValueOrDie().num_rows, adaptive.ValueOrDie().num_rows);

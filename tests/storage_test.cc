@@ -24,7 +24,7 @@
 #include "storage/segment_cache.h"
 #include "storage/spill.h"
 #include "storage/table_reader.h"
-#include "vexec/vector_ops.h"
+#include "support/pipelines.h"
 
 namespace mqo {
 namespace {
@@ -114,12 +114,11 @@ TEST(TableReaderTest, CursorAndRowsMaterializeEveryCell) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(TableReaderTest, EmptyTableYieldsEmptyViewCursorAndMorsels) {
+TEST(TableReaderTest, EmptyTableYieldsEmptyViewAndCursor) {
   ColumnStore store;
   ASSERT_TRUE(store.AddColumn("k", IntColumn({})).ok());
   TableReader reader(&store);
   EXPECT_EQ(reader.Columnar("t").num_rows, 0u);
-  EXPECT_TRUE(reader.Morsels(16).empty());
   EXPECT_FALSE(reader.cursor().Next());
   EXPECT_TRUE(reader.Rows("t").rows.empty());
 }
@@ -542,7 +541,8 @@ TEST(MorselTest, ParallelForVisitsEveryMorselExactlyOnce) {
 }
 
 TEST(MorselFilterTest, ParallelSelectionMatchesSerialExactly) {
-  // A generated TPC-D table big enough for many 64-row morsels.
+  // A generated TPC-D table big enough for many 64-row morsels, filtered by
+  // a scan pipeline's fused source filters.
   Catalog catalog = MakeTpcdCatalog(1);
   DataGenOptions gen;
   gen.max_rows_per_table = 3000;
@@ -553,11 +553,14 @@ TEST(MorselFilterTest, ParallelSelectionMatchesSerialExactly) {
   const ColumnBatch view = reader.Columnar("l");
   const Predicate pred({Cmp("l", "l_quantity", CompareOp::kLe, 25),
                         Cmp("l", "l_orderkey", CompareOp::kGt, 50)});
-  auto serial = FilterBatch(view, pred, 1, 64);
+  ExecOptions exec;
+  exec.morsel_rows = 64;
+  auto serial = RunFilterPipeline(view, pred, exec);
   ASSERT_TRUE(serial.ok());
   ASSERT_GT(serial.ValueOrDie().num_rows, 0u);
   for (int threads : {2, 4, 8}) {
-    auto parallel = FilterBatch(view, pred, threads, 64);
+    exec.num_threads = threads;
+    auto parallel = RunFilterPipeline(view, pred, exec);
     ASSERT_TRUE(parallel.ok());
     const NamedRows a = BatchToRows(serial.ValueOrDie());
     const NamedRows b = BatchToRows(parallel.ValueOrDie());

@@ -15,9 +15,10 @@
 #include "obs/obs.h"
 #include "parser/parser.h"
 #include "support/env.h"
+#include "support/pipelines.h"
 #include "support/trace_check.h"
 #include "vexec/backend.h"
-#include "vexec/pipeline.h"
+#include "vexec/vector_ops.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -1119,10 +1120,15 @@ struct ZoneFixture {
     source.num_rows = rows;
   }
 
-  /// Scan + fused band filter lo <= k <= hi, keeping both columns.
-  VecPipeline MakePipeline(int lo, int hi) const {
+  /// Scan + fused band filter lo <= k <= hi, keeping both columns. Without
+  /// `with_zones` the source's zone maps are cleared (in the pipeline's copy
+  /// only), so every zone runs the filter.
+  VecPipeline MakePipeline(int lo, int hi, bool with_zones = true) const {
     VecPipeline pipe;
     pipe.source = source;
+    if (!with_zones) {
+      for (ColumnVector& col : pipe.source.columns) col.SetZoneMap(nullptr);
+    }
     pipe.source_filters = {Cmp("s", "k", CompareOp::kGe, lo),
                            Cmp("s", "k", CompareOp::kLe, hi)};
     pipe.source_filter_idx = {0, 0};
@@ -1141,15 +1147,13 @@ TEST(VexecZoneTest, SkippingPreservesFilterOutputAcrossFormsAndThreads) {
   ZoneFixture plain(rows, /*for_encode=*/false);
   ZoneFixture enc(rows, /*for_encode=*/true);
   ASSERT_TRUE(enc.source.columns[0].for_encoded());
-  ExecOptions off;
-  off.zone_maps = false;
-  auto base = RunVecPipeline(plain.MakePipeline(100, 300), off);
+  auto base =
+      RunVecPipeline(plain.MakePipeline(100, 300, /*with_zones=*/false), {});
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   const ColumnBatch& b = base.ValueOrDie();
   ASSERT_EQ(b.num_rows, 402u);  // k = row/2: each value in [100,300] twice
   for (const ZoneFixture* fx : {&plain, &enc}) {
-    for (ExecOptions exec : VectorConfigs()) {
-      exec.zone_maps = true;
+    for (const ExecOptions& exec : VectorConfigs()) {
       auto got = RunVecPipeline(fx->MakePipeline(100, 300), exec);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const ColumnBatch& g = got.ValueOrDie();
@@ -1182,7 +1186,6 @@ TEST(VexecZoneTest, PrunedZoneCountDeterministicAcrossThreads) {
       obs_options.metrics = true;
       ObsContext obs(obs_options);
       ExecOptions exec = base;
-      exec.zone_maps = true;
       exec.obs = &obs;
       auto got = RunVecPipeline(fx.MakePipeline(100, 300), exec);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -1203,7 +1206,7 @@ TEST(VexecZoneTest, PrunedZoneCountDeterministicAcrossThreads) {
 }
 
 TEST(VexecZoneTest, CompressedCompareRowCountDeterministicAcrossThreads) {
-  // With zones off, every morsel runs the filter; on an encoded column the
+  // Without zone maps, every morsel runs the filter; on an encoded column the
   // mid-block (partially passing) row count is per-block, not per-morsel,
   // so it too must not vary with the thread count.
   ZoneFixture fx(8192, /*for_encode=*/true);
@@ -1213,9 +1216,9 @@ TEST(VexecZoneTest, CompressedCompareRowCountDeterministicAcrossThreads) {
     obs_options.metrics = true;
     ObsContext obs(obs_options);
     ExecOptions exec = base;
-    exec.zone_maps = false;
     exec.obs = &obs;
-    auto got = RunVecPipeline(fx.MakePipeline(100, 300), exec);
+    auto got =
+        RunVecPipeline(fx.MakePipeline(100, 300, /*with_zones=*/false), exec);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     cmp_rows.push_back(CounterOf(&obs, "vexec.compressed_cmp_rows"));
   }
@@ -1482,7 +1485,7 @@ TEST(VectorOpsTest, FilterMatchesRowEngineIncludingTypeMismatch) {
                   Cmp("r", "x", CompareOp::kGt, 0.0),
                   Cmp("r", "s", CompareOp::kLe, "b")});
   auto expected = FilterRows(rows, pred);
-  auto actual = FilterBatch(batch.ValueOrDie(), pred);
+  auto actual = RunFilterPipeline(batch.ValueOrDie(), pred, {});
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
   NamedRows actual_rows = BatchToRows(actual.ValueOrDie());
@@ -1491,8 +1494,9 @@ TEST(VectorOpsTest, FilterMatchesRowEngineIncludingTypeMismatch) {
   // both engines.
   Predicate mismatch({Cmp("r", "k", CompareOp::kEq, "3")});
   EXPECT_TRUE(FilterRows(rows, mismatch).ValueOrDie().rows.empty());
-  EXPECT_EQ(FilterBatch(batch.ValueOrDie(), mismatch).ValueOrDie().num_rows,
-            0u);
+  EXPECT_EQ(
+      RunFilterPipeline(batch.ValueOrDie(), mismatch, {}).ValueOrDie().num_rows,
+      0u);
 }
 
 TEST(VectorOpsTest, HashAndMergeJoinMatchRowJoin) {
@@ -1512,8 +1516,10 @@ TEST(VectorOpsTest, HashAndMergeJoinMatchRowJoin) {
   ASSERT_TRUE(rb.ok());
   for (bool merge : {false, true}) {
     auto joined =
-        merge ? MergeJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred)
-              : HashJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred);
+        merge ? MergeJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred,
+                               AllColumnsOf(lb.ValueOrDie()),
+                               AllColumnsOf(rb.ValueOrDie()))
+              : RunProbePipeline(lb.ValueOrDie(), rb.ValueOrDie(), pred, {});
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
     NamedRows got = BatchToRows(joined.ValueOrDie());
     NamedRows want = expected.ValueOrDie();
@@ -1535,10 +1541,14 @@ TEST(VectorOpsTest, JoinWithOverlappingAliasesRejectedLikeRowEngine) {
   ASSERT_TRUE(batch.ok());
   JoinPredicate pred({KeyJoin("r", "r")});
   auto row = JoinRows(rows, rows, pred);
-  auto vec = HashJoinBatch(batch.ValueOrDie(), batch.ValueOrDie(), pred);
   ASSERT_FALSE(row.ok());
-  ASSERT_FALSE(vec.ok());
-  EXPECT_EQ(vec.status().code(), row.status().code());
+  const ColumnBatch& b = batch.ValueOrDie();
+  auto merge = MergeJoinBatch(b, b, pred, AllColumnsOf(b), AllColumnsOf(b));
+  auto probe = RunProbePipeline(b, b, pred, {});
+  ASSERT_FALSE(merge.ok());
+  ASSERT_FALSE(probe.ok());
+  EXPECT_EQ(merge.status().code(), row.status().code());
+  EXPECT_EQ(probe.status().code(), row.status().code());
 }
 
 TEST(VectorOpsTest, AggregateMatchesRowEngine) {
@@ -1552,7 +1562,7 @@ TEST(VectorOpsTest, AggregateMatchesRowEngine) {
                                Agg(AggFunc::kMax, ColumnRef("r", "s")),
                                Agg(AggFunc::kAvg, ColumnRef("r", "x"))};
   auto expected = AggregateRows(rows, group_by, aggs, {});
-  auto actual = AggregateBatch(batch.ValueOrDie(), group_by, aggs, {});
+  auto actual = RunAggPipeline(batch.ValueOrDie(), group_by, aggs, {});
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
   NamedRows got = BatchToRows(actual.ValueOrDie());
@@ -1571,8 +1581,8 @@ TEST(VectorOpsTest, AggregateMatchesRowEngine) {
 
 TEST(VectorOpsTest, ParallelHashJoinIsDeterministicAndMatchesSerial) {
   // Skewed keys (every key repeats) over enough rows for many 4-row
-  // morsels. The parallel build/probe must reproduce the serial output
-  // exactly — same rows in the same order, not just bag-equal.
+  // morsels. The parallel build/probe pipeline must reproduce the serial
+  // output exactly — same rows in the same order, not just bag-equal.
   NamedRows left;
   left.columns = {ColumnRef("l", "k"), ColumnRef("l", "x")};
   NamedRows right;
@@ -1586,13 +1596,16 @@ TEST(VectorOpsTest, ParallelHashJoinIsDeterministicAndMatchesSerial) {
   ASSERT_TRUE(lb.ok());
   ASSERT_TRUE(rb.ok());
   JoinPredicate pred({KeyJoin("l", "r")});
-  auto serial = HashJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred);
+  auto serial = RunProbePipeline(lb.ValueOrDie(), rb.ValueOrDie(), pred, {});
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const NamedRows want = BatchToRows(serial.ValueOrDie());
   ASSERT_GT(want.rows.size(), 0u);
   for (int threads : {2, 8}) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    exec.morsel_rows = 4;
     auto parallel =
-        HashJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred, threads, 4);
+        RunProbePipeline(lb.ValueOrDie(), rb.ValueOrDie(), pred, exec);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     const NamedRows got = BatchToRows(parallel.ValueOrDie());
     ASSERT_EQ(got.rows.size(), want.rows.size()) << threads << " threads";
@@ -1603,20 +1616,6 @@ TEST(VectorOpsTest, ParallelHashJoinIsDeterministicAndMatchesSerial) {
       }
     }
   }
-}
-
-TEST(VectorOpsTest, SortIsBagPreserving) {
-  NamedRows rows = MakeRows();
-  auto batch = BatchFromRows(rows);
-  ASSERT_TRUE(batch.ok());
-  auto sorted = SortBatch(batch.ValueOrDie(), {ColumnRef("r", "k")});
-  ASSERT_TRUE(sorted.ok());
-  const ColumnBatch& s = sorted.ValueOrDie();
-  ASSERT_EQ(s.num_rows, 3u);
-  // Sorted ascending by k: 1, 3, 3.
-  EXPECT_EQ(s.columns[0].ints()[0], 1);
-  EXPECT_EQ(s.columns[0].ints()[1], 3);
-  EXPECT_EQ(s.columns[0].ints()[2], 3);
 }
 
 TEST(VectorExecutorTest, ReadWithoutMaterializationFails) {
