@@ -12,8 +12,8 @@
 // past the row interpreter's nested loops. Results must stay identical
 // across all configurations.
 //
-// Separate sections time the string, Bloom, numeric, merge-join and
-// group-by operators on their own, each as the engine runs it.
+// Separate sections time the string, Bloom, numeric and group-by
+// operators on their own, each as the engine runs it.
 //
 // Usage: bench_vexec [rows_per_table ...]   (default: 400 1600 6400; pass
 // tiny counts, e.g. `bench_vexec 64 128`, for CI smoke runs). Alongside the
@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <numeric>
 
 #include "bench_util/bench_args.h"
@@ -38,7 +37,6 @@
 #include "support/pipelines.h"
 #include "vexec/backend.h"
 #include "vexec/pipeline.h"
-#include "vexec/vector_ops.h"
 #include "workload/tpcd_queries.h"
 
 using namespace mqo;
@@ -449,121 +447,13 @@ ColumnVector RandomInts(int rows, int64_t mod, uint64_t seed) {
   return col;
 }
 
-/// True iff `batch` is ordered by columns `cols`, most significant first
-/// (CellLess never finds a row before its predecessor).
-bool SortedBy(const ColumnBatch& batch, const std::vector<int>& cols) {
-  for (size_t r = 1; r < batch.num_rows; ++r) {
-    for (int c : cols) {
-      const ColumnVector& col = batch.columns[c];
-      if (ColumnVector::CellLess(col, r, col, r - 1)) return false;
-      if (ColumnVector::CellLess(col, r - 1, col, r)) break;
-    }
-  }
-  return true;
-}
-
-/// `batch` with every column re-qualified under `alias`.
-ColumnBatch Requalified(const ColumnBatch& batch, const std::string& alias) {
-  ColumnBatch out = batch;
-  for (ColumnRef& name : out.names) name.qualifier = alias;
-  return out;
-}
-
-/// The merge join and the aggregate sink on their own, best of `reps`.
-/// MergeJoinBatch — the engine's one caller of the radix argsort — self-
-/// joins `rows` rows on one random int64 key, on two keys (int64 with ties,
-/// then double), and on one double key holding a NaN (the comparison-sort
-/// fallback); the output, left-sorted-major, must be ordered by the left
-/// keys in the predicate's (canonical) condition order.
-/// The aggregate sink groups `rows` rows into about rows / 4 groups at 1
-/// and 4 threads; the parallel groups must equal the serial ones.
-void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
-  std::printf("\n=== merge-join and group-by operators (%d rows) ===\n\n",
-              rows);
+/// The aggregate sink on its own, best of `reps`: it groups `rows` rows
+/// into about rows / 4 groups at 1 and 4 threads, and the parallel groups
+/// must equal the serial ones.
+void RunGroupBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
+  std::printf("\n=== group-by operator (%d rows) ===\n\n", rows);
   TablePrinter table({"operator", "variant", "threads", "time (ms)",
                       "ns/row"});
-  auto best_of = [&](auto&& run) {
-    double best_ms = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      WallTimer timer;
-      run();
-      const double ms = timer.ElapsedMillis();
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
-    return best_ms;
-  };
-  auto report = [&](const char* bench, const char* variant, int threads,
-                    double ms, std::vector<JsonField> extra) {
-    table.AddRow({bench, variant, std::to_string(threads), FormatDouble(ms, 3),
-                  FormatDouble(ms * 1e6 / rows, 1)});
-    std::vector<JsonField> fields = {
-        JStr("bench", bench), JStr("variant", variant), JNum("rows", rows),
-        JNum("threads", threads), JNum("time_ms", ms)};
-    fields.insert(fields.end(), extra.begin(), extra.end());
-    json->AddRecord(std::move(fields));
-  };
-
-  ColumnBatch in;
-  in.names = {ColumnRef("s", "k"), ColumnRef("s", "d")};
-  in.columns = {RandomInts(rows, int64_t{1} << 40, 1),
-                ColumnVector(VecType::kDouble)};
-  // A named column: a range-for over a temporary's ints() would read freed
-  // memory.
-  const ColumnVector eighths = RandomInts(rows, 1000, 2);
-  for (int64_t v : eighths.ints()) {
-    in.columns[1].doubles().push_back(static_cast<double>(v) / 8.0);
-  }
-  in.num_rows = rows;
-  ColumnBatch two_keys = in;
-  two_keys.columns[0] = RandomInts(rows, 64, 3);  // ties for the second key
-  // A near-unique double key, so the self-join stays about `rows` rows.
-  ColumnBatch with_nan;
-  with_nan.names = {ColumnRef("s", "d"), ColumnRef("s", "k")};
-  with_nan.columns = {ColumnVector(VecType::kDouble), in.columns[0]};
-  for (int64_t v : in.columns[0].ints()) {
-    with_nan.columns[0].doubles().push_back(static_cast<double>(v) / 8.0);
-  }
-  with_nan.columns[0].doubles()[rows / 2] =
-      std::numeric_limits<double>::quiet_NaN();
-  with_nan.num_rows = rows;
-  struct MergeCase {
-    const char* variant;
-    const ColumnBatch* batch;
-    size_t keys;  // the batch's leading columns
-    bool check;   // NaN has no order to check
-  };
-  for (const MergeCase& c : {MergeCase{"int64", &in, 1, true},
-                             MergeCase{"two_keys", &two_keys, 2, true},
-                             MergeCase{"nan_fallback", &with_nan, 1, false}}) {
-    const ColumnBatch right = Requalified(*c.batch, "t");
-    std::vector<JoinCondition> conds;
-    for (size_t k = 0; k < c.keys; ++k) {
-      JoinCondition cond;
-      cond.left = c.batch->names[k];
-      cond.right = right.names[k];
-      conds.push_back(cond);
-    }
-    const JoinPredicate pred(std::move(conds));
-    std::vector<int> sort_cols;  // left key columns, in merge order
-    for (const JoinCondition& cond : pred.conditions()) {
-      const int left = c.batch->ColumnIndex(cond.left);
-      sort_cols.push_back(left >= 0 ? left : c.batch->ColumnIndex(cond.right));
-    }
-    const std::vector<int> all = AllColumnsOf(*c.batch);
-    ColumnBatch out;
-    const double ms = best_of([&] {
-      out = MergeJoinBatch(*c.batch, right, pred, all, all).ValueOrDie();
-    });
-    // Every row meets at least itself, bar the NaN row, which meets nothing.
-    const size_t min_rows = static_cast<size_t>(rows) - (c.check ? 0 : 1);
-    if (out.num_rows < min_rows || (c.check && !SortedBy(out, sort_cols))) {
-      ++*failures;
-    }
-    report("vexec_merge_join", c.variant, 1, ms,
-           {JNum("keys", c.keys),
-            JNum("join_rows", static_cast<double>(out.num_rows))});
-  }
-
   ColumnBatch grouped;
   grouped.names = {ColumnRef("g", "k"), ColumnRef("g", "v")};
   grouped.columns = {RandomInts(rows, std::max(1, rows / 4), 4),
@@ -586,8 +476,12 @@ void RunKernelBench(int rows, int reps, BenchJsonWriter* json, int* failures) {
     } else if (!BatchesEqual(serial_groups, out)) {
       ++*failures;  // the sink merge must reproduce the serial groups
     }
-    report("vexec_group", "int64_key", threads, ms,
-           {JNum("groups", static_cast<double>(out.num_rows))});
+    table.AddRow({"vexec_group", "int64_key", std::to_string(threads),
+                  FormatDouble(ms, 3), FormatDouble(ms * 1e6 / rows, 1)});
+    json->AddRecord({JStr("bench", "vexec_group"), JStr("variant", "int64_key"),
+                     JNum("rows", rows), JNum("threads", threads),
+                     JNum("time_ms", ms),
+                     JNum("groups", static_cast<double>(out.num_rows))});
   }
   table.Print();
 }
@@ -698,8 +592,8 @@ int main(int argc, char** argv) {
   // runs, so it gets a higher floor.
   RunNumericSweep(std::max(16384, row_counts.back() * 8), kReps, &json,
                   &failures);
-  RunKernelBench(std::max(16384, row_counts.back() * 8), kReps, &json,
-                 &failures);
+  RunGroupBench(std::max(16384, row_counts.back() * 8), kReps, &json,
+                &failures);
 
   // MQO_TRACE=1 (optionally MQO_TRACE_FILE=<path>): one extra traced run of
   // the consolidated plan on the vector backend, separate from the timed

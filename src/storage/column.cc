@@ -367,18 +367,6 @@ bool ColumnVector::CellsEqual(const ColumnVector& a, size_t i,
   return a.StringAt(i) == b.StringAt(j);
 }
 
-bool ColumnVector::CellLess(const ColumnVector& a, size_t i,
-                            const ColumnVector& b, size_t j) {
-  const bool a_num = a.is_numeric();
-  if (a_num != b.is_numeric()) return a_num;  // numbers before strings
-  if (a_num) return a.Number(i) < b.Number(j);
-  if (a.data_->dict != nullptr && a.data_->dict == b.data_->dict) {
-    // The dictionary is sorted-unique, so code order is string order.
-    return a.data_->codes[i] < b.data_->codes[j];
-  }
-  return a.StringAt(i) < b.StringAt(j);
-}
-
 Status ColumnBuilder::Append(const Value& v) {
   if (v.is_number()) {
     if (seen_string_) {

@@ -241,11 +241,6 @@ class ColumnVector {
   static bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                          size_t j);
 
-  /// ValueLess semantics (numbers order before strings). Cells of two columns
-  /// sharing one dictionary compare by code (the dictionary is sorted).
-  static bool CellLess(const ColumnVector& a, size_t i, const ColumnVector& b,
-                       size_t j);
-
  private:
   struct Payload {
     std::vector<int64_t> ints;

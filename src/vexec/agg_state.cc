@@ -12,9 +12,9 @@ namespace {
 
 constexpr uint64_t kGroupHashSeed = 0x2545f4914f6cdd1dull;
 
-/// CellLess against a materialized Value (ValueLess semantics: numbers
-/// before strings).
-bool CellLessValue(const ColumnVector& col, size_t i, const Value& v) {
+/// ValueLess of a cell against a materialized Value (numbers before
+/// strings).
+bool CellValueLess(const ColumnVector& col, size_t i, const Value& v) {
   const bool cell_num = col.is_numeric();
   if (cell_num != v.is_number()) return cell_num;
   if (cell_num) return col.Number(i) < v.number();
@@ -174,7 +174,7 @@ void AggAccumulator::Consume(const ColumnBatch& batch,
         // Strictly-less replaces, so equal values keep the earliest
         // position — the serial fold's tie-break.
         fold([&](Cell& cell, uint32_t r) {
-          if (!cell.any || CellLessValue(col, r, cell.min_value)) {
+          if (!cell.any || CellValueLess(col, r, cell.min_value)) {
             cell.min_value = col.GetValue(r);
             cell.min_pos = order_base + r;
           }

@@ -15,7 +15,7 @@ namespace mqo {
 /// Which execution engine runs physical plans.
 enum class ExecBackend {
   kRow,     ///< Row-at-a-time interpreter (reference semantics).
-  kVector,  ///< Batch-at-a-time columnar engine with hash-join fast path.
+  kVector,  ///< Batch-at-a-time columnar engine; every join a hash probe.
 };
 
 const char* ExecBackendToString(ExecBackend backend);

@@ -8,10 +8,10 @@
 // claims into its thread-local sink state, and RunVecPipeline merges the
 // states deterministically — collected chunks concatenate in morsel order,
 // aggregation states merge commutatively and emit groups by first
-// occurrence. Breakers (hash-join builds, merge joins, aggregations,
-// materialized segments) sit *between* pipelines: a join's build side is
-// executed first and frozen into a shared read-only JoinHashTable that probe
-// workers hit concurrently.
+// occurrence. Breakers (join builds, aggregations, materialized segments)
+// sit *between* pipelines: a join's build side is executed first and frozen
+// into a shared read-only JoinHashTable that probe workers hit
+// concurrently.
 //
 // Chunk operators are immutable after compilation and share no mutable
 // state, so the same op chain runs on every worker without locks.

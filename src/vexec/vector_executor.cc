@@ -72,15 +72,6 @@ Result<JoinNeed> SplitJoinNeed(Memo* memo, const ColumnNeed& need, EqId left,
   return split;
 }
 
-/// Indices of the columns of `batch` that `need` names, in batch order.
-std::vector<int> ColumnsIn(const ColumnBatch& batch, const ColumnNeed& need) {
-  std::vector<int> cols;
-  for (size_t i = 0; i < batch.names.size(); ++i) {
-    if (need.count(batch.names[i]) > 0) cols.push_back(static_cast<int>(i));
-  }
-  return cols;
-}
-
 /// What an aggregate sink reads: its group keys and aggregate arguments.
 ColumnNeed AggregateNeed(const MemoOp& agg) {
   ColumnNeed need(agg.group_by.begin(), agg.group_by.end());
@@ -128,8 +119,8 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
   const ColumnNeed sink_need = need;
   // Descend from the pipeline root to its source, recording the operator
   // chain and carrying the running need down it: each join's build side
-  // executes with its share, and a breaker at the source (merge join,
-  // nested aggregate) executes recursively with what is left.
+  // executes with its share, and a breaker at the source (a nested
+  // aggregate) executes recursively with what is left.
   std::vector<ChainDesc> descs;
   ColumnBatch source;
   // Holds the pipeline's source segment pinned (when the source is a
@@ -166,12 +157,15 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
       }
       case PhysOp::kSort:
         // Bag semantics: the enforcer's ordering never changes the result
-        // relation and no vectorized consumer relies on input order (merge
-        // joins argsort their own inputs), so the enforcer streams through.
+        // relation and no vectorized consumer relies on input order, so the
+        // enforcer streams through.
         cur = cur->children[0];
         break;
       case PhysOp::kBlockNLJoin:
-      case PhysOp::kIndexNLJoin: {
+      case PhysOp::kIndexNLJoin:
+      case PhysOp::kMergeJoin: {
+        // Every join is a hash probe: child 0 streams through the pipeline
+        // and the build side (child 1, or the side input) is a hash table.
         if (op == nullptr) return Status::Internal("join without op");
         ChainDesc d;
         d.kind = ChainDesc::kProbe;
@@ -186,7 +180,7 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           MQO_ASSIGN_OR_RETURN(d.build,
                                ExecuteBatch(cur->children[1], split.right));
         } else {
-          // BNL/index probes rescan a base relation or materialized node
+          // A one-child join rescans a base relation or materialized node
           // that is not part of the plan tree.
           MQO_ASSIGN_OR_RETURN(d.build, SideInputBatch(build_eq, split.right));
         }
@@ -227,14 +221,12 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         break;
       }
       default: {
-        // Pipeline breaker (merge join, nested aggregate) or a malformed
-        // batch root: execute it whole — ExecuteBatchRaw dispatches these
-        // directly, so this never re-enters pipeline compilation for the
-        // same node — and stream its output, projected onto the running
-        // need. Anything else would loop without progress, so fail loudly
-        // instead.
-        if (cur->op != PhysOp::kMergeJoin &&
-            cur->op != PhysOp::kSortAggregate &&
+        // Pipeline breaker (a nested aggregate) or a malformed batch root:
+        // execute it whole — ExecuteBatch dispatches these directly, so
+        // this never re-enters pipeline compilation for the same node — and
+        // stream its output, projected onto the running need. Anything else
+        // would loop without progress, so fail loudly instead.
+        if (cur->op != PhysOp::kSortAggregate &&
             cur->op != PhysOp::kBatchRoot) {
           return Status::Internal("unknown physical operator");
         }
@@ -419,71 +411,22 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
   return RunVecPipeline(pipeline, options_);
 }
 
-Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
-    const PlanNodePtr& plan, const ColumnNeed& need) {
-  const MemoOp* op =
-      plan->logical_op >= 0 ? &memo_->op(plan->logical_op) : nullptr;
-  switch (plan->op) {
-    case PhysOp::kMergeJoin: {
-      // Merge joins stay sort-merge (a pipeline breaker) to keep an
-      // independently-implemented second join path hot; equi-predicates in
-      // BNL/index plans take the pipelined hash probe instead.
-      if (op == nullptr) return Status::Internal("join without op");
-      const bool right_child = plan->children.size() > 1;
-      const EqId right_eq =
-          right_child ? plan->children[1]->eq : op->children[1];
-      MQO_ASSIGN_OR_RETURN(
-          JoinNeed split, SplitJoinNeed(memo_, need, plan->children[0]->eq,
-                                        right_eq, op->join_predicate));
-      MQO_ASSIGN_OR_RETURN(ColumnBatch left,
-                           ExecuteBatch(plan->children[0], split.left));
-      ColumnBatch right;
-      if (right_child) {
-        MQO_ASSIGN_OR_RETURN(right,
-                             ExecuteBatch(plan->children[1], split.right));
-      } else {
-        MQO_ASSIGN_OR_RETURN(right, SideInputBatch(right_eq, split.right));
-      }
-      // Each side's keys are read by the merge but gathered only when a
-      // consumer reads them.
-      TraceSpan span(TracerOf(options_.obs), "op.merge_join", "vexec");
-      MQO_ASSIGN_OR_RETURN(
-          ColumnBatch out,
-          MergeJoinBatch(left, right, op->join_predicate,
-                         ColumnsIn(left, split.left_out),
-                         ColumnsIn(right, split.right_out)));
-      if (span.active()) {
-        span.AddNum("in_rows",
-                    static_cast<double>(left.num_rows + right.num_rows));
-        span.AddNum("out_rows", static_cast<double>(out.num_rows));
-        span.AddNum("out_cols", static_cast<double>(out.columns.size()));
-      }
-      return out;
-    }
-    case PhysOp::kSortAggregate: {
-      if (op == nullptr) return Status::Internal("aggregate without op");
-      // The chain under the aggregate feeds thread-local aggregation states
-      // directly (no intermediate materialized batch).
-      return RunPipelineFor(plan->children[0], op, {});
-    }
-    case PhysOp::kBatchRoot:
-      return Status::Unimplemented("execute batch roots via ExecuteConsolidated");
-    case PhysOp::kTableScan:
-    case PhysOp::kIndexScan:
-    case PhysOp::kFilter:
-    case PhysOp::kBlockNLJoin:
-    case PhysOp::kIndexNLJoin:
-    case PhysOp::kSort:
-    case PhysOp::kProject:
-    case PhysOp::kReadMaterialized:
-      return RunPipelineFor(plan, nullptr, need);
-  }
-  return Status::Internal("unknown physical operator");
-}
-
 Result<ColumnBatch> VectorPlanExecutor::ExecuteBatch(const PlanNodePtr& plan,
                                                      const ColumnNeed& need) {
-  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, ExecuteBatchRaw(plan, need));
+  if (plan->op == PhysOp::kBatchRoot) {
+    return Status::Unimplemented("execute batch roots via ExecuteConsolidated");
+  }
+  const bool aggregate = plan->op == PhysOp::kSortAggregate;
+  if (aggregate && plan->logical_op < 0) {
+    return Status::Internal("aggregate without op");
+  }
+  // The chain under an aggregate feeds thread-local aggregation states
+  // directly (no intermediate materialized batch).
+  MQO_ASSIGN_OR_RETURN(
+      ColumnBatch raw,
+      aggregate ? RunPipelineFor(plan->children[0],
+                                 &memo_->op(plan->logical_op), {})
+                : RunPipelineFor(plan, nullptr, need));
   return ProjectBatch(raw, NeedAttrs(memo_, plan->eq, need));
 }
 

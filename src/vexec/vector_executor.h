@@ -6,12 +6,12 @@
 // running it on the shared pipeline driver: scans, filters, join probes and
 // aggregations all go morsel-parallel under ExecOptions::num_threads, with
 // thread-local sink states and a deterministic merge. The pipeline is the
-// engine's only filter, hash-join and aggregation implementation; sort
-// enforcers stream through it unsorted (bag semantics).
-// Breakers are handled between pipelines: a hash join's build side executes
+// engine's only filter, join and aggregation implementation: BNL, index and
+// merge joins all run as the same hash probe, and sort enforcers stream
+// through unsorted (bag semantics).
+// Breakers are handled between pipelines: a join's build side executes
 // first and freezes into a shared read-only JoinHashTable (a CSR bucket
-// directory, built one worker per hash partition); merge joins run
-// MergeJoinBatch (vexec/vector_ops.h), the engine's one sorting kernel.
+// directory, built one worker per hash partition).
 //
 // Consolidated plans run through the shared driver
 // (exec/consolidated_executor.h), which owns materialization, the
@@ -63,15 +63,13 @@ class VectorPlanExecutor final : public ConsolidatedExecutor {
  private:
   Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan) override;
   /// Plan execution to a batch of the class attributes of `plan` that
-  /// `need` names, in class-attribute order.
+  /// `need` names, in class-attribute order. An aggregate runs as the sink
+  /// of the pipeline under it, anything else as a pipeline rooted at
+  /// `plan`; batch roots fail (they execute via ExecuteConsolidated).
   Result<ColumnBatch> ExecuteBatch(const PlanNodePtr& plan,
                                    const ColumnNeed& need);
   /// Full width: all class attributes (query roots and segments).
   Result<ColumnBatch> ExecuteBatch(const PlanNodePtr& plan);
-  /// Breaker dispatch: merge joins and batch roots directly, everything else
-  /// through pipeline compilation. Emits at least the columns of `need`.
-  Result<ColumnBatch> ExecuteBatchRaw(const PlanNodePtr& plan,
-                                      const ColumnNeed& need);
   /// Compiles the pipeline rooted at `plan` (descending through filters,
   /// projects, sorts and join probes until a source or breaker) and runs it.
   /// `agg`, when set, installs an aggregate sink fed by the chain under the

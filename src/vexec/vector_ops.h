@@ -1,7 +1,6 @@
 // The vector engine's batch kernels outside the compiled pipeline
 // (vexec/pipeline.h): the per-range filter primitive and zone-map test that
-// pipeline sources run, zero-copy base-table scans, and the merge join that
-// kMergeJoin plans run as a pipeline breaker. Filters, hash-join probes and
+// pipeline sources run, and zero-copy base-table scans. Filters, joins and
 // aggregation have no standalone kernel here: VectorPlanExecutor compiles
 // them into a VecPipeline, and tests and benches build the same pipelines.
 //
@@ -41,24 +40,6 @@ bool ZoneExcludes(double zmin, double zmax, CompareOp op, double lit);
 /// the table's ColumnStore (COW payloads shared, nothing converted).
 Result<ColumnBatch> ScanBatch(const DataSet& data, const std::string& table,
                               const std::string& alias);
-
-/// Equijoin by argsorting both sides on the key columns and merging equal-key
-/// runs. Bag-equal to a hash-join probe; used for kMergeJoin plans. Keys are
-/// decoded once into flat arrays of doubles (strings as ranks in one
-/// dictionary order shared by both sides) and argsorted by a stable LSD
-/// radix sort over order-preserving key bits; the output order is that of
-/// a stable sort over the cell comparators (ColumnVector::CellLess). A side
-/// with a NaN key is argsorted by std::stable_sort instead, whose order on
-/// NaN is the established one. The output holds columns `left_out` of
-/// `left`, then `right_out` of `right` (column indices, in that order).
-/// Fails with InvalidArgument for a predicate without conditions (the plan
-/// search offers merge joins only for keyed joins) and, like JoinRows, with
-/// Unimplemented on duplicate output columns.
-Result<ColumnBatch> MergeJoinBatch(const ColumnBatch& left,
-                                   const ColumnBatch& right,
-                                   const JoinPredicate& predicate,
-                                   const std::vector<int>& left_out,
-                                   const std::vector<int>& right_out);
 
 }  // namespace mqo
 

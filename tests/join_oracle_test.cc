@@ -1,23 +1,16 @@
 // Oracle tests for the vector engine's join and aggregation operators, run
 // as the engine runs them.
 //
-// Hash joins (a ProbeChunkOp pipeline, with and without Bloom pushdown, at
-// threads 1/2/4/8) are checked against a nested-loop reference; merge joins
-// (MergeJoinBatch) against a sort-merge over the cell comparators
-// (std::stable_sort with CellLess, runs re-verified with CellsEqual). Every
-// check demands identical rows in identical order over every physical key
-// form: plain and FOR-encoded int64, doubles with signed zeros and NaN, and
-// strings sharing a dictionary, with different dictionaries and raw.
-//
-// Merge joins order their keys with a stable LSD radix sort unless some key
-// is NaN, which keeps the comparison sort. Of Cases(), only signed_zero_nan
-// takes the comparison sort; every other keyed case takes the radix path.
-// RadixCases() are NaN-free and large (thousands of rows, heavy
-// duplication, signed zeros, negatives, infinities, int64 past 2^53, sorted
-// and reverse-sorted input, constant high digits), so every digit pass and
-// every digit skip of the radix path runs. The condition-less
-// cross_product case runs only through the probe pipeline: merge joins
-// reject it.
+// Joins are a ProbeChunkOp pipeline — the engine runs BNL, index and merge
+// join plans alike this way — checked with and without Bloom pushdown, at
+// threads 1/2/4/8, against a nested loop over the cell comparator
+// (CellsEqual). Every check demands identical rows in identical order over
+// every physical key form: plain and FOR-encoded int64, doubles with signed
+// zeros and NaN, and strings sharing a dictionary, with different
+// dictionaries and raw. Cases() are small and cover each form; RadixCases()
+// are large (thousands of rows, heavy duplication, signed zeros,
+// negatives, infinities, subnormals, int64 past 2^53 and at ±2^62, sorted
+// and reverse-sorted input, constant high bits).
 //
 // AggOracleTest checks the pipeline aggregate sink at threads 1/2/4
 // against the row engine's AggregateRows: the same groups, emitted in
@@ -33,7 +26,6 @@
 
 #include "exec/row_ops.h"
 #include "support/pipelines.h"
-#include "vexec/vector_ops.h"
 
 namespace mqo {
 namespace {
@@ -135,6 +127,18 @@ struct JoinCase {
   }
 };
 
+/// n deterministic pseudo-random values base + (LCG state % mod).
+std::vector<int64_t> Scrambled(int n, int64_t mod, int64_t base = 0,
+                               uint64_t seed = 1) {
+  std::vector<int64_t> out;
+  uint64_t x = seed;
+  for (int i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    out.push_back(base + static_cast<int64_t>((x >> 33) % mod));
+  }
+  return out;
+}
+
 std::vector<JoinCase> Cases() {
   std::vector<JoinCase> cases;
   auto add = [&](std::string name, ColumnBatch left, ColumnBatch right,
@@ -190,23 +194,24 @@ std::vector<JoinCase> Cases() {
       Side("r", {{"k", Ints(Cycle(20, 3))}}), {});
   add("number_vs_string", Side("l", {{"k", Ints(Cycle(40, 4))}}),
       Side("r", {{"k", DictStrings(Names("", Cycle(30, 4)))}}), {"k"});
+  // NaN among a side's keys matches nothing and hides no other key: 200
+  // random keys in [0, 200) with a NaN at row 100 against 0..199, and 2000
+  // random keys against 0..1999 with NaNs on both sides.
+  auto with_nan = [&](std::vector<int64_t> keys,
+                      const std::vector<size_t>& nan_rows) {
+    std::vector<double> out(keys.begin(), keys.end());
+    for (size_t r : nan_rows) out[r] = nan;
+    return Doubles(std::move(out));
+  };
+  add("nan_one_side", Side("l", {{"k", with_nan(Scrambled(200, 200), {100})}}),
+      Side("r", {{"k", with_nan(Cycle(200, 200), {})}}), {"k"});
+  add("nan_both_sides",
+      Side("l", {{"k", with_nan(Scrambled(2000, 2000, 0, 3), {7, 1000})}}),
+      Side("r", {{"k", with_nan(Cycle(2000, 2000), {0, 999, 1999})}}), {"k"});
   return cases;
 }
 
-/// n deterministic pseudo-random values base + (LCG state % mod).
-std::vector<int64_t> Scrambled(int n, int64_t mod, int64_t base = 0,
-                               uint64_t seed = 1) {
-  std::vector<int64_t> out;
-  uint64_t x = seed;
-  for (int i = 0; i < n; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    out.push_back(base + static_cast<int64_t>((x >> 33) % mod));
-  }
-  return out;
-}
-
-/// Sort and merge-join cases large enough to exercise every digit pass of
-/// the radix order: thousands of rows, heavy key duplication, every sign
+/// Large keyed cases: thousands of rows, heavy key duplication, every sign
 /// and magnitude class of double, and int64 values past 2^53.
 std::vector<JoinCase> RadixCases() {
   std::vector<JoinCase> cases;
@@ -217,8 +222,7 @@ std::vector<JoinCase> RadixCases() {
   };
   add("radix_duplicates", Side("l", {{"k", Ints(Scrambled(6000, 97))}}),
       Side("r", {{"k", ForInts(Scrambled(4000, 131, -50, 7))}}), {"k"});
-  // Signed zeros, negatives, subnormals and both infinities: every branch
-  // of the order-preserving bit map. No NaN.
+  // Signed zeros (one key), negatives, subnormals and both infinities.
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> specials = {
       0.0,    -0.0,    -1.5,  1.5,  -1e300, 1e300, inf, -inf,
@@ -228,8 +232,8 @@ std::vector<JoinCase> RadixCases() {
       Side("r", {{"k", Doubles(Pick<double>(specials,
                                             Scrambled(1000, 15, 0, 3)))}}),
       {"k"});
-  // Past 2^53 neighbouring int64 values share a double, so they sort (and
-  // match) as equals, exactly as CellLess compares them.
+  // Past 2^53 neighbouring int64 values share a double, so they match as
+  // equals, exactly as CellsEqual compares them.
   std::vector<int64_t> big = Scrambled(4000, 64);
   for (int64_t& v : big) v = (int64_t{1} << 53) + v * 3 - 96;
   std::vector<int64_t> huge = Scrambled(3000, 40, 0, 5);
@@ -292,85 +296,6 @@ Pairs NestedLoopPairs(const JoinCase& c) {
   return pairs;
 }
 
-/// Lexicographic key order through the cell comparator.
-bool OracleKeyLess(const ColumnBatch& a, uint32_t i, const ColumnBatch& b,
-                   uint32_t j, const std::vector<int>& a_cols,
-                   const std::vector<int>& b_cols) {
-  for (size_t c = 0; c < a_cols.size(); ++c) {
-    const ColumnVector& ca = a.columns[a_cols[c]];
-    const ColumnVector& cb = b.columns[b_cols[c]];
-    if (ColumnVector::CellLess(ca, i, cb, j)) return true;
-    if (ColumnVector::CellLess(cb, j, ca, i)) return false;
-  }
-  return false;
-}
-
-SelVector OracleSortOrder(const ColumnBatch& in, const std::vector<int>& cols) {
-  SelVector order(in.num_rows);
-  for (uint32_t i = 0; i < in.num_rows; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return OracleKeyLess(in, a, in, b, cols, cols);
-  });
-  return order;
-}
-
-/// Sort-merge over the cell comparators: equal-key runs found with
-/// !CellLess both ways, each pair re-verified with CellsEqual. `c` must
-/// have a key.
-Pairs OracleMergePairs(const JoinCase& c) {
-  const std::vector<JoinSpec::Cond> conds = CondsOf(c);
-  std::vector<int> lcols;
-  std::vector<int> rcols;
-  for (const auto& cond : conds) {
-    lcols.push_back(cond.left);
-    rcols.push_back(cond.right);
-  }
-  const ColumnBatch& left = c.left;
-  const ColumnBatch& right = c.right;
-  const SelVector lorder = OracleSortOrder(left, lcols);
-  const SelVector rorder = OracleSortOrder(right, rcols);
-  Pairs pairs;
-  size_t li = 0;
-  size_t ri = 0;
-  while (li < lorder.size() && ri < rorder.size()) {
-    if (OracleKeyLess(left, lorder[li], right, rorder[ri], lcols, rcols)) {
-      ++li;
-      continue;
-    }
-    if (OracleKeyLess(right, rorder[ri], left, lorder[li], rcols, lcols)) {
-      ++ri;
-      continue;
-    }
-    size_t le = li + 1;
-    while (le < lorder.size() &&
-           !OracleKeyLess(left, lorder[li], left, lorder[le], lcols, lcols)) {
-      ++le;
-    }
-    size_t re = ri + 1;
-    while (re < rorder.size() &&
-           !OracleKeyLess(right, rorder[ri], right, rorder[re], rcols, rcols)) {
-      ++re;
-    }
-    for (size_t a = li; a < le; ++a) {
-      for (size_t b = ri; b < re; ++b) {
-        bool match = true;
-        for (const auto& cond : conds) {
-          match = match && ColumnVector::CellsEqual(left.columns[cond.left],
-                                                    lorder[a],
-                                                    right.columns[cond.right],
-                                                    rorder[b]);
-        }
-        if (!match) continue;
-        pairs.left.push_back(lorder[a]);
-        pairs.right.push_back(rorder[b]);
-      }
-    }
-    li = le;
-    ri = re;
-  }
-  return pairs;
-}
-
 /// Cell identity: same string, or the same number down to the sign of zero
 /// (any NaN equals any NaN).
 bool SameCell(const ColumnVector& a, size_t i, const ColumnVector& b,
@@ -383,19 +308,17 @@ bool SameCell(const ColumnVector& a, size_t i, const ColumnVector& b,
   return x == y && std::signbit(x) == std::signbit(y);
 }
 
-/// `out` must be the left columns `left_cols` at `want.left` then the right
-/// columns `right_cols` at `want.right`, row for row.
-void ExpectJoinColumns(const ColumnBatch& out, const JoinCase& c,
-                       const Pairs& want, const std::vector<int>& left_cols,
-                       const std::vector<int>& right_cols,
-                       const std::string& context) {
+/// `out` must be every left column at `want.left` then every right column
+/// at `want.right`, row for row.
+void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
+                    const Pairs& want, const std::string& context) {
   ASSERT_EQ(out.num_rows, want.left.size()) << context;
-  ASSERT_EQ(out.columns.size(), left_cols.size() + right_cols.size())
+  ASSERT_EQ(out.columns.size(), c.left.columns.size() + c.right.columns.size())
       << context;
   for (size_t oc = 0; oc < out.columns.size(); ++oc) {
-    const bool is_left = oc < left_cols.size();
+    const bool is_left = oc < c.left.columns.size();
     const ColumnBatch& side = is_left ? c.left : c.right;
-    const int col = is_left ? left_cols[oc] : right_cols[oc - left_cols.size()];
+    const size_t col = is_left ? oc : oc - c.left.columns.size();
     ASSERT_EQ(out.names[oc], side.names[col]) << context;
     const SelVector& rows = is_left ? want.left : want.right;
     for (size_t i = 0; i < out.num_rows; ++i) {
@@ -406,20 +329,31 @@ void ExpectJoinColumns(const ColumnBatch& out, const JoinCase& c,
   }
 }
 
-/// `out` must be every left column at `want.left` then every right column
-/// at `want.right`, row for row.
-void ExpectJoinRows(const ColumnBatch& out, const JoinCase& c,
-                    const Pairs& want, const std::string& context) {
-  ExpectJoinColumns(out, c, want, AllColumnsOf(c.left), AllColumnsOf(c.right),
-                    context);
+/// Cases(), then RadixCases().
+std::vector<JoinCase> AllCases() {
+  std::vector<JoinCase> cases = Cases();
+  for (JoinCase& c : RadixCases()) cases.push_back(std::move(c));
+  return cases;
+}
+
+/// NestedLoopPairs of every AllCases() case, computed once: the nested loop
+/// dominates these tests' run time.
+const std::vector<Pairs>& ExpectedPairs() {
+  static const std::vector<Pairs>* const expected = [] {
+    auto* out = new std::vector<Pairs>;
+    for (const JoinCase& c : AllCases()) out->push_back(NestedLoopPairs(c));
+    return out;
+  }();
+  return *expected;
 }
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr size_t kMorselRows = 16;  // Many morsels per side.
 
 TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
-  for (const JoinCase& c : Cases()) {
-    const Pairs want = NestedLoopPairs(c);
+  const std::vector<JoinCase> cases = AllCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const JoinCase& c = cases[i];
     for (int threads : kThreadCounts) {
       for (bool bloom : {false, true}) {
         const std::string context = c.name + " t" + std::to_string(threads) +
@@ -430,108 +364,31 @@ TEST(JoinOracleTest, ProbePipelineMatchesNestedLoopAtEveryThreadCount) {
         auto got =
             RunProbePipeline(c.left, c.right, c.predicate(), exec, bloom);
         ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-        ExpectJoinRows(got.ValueOrDie(), c, want, context);
+        ExpectJoinRows(got.ValueOrDie(), c, ExpectedPairs()[i], context);
       }
     }
   }
-}
-
-void ExpectMergeJoinMatchesOracle(const JoinCase& c) {
-  auto got = MergeJoinBatch(c.left, c.right, c.predicate(),
-                            AllColumnsOf(c.left), AllColumnsOf(c.right));
-  ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-  ExpectJoinRows(got.ValueOrDie(), c, OracleMergePairs(c), c.name);
-}
-
-TEST(JoinOracleTest, MergeJoinMatchesCellComparatorSortMerge) {
-  for (const JoinCase& c : Cases()) {
-    if (!c.keys.empty()) ExpectMergeJoinMatchesOracle(c);
-  }
-}
-
-TEST(JoinOracleTest, MergeJoinRejectsPredicateWithoutConditions) {
-  // The plan search offers merge joins only for keyed joins; a
-  // condition-less predicate is the caller's error, not a cross product.
-  int conditionless = 0;
-  for (const JoinCase& c : Cases()) {
-    if (!c.keys.empty()) continue;
-    ++conditionless;
-    auto got = MergeJoinBatch(c.left, c.right, c.predicate(),
-                              AllColumnsOf(c.left), AllColumnsOf(c.right));
-    ASSERT_FALSE(got.ok()) << c.name;
-    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << c.name;
-  }
-  EXPECT_EQ(conditionless, 1);
-}
-
-TEST(JoinOracleTest, MergeJoinGathersOnlyTheListedColumns) {
-  // Per-side output lists: the same pairs in the same order, with only the
-  // listed columns gathered — every other column, none, or one side's
-  // non-key columns alone (the keys are read by the merge, not emitted).
-  for (const JoinCase& c : Cases()) {
-    if (c.keys.empty()) continue;
-    const Pairs want = OracleMergePairs(c);
-    auto non_keys = [&](const ColumnBatch& side) {
-      std::vector<int> cols;
-      for (size_t i = 0; i < side.names.size(); ++i) {
-        const std::string& name = side.names[i].name;
-        if (std::find(c.keys.begin(), c.keys.end(), name) == c.keys.end()) {
-          cols.push_back(static_cast<int>(i));
-        }
-      }
-      return cols;
-    };
-    auto every_other = [](const ColumnBatch& side, size_t first) {
-      std::vector<int> cols;
-      for (size_t i = first; i < side.columns.size(); i += 2) {
-        cols.push_back(static_cast<int>(i));
-      }
-      return cols;
-    };
-    const std::vector<std::pair<std::vector<int>, std::vector<int>>> lists = {
-        {every_other(c.left, 0), every_other(c.right, 1)},
-        {{}, {}},
-        {non_keys(c.left), {}},
-        {{}, non_keys(c.right)}};
-    for (size_t k = 0; k < lists.size(); ++k) {
-      const std::string context = c.name + " lists " + std::to_string(k);
-      auto got = MergeJoinBatch(c.left, c.right, c.predicate(), lists[k].first,
-                                lists[k].second);
-      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
-      ExpectJoinColumns(got.ValueOrDie(), c, want, lists[k].first,
-                        lists[k].second, context);
-    }
-  }
-}
-
-TEST(JoinOracleTest, RadixMergeJoinMatchesCellComparatorSortMerge) {
-  for (const JoinCase& c : RadixCases()) ExpectMergeJoinMatchesOracle(c);
 }
 
 TEST(JoinOracleTest, CasesCoverMatchesAndEdges) {
   // Guards the oracle itself: the cases must produce real matches where
-  // expected, and none where the key forms cannot meet.
-  for (const JoinCase& c : Cases()) {
-    const size_t matches = NestedLoopPairs(c).left.size();
+  // expected, and none where the key forms cannot meet; the RadixCases()
+  // are large.
+  const std::vector<JoinCase> cases = AllCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const JoinCase& c = cases[i];
+    const size_t matches = ExpectedPairs()[i].left.size();
     if (c.name == "empty_build" || c.name == "number_vs_string") {
       EXPECT_EQ(matches, 0u) << c.name;
     } else if (c.name == "repeated_key") {
       EXPECT_EQ(matches, 30000u);
+    } else if (c.name == "nan_one_side") {
+      EXPECT_EQ(matches, 199u);
     } else {
       EXPECT_GT(matches, 0u) << c.name;
     }
-  }
-  // The radix cases are NaN-free (or they would take the comparison sort),
-  // large, key-duplicating, and joinable.
-  for (const JoinCase& c : RadixCases()) {
-    EXPECT_GE(c.left.num_rows, 2000u) << c.name;
-    EXPECT_GT(OracleMergePairs(c).left.size(), 0u) << c.name;
-    for (const ColumnBatch* side : {&c.left, &c.right}) {
-      for (const ColumnVector& col : side->columns) {
-        for (size_t i = 0; col.is_numeric() && i < col.size(); ++i) {
-          ASSERT_FALSE(std::isnan(col.Number(i))) << c.name;
-        }
-      }
+    if (c.name.rfind("radix_", 0) == 0) {
+      EXPECT_GE(c.left.num_rows, 2000u) << c.name;
     }
   }
 }

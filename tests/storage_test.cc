@@ -162,12 +162,6 @@ TEST(ColumnDictTest, CellOpsAgreeAcrossPhysicalForms) {
                 ColumnVector::CellsEqual(raw, i, raw, j));
       EXPECT_EQ(ColumnVector::CellsEqual(enc, i, enc, j),
                 ColumnVector::CellsEqual(raw, i, raw, j));
-      EXPECT_EQ(ColumnVector::CellLess(enc, i, raw, j),
-                ColumnVector::CellLess(raw, i, raw, j));
-      EXPECT_EQ(ColumnVector::CellLess(raw, i, enc, j),
-                ColumnVector::CellLess(raw, i, raw, j));
-      EXPECT_EQ(ColumnVector::CellLess(enc, i, enc, j),
-                ColumnVector::CellLess(raw, i, raw, j));
     }
   }
 }
@@ -376,10 +370,6 @@ TEST(ForColumnVectorTest, CellOpsAgreeAcrossPhysicalForms) {
                 ColumnVector::CellsEqual(raw, i, raw, j));
       EXPECT_EQ(ColumnVector::CellsEqual(enc, i, enc, j),
                 ColumnVector::CellsEqual(raw, i, raw, j));
-      EXPECT_EQ(ColumnVector::CellLess(enc, i, enc, j),
-                ColumnVector::CellLess(raw, i, raw, j));
-      EXPECT_EQ(ColumnVector::CellLess(raw, i, enc, j),
-                ColumnVector::CellLess(raw, i, raw, j));
     }
   }
 }

@@ -6,6 +6,13 @@ namespace mqo {
 
 namespace {
 
+/// Every column index of `batch`, in order.
+std::vector<int> AllColumnsOf(const ColumnBatch& batch) {
+  std::vector<int> cols(batch.columns.size());
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
 /// A pipeline over `in` that materializes every column into its chunks.
 VecPipeline SourcePipeline(const ColumnBatch& in) {
   VecPipeline pipe;
@@ -26,12 +33,6 @@ Result<int> ColumnIn(const ColumnBatch& in, const ColumnRef& col,
 }
 
 }  // namespace
-
-std::vector<int> AllColumnsOf(const ColumnBatch& batch) {
-  std::vector<int> cols(batch.columns.size());
-  std::iota(cols.begin(), cols.end(), 0);
-  return cols;
-}
 
 Result<ColumnBatch> RunFilterPipeline(const ColumnBatch& in,
                                       const Predicate& predicate,

@@ -1,11 +1,11 @@
 // One-operator vector pipelines for tests and benches.
 //
-// The vector engine has one filter, hash-join and aggregation
-// implementation: the compiled pipeline (vexec/pipeline.h) that
-// VectorPlanExecutor builds and RunVecPipeline runs. These builders set up
-// the smallest VecPipeline around one such operator over a given batch, so
-// oracle tests, unit tests and benches check and time exactly the code the
-// engine runs, at any ExecOptions (threads, morsel size, tracing).
+// The vector engine has one filter, join and aggregation implementation:
+// the compiled pipeline (vexec/pipeline.h) that VectorPlanExecutor builds
+// and RunVecPipeline runs. These builders set up the smallest VecPipeline
+// around one such operator over a given batch, so oracle tests, unit tests
+// and benches check and time exactly the code the engine runs, at any
+// ExecOptions (threads, morsel size, tracing).
 
 #ifndef MQO_TESTS_SUPPORT_PIPELINES_H_
 #define MQO_TESTS_SUPPORT_PIPELINES_H_
@@ -13,10 +13,6 @@
 #include "vexec/pipeline.h"
 
 namespace mqo {
-
-/// Every column index of `batch`, in order: keeps a side whole, e.g. as a
-/// MergeJoinBatch output list.
-std::vector<int> AllColumnsOf(const ColumnBatch& batch);
 
 /// `in` through `predicate` as fused source filters, every column kept:
 /// the rows satisfying every conjunct, in input order. Internal when a

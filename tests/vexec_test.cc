@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/tpcd.h"
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
@@ -18,7 +20,6 @@
 #include "support/pipelines.h"
 #include "support/trace_check.h"
 #include "vexec/backend.h"
-#include "vexec/vector_ops.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -524,10 +525,11 @@ bool IsJoin(PhysOp op) {
          op == PhysOp::kMergeJoin;
 }
 
-/// `plan` with every join executed as `join`. The vector engine runs a
-/// BNL/index join as a pipelined hash probe and a merge join as a sort-merge
-/// breaker, so the rewrite pins each shape whatever the optimizer picked;
-/// the row engine answers the same either way.
+/// `plan` with every join executed as `join`, whatever the optimizer
+/// picked. The vector engine runs every join as a pipelined hash probe; a
+/// BNL/index plan and a merge-join plan still differ in their one-child
+/// joins (side inputs) and sort enforcers, and the row engine answers the
+/// same either way.
 PlanNodePtr WithJoinsAs(const PlanNodePtr& plan, PhysOp join) {
   std::vector<PlanNodePtr> children;
   for (const PlanNodePtr& c : plan->children) {
@@ -564,7 +566,7 @@ int SegmentInnerJoins(const Memo& memo, const PlanNodePtr& plan,
 
 /// One pruning case. First the differential check at threads 1/2/4 under
 /// every MQO algorithm; then the no-sharing plan and every single-class
-/// materialization, each with all joins forced to hash probes and to merge
+/// materialization, each with all joins forced to BNL joins and to merge
 /// joins, row engine against vector engine. Adds to `segment_inners` the
 /// joins executed with a materialized inner side.
 void CheckPruningAgrees(Memo* memo, const DataSet& data,
@@ -688,9 +690,9 @@ TEST(VexecPruningTest, JoinWithMaterializedSegmentAsInnerSide) {
 }
 
 TEST(VexecPruningTest, MergeJoinUnderAggregate) {
-  // The merge rewrite puts a sort-merge breaker directly under each
-  // aggregate: it executes with the aggregate's need split across its
-  // inputs.
+  // The merge rewrite puts a merge join directly under each aggregate: its
+  // probe feeds the aggregate sink, with the aggregate's need split across
+  // its inputs.
   CheckPruningQueries(
       {LogicalExpr::Aggregate(Join12(), {ColumnRef("t1", "tag")},
                               {Agg(AggFunc::kSum, ColumnRef("t2", "v")),
@@ -743,6 +745,61 @@ TEST(VexecPruningTest, SelfJoinWithOneAliasFailsLikeRowEngine) {
             << PhysOpToString(join) << ": " << vec.status().ToString();
       }
     }
+  }
+}
+
+TEST(VexecPruningTest, MergeJoinPlanWithNanKeyMatchesRowEngine) {
+  // n1.k holds 200 random integral keys in [0, 200) with a NaN at row 100;
+  // n2.k holds 0..199. NaN matches nothing in the row engine, so the join
+  // has exactly one row per non-NaN left key. The NaN sits among the keys,
+  // where an ordering join that compares with < would lose its neighbours.
+  Catalog catalog;
+  for (const char* name : {"n1", "n2"}) {
+    Table t(name, 200);
+    t.AddColumn(ColumnDef{"k", ColumnType::kDouble, 8, 200, 0, 200});
+    t.AddColumn(ColumnDef{"id", ColumnType::kInt, 4, 200, 0, 200});
+    (void)catalog.AddTable(std::move(t));
+  }
+  DataSet data;
+  NamedRows left;
+  NamedRows right;
+  left.columns = {ColumnRef("", "k"), ColumnRef("", "id")};
+  right.columns = left.columns;
+  uint64_t x = 1;
+  for (int i = 0; i < 200; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const double key = i == 100 ? std::numeric_limits<double>::quiet_NaN()
+                                : static_cast<double>((x >> 33) % 200);
+    left.rows.push_back({Value(key), Value(static_cast<double>(i))});
+    right.rows.push_back(
+        {Value(static_cast<double>(i)), Value(static_cast<double>(i))});
+  }
+  ASSERT_TRUE(data.AddTableRows("n1", left).ok());
+  ASSERT_TRUE(data.AddTableRows("n2", right).ok());
+
+  JoinCondition key;
+  key.left = ColumnRef("n1", "k");
+  key.right = ColumnRef("n2", "k");
+  Memo memo(&catalog);
+  memo.InsertBatch({LogicalExpr::Join(LogicalExpr::Scan("n1"),
+                                      LogicalExpr::Scan("n2"),
+                                      JoinPredicate({key}))});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  BatchOptimizer optimizer(&memo, CostModel());
+  const ConsolidatedPlan plan =
+      WithJoinsAs(optimizer.Plan({}), PhysOp::kMergeJoin);
+  auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                     WithEnvStore());
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  ASSERT_EQ(row.ValueOrDie().size(), 1u);
+  EXPECT_EQ(row.ValueOrDie()[0].rows.size(), 199u);
+  for (const ExecOptions& exec : PruningConfigs()) {
+    auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                       plan, exec);
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    ASSERT_EQ(vec.ValueOrDie().size(), 1u);
+    ExpectSameRows(row.ValueOrDie()[0], vec.ValueOrDie()[0],
+                   "t" + std::to_string(exec.num_threads));
   }
 }
 
@@ -854,11 +911,11 @@ TEST(VexecTraceTest, OperatorRowCountsDeterministicAcrossThreadCounts) {
 TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
   // orders has 9 columns and lineitem 16, so a full-width join emits 25.
   // The aggregate reads o_custkey and l_extendedprice: the join must emit
-  // those 2, as a hash probe and as a sort-merge breaker. Its keys
-  // o_orderkey and l_orderkey reach both inputs, but nothing above reads
-  // them, so they are not gathered. The date filter fuses into the orders
-  // scan, so its column never reaches a chunk. The widths are identical at
-  // every thread count.
+  // those 2 from its one hash probe, planned as a BNL or a merge join. Its
+  // keys o_orderkey and l_orderkey reach both inputs, but nothing above
+  // reads them, so they are not gathered. The date filter fuses into the
+  // orders scan, so its column never reaches a chunk. The widths are
+  // identical at every thread count.
   Catalog catalog = MakeTpcdCatalog(1);
   auto query = ParseQuery(
       "SELECT o_custkey, SUM(l_extendedprice) FROM orders, lineitem "
@@ -900,11 +957,10 @@ TEST(VexecTraceTest, JoinOutputCarriesOnlyTheColumnsItsConsumersRead) {
     return widths;
   };
 
-  // Each join shape whatever join the optimizer picked: a BNL join runs as
-  // a hash probe, a merge join as a sort-merge breaker.
-  const std::vector<std::pair<PhysOp, std::string>> shapes = {
-      {PhysOp::kBlockNLJoin, "op.probe"}, {PhysOp::kMergeJoin, "op.merge_join"}};
-  for (const auto& [join, span] : shapes) {
+  // Each join shape whatever join the optimizer picked: both run as one
+  // hash probe.
+  const std::string span = "op.probe";
+  for (PhysOp join : {PhysOp::kBlockNLJoin, PhysOp::kMergeJoin}) {
     const ConsolidatedPlan plan = WithJoinsAs(optimizer.Plan({}), join);
     std::vector<ExecOptions> configs = PruningConfigs();
     const Widths baseline = traced_widths(plan, configs[0]);
@@ -1499,7 +1555,7 @@ TEST(VectorOpsTest, FilterMatchesRowEngineIncludingTypeMismatch) {
       0u);
 }
 
-TEST(VectorOpsTest, HashAndMergeJoinMatchRowJoin) {
+TEST(VectorOpsTest, HashJoinMatchesRowJoin) {
   NamedRows left = MakeRows();
   NamedRows right;
   right.columns = {ColumnRef("q", "k"), ColumnRef("q", "t")};
@@ -1514,23 +1570,17 @@ TEST(VectorOpsTest, HashAndMergeJoinMatchRowJoin) {
   auto rb = BatchFromRows(right);
   ASSERT_TRUE(lb.ok());
   ASSERT_TRUE(rb.ok());
-  for (bool merge : {false, true}) {
-    auto joined =
-        merge ? MergeJoinBatch(lb.ValueOrDie(), rb.ValueOrDie(), pred,
-                               AllColumnsOf(lb.ValueOrDie()),
-                               AllColumnsOf(rb.ValueOrDie()))
-              : RunProbePipeline(lb.ValueOrDie(), rb.ValueOrDie(), pred, {});
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    NamedRows got = BatchToRows(joined.ValueOrDie());
-    NamedRows want = expected.ValueOrDie();
-    ASSERT_TRUE(Canonicalize(want.columns, &got).ok());
-    NamedRows want_canon = want;
-    ASSERT_TRUE(Canonicalize(want.columns, &want_canon).ok());
-    ASSERT_EQ(got.rows.size(), want_canon.rows.size());
-    for (size_t r = 0; r < got.rows.size(); ++r) {
-      for (size_t c = 0; c < got.columns.size(); ++c) {
-        EXPECT_TRUE(ValueEq(got.rows[r][c], want_canon.rows[r][c]));
-      }
+  auto joined = RunProbePipeline(lb.ValueOrDie(), rb.ValueOrDie(), pred, {});
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  NamedRows got = BatchToRows(joined.ValueOrDie());
+  NamedRows want = expected.ValueOrDie();
+  ASSERT_TRUE(Canonicalize(want.columns, &got).ok());
+  NamedRows want_canon = want;
+  ASSERT_TRUE(Canonicalize(want.columns, &want_canon).ok());
+  ASSERT_EQ(got.rows.size(), want_canon.rows.size());
+  for (size_t r = 0; r < got.rows.size(); ++r) {
+    for (size_t c = 0; c < got.columns.size(); ++c) {
+      EXPECT_TRUE(ValueEq(got.rows[r][c], want_canon.rows[r][c]));
     }
   }
 }
@@ -1542,12 +1592,8 @@ TEST(VectorOpsTest, JoinWithOverlappingAliasesRejectedLikeRowEngine) {
   JoinPredicate pred({KeyJoin("r", "r")});
   auto row = JoinRows(rows, rows, pred);
   ASSERT_FALSE(row.ok());
-  const ColumnBatch& b = batch.ValueOrDie();
-  auto merge = MergeJoinBatch(b, b, pred, AllColumnsOf(b), AllColumnsOf(b));
-  auto probe = RunProbePipeline(b, b, pred, {});
-  ASSERT_FALSE(merge.ok());
+  auto probe = RunProbePipeline(batch.ValueOrDie(), batch.ValueOrDie(), pred, {});
   ASSERT_FALSE(probe.ok());
-  EXPECT_EQ(merge.status().code(), row.status().code());
   EXPECT_EQ(probe.status().code(), row.status().code());
 }
 
