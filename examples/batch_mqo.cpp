@@ -26,9 +26,9 @@ int main() {
   }
   const ExpansionStats& stats = expanded.ValueOrDie();
   std::printf("BQ3 combined DAG: %d ops before expansion, %d after "
-              "(%d classes, %d merges, %d passes)\n\n",
+              "(%d classes, %d merges)\n\n",
               stats.ops_before, stats.ops_after, stats.classes_after,
-              stats.merges, stats.passes);
+              stats.merges);
 
   BatchOptimizer optimizer(&memo, CostModel());
   MaterializationProblem problem(&optimizer);

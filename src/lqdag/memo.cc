@@ -92,83 +92,89 @@ int Memo::num_live_ops() const {
   return n;
 }
 
-uint64_t Memo::OpSignature(const MemoOp& op) const {
-  uint64_t h = HashCombine(0x5ca1ab1e, static_cast<uint64_t>(op.kind));
-  switch (op.kind) {
+uint64_t MemoOp::PayloadHash() const {
+  uint64_t h = HashCombine(0x5ca1ab1e, static_cast<uint64_t>(kind));
+  switch (kind) {
     case LogicalOp::kScan:
-      h = HashCombine(h, HashString(op.table));
-      h = HashCombine(h, HashString(op.alias));
+      h = HashCombine(h, HashString(table));
+      h = HashCombine(h, HashString(alias));
       break;
     case LogicalOp::kSelect:
-      h = HashCombine(h, op.predicate.Hash());
+      h = HashCombine(h, predicate.Hash());
       break;
     case LogicalOp::kJoin:
-      h = HashCombine(h, op.join_predicate.Hash());
+      h = HashCombine(h, join_predicate.Hash());
       break;
     case LogicalOp::kProject:
-      for (const auto& c : op.project_columns) h = HashCombine(h, c.Hash());
+      for (const auto& c : project_columns) h = HashCombine(h, c.Hash());
       break;
     case LogicalOp::kAggregate:
-      for (const auto& c : op.group_by) h = HashCombine(h, c.Hash());
-      for (const auto& a : op.aggregates) h = HashCombine(h, a.Hash());
-      for (const auto& r : op.output_renames) h = HashCombine(h, HashString(r));
+      for (const auto& c : group_by) h = HashCombine(h, c.Hash());
+      for (const auto& a : aggregates) h = HashCombine(h, a.Hash());
+      for (const auto& r : output_renames) h = HashCombine(h, HashString(r));
       break;
     case LogicalOp::kBatch:
       break;
   }
-  for (EqId c : op.children) {
-    h = HashCombine(h, static_cast<uint64_t>(Find(c)));
-  }
   return h;
 }
 
-namespace {
-
-/// Structural equality of two ops given already-canonicalized children.
-bool OpsEquivalent(const MemoOp& a, const MemoOp& b) {
-  if (a.kind != b.kind || a.children != b.children) return false;
-  switch (a.kind) {
+bool MemoOp::SamePayload(const MemoOp& o) const {
+  if (kind != o.kind) return false;
+  switch (kind) {
     case LogicalOp::kScan:
-      return a.table == b.table && a.alias == b.alias;
+      return table == o.table && alias == o.alias;
     case LogicalOp::kSelect:
-      return a.predicate == b.predicate;
+      return predicate == o.predicate;
     case LogicalOp::kJoin:
-      return a.join_predicate == b.join_predicate;
+      return join_predicate == o.join_predicate;
     case LogicalOp::kProject:
-      return a.project_columns == b.project_columns;
+      return project_columns == o.project_columns;
     case LogicalOp::kAggregate:
-      return a.group_by == b.group_by && a.aggregates == b.aggregates &&
-             a.output_renames == b.output_renames;
+      return group_by == o.group_by && aggregates == o.aggregates &&
+             output_renames == o.output_renames;
     case LogicalOp::kBatch:
       return true;
   }
   return false;
 }
 
-}  // namespace
+uint64_t Memo::OpSignature(const MemoOp& op) const {
+  uint64_t h = op.PayloadHash();
+  for (EqId c : op.children) {
+    h = HashCombine(h, static_cast<uint64_t>(Find(c)));
+  }
+  return h;
+}
+
+OpId Memo::FindLiveEquivalent(const MemoOp& op, uint64_t sig,
+                              OpId self) const {
+  auto it = signature_index_.find(sig);
+  if (it == signature_index_.end()) return -1;
+  const auto same_class = [this](EqId a, EqId b) { return Find(a) == Find(b); };
+  for (OpId cand : it->second) {
+    const MemoOp& other = ops_[cand];
+    if (cand == self || other.deleted || !op.SamePayload(other)) continue;
+    if (std::equal(op.children.begin(), op.children.end(),
+                   other.children.begin(), other.children.end(), same_class)) {
+      return cand;
+    }
+  }
+  return -1;
+}
 
 EqId Memo::AddOp(MemoOp op, EqId target) {
-  // Canonicalize children first: signatures and equality assume it.
   for (EqId& c : op.children) c = Find(c);
   const uint64_t sig = OpSignature(op);
 
-  auto it = signature_index_.find(sig);
-  if (it != signature_index_.end()) {
-    for (OpId existing_id : it->second) {
-      const MemoOp& existing = ops_[existing_id];
-      if (existing.deleted) continue;
-      // Re-canonicalize the stored op's children for comparison.
-      MemoOp probe = existing;
-      for (EqId& c : probe.children) c = Find(c);
-      if (OpsEquivalent(op, probe)) {
-        EqId cls = Find(existing.owner);
-        if (target >= 0 && Find(target) != cls) {
-          MergeClasses(cls, Find(target));
-          cls = Find(cls);
-        }
-        return cls;
-      }
+  const OpId match = FindLiveEquivalent(op, sig, /*self=*/-1);
+  if (match >= 0) {
+    EqId cls = Find(ops_[match].owner);
+    if (target >= 0 && Find(target) != cls) {
+      MergeClasses(cls, Find(target));
+      cls = Find(cls);
     }
+    return cls;
   }
 
   // New operator node.
@@ -183,11 +189,11 @@ EqId Memo::AddOp(MemoOp op, EqId target) {
   }
   OpId id = static_cast<OpId>(ops_.size());
   op.owner = cls;
-  // Record parent links (dedup per op so a self-join child is linked once;
-  // ParentOps reports ops, not multiplicities).
-  std::set<EqId> linked;
-  for (EqId c : op.children) {
-    if (linked.insert(c).second) class_parents_[c].push_back(id);
+  // Record parent links, a self-join child once.
+  for (auto c = op.children.begin(); c != op.children.end(); ++c) {
+    if (std::find(op.children.begin(), c, *c) == c) {
+      class_parents_[*c].push_back(id);
+    }
   }
   ops_.push_back(std::move(op));
   class_ops_[cls].push_back(id);
@@ -222,43 +228,28 @@ void Memo::MergeClasses(EqId a, EqId b) {
     class_parents_[gone].clear();
     // Congruence closure: parents that referenced `gone` now have new
     // canonical signatures and may collide with existing ops elsewhere.
-    std::vector<std::pair<EqId, EqId>> pending;
-    RecanonicalizeParents(keep, &pending);
-    for (auto& p : pending) worklist.push_back(p);
+    RecanonicalizeParents(keep, &worklist);
   }
 }
 
 void Memo::RecanonicalizeParents(EqId cls,
-                                 std::vector<std::pair<EqId, EqId>>* pending) {
-  // Copy: the list can grow/shrink logically while we mark duplicates.
-  std::vector<OpId> parents = class_parents_[cls];
-  for (OpId pid : parents) {
-    MemoOp& p = ops_[pid];
-    if (p.deleted) continue;
-    MemoOp probe = p;
-    for (EqId& c : probe.children) c = Find(c);
-    const uint64_t sig = OpSignature(probe);
-    auto& bucket = signature_index_[sig];
-    OpId match = -1;
-    for (OpId cand : bucket) {
-      if (cand == pid || ops_[cand].deleted) continue;
-      MemoOp cp = ops_[cand];
-      for (EqId& c : cp.children) c = Find(c);
-      if (OpsEquivalent(probe, cp)) {
-        match = cand;
-        break;
-      }
-    }
-    if (match >= 0) {
-      p.deleted = true;
-      if (Find(ops_[match].owner) != Find(p.owner)) {
-        pending->emplace_back(Find(ops_[match].owner), Find(p.owner));
-      }
-    } else {
+                                 std::deque<std::pair<EqId, EqId>>* pending) {
+  // Marking duplicates and re-indexing never resize the parent list.
+  for (OpId pid : class_parents_[cls]) {
+    if (ops_[pid].deleted) continue;
+    const uint64_t sig = OpSignature(ops_[pid]);
+    const OpId match = FindLiveEquivalent(ops_[pid], sig, pid);
+    if (match < 0) {
+      auto& bucket = signature_index_[sig];
       if (std::find(bucket.begin(), bucket.end(), pid) == bucket.end()) {
         bucket.push_back(pid);
       }
+      continue;
     }
+    ops_[pid].deleted = true;
+    const EqId match_cls = Find(ops_[match].owner);
+    const EqId own_cls = Find(ops_[pid].owner);
+    if (match_cls != own_cls) pending->emplace_back(match_cls, own_cls);
   }
 }
 
@@ -311,20 +302,10 @@ std::vector<OpId> Memo::ClassOps(EqId id) const {
   return out;
 }
 
-std::vector<OpId> Memo::ParentOps(EqId id) const {
-  id = Find(id);
-  std::vector<OpId> out;
-  std::set<OpId> seen;
-  for (OpId oid : class_parents_[id]) {
-    if (!ops_[oid].deleted && seen.insert(oid).second) out.push_back(oid);
-  }
-  return out;
-}
-
 std::vector<EqId> Memo::ParentClasses(EqId id) const {
   std::set<EqId> classes;
-  for (OpId oid : ParentOps(id)) {
-    classes.insert(Find(ops_[oid].owner));
+  for (OpId oid : class_parents_[Find(id)]) {
+    if (!ops_[oid].deleted) classes.insert(Find(ops_[oid].owner));
   }
   return std::vector<EqId>(classes.begin(), classes.end());
 }

@@ -1,21 +1,24 @@
 // The LQDAG memo: an AND-OR DAG over logical expressions.
 //
 // Equivalence classes (OR-nodes) group operator nodes (AND-nodes) that
-// produce the same result set. Operator nodes are hash-consed on a canonical
-// signature (operator kind + payload + canonical child class ids), which
+// produce the same result set. An operator's identity is its payload key
+// (MemoOp::PayloadHash and SamePayload, which ClassFingerprint hashes too)
+// plus its canonical child class ids. Operators are hash-consed on it, which
 // makes common subexpressions across a batch of queries unify into a single
 // class in one bottom-up pass — the hashing-based common-subexpression
 // identification of Roy et al. [23] that the paper builds on.
 //
 // Class merging uses congruence closure: when a transformation produces an
-// operator whose signature already exists in a different class, the two
+// operator whose identity already exists in a different class, the two
 // classes are merged and every parent operator is re-canonicalized, which can
 // cascade further merges (e.g. associativity proves (A⋈B)⋈C ≡ A⋈(B⋈C)).
+// AddOp may grow the operator table, so a MemoOp& from op() dangles after it.
 
 #ifndef MQO_LQDAG_MEMO_H_
 #define MQO_LQDAG_MEMO_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,6 +59,13 @@ struct MemoOp {
   /// True once a merge discovered this op duplicates another.
   bool deleted = false;
 
+  /// Hash of `kind` and the payload fields the kind uses, each hashed by
+  /// type (a literal by its value, not its display); children excluded.
+  uint64_t PayloadHash() const;
+
+  /// True iff `o` has the same kind and payload (children not compared).
+  bool SamePayload(const MemoOp& o) const;
+
   std::string ToString() const;
 };
 
@@ -71,7 +81,7 @@ class Memo {
   /// and records it (root()).
   EqId InsertBatch(const std::vector<LogicalExprPtr>& queries);
 
-  /// Adds an operator node. If an op with the same canonical signature exists:
+  /// Adds an operator node. If a live op with the same identity exists:
   /// returns its class (merging it with `target` when both are given and
   /// differ). Otherwise creates the op in `target` (or a fresh class when
   /// target < 0). Returns the canonical class of the op.
@@ -86,6 +96,13 @@ class Memo {
   /// reads. The batch optimizer calls this before fanning evaluations out.
   void CompressPaths() const;
 
+  /// Operators ever placed in the canonical class of `id`, deleted and
+  /// merged-in ones included: with Find(id), it changes exactly when the
+  /// class gains an operator or is merged.
+  int ClassGrowth(EqId id) const {
+    return static_cast<int>(class_ops_[Find(id)].size());
+  }
+
   int num_classes() const { return static_cast<int>(class_ops_.size()); }
   int num_ops() const { return static_cast<int>(ops_.size()); }
 
@@ -97,10 +114,8 @@ class Memo {
   /// Live operator ids of the canonical class of `id`.
   std::vector<OpId> ClassOps(EqId id) const;
 
-  /// Live operator ids that use class `id` as a child (parents).
-  std::vector<OpId> ParentOps(EqId id) const;
-
-  /// Distinct canonical classes of the parents of `id`.
+  /// Distinct canonical classes of the live operators that use class `id`
+  /// as a child.
   std::vector<EqId> ParentClasses(EqId id) const;
 
   /// All classes reachable upward from `id` via parent operators, including
@@ -135,11 +150,14 @@ class Memo {
   int num_merges() const { return num_merges_; }
 
  private:
-  friend class MemoRewriter;
-
+  /// Payload hash combined with the canonical child classes.
   uint64_t OpSignature(const MemoOp& op) const;
+  /// A live op other than `self` in the `sig` bucket with `op`'s payload and
+  /// canonical children, or -1.
+  OpId FindLiveEquivalent(const MemoOp& op, uint64_t sig, OpId self) const;
   void MergeClasses(EqId a, EqId b);
-  void RecanonicalizeParents(EqId cls, std::vector<std::pair<EqId, EqId>>* pending);
+  void RecanonicalizeParents(EqId cls,
+                             std::deque<std::pair<EqId, EqId>>* pending);
   std::vector<ColumnRef> ComputeAttributes(EqId id);
 
   const Catalog* catalog_;

@@ -5,6 +5,12 @@
 // and associativity (generating bushy join trees), and select and aggregate
 // subsumption (which create the cross-query sharing opportunities when a
 // query is repeated with different selection constants).
+//
+// Expansion runs on a worklist (Cascades' "explored" marks, Graefe 1995): a
+// join is derived from again only when it is new, or when its left child
+// class gained an operator or merged since its last visit; a subsumption
+// pair only when one of its ops is new to their child class. Joins are
+// visited in ascending op id, new ones appended.
 
 #ifndef MQO_LQDAG_RULES_H_
 #define MQO_LQDAG_RULES_H_
@@ -22,7 +28,6 @@ struct ExpansionOptions {
 
 /// Statistics about one expansion run.
 struct ExpansionStats {
-  int passes = 0;
   int ops_before = 0;
   int ops_after = 0;
   int classes_after = 0;

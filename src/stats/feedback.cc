@@ -1,50 +1,8 @@
 #include "stats/feedback.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 
 namespace mqo {
-
-namespace {
-
-/// Hash of one operator's own payload (no children).
-uint64_t OpPayloadHash(const MemoOp& op) {
-  uint64_t h = HashCombine(0x57a7f00du, static_cast<uint64_t>(op.kind));
-  switch (op.kind) {
-    case LogicalOp::kScan:
-      h = HashCombine(h, HashString(op.table));
-      h = HashCombine(h, HashString(op.alias));
-      break;
-    case LogicalOp::kSelect:
-      h = HashCombine(h, HashString(op.predicate.ToString()));
-      break;
-    case LogicalOp::kJoin:
-      h = HashCombine(h, HashString(op.join_predicate.ToString()));
-      break;
-    case LogicalOp::kProject:
-      for (const auto& c : op.project_columns) {
-        h = HashCombine(h, HashString(c.ToString()));
-      }
-      break;
-    case LogicalOp::kAggregate:
-      for (const auto& g : op.group_by) {
-        h = HashCombine(h, HashString(g.ToString()));
-      }
-      for (const auto& a : op.aggregates) {
-        h = HashCombine(h, HashString(a.ToString()));
-      }
-      for (const auto& r : op.output_renames) {
-        h = HashCombine(h, HashString(r));
-      }
-      break;
-    case LogicalOp::kBatch:
-      break;
-  }
-  return h;
-}
-
-}  // namespace
 
 uint64_t ClassFingerprint(const Memo& memo, EqId eq,
                           std::unordered_map<EqId, uint64_t>* cache) {
@@ -57,7 +15,7 @@ uint64_t ClassFingerprint(const Memo& memo, EqId eq,
   bool any = false;
   for (OpId oid : memo.ClassOps(eq)) {
     const MemoOp& op = memo.op(oid);
-    uint64_t h = OpPayloadHash(op);
+    uint64_t h = op.PayloadHash();
     for (EqId child : op.children) {
       h = HashCombine(h, ClassFingerprint(memo, child, cache));
     }

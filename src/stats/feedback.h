@@ -8,11 +8,13 @@
 // pairs while running a consolidated plan, and later optimizations override
 // their estimated RelStats rows wherever a fingerprint matches.
 //
-// Fingerprints are structural — a recursive hash over operator kind,
-// payload, and child fingerprints, minimized over every live operator of an
-// equivalence class — so they survive memo reconstruction: a later batch in
-// a session builds a fresh memo with different EqIds, yet any shared
-// subexpression hashes to the same fingerprint and picks up the observation.
+// Fingerprints are structural — a recursive hash over each operator's typed
+// payload (MemoOp::PayloadHash, the memo's hash-consing key: 96.99955 and
+// 97.00045 differ though both print as 97.000) and child fingerprints,
+// minimized over every live operator of an equivalence class — so they
+// survive memo reconstruction: a later batch in a session builds a fresh
+// memo with different EqIds, yet any shared subexpression hashes to the same
+// fingerprint and picks up the observation. Matches are not verified.
 
 #ifndef MQO_STATS_FEEDBACK_H_
 #define MQO_STATS_FEEDBACK_H_
@@ -27,7 +29,7 @@
 namespace mqo {
 
 /// Structural fingerprint of class `eq`: min over the class's live operators
-/// of hash(op kind, payload, child fingerprints). Deterministic across memo
+/// of hash(MemoOp::PayloadHash, child fingerprints). Deterministic across memo
 /// rebuilds of the same logical expressions. `cache` (per memo) avoids
 /// recomputing shared subtrees.
 uint64_t ClassFingerprint(const Memo& memo, EqId eq,

@@ -1,14 +1,22 @@
 // Tests for the LQDAG memo: hash-consing unification, congruence-closure
-// merging through transformation rules, subsumption rules, attribute
-// derivation, and shareable-node detection.
+// merging through transformation rules, subsumption rules, the expansion
+// worklist's re-visits, attribute derivation, shareable-node detection, and
+// golden expansions of the paper's batches and a dashboard batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <string>
 
+#include "catalog/tpcd.h"
+#include "common/hash.h"
 #include "lqdag/memo.h"
 #include "lqdag/rules.h"
+#include "support/dashboard.h"
 #include "workload/example1.h"
+#include "workload/tpcd_queries.h"
 
 namespace mqo {
 namespace {
@@ -91,6 +99,42 @@ TEST_F(MemoTest, ExpansionGeneratesAllBushyOrdersForChain) {
   memo_.Insert(NormalizeTree(chain));
   ASSERT_TRUE(ExpandMemo(&memo_).ok());
   EXPECT_EQ(static_cast<int>(memo_.AllClasses().size()), 10);
+}
+
+TEST_F(MemoTest, JoinIsRevisitedWhenItsLeftClassGainsAJoin) {
+  // The 4-cycle A - B - C - D - A, inserted as (A ⋈ B) ⋈ (D ⋈ C).
+  // Expansion visits the joins (B ⋈ C ⋈ D) ⋈ A and (A ⋈ C ⋈ D) ⋈ B before
+  // their left classes gain (B ⋈ C) ⋈ D and (A ⋈ D) ⋈ C, which joins
+  // visited later derive. Only a second visit of the two derives
+  // (B ⋈ C) ⋈ (A ⋈ D) and its commuted form.
+  auto ab = LogicalExpr::Join(LogicalExpr::Scan("A"), LogicalExpr::Scan("B"),
+                              JoinPredicate({KeyJoin("A", "B")}));
+  auto dc = LogicalExpr::Join(LogicalExpr::Scan("D"), LogicalExpr::Scan("C"),
+                              JoinPredicate({KeyJoin("C", "D")}));
+  const EqId top = memo_.Insert(NormalizeTree(LogicalExpr::Join(
+      ab, dc, JoinPredicate({KeyJoin("A", "D"), KeyJoin("B", "C")}))));
+  ASSERT_TRUE(ExpandMemo(&memo_).ok());
+
+  // Connected subsets of the cycle: 4 scans, 4 pairs, 4 triples and the
+  // whole. The top class holds each split into two connected halves, in
+  // both orders: 4 single/triple splits and AB|CD, BC|AD.
+  EXPECT_EQ(memo_.AllClasses().size(), 13u);
+  EXPECT_EQ(memo_.ClassOps(top).size(), 12u);
+  const auto holds = [&](EqId cls, const char* x, const char* y) {
+    std::vector<std::string> quals;
+    for (const auto& a : memo_.Attributes(cls)) quals.push_back(a.qualifier);
+    quals.erase(std::unique(quals.begin(), quals.end()), quals.end());
+    return quals == std::vector<std::string>{x, y};
+  };
+  bool bc_ad = false;
+  for (OpId oid : memo_.ClassOps(top)) {
+    const MemoOp& op = memo_.op(oid);
+    bc_ad |= holds(op.children[0], "B", "C") && holds(op.children[1], "A", "D");
+  }
+  EXPECT_TRUE(bc_ad) << memo_.ToString();
+  const int ops = memo_.num_ops();
+  ASSERT_TRUE(ExpandMemo(&memo_).ok());
+  EXPECT_EQ(memo_.num_ops(), ops) << "a second expansion still derived";
 }
 
 TEST_F(MemoTest, ExpansionIsIdempotent) {
@@ -241,6 +285,60 @@ TEST_F(MemoTest, ExpansionFailsCleanlyWhenOpBudgetExceeded) {
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   EXPECT_GT(memo_.num_live_ops(), 0);
   EXPECT_FALSE(memo_.ToString().empty());
+}
+
+// ---- Golden expansions ------------------------------------------------------
+
+struct ExpansionGolden {
+  const char* batch;
+  int classes_after;
+  int ops_after;
+  int merges;
+  uint64_t dump_hash;  ///< HashString(Memo::ToString()) after expansion
+};
+
+// Recorded from the full-pass expansion (every operator re-derived until
+// nothing changed). The worklist must build the same memo: the same class
+// ids, the same operators in the same order within each class.
+constexpr ExpansionGolden kExpansionGoldens[] = {
+    {"BQ1", 17, 29, 0, 0x7b96373ca99a3812ull},
+    {"BQ2", 61, 261, 31, 0x2b0c6779a062fda5ull},
+    {"BQ3", 95, 400, 38, 0x8e2c9c1b7ca6f37eull},
+    {"BQ4", 164, 843, 98, 0xce7e28014c83d191ull},
+    {"BQ5", 196, 995, 107, 0xa3cbe69dc6ef8636ull},
+    {"BQ6", 212, 1043, 107, 0xa786d36f9fbed0d4ull},
+    {"dashboard48", 71, 113, 0, 0xf4d7ad66853d8060ull},
+};
+
+TEST(MemoGoldenTest, ExpansionsMatchRecording) {
+  Catalog catalog = MakeTpcdCatalog(1);
+  for (const ExpansionGolden& golden : kExpansionGoldens) {
+    const std::string name = golden.batch;
+    std::vector<LogicalExprPtr> queries;
+    if (name.rfind("BQ", 0) == 0) {
+      queries = MakeBatchedWorkload(std::stoi(name.substr(2)));
+    } else {
+      std::string error;
+      ASSERT_TRUE(MakeDashboardBatch(catalog, /*num_queries=*/48,
+                                     /*num_windows=*/6, &queries, &error))
+          << error;
+    }
+    Memo memo(&catalog);
+    memo.InsertBatch(queries);
+    auto expanded = ExpandMemo(&memo);
+    ASSERT_TRUE(expanded.ok()) << name;
+    const ExpansionStats& stats = expanded.ValueOrDie();
+    const uint64_t dump_hash = HashString(memo.ToString());
+    char actual[128];
+    std::snprintf(actual, sizeof(actual),
+                  "{\"%s\", %d, %d, %d, 0x%016" PRIx64 "ull}", golden.batch,
+                  stats.classes_after, stats.ops_after, stats.merges,
+                  dump_hash);
+    EXPECT_EQ(stats.classes_after, golden.classes_after) << actual;
+    EXPECT_EQ(stats.ops_after, golden.ops_after) << actual;
+    EXPECT_EQ(stats.merges, golden.merges) << actual;
+    EXPECT_EQ(dump_hash, golden.dump_hash) << actual;
+  }
 }
 
 TEST(PredicateImplicationTest, RangeImplications) {

@@ -160,7 +160,9 @@ TEST(SearchIndexOrdersTest, InternedOrdersAnswerOrderSatisfies) {
                 SortOrder(actual.begin(), actual.begin() + len));
     }
     for (OrderId b = 0; b < index.num_orders(); ++b) {
-      if (a != b) EXPECT_NE(actual, index.Order(b));
+      if (a != b) {
+        EXPECT_NE(actual, index.Order(b));
+      }
       EXPECT_EQ(index.Satisfies(a, b), OrderSatisfies(actual, index.Order(b)))
           << SortOrderToString(actual) << " vs "
           << SortOrderToString(index.Order(b));

@@ -156,6 +156,52 @@ TEST_F(ServiceTest, CrossBatchHitsServeIdenticalResults) {
   EXPECT_EQ(second.ValueOrDie().store_stats.puts, 0);
 }
 
+// Regression for a fingerprint collision: selection constants that print
+// alike (both display as 97.000) must still name different classes. The
+// second batch differs from the first only in those constants, so a hit on
+// the first batch's supplier ⋈ nation segment would serve the rows with
+// s_acctbal = 97 that the second batch's predicate admits but the first's
+// did not. The session's result must match a standalone row-engine run.
+TEST_F(ServiceTest, DisplayEqualConstantsDoNotShareCachedSegments) {
+  DataGenOptions gen;
+  gen.max_rows_per_table = 2000;
+  const DataSet data = GenerateData(catalog_, gen);
+  auto batch = [](const std::string& c) {
+    const std::string from =
+        " FROM supplier, nation WHERE s_nationkey = n_nationkey "
+        "AND s_acctbal < " + c;
+    return std::vector<std::string>{
+        "SELECT n_name, sum(s_acctbal)" + from + " GROUP BY n_name",
+        "SELECT n_regionkey, sum(s_acctbal)" + from + " GROUP BY n_regionkey"};
+  };
+  MqoOptions row;
+  row.backend = ExecBackend::kRow;
+  auto low =
+      OptimizeAndExecuteSqlBatch(catalog_, batch("96.99955"), data, row);
+  auto high =
+      OptimizeAndExecuteSqlBatch(catalog_, batch("97.00045"), data, row);
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  // The data must tell the constants apart, or the test shows nothing.
+  ASSERT_FALSE(
+      SameResults(low.ValueOrDie().results, high.ValueOrDie().results));
+
+  // Catalog statistics make the optimizer materialize the shared join
+  // whatever MQO_STATS_MODE says.
+  MqoOptions options;
+  options.stats_mode = StatsMode::kCatalogGuess;
+  MqoSession session(&catalog_, &data, options);
+  auto first = session.Run(batch("96.99955"));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(session.segment_cache()->stats().inserts, 0);
+  auto second = session.Run(batch("97.00045"));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(
+      SameResults(first.ValueOrDie().results, low.ValueOrDie().results));
+  EXPECT_TRUE(
+      SameResults(second.ValueOrDie().results, high.ValueOrDie().results));
+}
+
 // Sessions can opt out of the shared cache entirely.
 TEST_F(ServiceTest, SharedCacheCanBeDisabled) {
   MqoOptions options;

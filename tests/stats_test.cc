@@ -417,6 +417,25 @@ TEST(FeedbackTest, FingerprintsAreStableAcrossMemoRebuilds) {
       << "distinct shareable nodes collided";
 }
 
+// The fingerprint hashes a literal's value, not its display: 96.99955 and
+// 97.00045 both print as 97.000, yet select different rows.
+TEST(FeedbackTest, DisplayEqualConstantsGetDifferentFingerprints) {
+  Catalog catalog = MakeExample1Catalog();
+  Memo memo(&catalog);
+  auto select_below = [&](double bound) {
+    const Comparison c{ColumnRef("A", "k"), CompareOp::kLt, Literal(bound)};
+    return memo.Insert(NormalizeTree(
+        LogicalExpr::Select(LogicalExpr::Scan("A"), Predicate({c}))));
+  };
+  const EqId low = select_below(96.99955);
+  const EqId high = select_below(97.00045);
+  ASSERT_NE(memo.Find(low), memo.Find(high));
+  ASSERT_EQ(Literal(96.99955).ToString(), Literal(97.00045).ToString());
+  std::unordered_map<EqId, uint64_t> cache;
+  EXPECT_NE(ClassFingerprint(memo, low, &cache),
+            ClassFingerprint(memo, high, &cache));
+}
+
 TEST(FeedbackTest, BothEnginesRecordIdenticalObservations) {
   Catalog catalog = MakeExample1Catalog();
   Memo memo(&catalog);

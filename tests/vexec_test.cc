@@ -1168,7 +1168,9 @@ struct ZoneFixture {
       k.ints().push_back(static_cast<int64_t>(i / 2));
       v.doubles().push_back(static_cast<double>(i % 13));
     }
-    if (for_encode) EXPECT_TRUE(k.ForEncode());
+    if (for_encode) {
+      EXPECT_TRUE(k.ForEncode());
+    }
     k.BuildZoneMap();
     v.BuildZoneMap();
     source.names = {ColumnRef("s", "k"), ColumnRef("s", "v")};
