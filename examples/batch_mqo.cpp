@@ -52,7 +52,7 @@ int main() {
   for (const auto& m : plan.materialized) {
     const MemoOp& op = memo.op(memo.ClassOps(m.eq).front());
     std::printf("  E%-4d %-60s compute %.1fs + write %.1fs\n", m.eq,
-                op.ToString().c_str(), m.compute_plan->total_cost / 1000,
+                op.ToString(&memo).c_str(), m.compute_plan->total_cost / 1000,
                 m.write_cost / 1000);
   }
   std::printf("\nthe consolidated root plan reads materialized nodes %d times\n",

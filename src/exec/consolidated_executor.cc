@@ -69,13 +69,12 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
       ExpectedSegmentReads(*memo_, plan);
   // Materialize chosen nodes children-first (a node's compute plan may read
   // materialized descendants).
-  std::vector<EqId> topo = memo_->TopologicalClasses();
+  const std::vector<EqId> topo = memo_->TopologicalClasses();
+  std::unordered_map<EqId, size_t> topo_index;
+  for (size_t i = 0; i < topo.size(); ++i) topo_index.emplace(topo[i], i);
   auto position = [&](EqId e) {
-    e = memo_->Find(e);
-    for (size_t i = 0; i < topo.size(); ++i) {
-      if (topo[i] == e) return i;
-    }
-    return topo.size();
+    auto it = topo_index.find(memo_->Find(e));
+    return it == topo_index.end() ? topo.size() : it->second;
   };
   std::vector<const ConsolidatedPlan::MatNode*> ordered;
   for (const auto& m : plan.materialized) ordered.push_back(&m);

@@ -15,7 +15,25 @@ Result<const ColumnStore*> DataSet::GetTable(const std::string& name) const {
   if (it == tables_.end()) {
     return Status::NotFound("no generated data for table '" + name + "'");
   }
-  return &it->second;
+  return &it->second.store;
+}
+
+std::shared_ptr<const void> DataSet::FindIndex(
+    const std::string& table, const std::vector<std::string>& key) const {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return nullptr;
+  std::lock_guard<std::mutex> lock(*index_mu_);
+  auto index = it->second.indexes.find(key);
+  return index == it->second.indexes.end() ? nullptr : index->second;
+}
+
+std::shared_ptr<const void> DataSet::InsertIndex(
+    const std::string& table, const std::vector<std::string>& key,
+    std::shared_ptr<const void> index) const {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return nullptr;
+  std::lock_guard<std::mutex> lock(*index_mu_);
+  return it->second.indexes.emplace(key, std::move(index)).first->second;
 }
 
 DataSet GenerateData(const Catalog& catalog, const DataGenOptions& options,

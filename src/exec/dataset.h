@@ -11,12 +11,22 @@
 // vectorized engine reads them zero-copy through TableReader::Columnar, and
 // the row interpreter reads through the TableReader cursor. NamedRows
 // (storage/named_rows.h) is only the boundary format.
+//
+// Each table also carries an index memo: immutable structures derived from
+// the table and reused by every query, batch and session client that reads
+// it — the vector engine's persistent join hash tables, one per key-column
+// list (vexec/vector_ops.h: BaseJoinIndex). The memo is type-erased so this
+// layer names no engine type. Its const methods are thread-safe, and
+// AddTable, which replaces a table, drops that table's indexes with it.
 
 #ifndef MQO_EXEC_DATASET_H_
 #define MQO_EXEC_DATASET_H_
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
@@ -29,16 +39,38 @@ namespace mqo {
 /// their alias when reading).
 class DataSet {
  public:
+  /// Adds or replaces table `name`; a replaced table's indexes are dropped.
+  /// Not safe concurrently with reads of the same DataSet.
   void AddTable(std::string name, ColumnStore store) {
-    tables_[std::move(name)] = std::move(store);
+    tables_[std::move(name)] = Table{std::move(store), {}};
   }
   /// Boundary convenience for hand-built row tables (tests, ad-hoc data).
   Status AddTableRows(std::string name, const NamedRows& rows);
 
   Result<const ColumnStore*> GetTable(const std::string& name) const;
 
+  /// Index of `table` keyed by `key`, or null if none was inserted (or the
+  /// table is unknown). Thread-safe.
+  std::shared_ptr<const void> FindIndex(
+      const std::string& table, const std::vector<std::string>& key) const;
+  /// Memoizes `index` for (`table`, `key`) unless an index is already there,
+  /// and returns the memoized one: the first insert wins. Null for an
+  /// unknown table. Thread-safe.
+  std::shared_ptr<const void> InsertIndex(
+      const std::string& table, const std::vector<std::string>& key,
+      std::shared_ptr<const void> index) const;
+
  private:
-  std::map<std::string, ColumnStore> tables_;
+  struct Table {
+    ColumnStore store;
+    /// Derived indexes by key; guarded by *index_mu_.
+    mutable std::map<std::vector<std::string>, std::shared_ptr<const void>>
+        indexes;
+  };
+
+  std::map<std::string, Table> tables_;
+  /// Boxed so the DataSet stays movable.
+  std::unique_ptr<std::mutex> index_mu_ = std::make_unique<std::mutex>();
 };
 
 /// Options for data generation.

@@ -69,7 +69,7 @@ Result<int> Evaluator::CheckClassConsistency(EqId eq) {
     if (a.rows.size() != b.rows.size()) {
       return Status::Internal(
           "class E" + std::to_string(eq) + ": operator " +
-          memo_->op(ops[i]).ToString() + " produced " +
+          memo_->op(ops[i]).ToString(memo_) + " produced " +
           std::to_string(b.rows.size()) + " rows, expected " +
           std::to_string(a.rows.size()));
     }
@@ -78,7 +78,7 @@ Result<int> Evaluator::CheckClassConsistency(EqId eq) {
         if (!ValueEq(a.rows[r][c], b.rows[r][c])) {
           return Status::Internal("class E" + std::to_string(eq) +
                                   ": row mismatch at operator " +
-                                  memo_->op(ops[i]).ToString());
+                                  memo_->op(ops[i]).ToString(memo_));
         }
       }
     }

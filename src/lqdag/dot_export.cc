@@ -35,7 +35,7 @@ std::string MemoToDot(const Memo& memo, const std::set<EqId>& highlight) {
     for (OpId oid : memo.ClassOps(cls)) {
       const MemoOp& op = memo.op(oid);
       os << "  o" << oid << " [shape=ellipse, label=\""
-         << Escape(op.ToString().substr(0, 60)) << "\"];\n";
+         << Escape(op.ToString(&memo).substr(0, 60)) << "\"];\n";
       os << "  o" << oid << " -> e" << cls << ";\n";
       for (EqId child : op.children) {
         os << "  e" << memo.Find(child) << " -> o" << oid << ";\n";

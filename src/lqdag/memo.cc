@@ -11,7 +11,7 @@
 
 namespace mqo {
 
-std::string MemoOp::ToString() const {
+std::string MemoOp::ToString(const Memo* memo) const {
   std::ostringstream os;
   os << LogicalOpToString(kind);
   switch (kind) {
@@ -51,7 +51,7 @@ std::string MemoOp::ToString() const {
   os << " <- (";
   for (size_t i = 0; i < children.size(); ++i) {
     if (i > 0) os << ", ";
-    os << "E" << children[i];
+    os << "E" << (memo != nullptr ? memo->Find(children[i]) : children[i]);
   }
   os << ")";
   return os.str();
@@ -438,7 +438,7 @@ std::string Memo::ToString() const {
     if (cls == root()) os << " (root)";
     os << ":\n";
     for (OpId oid : ClassOps(cls)) {
-      os << "  " << ops_[oid].ToString() << "\n";
+      os << "  " << ops_[oid].ToString(this) << "\n";
     }
   }
   return os.str();

@@ -36,6 +36,8 @@ using EqId = int;
 /// Identifier of an operator node (AND-node).
 using OpId = int;
 
+class Memo;
+
 /// An AND-node: a logical operator with equivalence-class children.
 struct MemoOp {
   LogicalOp kind = LogicalOp::kScan;
@@ -66,7 +68,11 @@ struct MemoOp {
   /// True iff `o` has the same kind and payload (children not compared).
   bool SamePayload(const MemoOp& o) const;
 
-  std::string ToString() const;
+  /// Kind, payload and children. Children print as their canonical
+  /// classes (memo->Find) when `memo` is given: stored child ids are
+  /// canonical only as of insertion, so after merges they can name classes
+  /// the memo no longer lists.
+  std::string ToString(const Memo* memo = nullptr) const;
 };
 
 /// The memo structure.

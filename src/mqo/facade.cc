@@ -113,7 +113,7 @@ void CaptureClassEstimates(Memo* memo, BatchOptimizer* optimizer,
     est.eq = c;
     est.fingerprint = ClassFingerprint(*memo, c, &fps);
     std::vector<OpId> ops = memo->ClassOps(c);
-    if (!ops.empty()) est.label = memo->op(ops.front()).ToString();
+    if (!ops.empty()) est.label = memo->op(ops.front()).ToString(memo);
     est.est_rows = optimizer->stats()->ClassStats(c).rows;
     auto reads = expected.find(c);
     if (reads != expected.end()) est.expected_reads = reads->second;

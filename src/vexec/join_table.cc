@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/hash.h"
+#include "obs/metrics.h"
 
 namespace mqo {
 
@@ -262,7 +263,9 @@ Result<JoinSpec> ResolveJoinSpec(const std::vector<ColumnRef>& left,
 
 JoinHashTable JoinHashTable::Build(ColumnBatch build,
                                    std::vector<int> key_cols,
-                                   const PipelineOptions& options) {
+                                   const PipelineOptions& options,
+                                   MetricsRegistry* metrics) {
+  if (metrics != nullptr) metrics->AddCounter("vexec.hash_builds");
   JoinHashTable table;
   table.build_ = std::move(build);
   table.key_cols_ = std::move(key_cols);
@@ -343,8 +346,35 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
   return table;
 }
 
+std::shared_ptr<const std::vector<int32_t>> DictRemapCache::Get(
+    size_t key, const std::shared_ptr<const ColumnDict>& probe,
+    const ColumnDict& build) {
+  const auto cache_key = std::make_pair(key, probe);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(cache_key);
+    if (it != cache_.end()) return it->second;
+  }
+  const auto& pe = probe->entries;
+  const auto& be = build.entries;
+  auto built = std::make_shared<std::vector<int32_t>>(pe.size(), -1);
+  // Two-pointer merge: both dictionaries are sorted-unique.
+  size_t b = 0;
+  for (size_t p = 0; p < pe.size(); ++p) {
+    while (b < be.size() && be[b] < pe[p]) ++b;
+    if (b < be.size() && be[b] == pe[p]) {
+      (*built)[p] = static_cast<int32_t>(b);
+    }
+  }
+  builds_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  // A racing builder wins consistently: every caller gets the first insert.
+  return cache_.emplace(cache_key, std::move(built)).first->second;
+}
+
 JoinHashTable::PreparedProbe JoinHashTable::Prepare(
-    const ColumnBatch& probe, const std::vector<int>& probe_keys) const {
+    const ColumnBatch& probe, const std::vector<int>& probe_keys,
+    DictRemapCache* remaps) const {
   PreparedProbe prepared;
   prepared.keys.resize(probe_keys.size());
   for (size_t c = 0; c < probe_keys.size(); ++c) {
@@ -358,31 +388,8 @@ JoinHashTable::PreparedProbe JoinHashTable::Prepare(
       prepared.keys[c].mode = PreparedProbe::Mode::kSameDict;
       continue;
     }
-    // Different dictionaries: fetch or build the probe→build code remap.
-    std::shared_ptr<const std::vector<int32_t>> remap;
-    const auto cache_key = std::make_pair(c, pcol.dict());
-    {
-      std::lock_guard<std::mutex> lock(remap_->mu);
-      auto it = remap_->cache.find(cache_key);
-      if (it != remap_->cache.end()) remap = it->second;
-    }
-    if (remap == nullptr) {
-      const auto& pe = pcol.dict()->entries;
-      const auto& be = bcol.dict()->entries;
-      auto built = std::make_shared<std::vector<int32_t>>(pe.size(), -1);
-      // Two-pointer merge: both dictionaries are sorted-unique.
-      size_t b = 0;
-      for (size_t p = 0; p < pe.size(); ++p) {
-        while (b < be.size() && be[b] < pe[p]) ++b;
-        if (b < be.size() && be[b] == pe[p]) {
-          (*built)[p] = static_cast<int32_t>(b);
-        }
-      }
-      remap_->builds.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(remap_->mu);
-      auto inserted = remap_->cache.emplace(cache_key, std::move(built));
-      remap = inserted.first->second;  // A racing builder wins consistently.
-    }
+    std::shared_ptr<const std::vector<int32_t>> remap =
+        remaps->Get(c, pcol.dict(), *bcol.dict());
     prepared.keys[c].mode = PreparedProbe::Mode::kRemap;
     prepared.keys[c].remap = remap.get();
     prepared.pinned.push_back(std::move(remap));

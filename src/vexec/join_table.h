@@ -35,7 +35,11 @@
 // Dictionary-encoded string keys probe on codes: if both sides share a
 // dictionary, key equality is an int32 compare; if the dictionaries differ,
 // a probe-code→build-code remap (two-pointer merge of the sorted
-// dictionaries, cached per probe dictionary) gives the same O(1) compare.
+// dictionaries) gives the same O(1) compare. Remaps are cached per probe
+// dictionary in a DictRemapCache that the probing operator owns, not in the
+// table: the table holds no mutable state, so one table (a base relation's
+// persistent join index) serves every pipeline, batch and client, and a probe
+// dictionary lives only as long as the pipeline that probed with it.
 // Unencoded columns use the generic cell compare.
 //
 // An empty key set hashes every row to the same value, so one bucket holds
@@ -49,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "algebra/logical_expr.h"
 #include "common/hash.h"
@@ -56,6 +61,8 @@
 #include "storage/pipeline.h"
 
 namespace mqo {
+
+class MetricsRegistry;
 
 /// One resolved join: condition column indices and the joined output schema.
 struct JoinSpec {
@@ -145,15 +152,41 @@ class JoinBloomFilter {
   double max_key_ = 0.0;
 };
 
-/// Read-only hash table over a build-side batch, shared across probe
-/// workers.
+/// Probe-code→build-code maps of one probing operator, keyed by (key
+/// position, probe dictionary). Keys hold the probe dictionary alive, so an
+/// entry can never be confused with a new dictionary reusing the same
+/// address; values pin the maps handed out through PreparedProbe. The cache
+/// dies with its operator, releasing every dictionary it saw. Thread-safe.
+class DictRemapCache {
+ public:
+  /// The remap of `probe` onto `build` for key position `key`, built on
+  /// first use (a racing builder's map is dropped; the first insert wins).
+  std::shared_ptr<const std::vector<int32_t>> Get(
+      size_t key, const std::shared_ptr<const ColumnDict>& probe,
+      const ColumnDict& build);
+
+  /// Remaps built so far (obs: vexec.dict_remap).
+  int64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+
+ private:
+  std::mutex mu_;
+  std::map<std::pair<size_t, std::shared_ptr<const ColumnDict>>,
+           std::shared_ptr<const std::vector<int32_t>>>
+      cache_;
+  std::atomic<int64_t> builds_{0};
+};
+
+/// Immutable hash table over a build-side batch, shared across probe
+/// workers, pipelines and (as a base relation's join index) batches.
 class JoinHashTable {
  public:
   /// Builds over `build`, keyed by `key_cols` (column indices into `build`).
   /// `options.num_threads > 1` parallelizes the hash phase by morsel and the
-  /// count and scatter phases by partition.
+  /// count and scatter phases by partition. Counts one `vexec.hash_builds`
+  /// event into `metrics` when it is non-null and enabled.
   static JoinHashTable Build(ColumnBatch build, std::vector<int> key_cols,
-                             const PipelineOptions& options);
+                             const PipelineOptions& options,
+                             MetricsRegistry* metrics = nullptr);
 
   /// Per-probe-batch key resolution: how each key column compares against
   /// its build counterpart. Built once per chunk (or morsel) by Prepare(),
@@ -174,11 +207,12 @@ class JoinHashTable {
     std::vector<std::shared_ptr<const std::vector<int32_t>>> pinned;
   };
 
-  /// Resolves the probe-side key columns against the build side, building
-  /// (or fetching from the cache) dictionary remaps where the sides use
-  /// different dictionaries. Thread-safe.
+  /// Resolves the probe-side key columns against the build side, fetching
+  /// dictionary remaps from `remaps` where the sides use different
+  /// dictionaries. Thread-safe.
   PreparedProbe Prepare(const ColumnBatch& probe,
-                        const std::vector<int>& probe_keys) const;
+                        const std::vector<int>& probe_keys,
+                        DictRemapCache* remaps) const;
 
   /// Probes rows [begin, end) of `probe` (key columns `probe_keys`,
   /// parallel to the build key columns) in ascending order. For each match
@@ -198,25 +232,7 @@ class JoinHashTable {
     return bloom_;
   }
 
-  /// Dictionary remaps built so far (obs: vexec.dict_remap).
-  int64_t remap_builds() const {
-    return remap_->builds.load(std::memory_order_relaxed);
-  }
-
  private:
-  // Remap cache: (key position, probe dictionary) → probe-code→build-code
-  // map. Keys hold the probe dictionary alive, so a cached entry can never
-  // be confused with a new dictionary reusing the same address; values pin
-  // the maps handed out via PreparedProbe. Boxed so the table stays movable
-  // (Build returns by value).
-  struct RemapState {
-    std::mutex mu;
-    std::map<std::pair<size_t, std::shared_ptr<const ColumnDict>>,
-             std::shared_ptr<const std::vector<int32_t>>>
-        cache;
-    std::atomic<int64_t> builds{0};
-  };
-
   /// Bucket of key hash `h`: the top bits of the mixed hash.
   size_t BucketOf(uint64_t h) const {
     return static_cast<size_t>(Fmix64(h) >> bucket_shift_);
@@ -231,7 +247,6 @@ class JoinHashTable {
   std::vector<uint32_t> rows_;     ///< Build row of each entry.
   std::vector<uint64_t> hashes_;   ///< Full key hash of each entry.
   std::shared_ptr<const JoinBloomFilter> bloom_;
-  std::unique_ptr<RemapState> remap_ = std::make_unique<RemapState>();
 };
 
 }  // namespace mqo

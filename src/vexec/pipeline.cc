@@ -70,7 +70,7 @@ Result<ColumnBatch> ProbeChunkOp::Process(ColumnBatch chunk) const {
   // Resolve the key columns (dictionary remaps included) once per chunk,
   // then probe the whole chunk through the prepared plan.
   const JoinHashTable::PreparedProbe prepared =
-      table_->Prepare(chunk, probe_key_idx_);
+      table_->Prepare(chunk, probe_key_idx_, &remaps_);
   if (prepared.dict_keys > 0 && chunk.num_rows > 0) {
     dict_rows_.fetch_add(static_cast<int64_t>(chunk.num_rows),
                          std::memory_order_relaxed);
@@ -96,7 +96,7 @@ void ProbeChunkOp::FlushMetrics(MetricsRegistry* metrics) const {
   if (rows > 0) {
     metrics->AddCounter("vexec.dict_hits", static_cast<double>(rows));
   }
-  const int64_t built = table_->remap_builds();
+  const int64_t built = remaps_.builds();
   const int64_t delta =
       built - remap_reported_.exchange(built, std::memory_order_relaxed);
   if (delta > 0) {

@@ -87,6 +87,8 @@ class ProjectChunkOp : public PipelineOp {
 /// joined chunk: the probe-side columns some operator above reads, then the
 /// build-side columns it reads. Key columns reach the probe and the build
 /// for the match, but are gathered into the output only when read above.
+/// The op owns the dictionary remaps of its probes, so a table shared
+/// beyond this pipeline keeps no probe dictionary alive after it.
 class ProbeChunkOp : public PipelineOp {
  public:
   ProbeChunkOp(std::shared_ptr<const JoinHashTable> table,
@@ -113,6 +115,8 @@ class ProbeChunkOp : public PipelineOp {
   /// Rows probed through dictionary-code kernels (obs: vexec.dict_hits),
   /// accumulated per chunk — never per row — and drained by FlushMetrics.
   mutable std::atomic<int64_t> dict_rows_{0};
+  /// Probe-code→build-code maps of this op's probes (vexec.dict_remap).
+  mutable DictRemapCache remaps_;
   /// Remap-build count already reported, so FlushMetrics emits deltas.
   mutable std::atomic<int64_t> remap_reported_{0};
 };

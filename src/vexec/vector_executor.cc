@@ -17,7 +17,13 @@ struct ChainDesc {
   std::vector<ColumnRef> probe_keys;  ///< kProbe: key columns, both sides
   std::vector<ColumnRef> build_keys;  ///< in condition order.
   ColumnNeed build_out;  ///< kProbe: build-side columns kept.
-  ColumnBatch build;  ///< kProbe: executed build side, pruned to its need.
+  /// kProbe: the build side executed for this probe, pruned to its need;
+  /// unused when `index` is set.
+  ColumnBatch build;
+  /// kProbe: a base relation's persistent join index, whose columns this
+  /// plan qualifies under `index_alias`.
+  std::shared_ptr<const JoinHashTable> index;
+  std::string index_alias;
 };
 
 /// The attributes of class `eq` that `need` names, in class order.
@@ -88,28 +94,20 @@ Result<ColumnBatch> VectorPlanExecutor::Scan(const std::string& table,
   return ScanBatch(*data_, table, alias);
 }
 
-Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq,
-                                                       const ColumnNeed& need) {
-  MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(eq));
-  const std::vector<ColumnRef> cols = NeedAttrs(memo_, eq, need);
-  // The projection's COW column handles share the pinned payloads and keep
-  // them alive after the pin drops, even if the store later evicts the
-  // segment.
-  if (pinned.valid()) return ProjectBatch(pinned.batch(), cols);
-  MQO_ASSIGN_OR_RETURN(ColumnBatch full, BaseRelationBatch(eq));
-  return ProjectBatch(full, cols);
-}
-
-Result<ColumnBatch> VectorPlanExecutor::BaseRelationBatch(EqId eq) {
+Result<const MemoOp*> VectorPlanExecutor::BaseScanOf(EqId eq) {
   eq = memo_->Find(eq);
   const std::vector<OpId> ops = memo_->ClassOps(eq);
   if (ops.empty() || memo_->op(ops.front()).kind != LogicalOp::kScan) {
     return Status::Internal("E" + std::to_string(eq) +
                             " is neither materialized nor a base relation");
   }
-  const MemoOp& scan = memo_->op(ops.front());
-  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, Scan(scan.table, scan.alias));
-  return ProjectBatch(raw, memo_->Attributes(eq));
+  return &memo_->op(ops.front());
+}
+
+Result<ColumnBatch> VectorPlanExecutor::BaseRelationBatch(EqId eq) {
+  MQO_ASSIGN_OR_RETURN(const MemoOp* scan, BaseScanOf(eq));
+  MQO_ASSIGN_OR_RETURN(ColumnBatch raw, Scan(scan->table, scan->alias));
+  return ProjectBatch(raw, memo_->Attributes(memo_->Find(eq)));
 }
 
 Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
@@ -180,9 +178,28 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           MQO_ASSIGN_OR_RETURN(d.build,
                                ExecuteBatch(cur->children[1], split.right));
         } else {
-          // A one-child join rescans a base relation or materialized node
-          // that is not part of the plan tree.
-          MQO_ASSIGN_OR_RETURN(d.build, SideInputBatch(build_eq, split.right));
+          // A one-child join reads a materialized node or a base relation
+          // that is not part of the plan tree (one segment read either way).
+          MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, ReadSegment(build_eq));
+          if (pinned.valid()) {
+            // The projection's COW column handles share the pinned payloads
+            // and keep them alive after the pin drops, even if the store
+            // later evicts the segment.
+            MQO_ASSIGN_OR_RETURN(
+                d.build, ProjectBatch(pinned.batch(),
+                                      NeedAttrs(memo_, build_eq, split.right)));
+          } else {
+            // A base relation probes its persistent join index: built once
+            // per dataset, not once per read.
+            MQO_ASSIGN_OR_RETURN(const MemoOp* scan, BaseScanOf(build_eq));
+            std::vector<std::string> keys;
+            for (const auto& k : split.right_keys) keys.push_back(k.name);
+            MQO_ASSIGN_OR_RETURN(
+                d.index, BaseJoinIndex(*data_, scan->table, keys,
+                                       options_.pipeline(),
+                                       MetricsOf(options_.obs)));
+            d.index_alias = scan->alias;
+          }
         }
         need = std::move(split.left);
         d.probe_out = NeedAttrs(memo_, probe_eq, split.left_out);
@@ -293,7 +310,8 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
   }
 
   // Assemble the operator chain bottom-up, tracking the chunk schema and
-  // freezing each join's build side into a shared read-only hash table.
+  // freezing each executed build side into a shared read-only hash table
+  // (a base relation's persistent index is already one).
   std::vector<ColumnRef> schema = pipeline.chunk_names;
   for (auto it = descs.rbegin(); it != descs.rend(); ++it) {
     ChainDesc& d = *it;
@@ -330,11 +348,19 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         break;
       }
       case ChainDesc::kProbe: {
+        // The build columns as this plan names them.
+        std::vector<ColumnRef> build_names = d.build.names;
+        if (d.index != nullptr) {
+          build_names.clear();
+          for (const auto& col : d.index->build().names) {
+            build_names.emplace_back(d.index_alias, col.name);
+          }
+        }
         std::vector<int> probe_keys;
         std::vector<int> build_keys;
         for (size_t k = 0; k < d.probe_keys.size(); ++k) {
           const int i = ColumnIndexIn(schema, d.probe_keys[k]);
-          const int j = ColumnIndexIn(d.build.names, d.build_keys[k]);
+          const int j = ColumnIndexIn(build_names, d.build_keys[k]);
           if (i < 0 || j < 0) {
             return Status::Internal("join condition column missing: " +
                                     d.probe_keys[k].ToString() + " = " +
@@ -351,8 +377,12 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           }
           left_out.push_back(i);
         }
-        auto table = std::make_shared<const JoinHashTable>(JoinHashTable::Build(
-            std::move(d.build), std::move(build_keys), options_.pipeline()));
+        std::shared_ptr<const JoinHashTable> table = std::move(d.index);
+        if (table == nullptr) {
+          table = std::make_shared<const JoinHashTable>(JoinHashTable::Build(
+              std::move(d.build), std::move(build_keys), options_.pipeline(),
+              MetricsOf(options_.obs)));
+        }
         // Bloom pushdown: when this probe is the first chain op, its key
         // columns are source columns (chunk column i materializes source
         // column keep_idx[i]), so the build's Bloom filter can reject rows
@@ -367,7 +397,6 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         }
         schema = d.probe_out;
         std::vector<int> build_out;
-        const std::vector<ColumnRef>& build_names = table->build().names;
         for (size_t j = 0; j < build_names.size(); ++j) {
           if (d.build_out.count(build_names[j]) > 0) {
             build_out.push_back(static_cast<int>(j));

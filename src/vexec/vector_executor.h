@@ -11,7 +11,14 @@
 // through unsorted (bag semantics).
 // Breakers are handled between pipelines: a join's build side executes
 // first and freezes into a shared read-only JoinHashTable (a CSR bucket
-// directory, built one worker per hash partition).
+// directory, built one worker per hash partition), once per use. The
+// exception is a join inner that is a base relation outside the plan tree
+// (a BNL or index-NL side input that is not materialized): it probes the
+// table's persistent join index (vector_ops.h: BaseJoinIndex), built on the
+// first such read of the DataSet and shared by every later query, batch
+// and session client. It plays the part of the clustered index that the
+// cost model's index nested-loop join assumes. Its columns are the full-width base view;
+// the probe gathers only the ones some operator above reads.
 //
 // Consolidated plans run through the shared driver
 // (exec/consolidated_executor.h), which owns materialization, the
@@ -20,7 +27,9 @@
 // node's compute pipeline runs once and the sink's merged batch (FOR-encoded
 // with zone maps) becomes the segment.
 // ReadMaterialized leaves and join side-inputs read segments zero-copy and
-// pin them for the lifetime of the pipeline consuming them.
+// pin them for the lifetime of the pipeline consuming them; a side input
+// counts one segment read whether it finds a segment or falls back to the
+// base relation's index.
 //
 // Column pruning is need-driven: every execution call carries the set of
 // columns its consumer reads (ColumnNeed), pushed top-down through the plan.
@@ -76,13 +85,11 @@ class VectorPlanExecutor final : public ConsolidatedExecutor {
   /// aggregate node, and the sink's inputs replace `need`.
   Result<ColumnBatch> RunPipelineFor(const PlanNodePtr& plan,
                                      const MemoOp* agg, ColumnNeed need);
-  /// Join inner side not in the plan tree: materialized store first, then
-  /// the base relation (BNL inners are materialized or base, INL inners are
-  /// clustered base scans), projected zero-copy onto the attributes `need`
-  /// names.
-  Result<ColumnBatch> SideInputBatch(EqId eq, const ColumnNeed& need);
-  /// Scan of base-relation class `eq` (an index scan's input or an unshared
-  /// join inner), in class-attribute order; Internal for any other class.
+  /// The scan operator of base-relation class `eq`; Internal for any other
+  /// class.
+  Result<const MemoOp*> BaseScanOf(EqId eq);
+  /// Scan of base-relation class `eq` (an index scan's input), in
+  /// class-attribute order; Internal for any other class.
   Result<ColumnBatch> BaseRelationBatch(EqId eq);
   /// Base-table scan: a zero-copy TableReader view (no conversion, no cache).
   Result<ColumnBatch> Scan(const std::string& table, const std::string& alias);

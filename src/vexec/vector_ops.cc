@@ -287,4 +287,27 @@ Result<ColumnBatch> ScanBatch(const DataSet& data, const std::string& table,
   return TableReader(base).Columnar(alias);
 }
 
+Result<std::shared_ptr<const JoinHashTable>> BaseJoinIndex(
+    const DataSet& data, const std::string& table,
+    const std::vector<std::string>& key_columns,
+    const PipelineOptions& options, MetricsRegistry* metrics) {
+  if (auto found = data.FindIndex(table, key_columns)) {
+    return std::static_pointer_cast<const JoinHashTable>(found);
+  }
+  MQO_ASSIGN_OR_RETURN(const ColumnStore* base, data.GetTable(table));
+  std::vector<int> keys;
+  for (const std::string& name : key_columns) {
+    const int c = base->ColumnIndex(name);
+    if (c < 0) {
+      return Status::NotFound("no column '" + name + "' in table '" + table +
+                              "'");
+    }
+    keys.push_back(c);
+  }
+  auto built = std::make_shared<const JoinHashTable>(JoinHashTable::Build(
+      TableReader(base).Columnar(table), std::move(keys), options, metrics));
+  return std::static_pointer_cast<const JoinHashTable>(
+      data.InsertIndex(table, key_columns, std::move(built)));
+}
+
 }  // namespace mqo

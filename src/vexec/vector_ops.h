@@ -1,6 +1,7 @@
 // The vector engine's batch kernels outside the compiled pipeline
 // (vexec/pipeline.h): the per-range filter primitive and zone-map test that
-// pipeline sources run, and zero-copy base-table scans. Filters, joins and
+// pipeline sources run, zero-copy base-table scans, and the base tables'
+// persistent join indexes. Filters, joins and
 // aggregation have no standalone kernel here: VectorPlanExecutor compiles
 // them into a VecPipeline, and tests and benches build the same pipelines.
 //
@@ -14,6 +15,7 @@
 #include "algebra/logical_expr.h"
 #include "exec/dataset.h"
 #include "storage/column_batch.h"
+#include "vexec/join_table.h"
 
 namespace mqo {
 
@@ -40,6 +42,19 @@ bool ZoneExcludes(double zmin, double zmax, CompareOp op, double lit);
 /// the table's ColumnStore (COW payloads shared, nothing converted).
 Result<ColumnBatch> ScanBatch(const DataSet& data, const std::string& table,
                               const std::string& alias);
+
+/// The persistent join index of base table `table` on `key_columns`
+/// (unqualified names, in condition order): a JoinHashTable over the
+/// table's full-width zero-copy scan view, columns in store order and
+/// qualified under the table name. Built on first use (one
+/// `vexec.hash_builds` event in `metrics`) and memoized in `data`'s index
+/// memo for every later query, batch and session client; two callers that
+/// both miss may each build it, and the first insert wins. NotFound for an
+/// unknown table or key column.
+Result<std::shared_ptr<const JoinHashTable>> BaseJoinIndex(
+    const DataSet& data, const std::string& table,
+    const std::vector<std::string>& key_columns,
+    const PipelineOptions& options, MetricsRegistry* metrics);
 
 }  // namespace mqo
 

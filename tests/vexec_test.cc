@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <set>
+#include <thread>
 
 #include "catalog/tpcd.h"
 #include "exec/row_ops.h"
@@ -1149,6 +1152,279 @@ TEST(VexecBloomTest, RejectsAbsentKeysInsideTheBuildRange) {
     const size_t dropped =
         BloomRefineSel(probe, {0}, *table.bloom(), /*use_range=*/false, &sel);
     EXPECT_GE(dropped, static_cast<size_t>(n) * 9 / 10) << n << " build keys";
+  }
+}
+
+// ---- Persistent base-relation join indexes ---------------------------------
+
+/// What the engine builds for a consolidated plan once every base relation's
+/// join index exists: one table per join whose build side is a plan child or
+/// a materialized side input. `base_reads` counts the other side inputs, the
+/// unmaterialized base relations that probe their persistent index.
+struct PlanBuilds {
+  int warm = 0;
+  int base_reads = 0;
+};
+
+PlanBuilds CountPlanBuilds(const Memo& memo, const ConsolidatedPlan& plan) {
+  std::set<EqId> materialized;
+  for (const auto& m : plan.materialized) materialized.insert(memo.Find(m.eq));
+  PlanBuilds count;
+  std::function<void(const PlanNodePtr&)> walk = [&](const PlanNodePtr& node) {
+    if (IsJoin(node->op)) {
+      const EqId inner = memo.Find(memo.op(node->logical_op).children[1]);
+      if (node->children.size() > 1 || materialized.count(inner) > 0) {
+        ++count.warm;
+      } else {
+        ++count.base_reads;
+      }
+    }
+    for (const auto& child : node->children) walk(child);
+  };
+  walk(plan.root_plan);
+  for (const auto& m : plan.materialized) walk(m.compute_plan);
+  return count;
+}
+
+/// vexec.hash_builds of a facade run with metrics on (0 when absent).
+double HashBuildsOf(const MqoExecutionOutcome& run) {
+  const std::string key = "counter vexec.hash_builds = ";
+  const size_t at = run.metrics_report.find(key);
+  return at == std::string::npos
+             ? 0.0
+             : std::stod(run.metrics_report.substr(at + key.size()));
+}
+
+TEST(VexecIndexTest, WarmRunsBuildOnlyNonBaseInputsAndMatchRowEngine) {
+  // BQ3 under every algorithm, each on its own DataSet: the first run builds
+  // the base relations' indexes; every later run on that DataSet, at every
+  // thread count, builds exactly the plan's executed and materialized build
+  // sides and returns the row engine's rows.
+  Catalog catalog = MakeTpcdCatalog(1);
+  Memo memo(&catalog);
+  memo.InsertBatch(MakeBatchedWorkload(3));
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  BatchOptimizer optimizer(&memo, CostModel(), EnvOptimizerOptions());
+  MaterializationProblem problem(&optimizer);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 120;
+  gen.domain_cap = 40;
+  for (Algorithm alg : kAllAlgorithms) {
+    const ConsolidatedPlan plan =
+        optimizer.Plan(RunAlgorithm(alg, &problem).materialized);
+    const PlanBuilds expected = CountPlanBuilds(memo, plan);
+    ASSERT_GT(expected.base_reads, 0);
+    const DataSet data = GenerateData(catalog, gen);
+    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                       WithEnvStore());
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    std::vector<double> builds;
+    for (int threads : {1, 1, 2, 4, 8}) {
+      ObsOptions obs_options;
+      obs_options.metrics = true;
+      ObsContext obs(obs_options);
+      ExecOptions exec;
+      exec.num_threads = threads;
+      exec.morsel_rows = 16;
+      exec.obs = &obs;
+      auto vec = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                         plan, WithEnvStore(exec));
+      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+      for (size_t q = 0; q < row.ValueOrDie().size(); ++q) {
+        ExpectSameRows(row.ValueOrDie()[q], vec.ValueOrDie()[q],
+                       "q" + std::to_string(q) + " t" +
+                           std::to_string(threads));
+      }
+      builds.push_back(CounterOf(&obs, "vexec.hash_builds"));
+    }
+    EXPECT_GT(builds[0], expected.warm);
+    EXPECT_LE(builds[0], expected.warm + expected.base_reads);
+    for (size_t i = 1; i < builds.size(); ++i) {
+      EXPECT_EQ(builds[i], expected.warm) << "run " << i;
+    }
+  }
+}
+
+TEST(VexecIndexTest, EachSegmentReadIsCountedOnce) {
+  // A side input reads its segment once, whether it finds one or falls back
+  // to the base relation's index: every materialized class is read exactly
+  // as often as the plan expects, on both engines.
+  Catalog catalog = MakeTpcdCatalog(1);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 120;
+  gen.domain_cap = 40;
+  const DataSet data = GenerateData(catalog, gen);
+  for (ExecBackend backend : {ExecBackend::kRow, ExecBackend::kVector}) {
+    MqoOptions options;
+    options.backend = backend;
+    auto run = OptimizeAndExecuteBatch(catalog, MakeBatchedWorkload(3), data,
+                                       options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_FALSE(run.ValueOrDie().explain.empty());
+    for (const ExplainEntry& e : run.ValueOrDie().explain) {
+      EXPECT_EQ(static_cast<double>(e.run.reads), e.est.expected_reads)
+          << "E" << e.est.eq;
+    }
+  }
+}
+
+TEST(VexecIndexTest, SecondIdenticalFacadeBatchBuildsNoBaseRelation) {
+  // Two-table joins whose inner is a base relation: once the first batch has
+  // built the index, an identical batch on the same DataSet builds nothing.
+  Catalog catalog = MakeTinyCatalog();
+  auto join = [](const char* a, const char* b) {
+    return LogicalExpr::Join(LogicalExpr::Scan(a), LogicalExpr::Scan(b),
+                             JoinPredicate({KeyJoin(a, b)}));
+  };
+  const std::vector<LogicalExprPtr> batch = {
+      LogicalExpr::Aggregate(join("t1", "t2"), {ColumnRef("t1", "tag")},
+                             {Agg(AggFunc::kCount)}),
+      LogicalExpr::Project(join("t2", "t3"),
+                           {ColumnRef("t2", "k"), ColumnRef("t3", "v")})};
+  DataGenOptions gen;
+  gen.seed = 7;
+  const DataSet data = GenerateData(catalog, gen);
+  MqoOptions options;
+  options.algorithm = Algorithm::kVolcano;
+  options.backend = ExecBackend::kRow;
+  auto row = OptimizeAndExecuteBatch(catalog, batch, data, options);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  options.backend = ExecBackend::kVector;
+  options.obs.metrics = true;
+  std::vector<double> builds;
+  for (int run = 0; run < 3; ++run) {
+    auto vec = OptimizeAndExecuteBatch(catalog, batch, data, options);
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    for (size_t q = 0; q < batch.size(); ++q) {
+      ExpectSameRows(row.ValueOrDie().results[q], vec.ValueOrDie().results[q],
+                     "run " + std::to_string(run) + " q" + std::to_string(q));
+    }
+    builds.push_back(HashBuildsOf(vec.ValueOrDie()));
+  }
+  EXPECT_EQ(builds[0], 2.0);  // one index per (inner table, key)
+  EXPECT_EQ(builds[1], 0.0);
+  EXPECT_EQ(builds[2], 0.0);
+}
+
+TEST(VexecIndexTest, ReplacedTableIsNotProbedThroughItsOldIndex) {
+  // AddTable over a table whose index an earlier batch built: the next batch
+  // must see the new rows, exactly as a fresh DataSet holding them does.
+  Catalog catalog = MakeTinyCatalog();
+  const std::vector<LogicalExprPtr> batch = MakeTinyQueries();
+  DataGenOptions gen;
+  gen.seed = 11;
+  DataSet data = GenerateData(catalog, gen);
+  gen.seed = 12;
+  const DataSet fresh = GenerateData(catalog, gen);
+  MqoOptions options;
+  options.backend = ExecBackend::kVector;
+  auto before = OptimizeAndExecuteBatch(catalog, batch, data, options);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  for (const std::string& table : catalog.TableNames()) {
+    data.AddTable(table, *fresh.GetTable(table).ValueOrDie());
+  }
+  auto after = OptimizeAndExecuteBatch(catalog, batch, data, options);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto want = OptimizeAndExecuteBatch(catalog, batch, fresh, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  bool changed = false;
+  for (size_t q = 0; q < batch.size(); ++q) {
+    ExpectSameRows(want.ValueOrDie().results[q], after.ValueOrDie().results[q],
+                   "q" + std::to_string(q));
+    changed |= before.ValueOrDie().results[q].rows !=
+               want.ValueOrDie().results[q].rows;
+  }
+  EXPECT_TRUE(changed) << "the new data must change some result";
+}
+
+TEST(VexecIndexTest, IndexKeepsNoProbeDictionaryAfterThePipeline) {
+  // A persistent index probed with a dictionary it has never seen remaps
+  // codes for that pipeline only: each pipeline counts its own remap, and the
+  // dictionary is released with the pipeline.
+  ColumnVector bt(VecType::kString);
+  for (int i = 0; i < 32; ++i) bt.strings().push_back("t" + std::to_string(i % 4));
+  ASSERT_TRUE(bt.DictEncode());
+  ColumnStore store;
+  ASSERT_TRUE(store.AddColumn("tag", bt).ok());
+  DataSet data;
+  data.AddTable("b", std::move(store));
+
+  ObsOptions obs_options;
+  obs_options.metrics = true;
+  ObsContext obs(obs_options);
+  ExecOptions exec;
+  exec.num_threads = 4;
+  exec.morsel_rows = 8;
+  exec.obs = &obs;
+  auto index = BaseJoinIndex(data, "b", {"tag"}, exec, MetricsOf(&obs));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto again = BaseJoinIndex(data, "b", {"tag"}, exec, MetricsOf(&obs));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.ValueOrDie(), index.ValueOrDie());
+  EXPECT_EQ(CounterOf(&obs, "vexec.hash_builds"), 1.0);
+
+  for (int run = 1; run <= 2; ++run) {
+    std::weak_ptr<const ColumnDict> probe_dict;
+    {
+      ColumnBatch probe;
+      probe.names = {ColumnRef("p", "tag")};
+      ColumnVector pt(VecType::kString);
+      for (int i = 0; i < 64; ++i) {
+        pt.strings().push_back("t" + std::to_string(i % 6));
+      }
+      ASSERT_TRUE(pt.DictEncode());
+      probe_dict = pt.dict();
+      probe.columns = {pt};
+      probe.num_rows = 64;
+      VecPipeline pipe;
+      pipe.source = std::move(probe);
+      pipe.keep_idx = {0};
+      pipe.chunk_names = pipe.source.names;
+      pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
+          index.ValueOrDie(), std::vector<int>{0}, std::vector<int>{0},
+          std::vector<int>{0},
+          std::vector<ColumnRef>{ColumnRef("p", "tag"), ColumnRef("b", "tag")}));
+      auto got = RunVecPipeline(pipe, exec);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // 44 of the 64 probe rows carry t0..t3, each matching 8 build rows.
+      EXPECT_EQ(got.ValueOrDie().num_rows, 44u * 8);
+      EXPECT_EQ(CounterOf(&obs, "vexec.dict_remap"), run);
+      ASSERT_FALSE(probe_dict.expired());
+    }
+    EXPECT_TRUE(probe_dict.expired()) << "run " << run;
+  }
+}
+
+TEST(VexecIndexTest, ConcurrentClientsShareOneDataSetsIndexes) {
+  // Two clients on one fresh DataSet both miss, may both build, and then
+  // probe whichever index was inserted first, concurrently.
+  Catalog catalog = MakeTinyCatalog();
+  const std::vector<LogicalExprPtr> batch = MakeTinyQueries();
+  DataGenOptions gen;
+  gen.seed = 5;
+  const DataSet data = GenerateData(catalog, gen);
+  MqoOptions options;
+  options.backend = ExecBackend::kRow;
+  auto row = OptimizeAndExecuteBatch(catalog, batch, data, options);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  options.backend = ExecBackend::kVector;
+  options.exec.num_threads = 2;
+  options.exec.morsel_rows = 8;
+  std::vector<Result<MqoExecutionOutcome>> got(2, Status::Internal("not run"));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < got.size(); ++c) {
+    clients.emplace_back([&, c] {
+      got[c] = OptimizeAndExecuteBatch(catalog, batch, data, options);
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (size_t c = 0; c < got.size(); ++c) {
+    ASSERT_TRUE(got[c].ok()) << got[c].status().ToString();
+    for (size_t q = 0; q < batch.size(); ++q) {
+      ExpectSameRows(row.ValueOrDie().results[q],
+                     got[c].ValueOrDie().results[q],
+                     "client " + std::to_string(c) + " q" + std::to_string(q));
+    }
   }
 }
 
