@@ -52,6 +52,6 @@ int main() {
       "note: Theorem 4 guarantees identical picks when the benefit function\n"
       "is exactly submodular (the monotonicity heuristic). The real bc()\n"
       "oracle violates it occasionally, so 'NO' rows can appear here; on\n"
-      "truly submodular instances the invariance is exact (bench_pruning).\n");
+      "truly submodular instances the invariance is exact (bench_paper, E9).\n");
   return 0;
 }

@@ -70,12 +70,6 @@ void Predicate::AddConjunct(Comparison c) {
                    conjuncts_.end());
 }
 
-std::vector<ColumnRef> Predicate::ReferencedColumns() const {
-  std::vector<ColumnRef> cols;
-  for (const auto& c : conjuncts_) cols.push_back(c.column);
-  return cols;
-}
-
 std::string Predicate::ToString() const {
   std::vector<std::string> parts;
   for (const auto& c : conjuncts_) parts.push_back(c.ToString());
@@ -160,14 +154,6 @@ bool JoinCondition::operator<(const JoinCondition& o) const {
 JoinPredicate::JoinPredicate(std::vector<JoinCondition> conditions)
     : conditions_(std::move(conditions)) {
   for (auto& c : conditions_) c.Canonicalize();
-  std::sort(conditions_.begin(), conditions_.end());
-  conditions_.erase(std::unique(conditions_.begin(), conditions_.end()),
-                    conditions_.end());
-}
-
-void JoinPredicate::AddCondition(JoinCondition c) {
-  c.Canonicalize();
-  conditions_.push_back(std::move(c));
   std::sort(conditions_.begin(), conditions_.end());
   conditions_.erase(std::unique(conditions_.begin(), conditions_.end()),
                     conditions_.end());

@@ -69,9 +69,6 @@ class Predicate {
   const std::vector<Comparison>& conjuncts() const { return conjuncts_; }
   bool Empty() const { return conjuncts_.empty(); }
 
-  /// All columns referenced by the predicate.
-  std::vector<ColumnRef> ReferencedColumns() const;
-
   /// "a.x < 5 AND a.y = 'FOO'".
   std::string ToString() const;
   uint64_t Hash() const;
@@ -112,8 +109,6 @@ class JoinPredicate {
  public:
   JoinPredicate() = default;
   explicit JoinPredicate(std::vector<JoinCondition> conditions);
-
-  void AddCondition(JoinCondition c);
 
   const std::vector<JoinCondition>& conditions() const { return conditions_; }
   bool Empty() const { return conditions_.empty(); }

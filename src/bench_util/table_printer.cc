@@ -44,9 +44,4 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  os << Join(headers_, ",") << "\n";
-  for (const auto& row : rows_) os << Join(row, ",") << "\n";
-}
-
 }  // namespace mqo

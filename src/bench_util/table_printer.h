@@ -1,5 +1,5 @@
 // Fixed-width table printer for the benchmark harness: each bench prints the
-// series behind one of the paper's figures as rows (and optionally CSV).
+// series behind one of the paper's figures as rows.
 
 #ifndef MQO_BENCH_UTIL_TABLE_PRINTER_H_
 #define MQO_BENCH_UTIL_TABLE_PRINTER_H_
@@ -14,7 +14,7 @@ namespace mqo {
 /// `elapsed_seconds`, scaled to "950 rows/s", "3.2K rows/s", "1.8M rows/s".
 std::string FormatRowsPerSec(double rows, double elapsed_seconds);
 
-/// Collects rows and renders them as an aligned ASCII table (and CSV).
+/// Collects rows and renders them as an aligned ASCII table.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers)
@@ -26,9 +26,6 @@ class TablePrinter {
   void Print(std::ostream& os) const;
   /// Same, to std::cout.
   void Print() const;
-
-  /// Renders comma-separated rows (headers first) to `os`.
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

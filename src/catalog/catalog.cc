@@ -5,20 +5,6 @@
 
 namespace mqo {
 
-const char* ColumnTypeToString(ColumnType t) {
-  switch (t) {
-    case ColumnType::kInt:
-      return "INT";
-    case ColumnType::kDouble:
-      return "DOUBLE";
-    case ColumnType::kString:
-      return "STRING";
-    case ColumnType::kDate:
-      return "DATE";
-  }
-  return "?";
-}
-
 void Table::AddColumn(ColumnDef col) {
   assert(!HasColumn(col.name));
   columns_.push_back(std::move(col));

@@ -20,8 +20,6 @@ namespace mqo {
 /// Logical column type. Dates are stored as integer day offsets.
 enum class ColumnType { kInt, kDouble, kString, kDate };
 
-const char* ColumnTypeToString(ColumnType t);
-
 /// Schema + statistics for one column of a base table.
 struct ColumnDef {
   std::string name;        ///< Unqualified name, e.g. "o_orderdate".

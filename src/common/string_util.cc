@@ -33,13 +33,6 @@ std::string FormatCost(double v) {
   return buf;
 }
 
-std::string Repeat(const std::string& s, int count) {
-  std::string out;
-  out.reserve(s.size() * static_cast<size_t>(count > 0 ? count : 0));
-  for (int i = 0; i < count; ++i) out += s;
-  return out;
-}
-
 std::string PadLeft(const std::string& s, int width) {
   if (static_cast<int>(s.size()) >= width) return s;
   return std::string(width - s.size(), ' ') + s;

@@ -18,9 +18,6 @@ std::string FormatDouble(double v, int digits = 2);
 /// plain fixed notation for small ones. Used in benchmark tables.
 std::string FormatCost(double v);
 
-/// Repeats `s` `count` times.
-std::string Repeat(const std::string& s, int count);
-
 /// Left-pads `s` with spaces up to `width`.
 std::string PadLeft(const std::string& s, int width);
 

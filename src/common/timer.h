@@ -16,10 +16,6 @@ class WallTimer {
 
   void Reset() { start_ns_ = MonotonicNanos(); }
 
-  double ElapsedSeconds() const {
-    return NanosToSeconds(MonotonicNanos() - start_ns_);
-  }
-
   double ElapsedMillis() const {
     return NanosToMillis(MonotonicNanos() - start_ns_);
   }

@@ -102,12 +102,6 @@ class StatsEstimator {
   /// kCatalogGuess when no registry was supplied).
   StatsMode mode() const { return options_.mode; }
 
-  /// Drops all cached statistics (e.g. after further memo expansion).
-  void InvalidateAll() {
-    cache_.clear();
-    fingerprints_.clear();
-  }
-
  private:
   RelStats Compute(EqId eq);
   RelStats ComputeForOp(const MemoOp& op);

@@ -40,7 +40,8 @@ namespace mqo {
 struct SearchOptions {
   /// Enables the index nested-loops join alternative (probe a base
   /// relation's clustered index per outer row). Off by default: the paper's
-  /// operator set (Section 6) does not include it; bench_inlj ablates it.
+  /// operator set (Section 6) does not include it; bench_paper's INLJ
+  /// experiment ablates it.
   bool enable_index_nl_join = false;
 };
 

@@ -9,18 +9,6 @@
 
 namespace mqo {
 
-const char* VecTypeToString(VecType t) {
-  switch (t) {
-    case VecType::kInt64:
-      return "int64";
-    case VecType::kDouble:
-      return "double";
-    case VecType::kString:
-      return "string";
-  }
-  return "?";
-}
-
 std::shared_ptr<const ColumnDict> ColumnDict::FromSortedUnique(
     std::vector<std::string> sorted_unique) {
   auto dict = std::make_shared<ColumnDict>();

@@ -62,8 +62,6 @@ namespace mqo {
 /// Physical type of one column vector.
 enum class VecType { kInt64, kDouble, kString };
 
-const char* VecTypeToString(VecType t);
-
 /// Selection vector: row positions into a batch, in increasing order.
 using SelVector = std::vector<uint32_t>;
 

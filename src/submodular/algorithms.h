@@ -109,7 +109,7 @@ GreedyResult DoubleGreedy(const SetFunction& f);
 /// element with the highest fM-marginal-to-cost ratio among those that still
 /// fit the budget. The paper remarks (Section 3.1) that running it with
 /// budget c(Θ) reproduces MarginalGreedy's answer — validated in
-/// bench_knapsack. `d` supplies both fM (= f + c) and the element costs.
+/// bench_paper's E14. `d` supplies both fM (= f + c) and the element costs.
 GreedyResult KnapsackRatioGreedy(const SetFunction& f, const Decomposition& d,
                                  double budget);
 

@@ -65,8 +65,6 @@ class CountingSetFunction : public SetFunction {
   /// Number of distinct evaluations of the wrapped function (cache misses).
   int64_t num_evals() const { return evals_; }
 
-  void ResetCounter() { evals_ = 0; }
-
  private:
   const SetFunction* inner_;
   mutable std::unordered_map<ElementSet, double, ElementSetHash> cache_;
