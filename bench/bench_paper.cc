@@ -143,12 +143,6 @@ std::string VsVolcano(const MqoResult& r) {
   return "-" + FormatDouble(100.0 * r.benefit / r.volcano_cost, 1) + "%";
 }
 
-/// Prop 1's "suitably scaled" costs: positive everywhere.
-Decomposition PositiveCosts(Decomposition d) {
-  for (double& c : d.costs) c = std::max(c, 1e-9);
-  return d;
-}
-
 void Example1(Report* r) {
   auto b = MakeBatch(MakeExample1Catalog(), MakeExample1Queries());
   MqoResult volcano = RunVolcano(b->problem.get());

@@ -1,7 +1,7 @@
 // Statistics subsystem benchmark: estimation accuracy (q-error) of the
 // collected-statistics mode against the catalog-guess constants, analyze
 // throughput of the morsel-parallel AnalyzeTable pass, and the feedback
-// loop's effect on the optimizer-side eviction/admission inputs.
+// loop's effect on the optimizer's estimated segment footprints.
 //
 //   q-error   — for each workload (TPC-D Q3/Q9 constant-variant pairs,
 //               example1) and each scan/filter/join class of the expanded

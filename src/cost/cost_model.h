@@ -3,7 +3,10 @@
 // 2 ms/block sequential read, 4 ms/block sequential write, and 0.2 ms/block
 // of CPU per block of data processed. Costs are in milliseconds of estimated
 // resource consumption. Intermediate results are pipelined; only
-// materialization writes to disk.
+// materialization writes to disk. Like the paper's objective, the model has
+// no memory-budget term: a segment store's byte budget
+// (ExecOptions::mat_budget_bytes) governs eviction at run time and never
+// changes a plan's cost.
 
 #ifndef MQO_COST_COST_MODEL_H_
 #define MQO_COST_COST_MODEL_H_
@@ -21,12 +24,6 @@ struct CostParams {
   double read_ms_per_block = 2.0;
   double write_ms_per_block = 4.0;
   double cpu_ms_per_block = 0.2;
-  /// Resident-byte budget of the executors' materialized-segment store
-  /// (0 = unlimited). When the chosen materialized set's estimated footprint
-  /// exceeds it, the excess spills: SpillPenalty charges the extra disk
-  /// round trip and the materialization problem refuses admission to nodes
-  /// that can never pay for their footprint (see MaterializationProblem).
-  double mat_budget_bytes = 0.0;
 
   /// Operator memory in blocks.
   double MemoryBlocks() const { return memory_bytes / block_size_bytes; }
@@ -100,18 +97,6 @@ class CostModel {
     // Final merge pass: read only, output pipelined.
     cost += p_.seek_ms + blocks * (p_.read_ms_per_block + p_.cpu_ms_per_block);
     return cost;
-  }
-
-  /// Penalty for holding `total_bytes` of materialized segments under the
-  /// store budget (params().mat_budget_bytes): the excess beyond the budget
-  /// is evicted — written out once and read back once — per consolidated
-  /// evaluation. Zero when no budget is set or the set fits.
-  double SpillPenalty(double total_bytes) const {
-    if (p_.mat_budget_bytes <= 0.0 || total_bytes <= p_.mat_budget_bytes) {
-      return 0.0;
-    }
-    const double excess = Blocks(total_bytes - p_.mat_budget_bytes);
-    return SeqWriteCost(excess) + SeqReadCost(excess);
   }
 
   /// Number of outer-chunk passes a block nested-loops join makes over the

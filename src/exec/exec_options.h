@@ -8,9 +8,11 @@
 // The memory-governance knobs configure the run's own materialized-segment
 // store (storage/mat_store.h); with a `shared_cache` — the cross-batch cache
 // the driver consults and publishes to — the run owns no store and its
-// segments live in the cache's. Results are identical for every
-// setting — threading, spilling and caching are performance decisions,
-// never semantic ones.
+// segments live in the cache's, under the session's budget
+// (MqoOptions::shared_cache_budget_bytes). A budget lives only on a store:
+// the optimizer never sees one, so plans are the same for every budget.
+// Results are identical for every setting — threading, spilling and caching
+// are performance decisions, never semantic ones.
 
 #ifndef MQO_EXEC_EXEC_OPTIONS_H_
 #define MQO_EXEC_EXEC_OPTIONS_H_
@@ -29,7 +31,8 @@ class SharedSegmentCache;
 /// for every setting.
 struct ExecOptions : PipelineOptions {
   /// Resident-byte budget of the executor's own MatStore (unused with a
-  /// shared_cache); 0 = unlimited.
+  /// shared_cache); 0 = unlimited. The facade fills an unset one from
+  /// MQO_MAT_BUDGET_BYTES.
   size_t mat_budget_bytes = 0;
   /// Spill directory for evicted segments; empty = a unique temp directory.
   std::string mat_spill_dir;

@@ -20,11 +20,7 @@ void MqoOutcome::Print(std::ostream& os) const {
   os << "algorithm        : " << result.algorithm << "\n";
   os << "statistics       : " << StatsModeToString(stats_mode) << "\n";
   os << "DAG              : " << dag_classes << " classes, " << dag_ops
-     << " operators, " << shareable_nodes << " shareable";
-  if (admission_refused > 0) {
-    os << " (" << admission_refused << " refused by budget admission)";
-  }
-  os << "\n";
+     << " operators, " << shareable_nodes << " shareable\n";
   os << "no-MQO cost      : " << FormatCost(result.volcano_cost / 1000.0)
      << " s\n";
   os << "consolidated cost: " << FormatCost(result.total_cost / 1000.0)
@@ -44,15 +40,6 @@ ResolvedMqoOptions ResolveMqoOptions(const MqoOptions& options,
   ResolvedMqoOptions resolved{options, 1};
   MqoOptions& o = resolved.options;
   ExecOptions& exec = o.exec;
-  if (o.mat_budget_bytes > 0) {
-    if (o.cost_params.mat_budget_bytes <= 0.0) {
-      o.cost_params.mat_budget_bytes = static_cast<double>(o.mat_budget_bytes);
-    }
-    if (exec.mat_budget_bytes == 0) exec.mat_budget_bytes = o.mat_budget_bytes;
-  }
-  // The environment's budget governs only the stores, never the optimizer's
-  // cost params: CI forces every segment through eviction and spill without
-  // changing the plans under test.
   if (exec.mat_budget_bytes == 0) exec.mat_budget_bytes = env.mat_budget_bytes;
   if (exec.mat_spill_dir.empty()) exec.mat_spill_dir = env.spill_dir;
   if (o.shared_cache_budget_bytes == 0) {
@@ -163,12 +150,7 @@ Result<ConsolidatedPlan> OptimizeIntoMemo(
 
   outcome->dag_classes = expanded.ValueOrDie().classes_after;
   outcome->dag_ops = expanded.ValueOrDie().ops_after;
-  outcome->admission_refused =
-      static_cast<int>(problem.admission_refused().size());
-  // The DAG's shareable-node count, independent of the budget's admission
-  // filter (the algorithms ran over the admitted subset).
-  outcome->shareable_nodes =
-      problem.universe_size() + outcome->admission_refused;
+  outcome->shareable_nodes = problem.universe_size();
   switch (options.algorithm) {
     case MqoOptions::Algorithm::kMarginalGreedy:
       outcome->result = RunMarginalGreedy(&problem, options.marginal_options);

@@ -45,19 +45,14 @@ struct MqoOptions {
   ExecBackend backend = ExecBackend::kVector;
   /// Vectorized-engine execution knobs: `exec.num_threads` > 1 runs every
   /// pipeline — scans, filters, join build/probe, aggregation — morsel-
-  /// parallel (results are identical for every value). The row engine is
-  /// serial but honours the store-governance knobs below. The same knob
-  /// also fans the optimizer's greedy candidate evaluations across the
-  /// worker pool (BatchOptimizerOptions::num_threads); plans, picks, and
-  /// costs stay bit-identical at every thread count.
+  /// parallel (results are identical for every value). The same knob also
+  /// fans the optimizer's greedy candidate evaluations across the worker
+  /// pool (BatchOptimizerOptions::num_threads); plans, picks, and costs stay
+  /// bit-identical at every thread count. Both engines honour the store
+  /// knobs: a run's own segment store takes its byte budget from
+  /// `exec.mat_budget_bytes` (eviction and disk spill at run time). No
+  /// budget reaches the optimizer, so a budget never changes the plan.
   ExecOptions exec;
-  /// Byte budget of the executors' materialized-segment store; 0 =
-  /// unlimited. A non-zero budget flows to both sides of the system: the
-  /// optimizer (cost_params.mat_budget_bytes — admission control plus a
-  /// spill penalty on oversized materialized sets) and the executors
-  /// (exec.mat_budget_bytes — eviction and disk spill at run time).
-  /// Explicitly-set cost_params/exec budgets win over this convenience knob.
-  size_t mat_budget_bytes = 0;
   /// Statistics source of the optimizer (cost/stats.h): kCatalogGuess
   /// reproduces the paper-exact estimates; kCollected analyzes the executed
   /// DataSet (lazily, on first optimization) into sampled histograms and
@@ -89,8 +84,8 @@ struct MqoOptions {
   bool shared_segment_cache = true;
   /// Byte budget of the session's one segment store — cached segments and
   /// in-flight runs' segments alike; 0 falls back to the executor store
-  /// budget (exec.mat_budget_bytes, as filled from mat_budget_bytes or
-  /// MQO_MAT_BUDGET_BYTES), which unset means unlimited.
+  /// budget (exec.mat_budget_bytes, as filled from MQO_MAT_BUDGET_BYTES),
+  /// which unset means unlimited.
   size_t shared_cache_budget_bytes = 0;
 };
 
@@ -102,9 +97,8 @@ struct ResolvedMqoOptions {
   int optimizer_threads = 1;
 };
 
-/// Spreads mat_budget_bytes to the optimizer's and the stores' unset
-/// budgets, then fills the remaining unset knobs from `env` (see
-/// mqo/env_overrides.h). Explicit values always win.
+/// Fills the unset knobs from `env` (see mqo/env_overrides.h). Explicit
+/// values always win.
 ResolvedMqoOptions ResolveMqoOptions(const MqoOptions& options,
                                      const EnvOverrides& env);
 
@@ -115,10 +109,7 @@ struct MqoOutcome {
   std::vector<std::string> materialized_plans;  ///< One per materialized node.
   int dag_classes = 0;
   int dag_ops = 0;
-  int shareable_nodes = 0;   ///< Shareable nodes in the DAG (budget-independent).
-  /// Shareable nodes the budget's admission control refused (0 without a
-  /// budget); the algorithms ran over shareable_nodes − admission_refused.
-  int admission_refused = 0;
+  int shareable_nodes = 0;   ///< Shareable nodes in the DAG.
   /// Statistics source the optimization actually ran with (kCollected
   /// degraded to kCatalogGuess when no data/registry was available).
   StatsMode stats_mode = StatsMode::kCatalogGuess;
@@ -195,10 +186,10 @@ Result<MqoExecutionOutcome> OptimizeAndExecuteBatch(
 /// statistics are shared across batches (each table analyzes once, lazily),
 /// every batch's observed materialized-segment cardinalities feed the
 /// next batch's optimization — re-seeding row estimates, and through them
-/// the footprints, spill penalties and eviction weights the memory-governed
-/// store is driven by — and segments materialized by one batch are served to
-/// later batches from a shared semantic cache, keyed by structural class
-/// fingerprint. The closed loop of optimize → execute → observe.
+/// the plan costs and the footprints EXPLAIN reports — and segments
+/// materialized by one batch are served to later batches from a shared
+/// semantic cache, keyed by structural class fingerprint. The closed loop
+/// of optimize → execute → observe.
 ///
 ///   MqoSession session(&catalog, &data, options);
 ///   auto first  = session.Run(batch1);   // estimates from stats collection

@@ -1,20 +1,9 @@
 // Bridges the batch optimizer's bc(S) oracle and the submodular layer: the
 // materialization-benefit function mb(S) = bc(∅) − bc(S) over the universe of
-// shareable equivalence nodes (Section 2.4).
-//
-// Memory governance (CostParams::mat_budget_bytes > 0) adds two layers of
-// cost awareness on top of the paper's formulation:
-//   - admission control: a shareable node whose standalone recomputation is
-//     cheaper than the spill round trip of its footprint (equivalently,
-//     whose compute cost is below one sequential read of its result) can
-//     never pay for the budget pressure it creates, so it is refused from
-//     the universe up front;
-//   - spill penalty: every evaluated set S is charged
-//     CostModel::SpillPenalty(footprint(S)) — the disk round trip of the
-//     bytes by which S overflows the store budget — so the greedy drivers
-//     see oversized sets as genuinely more expensive.
-// With no budget both layers are inert and the problem is exactly the
-// paper's.
+// shareable equivalence nodes (Section 2.4). The problem is exactly the
+// paper's: the universe is every shareable node and the set functions carry
+// no memory term — a segment store's byte budget governs only eviction at
+// run time (ExecOptions::mat_budget_bytes), never the selection.
 
 #ifndef MQO_MQO_MATERIALIZATION_PROBLEM_H_
 #define MQO_MQO_MATERIALIZATION_PROBLEM_H_
@@ -36,23 +25,19 @@ class MaterializationProblem {
   explicit MaterializationProblem(BatchOptimizer* optimizer);
 
   /// Shareable equivalence nodes, index-aligned with the set functions.
-  /// Under a budget this is the admitted subset; see admission_refused().
   const std::vector<EqId>& universe() const { return universe_; }
   int universe_size() const { return static_cast<int>(universe_.size()); }
 
-  /// Shareable nodes the admission control refused (empty without a budget).
-  const std::vector<EqId>& admission_refused() const { return refused_; }
+  /// Always empty: nothing is refused from the universe. Kept only because
+  /// the macro benchmark's replica of the session run (perfbench) still
+  /// compiles against it; it goes when that replica drops the call.
+  const std::vector<EqId>& admission_refused() const {
+    static const std::vector<EqId> kNone;
+    return kNone;
+  }
 
   /// The optimizer's class set (BatchOptimizer) of universe-index set `s`.
   ElementSet ClassSet(const ElementSet& s) const;
-
-  /// Estimated store footprint in bytes of class set `classes` (the sum of
-  /// its segment footprints, in ascending class order).
-  double FootprintBytes(const ElementSet& classes) const;
-
-  /// CostModel::SpillPenalty of the footprint of class set `classes` (0
-  /// without a budget).
-  double SpillPenalty(const ElementSet& classes) const;
 
   /// mb(S) = bc(∅) − bc(S); normalized (mb(∅)=0), submodular under the
   /// monotonicity heuristic.
@@ -78,7 +63,6 @@ class MaterializationProblem {
  private:
   BatchOptimizer* optimizer_;
   std::vector<EqId> universe_;
-  std::vector<EqId> refused_;  ///< Nodes refused by admission control.
   std::unique_ptr<SetFunction> benefit_;
   std::unique_ptr<SetFunction> best_cost_;
   std::once_flag volcano_once_;  ///< Guards the one bc(∅) evaluation.

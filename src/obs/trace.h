@@ -2,7 +2,7 @@
 //
 // The tracer records two event phases:
 //   'X' — complete events (a span: start timestamp + duration), and
-//   'i' — instants (a point-in-time marker, e.g. an admission refusal).
+//   'i' — instants (a point-in-time marker, e.g. a segment eviction).
 // Events carry a small bag of named args (numbers or strings) that become the
 // "args" object in the Chrome export — load the file at chrome://tracing or
 // https://ui.perfetto.dev to browse a batch run visually.

@@ -194,17 +194,8 @@ class BatchOptimizer {
   /// Total operator costings across all optimizations (work proxy).
   int64_t num_costings() const { return num_costings_.load(); }
 
-  /// True iff class `eq`'s structural fingerprint matches a segment already
-  /// resident in the cross-batch cache — materializing it is free (the
-  /// executor serves it without recomputation). Read-only after
-  /// construction, so safe from concurrent evaluations.
-  bool IsCachedClass(EqId eq) const {
-    return cached_classes_.Contains(memo_->Find(eq));
-  }
-
   Memo* memo() { return memo_; }
   StatsEstimator* stats() { return &stats_; }
-  const CostModel& cost_model() const { return cm_; }
   ObsContext* obs() { return options_.obs; }
 
   /// The options this optimizer runs with.

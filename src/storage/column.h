@@ -225,8 +225,8 @@ class ColumnVector {
   /// character storage plus per-string object overhead; dictionary-encoded
   /// columns count the code vector plus the dictionary; FOR-encoded int64
   /// columns count block headers plus packed words, not the decoded width).
-  /// Zone maps count too. This is what MatStore budget accounting, eviction
-  /// weights, and spill penalties see.
+  /// Zone maps count too. This is what MatStore budget accounting and
+  /// eviction weights see.
   size_t ByteSize() const;
 
   /// Value-semantics cell hash: equal numbers hash equally across int64 and

@@ -175,10 +175,4 @@ void ParallelFor(size_t num_tasks, int num_threads,
   });
 }
 
-void ParallelOverMorsels(const std::vector<Morsel>& morsels, int num_threads,
-                         const std::function<void(size_t, const Morsel&)>& fn) {
-  ParallelFor(morsels.size(), num_threads,
-              [&](size_t m) { fn(m, morsels[m]); });
-}
-
 }  // namespace mqo

@@ -9,10 +9,12 @@
 // output is identical for every thread count — the differential tests run
 // the vector engine at num_threads 1, 2 and 8 and demand exact agreement.
 //
-// This header is the single thread-spawn point of the system: RunOnWorkers
-// owns thread creation, ParallelFor and ParallelOverMorsels are thin
-// claiming loops on top of it, and the pipeline driver (storage/pipeline.h)
-// adds per-thread state. No other file starts std::threads.
+// This header is the single thread-spawn point of the engines and the
+// optimizer: RunOnWorkers owns thread creation, ParallelFor is a thin
+// claiming loop on top of it, and the pipeline driver (storage/pipeline.h)
+// adds per-thread state. The only other file that starts std::threads is the
+// service traffic driver (RunServiceTraffic, mqo/service.cc), which runs one
+// thread per simulated client.
 //
 // Threads are persistent: RunOnWorkers dispatches worker slots onto a
 // process-wide pool that parks its threads between calls and grows to the
@@ -85,14 +87,6 @@ size_t WorkerPoolSize();
 /// `fn` must write only to state owned by its task index.
 void ParallelFor(size_t num_tasks, int num_threads,
                  const std::function<void(size_t)>& fn);
-
-/// Runs `fn(morsel_index, morsel)` for every morsel, on up to `num_threads`
-/// workers (see ParallelFor). `fn` must write only to state owned by its
-/// morsel index (e.g. a pre-sized result slot); it is invoked exactly once
-/// per morsel. With `num_threads <= 1` (or a single morsel) everything runs
-/// inline on the calling thread.
-void ParallelOverMorsels(const std::vector<Morsel>& morsels, int num_threads,
-                         const std::function<void(size_t, const Morsel&)>& fn);
 
 }  // namespace mqo
 

@@ -279,16 +279,10 @@ GreedyResult MarginalGreedy(const SetFunction& f, const Decomposition& raw_d,
                             const MarginalGreedyOptions& options) {
   GreedyResult result;
   result.selected = ElementSet(f.universe_size());
-  // Proposition 1's proof notes the costs "can be suitably scaled to ensure
-  // that c is zero only at ∅ and positive everywhere else": non-positive
-  // costs are clamped to a tiny epsilon, so every element competes in the
-  // ratio loop (free elements then rank by marginal benefit and are still
-  // accepted iff the benefit is positive).
-  Decomposition d = raw_d;
-  double max_abs = 1.0;
-  for (double c : d.costs) max_abs = std::max(max_abs, std::fabs(c));
-  const double eps = 1e-9 * max_abs;
-  for (double& c : d.costs) c = std::max(c, eps);
+  // Non-positive costs are clamped to a tiny epsilon (PositiveCosts), so
+  // every element competes in the ratio loop (free elements then rank by
+  // marginal benefit and are still accepted iff the benefit is positive).
+  const Decomposition d = PositiveCosts(raw_d);
 
   std::vector<int> candidates(f.universe_size());
   std::iota(candidates.begin(), candidates.end(), 0);

@@ -1,5 +1,8 @@
 #include "submodular/decomposition.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "storage/morsel.h"
 
 namespace mqo {
@@ -13,6 +16,14 @@ Decomposition CanonicalDecomposition(const SetFunction& f, int num_threads) {
   ParallelFor(static_cast<size_t>(n), num_threads, [&](size_t e) {
     d.costs[e] = f.Value(full.Without(static_cast<int>(e))) - f_full;
   });
+  return d;
+}
+
+Decomposition PositiveCosts(Decomposition d) {
+  double max_abs = 1.0;
+  for (double c : d.costs) max_abs = std::max(max_abs, std::fabs(c));
+  const double eps = 1e-9 * max_abs;
+  for (double& c : d.costs) c = std::max(c, eps);
   return d;
 }
 

@@ -44,6 +44,13 @@ struct Decomposition {
 Decomposition CanonicalDecomposition(const SetFunction& f,
                                      int num_threads = 1);
 
+/// Proposition 1's proof notes the costs "can be suitably scaled to ensure
+/// that c is zero only at ∅ and positive everywhere else": returns `d` with
+/// every cost below 1e-9 · max(1, max_e |c(e)|) raised to that epsilon.
+/// MarginalGreedy runs with exactly these costs, so a Theorem 1 bound
+/// checked against its result must be evaluated on them too.
+Decomposition PositiveCosts(Decomposition d);
+
 /// Proposition 2: given any decomposition with monotone fM, subtract
 /// d(e) = fM(U) − fM(U \ {e}) from both parts; the result is still a valid
 /// decomposition with monotone fM and a no-worse approximation ratio.

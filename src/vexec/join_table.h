@@ -165,7 +165,8 @@ class DictRemapCache {
       size_t key, const std::shared_ptr<const ColumnDict>& probe,
       const ColumnDict& build);
 
-  /// Remaps built so far (obs: vexec.dict_remap).
+  /// Distinct remaps cached so far (obs: vexec.dict_remap); a racing
+  /// builder's dropped map does not count.
   int64_t builds() const { return builds_.load(std::memory_order_relaxed); }
 
  private:

@@ -478,10 +478,10 @@ Result<ColumnBatch> VectorPlanExecutor::ComputeSegment(
   // chunks were gathered on the workers and concatenated column-parallel,
   // so no serial whole-result gather happens on this thread.
   MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan));
-  // Compress the segment before it lands: MatStore budget accounting,
-  // eviction weights, and spill penalties then see encoded bytes, and later
-  // reads of this segment can zone-skip like base-table scans. FOR encoding
-  // applies only where it shrinks an int64 column.
+  // Compress the segment before it lands: MatStore budget accounting and
+  // eviction weights then see encoded bytes, and later reads of this
+  // segment can zone-skip like base-table scans. FOR encoding applies only
+  // where it shrinks an int64 column.
   for (ColumnVector& col : batch.columns) {
     col.ForEncode();
     col.BuildZoneMap();

@@ -172,8 +172,6 @@ TEST(ResolveMqoOptionsTest, EnvironmentFillsUnsetKnobs) {
   EXPECT_EQ(o.exec.mat_budget_bytes, 1u);
   EXPECT_EQ(o.exec.mat_spill_dir, "/var/tmp/env-spill");
   EXPECT_EQ(o.shared_cache_budget_bytes, 1u);  // falls back to the store's
-  // The environment's budget governs the stores, not the optimizer.
-  EXPECT_EQ(o.cost_params.mat_budget_bytes, 0.0);
   ASSERT_TRUE(o.stats_mode.has_value());
   EXPECT_EQ(*o.stats_mode, StatsMode::kCollected);
   EXPECT_TRUE(o.obs.metrics);
@@ -199,22 +197,6 @@ TEST(ResolveMqoOptionsTest, ExplicitValuesWin) {
   EXPECT_EQ(*o.stats_mode, StatsMode::kCatalogGuess);
   EXPECT_EQ(o.obs.trace_path, "mine.json");
   EXPECT_EQ(r.optimizer_threads, 8);  // exec.num_threads > 1 governs both
-}
-
-TEST(ResolveMqoOptionsTest, ConvenienceBudgetReachesOptimizerAndStores) {
-  MqoOptions options;
-  options.mat_budget_bytes = 100;
-  const ResolvedMqoOptions r = ResolveMqoOptions(options, EverythingSet());
-  EXPECT_EQ(r.options.cost_params.mat_budget_bytes, 100.0);
-  EXPECT_EQ(r.options.exec.mat_budget_bytes, 100u);
-  EXPECT_EQ(r.options.shared_cache_budget_bytes, 100u);
-
-  options.cost_params.mat_budget_bytes = 50.0;  // explicit wins here too
-  options.exec.mat_budget_bytes = 60;
-  const ResolvedMqoOptions explicit_budgets =
-      ResolveMqoOptions(options, EnvOverrides{});
-  EXPECT_EQ(explicit_budgets.options.cost_params.mat_budget_bytes, 50.0);
-  EXPECT_EQ(explicit_budgets.options.exec.mat_budget_bytes, 60u);
 }
 
 TEST(ResolveMqoOptionsTest, DefaultsWithoutOverrides) {

@@ -171,9 +171,9 @@ TEST(SearchIndexOrdersTest, InternedOrdersAnswerOrderSatisfies) {
 }
 
 TEST(OptimizerInljTest, StandaloneMatCostSearchesTheConfiguredOperators) {
-  // The standalone materialization cost (admission control, use-benefit
-  // decomposition) must come from the operator set bc() searches: with the
-  // index nested-loops join on, it is exactly the compute + write cost that
+  // The standalone materialization cost (the use-benefit decomposition)
+  // must come from the operator set bc() searches: with the index
+  // nested-loops join on, it is exactly the compute + write cost that
   // Plan({e}) reports for e, and it differs from the paper-set cost for
   // some node whose best compute plan probes an index. Both queries share
   // a join of a few orders rows with lineitem, whose clustered index leads

@@ -494,8 +494,8 @@ TEST(FeedbackTest, ObservedRowsOverrideEstimatesAndShrinkFootprints) {
     // The re-seeded estimator reports exactly the observed cardinality...
     EXPECT_DOUBLE_EQ(after.stats()->ClassStats(e).rows,
                      std::max(1.0, *observed));
-    // ...so the footprint feeding eviction weights, admission control and
-    // the spill penalty shrinks from the catalog guess to data scale.
+    // ...so the estimated segment footprint shrinks from the catalog guess
+    // to data scale.
     EXPECT_LT(after.MatFootprintBytes(e), before.MatFootprintBytes(e));
   }
   // The guess-mode estimate of the same nodes was wildly larger (800k-row

@@ -520,16 +520,6 @@ TEST(MorselTest, PartitionCoversRowSpaceInOrder) {
   EXPECT_EQ(MakeMorsels(7, 0)[0].size(), 7u);
 }
 
-TEST(MorselTest, ParallelForVisitsEveryMorselExactlyOnce) {
-  const auto morsels = MakeMorsels(1000, 7);
-  std::vector<int> visits(morsels.size(), 0);
-  ParallelOverMorsels(morsels, 4, [&](size_t m, const Morsel& morsel) {
-    EXPECT_EQ(morsel.begin, morsels[m].begin);
-    ++visits[m];  // slot-exclusive: no lock needed
-  });
-  for (int v : visits) EXPECT_EQ(v, 1);
-}
-
 TEST(MorselFilterTest, ParallelSelectionMatchesSerialExactly) {
   // A generated TPC-D table big enough for many 64-row morsels, filtered by
   // a scan pipeline's fused source filters.

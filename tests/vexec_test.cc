@@ -1708,10 +1708,9 @@ TEST(VexecCacheTest, MixedEnginesShareOneSegmentCache) {
   }
 }
 
-TEST(VexecBudgetTest, FacadeBudgetKnobKeepsAnswersAndFeedsAdmission) {
-  // MqoOptions::mat_budget_bytes flows to both the optimizer (admission /
-  // spill penalty may change the chosen set) and the executors (spill at
-  // run time); the query answers must be identical either way.
+TEST(VexecBudgetTest, FacadeStoreBudgetKeepsAnswers) {
+  // exec.mat_budget_bytes governs the run's own store (eviction and spill
+  // at run time); the query answers must be identical either way.
   Catalog catalog = MakeTpcdCatalog(1);
   const std::vector<std::string> batch = {
       "SELECT o_orderdate, SUM(l_extendedprice) FROM orders, lineitem "
@@ -1730,7 +1729,7 @@ TEST(VexecBudgetTest, FacadeBudgetKnobKeepsAnswersAndFeedsAdmission) {
   auto unbudgeted = OptimizeAndExecuteSqlBatch(catalog, batch, data, options);
   ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
   for (size_t budget : {size_t{1}, size_t{64 * 1024}}) {
-    options.mat_budget_bytes = budget;
+    options.exec.mat_budget_bytes = budget;
     auto budgeted = OptimizeAndExecuteSqlBatch(catalog, batch, data, options);
     ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
     ASSERT_EQ(budgeted.ValueOrDie().results.size(), 2u);
@@ -1743,32 +1742,27 @@ TEST(VexecBudgetTest, FacadeBudgetKnobKeepsAnswersAndFeedsAdmission) {
   }
 }
 
-TEST(VexecBudgetTest, AdmissionRefusesNodesCheaperToRecompute) {
-  // With a budget, nodes whose compute cost undercuts one sequential read
-  // of their result leave the universe; without one, nothing is refused.
-  Catalog catalog = MakeExample1Catalog();
-  Memo memo(&catalog);
-  memo.InsertBatch(MakeExample1Queries());
-  ASSERT_TRUE(ExpandMemo(&memo).ok());
-  BatchOptimizer unbounded(&memo, CostModel());
-  MaterializationProblem open_problem(&unbounded);
-  EXPECT_TRUE(open_problem.admission_refused().empty());
-
-  CostParams params;
-  params.mat_budget_bytes = 1.0;
-  BatchOptimizer bounded(&memo, CostModel(params));
-  MaterializationProblem tight_problem(&bounded);
-  EXPECT_EQ(tight_problem.universe_size() +
-                static_cast<int>(tight_problem.admission_refused().size()),
-            open_problem.universe_size());
-  // The spill penalty makes any nonempty set dearer than the raw bc(S).
-  if (tight_problem.universe_size() > 0) {
-    ElementSet single(tight_problem.universe_size());
-    single.Add(0);
-    const ElementSet classes = tight_problem.ClassSet(single);
-    EXPECT_GT(tight_problem.SpillPenalty(classes), 0.0);
-    EXPECT_GE(tight_problem.best_cost().Value(single),
-              bounded.Costs(classes).first);
+TEST(VexecBudgetTest, StoreBudgetNeverChangesThePlan) {
+  // A budget lives only on a store: BQ1-BQ3 run through the facade with an
+  // unlimited store and with one that spills every segment choose the same
+  // materialized set at a bit-identical cost.
+  Catalog catalog = MakeTpcdCatalog(1);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 60;
+  gen.domain_cap = 30;
+  const DataSet data = GenerateData(catalog, gen);
+  for (int bq = 1; bq <= 3; ++bq) {
+    std::vector<MqoResult> results;
+    for (size_t budget : {size_t{0}, size_t{1}}) {
+      MqoOptions options;
+      options.exec.mat_budget_bytes = budget;
+      auto run = OptimizeAndExecuteBatch(catalog, MakeBatchedWorkload(bq),
+                                         data, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      results.push_back(run.ValueOrDie().optimization.result);
+    }
+    EXPECT_EQ(results[0].materialized, results[1].materialized) << "BQ" << bq;
+    EXPECT_EQ(results[0].total_cost, results[1].total_cost) << "BQ" << bq;
   }
 }
 
