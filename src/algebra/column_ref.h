@@ -9,6 +9,7 @@
 #ifndef MQO_ALGEBRA_COLUMN_REF_H_
 #define MQO_ALGEBRA_COLUMN_REF_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,10 @@ struct ColumnRef {
     return HashCombine(HashString(qualifier), HashString(name));
   }
 };
+
+/// A set of columns: what an operator's consumers read of its output, or
+/// what a reader needs of a materialized segment.
+using ColumnNeed = std::set<ColumnRef>;
 
 /// A sort order: a sequence of columns, most-significant first. An empty
 /// vector means "no required order". Order X satisfies requirement Y iff Y is

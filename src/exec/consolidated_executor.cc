@@ -24,7 +24,8 @@ ConsolidatedExecutor::ConsolidatedExecutor(Memo* memo,
 
 Status ConsolidatedExecutor::ComputeClass(ClassSegment* cls) {
   WallTimer timer;
-  MQO_ASSIGN_OR_RETURN(ColumnBatch segment, ComputeSegment(cls->compute_plan));
+  MQO_ASSIGN_OR_RETURN(ColumnBatch segment,
+                       ComputeSegment(cls->compute_plan, cls->need));
   cls->compute_ms = timer.ElapsedMillis();
   const double reads_left =
       std::max(cls->expected_reads - static_cast<double>(cls->reads), 0.0);
@@ -83,25 +84,50 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
                 const ConsolidatedPlan::MatNode* b) {
               return position(a->eq) < position(b->eq);
             });
-  // Take every cache hit before computing anything: a hit's planned reads
-  // join its eviction weight first, so no fresh Put of this run pushes it
-  // out ahead of its reads.
-  for (const auto* m : ordered) {
+  // Size each segment to what its readers read, and take every cache hit,
+  // before computing anything. The query roots read whole classes; each
+  // class's compute plan is walked, ancestors first, with that class's
+  // need once its lookup may have widened it. A hit's planned reads join
+  // its eviction weight first, so no fresh Put of this run pushes it out
+  // ahead of its reads.
+  auto full_width = [this](EqId eq) {
+    const auto& attrs = memo_->Attributes(memo_->Find(eq));
+    return ColumnNeed(attrs.begin(), attrs.end());
+  };
+  std::unordered_map<EqId, ColumnNeed> needs;
+  std::unordered_set<EqId> materialized;
+  for (const auto* m : ordered) materialized.insert(memo_->Find(m->eq));
+  if (!ordered.empty() && plan.root_plan->op == PhysOp::kBatchRoot) {
+    for (const auto& query : plan.root_plan->children) {
+      MQO_RETURN_NOT_OK(AddSegmentReads(query, full_width(query->eq),
+                                        materialized, &needs));
+    }
+  }
+  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
+    const ConsolidatedPlan::MatNode* m = *it;
     const EqId eq = memo_->Find(m->eq);
     ClassSegment& cls = segments_[eq];
     cls.compute_plan = m->compute_plan;
     cls.fingerprint = ClassFingerprint(*memo_, eq, &fingerprints_);
+    auto need = needs.find(eq);
+    cls.need = need != needs.end() ? need->second : full_width(eq);
     auto reads = expected_reads.find(eq);
     if (reads != expected_reads.end()) cls.expected_reads = reads->second;
-    if (cache == nullptr) continue;
-    SegmentRef hit = cache->Lookup(cls.fingerprint);
-    // The schema guard rejects a fingerprint collision between classes with
-    // different attribute lists.
-    if (hit && hit.names() == memo_->Attributes(eq)) {
-      store_->AddExpectedReads(hit, cls.expected_reads);
-      cls.segment = std::move(hit);
-      ++cross_batch_hits_;
+    if (cache != nullptr) {
+      // A hit must match the class's structural key, not just its hash, and
+      // cover this run's need; a narrow miss widens the need to the cached
+      // columns, so the segment computed instead replaces the entry.
+      cls.key = ClassStructuralKey(*memo_, eq, &fingerprints_, &keys_);
+      SegmentRef hit = cache->Lookup(cls.fingerprint, cls.key, &cls.need);
+      if (hit) {
+        store_->AddExpectedReads(hit, cls.expected_reads);
+        cls.segment = std::move(hit);
+        ++cross_batch_hits_;
+      }
     }
+    // Walked for a hit too: a failed reload recomputes it from this plan.
+    MQO_RETURN_NOT_OK(
+        AddSegmentReads(cls.compute_plan, cls.need, materialized, &needs));
   }
   for (const auto* m : ordered) {
     const EqId eq = memo_->Find(m->eq);
@@ -114,7 +140,7 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
       // Publish for later batches. First writer wins; losing the race is
       // harmless.
       if (cache != nullptr) {
-        cache->Insert(cls.fingerprint, cls.segment,
+        cache->Insert(cls.fingerprint, cls.key, cls.segment,
                       ClassBaseTables(*memo_, eq), read_versions);
       }
     }
@@ -124,6 +150,7 @@ Result<std::vector<NamedRows>> ConsolidatedExecutor::ExecuteConsolidated(
     if (span.active()) {
       span.AddNum("eq", eq);
       span.AddNum("rows", static_cast<double>(cls.segment.rows()));
+      span.AddNum("cols", static_cast<double>(cls.segment.names().size()));
       if (hit) {
         span.AddNum("cross_batch_hit", 1);
       } else {
@@ -159,6 +186,7 @@ std::vector<SegmentRuntime> ConsolidatedExecutor::SegmentRuntimes() const {
     r.reads = cls.reads;
     r.reloads = cls.reloads;
     r.bytes = static_cast<int64_t>(cls.segment.bytes());
+    r.columns = static_cast<int>(cls.segment.names().size());
     // This run found the segment on disk, or left it there.
     r.ever_spilled = cls.reloads > 0 || !store_->IsResident(cls.segment);
     out.push_back(r);

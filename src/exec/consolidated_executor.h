@@ -11,15 +11,26 @@
 // and every engine read goes through ReadSegment.
 //
 // ExecuteConsolidated runs one consolidated plan in three steps:
-//   1. Consult the cross-batch SharedSegmentCache, if any, for every chosen
-//      class by structural fingerprint (ClassFingerprint). A hit whose
-//      attribute list matches the class is served without computing: the
-//      run takes the cached handle and adds its planned reads
-//      (ExpectedSegmentReads) to the segment's eviction weight. All hits are
-//      taken before any segment is computed, so a fresh segment's Put
-//      cannot push out a segment this run is about to read.
-//   2. Compute the misses children-first and Put each into the store once,
-//      weighted by its planned reads. With a cache, the handle is published,
+//   1. Size every chosen class's segment to what its readers read, and
+//      consult the cross-batch SharedSegmentCache, if any. The engine
+//      records what the query roots read (AddSegmentReads; skipped when
+//      nothing is materialized); then, ancestors first, each class takes
+//      the union of its readers' needs, looks itself up, and has its own
+//      compute plan walked with that need, so its descendants hold what it
+//      reads. The row engine reads segments whole and records nothing, so
+//      its segments keep every class attribute. A cache hit goes by
+//      structural fingerprint (ClassFingerprint), must match the class's
+//      structural key (ClassStructuralKey) and hold every column the run
+//      needs; it is served without computing: the run takes the cached
+//      handle and adds its planned reads (ExpectedSegmentReads) to the
+//      segment's eviction weight. A too-narrow entry is a miss that widens
+//      the run's need to the cached columns, before the class's compute
+//      plan is walked. All hits are taken before any segment is computed,
+//      so a fresh segment's Put cannot push out a segment this run is about
+//      to read.
+//   2. Compute the misses children-first with their need and Put each into
+//      the store once, weighted by its planned reads. With a cache, the
+//      handle is published (replacing a narrower entry of the class),
 //      stamped with the cache's table versions from run start, so a run
 //      that read data invalidated meanwhile never publishes it as fresh.
 //      Every segment's row count is recorded as CardinalityFeedback.
@@ -37,6 +48,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "exec/exec_options.h"
@@ -92,10 +104,22 @@ class ConsolidatedExecutor {
   ConsolidatedExecutor(Memo* memo, const ExecOptions& options,
                        const char* layer);
 
+  /// Adds to `*needs` the columns executing `plan` for a consumer that
+  /// reads `need` of it reads of each class in `materialized` (canonical
+  /// ids). A class no call records is computed at full class width; the
+  /// default records nothing, for an engine that reads segments whole.
+  virtual Status AddSegmentReads(
+      const PlanNodePtr& /*plan*/, const ColumnNeed& /*need*/,
+      const std::unordered_set<EqId>& /*materialized*/,
+      std::unordered_map<EqId, ColumnNeed>* /*needs*/) {
+    return Status::OK();
+  }
+
   /// Computes the segment of `compute_plan`'s class, in the form the store
-  /// keeps it (columnar, projected onto the class attributes).
-  virtual Result<ColumnBatch> ComputeSegment(
-      const PlanNodePtr& compute_plan) = 0;
+  /// keeps it: columnar, holding at least the class attributes in `need`,
+  /// in class-attribute order.
+  virtual Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan,
+                                             const ColumnNeed& need) = 0;
 
   /// Pins the segment materialized for class `eq`, counting the read (and
   /// any reload) in the run's telemetry. An invalid pin when `eq` was not
@@ -111,7 +135,9 @@ class ConsolidatedExecutor {
   struct ClassSegment {
     SegmentRef segment;
     PlanNodePtr compute_plan;
+    ColumnNeed need;  ///< The columns the segment is computed with.
     uint64_t fingerprint = 0;
+    std::string key;  ///< Structural key; set only under a shared cache.
     double expected_reads = 0.0;  ///< This run's planned reads.
     double compute_ms = 0.0;      ///< 0 when served from the cache.
     int64_t reads = 0;
@@ -130,6 +156,7 @@ class ConsolidatedExecutor {
   std::unordered_map<EqId, ClassSegment> segments_;
   CardinalityFeedback feedback_;
   std::unordered_map<EqId, uint64_t> fingerprints_;
+  std::unordered_map<EqId, std::string> keys_;
   int64_t cross_batch_hits_ = 0;
 };
 

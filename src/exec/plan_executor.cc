@@ -96,7 +96,7 @@ Result<NamedRows> PlanExecutor::Execute(const PlanNodePtr& plan) {
 }
 
 Result<ColumnBatch> PlanExecutor::ComputeSegment(
-    const PlanNodePtr& compute_plan) {
+    const PlanNodePtr& compute_plan, const ColumnNeed& /*need*/) {
   MQO_ASSIGN_OR_RETURN(NamedRows rows, Execute(compute_plan));
   // Segments are stored columnar even for the row engine, so both executors
   // share one materialization format.

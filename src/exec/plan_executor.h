@@ -11,7 +11,8 @@
 // cross-batch cache consult/publish, feedback and segment telemetry. This
 // engine supplies only plan execution: materialized segments are stored
 // columnar, so it converts at the row/column boundary on every store access,
-// pinning the segment for the duration of the conversion.
+// pinning the segment for the duration of the conversion. Its segments keep
+// their full class attributes, which cover every reader's need.
 
 #ifndef MQO_EXEC_PLAN_EXECUTOR_H_
 #define MQO_EXEC_PLAN_EXECUTOR_H_
@@ -35,7 +36,10 @@ class PlanExecutor final : public ConsolidatedExecutor {
   Result<NamedRows> Execute(const PlanNodePtr& plan) override;
 
  private:
-  Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan) override;
+  /// Full width whatever `need` says: Execute canonicalizes every node to
+  /// its full class attributes, so this engine reads segments whole.
+  Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan,
+                                     const ColumnNeed& need) override;
   Result<NamedRows> ExecuteUncanonicalized(const PlanNodePtr& plan);
   /// Input rows for a join's inner side that is not a plan child (base
   /// relation or materialized node, rescanned by BNL/index probes).

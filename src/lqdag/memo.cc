@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <deque>
 #include <set>
 #include <sstream>
@@ -137,6 +138,77 @@ bool MemoOp::SamePayload(const MemoOp& o) const {
       return true;
   }
   return false;
+}
+
+namespace {
+
+void KeyString(const std::string& s, std::string* out) {
+  *out += std::to_string(s.size());
+  *out += ':';
+  *out += s;
+}
+
+void KeyColumn(const ColumnRef& c, std::string* out) {
+  KeyString(c.qualifier, out);
+  KeyString(c.name, out);
+}
+
+/// Each list is prefixed by its length, so consecutive lists never blur.
+void KeyCount(size_t n, std::string* out) {
+  *out += std::to_string(n);
+  *out += '#';
+}
+
+}  // namespace
+
+std::string MemoOp::PayloadKey() const {
+  std::string out = std::to_string(static_cast<int>(kind)) + "|";
+  switch (kind) {
+    case LogicalOp::kScan:
+      KeyString(table, &out);
+      KeyString(alias, &out);
+      break;
+    case LogicalOp::kSelect:
+      KeyCount(predicate.conjuncts().size(), &out);
+      for (const auto& c : predicate.conjuncts()) {
+        KeyColumn(c.column, &out);
+        out += std::to_string(static_cast<int>(c.op));
+        if (c.literal.is_number()) {
+          char buf[40];
+          std::snprintf(buf, sizeof(buf), "n%a;", c.literal.number());
+          out += buf;
+        } else {
+          out += 's';
+          KeyString(c.literal.str(), &out);
+        }
+      }
+      break;
+    case LogicalOp::kJoin:
+      KeyCount(join_predicate.conditions().size(), &out);
+      for (const auto& c : join_predicate.conditions()) {
+        KeyColumn(c.left, &out);
+        KeyColumn(c.right, &out);
+      }
+      break;
+    case LogicalOp::kProject:
+      KeyCount(project_columns.size(), &out);
+      for (const auto& c : project_columns) KeyColumn(c, &out);
+      break;
+    case LogicalOp::kAggregate:
+      KeyCount(group_by.size(), &out);
+      for (const auto& c : group_by) KeyColumn(c, &out);
+      KeyCount(aggregates.size(), &out);
+      for (const auto& a : aggregates) {
+        out += std::to_string(static_cast<int>(a.func));
+        KeyColumn(a.arg, &out);
+      }
+      KeyCount(output_renames.size(), &out);
+      for (const auto& r : output_renames) KeyString(r, &out);
+      break;
+    case LogicalOp::kBatch:
+      break;
+  }
+  return out;
 }
 
 uint64_t Memo::OpSignature(const MemoOp& op) const {

@@ -68,6 +68,11 @@ struct MemoOp {
   /// True iff `o` has the same kind and payload (children not compared).
   bool SamePayload(const MemoOp& o) const;
 
+  /// Exact text of `kind` and the payload fields the kind uses: strings
+  /// length-prefixed, literals by their exact value (hex floats), so ops
+  /// with the same key have the same payload. Children excluded.
+  std::string PayloadKey() const;
+
   /// Kind, payload and children. Children print as their canonical
   /// classes (memo->Find) when `memo` is given: stored child ids are
   /// canonical only as of insertion, so after merges they can name classes

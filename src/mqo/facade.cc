@@ -99,6 +99,7 @@ void CaptureClassEstimates(Memo* memo, BatchOptimizer* optimizer,
     MatClassEstimate est;
     est.eq = c;
     est.fingerprint = ClassFingerprint(*memo, c, &fps);
+    est.attributes = static_cast<int>(memo->Attributes(c).size());
     std::vector<OpId> ops = memo->ClassOps(c);
     if (!ops.empty()) est.label = memo->op(ops.front()).ToString(memo);
     est.est_rows = optimizer->stats()->ClassStats(c).rows;

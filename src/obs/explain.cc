@@ -42,6 +42,9 @@ std::string RenderExplainAnalyze(const std::vector<ExplainEntry>& entries) {
     }
     os << "\n        reads " << Fmt("%.1f", e.est.expected_reads) << " / "
        << (e.executed ? std::to_string(e.run.reads) : "-");
+    os << "\n        cols "
+       << (e.executed ? std::to_string(e.run.columns) : "-") << " of "
+       << e.est.attributes << " attributes";
     os << "\n        benefit " << Fmt("%.3f", e.est.predicted_benefit_ms)
        << "ms pred / "
        << (e.executed ? Fmt("%.3f", e.realized_saved_ms) + "ms saved" : "-");

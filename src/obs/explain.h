@@ -22,6 +22,7 @@ struct MatClassEstimate {
   int eq = -1;                    ///< memo equivalence class id
   uint64_t fingerprint = 0;       ///< structural ClassFingerprint
   std::string label;              ///< short plan description for the report
+  int attributes = 0;             ///< the class's attribute count
   double est_rows = 0;            ///< StatsEstimator row estimate
   double expected_reads = 0;      ///< ExpectedSegmentReads at plan time
   double footprint_bytes = 0;     ///< estimated segment size
@@ -37,6 +38,7 @@ struct SegmentRuntime {
   int64_t reads = 0;          ///< times consumers fetched it from the store
   int64_t reloads = 0;        ///< reads served by spill rehydration
   int64_t bytes = 0;          ///< resident size
+  int columns = 0;            ///< columns the segment holds (its width)
   bool ever_spilled = false;
 };
 

@@ -4,6 +4,30 @@
 
 namespace mqo {
 
+namespace {
+
+/// The operator of canonical class `eq` whose hash its fingerprint takes
+/// (the first on ties), or -1 for a class without live operators.
+OpId FingerprintOp(const Memo& memo, EqId eq,
+                   std::unordered_map<EqId, uint64_t>* cache, uint64_t* hash) {
+  OpId best = -1;
+  *hash = 0;
+  for (OpId oid : memo.ClassOps(eq)) {
+    const MemoOp& op = memo.op(oid);
+    uint64_t h = op.PayloadHash();
+    for (EqId child : op.children) {
+      h = HashCombine(h, ClassFingerprint(memo, child, cache));
+    }
+    if (best < 0 || h < *hash) {
+      best = oid;
+      *hash = h;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 uint64_t ClassFingerprint(const Memo& memo, EqId eq,
                           std::unordered_map<EqId, uint64_t>* cache) {
   eq = memo.Find(eq);
@@ -12,18 +36,31 @@ uint64_t ClassFingerprint(const Memo& memo, EqId eq,
     if (it != cache->end()) return it->second;
   }
   uint64_t best = 0;
-  bool any = false;
-  for (OpId oid : memo.ClassOps(eq)) {
-    const MemoOp& op = memo.op(oid);
-    uint64_t h = op.PayloadHash();
-    for (EqId child : op.children) {
-      h = HashCombine(h, ClassFingerprint(memo, child, cache));
-    }
-    if (!any || h < best) best = h;
-    any = true;
-  }
+  FingerprintOp(memo, eq, cache, &best);
   if (cache != nullptr) (*cache)[eq] = best;
   return best;
+}
+
+std::string ClassStructuralKey(const Memo& memo, EqId eq,
+                               std::unordered_map<EqId, uint64_t>* fingerprints,
+                               std::unordered_map<EqId, std::string>* keys) {
+  eq = memo.Find(eq);
+  auto it = keys->find(eq);
+  if (it != keys->end()) return it->second;
+  uint64_t hash = 0;
+  const OpId oid = FingerprintOp(memo, eq, fingerprints, &hash);
+  std::string key;
+  if (oid >= 0) {
+    const MemoOp& op = memo.op(oid);
+    key = op.PayloadKey() + "(";
+    for (size_t i = 0; i < op.children.size(); ++i) {
+      if (i > 0) key += ',';
+      key += ClassStructuralKey(memo, op.children[i], fingerprints, keys);
+    }
+    key += ')';
+  }
+  (*keys)[eq] = key;
+  return key;
 }
 
 namespace {

@@ -14,7 +14,8 @@
 // minimized over every live operator of an equivalence class — so they
 // survive memo reconstruction: a later batch in a session builds a fresh
 // memo with different EqIds, yet any shared subexpression hashes to the same
-// fingerprint and picks up the observation. Matches are not verified.
+// fingerprint and picks up the observation. Feedback matches are not
+// verified; the segment cache verifies each hit with ClassStructuralKey.
 
 #ifndef MQO_STATS_FEEDBACK_H_
 #define MQO_STATS_FEEDBACK_H_
@@ -34,6 +35,16 @@ namespace mqo {
 /// recomputing shared subtrees.
 uint64_t ClassFingerprint(const Memo& memo, EqId eq,
                           std::unordered_map<EqId, uint64_t>* cache);
+
+/// Canonical structural key of class `eq`: the exact payload
+/// (MemoOp::PayloadKey) of the operator whose hash ClassFingerprint takes,
+/// followed by its children's keys. Equal keys name the same expression
+/// whatever the fingerprints say; the cross-batch segment cache compares
+/// them on every hit. `fingerprints` and `keys` (per memo) avoid
+/// recomputing shared subtrees.
+std::string ClassStructuralKey(const Memo& memo, EqId eq,
+                               std::unordered_map<EqId, uint64_t>* fingerprints,
+                               std::unordered_map<EqId, std::string>* keys);
 
 /// Names of every base table the class's expression reads (sorted, deduped):
 /// the union of kScan tables over all live operators reachable from `eq`.

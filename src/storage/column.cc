@@ -16,7 +16,9 @@ std::shared_ptr<const ColumnDict> ColumnDict::FromSortedUnique(
   dict->hashes.resize(dict->entries.size());
   for (size_t c = 0; c < dict->entries.size(); ++c) {
     dict->hashes[c] = HashString(dict->entries[c]);
+    dict->bytes += sizeof(std::string) + dict->entries[c].size();
   }
+  dict->bytes += dict->hashes.size() * sizeof(uint64_t);
   return dict;
 }
 
@@ -297,12 +299,7 @@ size_t ColumnVector::ByteSize() const {
     case VecType::kString: {
       size_t bytes = 0;
       if (data_->dict) {
-        bytes += data_->codes.size() * sizeof(int32_t);
-        for (const auto& s : data_->dict->entries) {
-          bytes += sizeof(std::string) + s.size();
-        }
-        bytes += data_->dict->hashes.size() * sizeof(uint64_t);
-        return bytes;
+        return data_->codes.size() * sizeof(int32_t) + data_->dict->bytes;
       }
       for (const auto& s : data_->strs) bytes += sizeof(std::string) + s.size();
       return bytes;

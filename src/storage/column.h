@@ -72,6 +72,9 @@ using SelVector = std::vector<uint32_t>;
 struct ColumnDict {
   std::vector<std::string> entries;
   std::vector<uint64_t> hashes;
+  /// Accounting bytes of `entries` and `hashes` (counted into every
+  /// ColumnVector::ByteSize that uses the dictionary), summed once here.
+  size_t bytes = 0;
 
   /// Builds a dictionary from already sorted-unique entries.
   static std::shared_ptr<const ColumnDict> FromSortedUnique(

@@ -1,5 +1,7 @@
 #include "storage/segment_cache.h"
 
+#include <algorithm>
+
 #include "obs/obs.h"
 
 namespace mqo {
@@ -16,12 +18,28 @@ bool SharedSegmentCache::FreshLocked(const TableVersions& deps) const {
   return true;
 }
 
-SegmentRef SharedSegmentCache::Lookup(uint64_t fingerprint) {
+namespace {
+
+/// True iff `names` holds every column of `need`.
+bool Covers(const std::vector<ColumnRef>& names, const ColumnNeed& need) {
+  for (const auto& col : need) {
+    if (std::find(names.begin(), names.end(), col) == names.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+SegmentRef SharedSegmentCache::Lookup(uint64_t fingerprint,
+                                      const std::string& key,
+                                      ColumnNeed* need) {
   SegmentRef dropped;  // freed after the unlock: no spill-file I/O under mu_
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
   auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) {
+  if (it == entries_.end() || it->second.key != key) {
     ++stats_.misses;
     return SegmentRef{};
   }
@@ -38,6 +56,13 @@ SegmentRef SharedSegmentCache::Lookup(uint64_t fingerprint) {
     }
     return SegmentRef{};
   }
+  const std::vector<ColumnRef>& names = it->second.segment.names();
+  if (need != nullptr && !Covers(names, *need)) {
+    need->insert(names.begin(), names.end());
+    ++stats_.misses;
+    ++stats_.narrow_misses;
+    return SegmentRef{};
+  }
   ++stats_.hits;
   if (Tracer* t = TracerOf(obs_)) {
     t->Instant("segment_cache.hit", "storage",
@@ -47,7 +72,8 @@ SegmentRef SharedSegmentCache::Lookup(uint64_t fingerprint) {
   return it->second.segment;
 }
 
-void SharedSegmentCache::Insert(uint64_t fingerprint, const SegmentRef& segment,
+void SharedSegmentCache::Insert(uint64_t fingerprint, const std::string& key,
+                                const SegmentRef& segment,
                                 const std::set<std::string>& base_tables,
                                 const TableVersions& read_versions) {
   TableVersions deps;
@@ -55,6 +81,7 @@ void SharedSegmentCache::Insert(uint64_t fingerprint, const SegmentRef& segment,
     auto it = read_versions.find(table);
     deps[table] = it == read_versions.end() ? 0 : it->second;
   }
+  SegmentRef replaced;  // freed after the unlock
   std::lock_guard<std::mutex> lock(mu_);
   if (!FreshLocked(deps)) {
     // A dependency was invalidated after the segment's inputs were read:
@@ -62,10 +89,20 @@ void SharedSegmentCache::Insert(uint64_t fingerprint, const SegmentRef& segment,
     ++stats_.invalidated_segments;
     return;
   }
-  if (!entries_.emplace(fingerprint, Entry{segment, std::move(deps)}).second) {
-    ++stats_.insert_races_lost;
-    return;
+  auto [it, inserted] = entries_.try_emplace(fingerprint);
+  Entry& entry = it->second;
+  if (!inserted) {
+    // Only a strictly wider segment of the same class replaces the entry.
+    const std::vector<ColumnRef>& names = entry.segment.names();
+    if (entry.key != key || segment.names().size() <= names.size() ||
+        !Covers(segment.names(), ColumnNeed(names.begin(), names.end()))) {
+      ++stats_.insert_races_lost;
+      return;
+    }
+    replaced = std::move(entry.segment);
+    ++stats_.widenings;
   }
+  entry = Entry{segment, key, std::move(deps)};
   ++stats_.inserts;
   if (Tracer* t = TracerOf(obs_)) {
     t->Instant("segment_cache.insert", "storage",
@@ -147,7 +184,10 @@ void ExportStorageStats(const MatStoreStats& store,
   set("segment_cache.hits", static_cast<double>(cache->hits));
   set("segment_cache.misses", static_cast<double>(cache->misses));
   set("segment_cache.stale_misses", static_cast<double>(cache->stale_misses));
+  set("segment_cache.narrow_misses",
+      static_cast<double>(cache->narrow_misses));
   set("segment_cache.inserts", static_cast<double>(cache->inserts));
+  set("segment_cache.widenings", static_cast<double>(cache->widenings));
   set("segment_cache.insert_races_lost",
       static_cast<double>(cache->insert_races_lost));
   set("segment_cache.invalidated",

@@ -9,12 +9,20 @@
 // (stats/feedback.h): a recursive hash over operator kind, payload, and
 // child fingerprints, minimized over each class's live operators, so it
 // survives memo rebuilds — a later batch builds a fresh memo with different
-// EqIds, yet the shared subexpression hashes to the same key. Because the
+// EqIds, yet the shared subexpression hashes to the same key. A hash match
+// alone never serves: each entry keeps the class's canonical structural key
+// (ClassStructuralKey) and a lookup must present an equal one. Because the
 // fingerprint is purely structural (it does not hash the data), every
 // segment carries its base-table dependency set plus the table versions it
 // was computed against; InvalidateTable bumps a version and drops
 // dependents, so a segment whose base table changed is a miss, never a
 // stale hit.
+//
+// The fingerprint names the class, not a column set: a segment may hold
+// only the columns its first readers read. A lookup states what its reader
+// needs and hits only an entry that covers it; a narrow miss tells the
+// caller the cached columns, so the segment it computes instead covers both
+// and replaces the entry on Insert. A class's cached width only grows.
 //
 // Storage and governance are the session's one MatStore: the cache is an
 // index of fingerprint -> segment handle over that store, which also holds
@@ -63,9 +71,13 @@ class MetricsRegistry;
 struct SegmentCacheStats {
   int64_t lookups = 0;
   int64_t hits = 0;          ///< Valid segment served (cross-batch reuse).
-  int64_t misses = 0;        ///< Never cached, dropped, or payload lost.
-  int64_t stale_misses = 0;  ///< ... of misses: present but base table moved.
-  int64_t inserts = 0;
+  /// Never cached, another structural key, dropped, payload lost, or too
+  /// narrow.
+  int64_t misses = 0;
+  int64_t stale_misses = 0;   ///< ... of misses: present but base table moved.
+  int64_t narrow_misses = 0;  ///< ... of misses: lacks a needed column.
+  int64_t inserts = 0;   ///< Segments indexed, widening replacements included.
+  int64_t widenings = 0;  ///< ... of inserts: replaced a narrower entry.
   int64_t insert_races_lost = 0;    ///< Insert found the key present.
   /// Dropped by InvalidateTable/Clear, or found stale on lookup/insert.
   int64_t invalidated_segments = 0;
@@ -89,20 +101,28 @@ class SharedSegmentCache {
   /// The store runs put their segments into and read them through.
   MatStore* store() { return &store_; }
 
-  /// The handle cached under `fingerprint`, or a null handle on a miss:
-  /// never cached, payload lost to a failed reload, or stale against a
-  /// table version bump — stale and lost entries are dropped on the spot,
-  /// so they can never serve old rows. No I/O: pin the handle through
-  /// store() to read it.
-  SegmentRef Lookup(uint64_t fingerprint);
+  /// The handle cached under `fingerprint` for structural key `key` whose
+  /// columns cover `*need`, or a null handle on a miss: never cached,
+  /// cached under another key (a fingerprint collision), payload lost to a
+  /// failed reload, stale against a table version bump — stale and lost
+  /// entries are dropped on the spot, so they can never serve old rows — or
+  /// missing a column of `*need`. That narrow miss adds the entry's columns
+  /// to `*need`, so the segment the caller computes instead covers both
+  /// readers. A null `need` takes any width. No I/O: pin the handle
+  /// through store() to read it.
+  SegmentRef Lookup(uint64_t fingerprint, const std::string& key,
+                    ColumnNeed* need);
 
-  /// Indexes a freshly materialized segment of store() with its base-table
-  /// dependency set (ClassBaseTables of the materialized class), stamped
-  /// with the versions in `read_versions` — the TableVersionSnapshot taken
-  /// before the segment's inputs were read. A segment computed against a
-  /// version that has since been invalidated is not indexed. First writer
-  /// wins; losing the race is not an error.
-  void Insert(uint64_t fingerprint, const SegmentRef& segment,
+  /// Indexes a freshly materialized segment of store() under `fingerprint`
+  /// and structural key `key`, with its base-table dependency set
+  /// (ClassBaseTables of the materialized class), stamped with the versions
+  /// in `read_versions` — the TableVersionSnapshot taken before the
+  /// segment's inputs were read. A segment computed against a version that
+  /// has since been invalidated is not indexed. First writer wins, except
+  /// that a segment of the same key holding strictly more columns replaces
+  /// the entry; losing the race is not an error.
+  void Insert(uint64_t fingerprint, const std::string& key,
+              const SegmentRef& segment,
               const std::set<std::string>& base_tables,
               const TableVersions& read_versions);
 
@@ -142,6 +162,7 @@ class SharedSegmentCache {
  private:
   struct Entry {
     SegmentRef segment;
+    std::string key;     ///< The class's canonical structural key.
     TableVersions deps;  ///< table -> version the segment was computed from.
   };
 

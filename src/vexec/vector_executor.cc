@@ -1,6 +1,7 @@
 #include "vexec/vector_executor.h"
 
 #include "obs/obs.h"
+#include "vexec/column_need.h"
 
 namespace mqo {
 
@@ -24,68 +25,10 @@ struct ChainDesc {
   /// plan qualifies under `index_alias`.
   std::shared_ptr<const JoinHashTable> index;
   std::string index_alias;
+  /// What the chain below this element must deliver: the running need
+  /// after this element's rule applied.
+  ColumnNeed input_need;
 };
-
-/// The attributes of class `eq` that `need` names, in class order.
-std::vector<ColumnRef> NeedAttrs(Memo* memo, EqId eq,
-                                 const ColumnNeed& need) {
-  std::vector<ColumnRef> out;
-  for (const auto& col : memo->Attributes(memo->Find(eq))) {
-    if (need.count(col) > 0) out.push_back(col);
-  }
-  return out;
-}
-
-/// A join's need split across its inputs: what each side must emit (its
-/// share of the need plus its join keys), what the join itself must emit
-/// from each side (that share alone), and the key columns, one per
-/// condition, in condition order.
-struct JoinNeed {
-  ColumnNeed left;
-  ColumnNeed right;
-  ColumnNeed left_out;
-  ColumnNeed right_out;
-  std::vector<ColumnRef> left_keys;
-  std::vector<ColumnRef> right_keys;
-};
-
-/// Splits a join's need across its inputs, classes `left` and `right`.
-/// Keys resolve against the full class attributes, so overlapping aliases
-/// fail with the row engine's Unimplemented whatever is pruned.
-Result<JoinNeed> SplitJoinNeed(Memo* memo, const ColumnNeed& need, EqId left,
-                               EqId right, const JoinPredicate& predicate) {
-  const std::vector<ColumnRef>& left_attrs =
-      memo->Attributes(memo->Find(left));
-  const std::vector<ColumnRef>& right_attrs =
-      memo->Attributes(memo->Find(right));
-  MQO_ASSIGN_OR_RETURN(JoinSpec spec,
-                       ResolveJoinSpec(left_attrs, right_attrs, predicate));
-  JoinNeed split;
-  for (const auto& col : left_attrs) {
-    if (need.count(col) > 0) split.left_out.insert(col);
-  }
-  for (const auto& col : right_attrs) {
-    if (need.count(col) > 0) split.right_out.insert(col);
-  }
-  split.left = split.left_out;
-  split.right = split.right_out;
-  for (const auto& c : spec.conds) {
-    split.left_keys.push_back(left_attrs[c.left]);
-    split.right_keys.push_back(right_attrs[c.right]);
-    split.left.insert(left_attrs[c.left]);
-    split.right.insert(right_attrs[c.right]);
-  }
-  return split;
-}
-
-/// What an aggregate sink reads: its group keys and aggregate arguments.
-ColumnNeed AggregateNeed(const MemoOp& agg) {
-  ColumnNeed need(agg.group_by.begin(), agg.group_by.end());
-  for (const auto& a : agg.aggregates) {
-    if (!a.arg.name.empty()) need.insert(a.arg);
-  }
-  return need;
-}
 
 }  // namespace
 
@@ -131,24 +74,21 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         cur->logical_op >= 0 ? &memo_->op(cur->logical_op) : nullptr;
     switch (cur->op) {
       case PhysOp::kFilter: {
-        if (op == nullptr) return Status::Internal("filter without op");
         ChainDesc d;
         d.kind = ChainDesc::kFilter;
+        MQO_ASSIGN_OR_RETURN(need, InputNeed(memo_, *cur, need, nullptr));
         d.predicate = &op->predicate;
-        for (const auto& cmp : op->predicate.conjuncts()) {
-          need.insert(cmp.column);
-        }
+        d.input_need = need;
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
       }
       case PhysOp::kProject: {
-        if (op == nullptr) return Status::Internal("project without op");
         ChainDesc d;
         d.kind = ChainDesc::kProject;
+        MQO_ASSIGN_OR_RETURN(need, InputNeed(memo_, *cur, need, nullptr));
         d.project = &op->project_columns;
-        need = ColumnNeed(op->project_columns.begin(),
-                          op->project_columns.end());
+        d.input_need = need;
         descs.push_back(std::move(d));
         cur = cur->children[0];
         break;
@@ -164,17 +104,12 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
       case PhysOp::kMergeJoin: {
         // Every join is a hash probe: child 0 streams through the pipeline
         // and the build side (child 1, or the side input) is a hash table.
-        if (op == nullptr) return Status::Internal("join without op");
         ChainDesc d;
         d.kind = ChainDesc::kProbe;
-        const EqId probe_eq = cur->children[0]->eq;
-        const bool build_child = cur->children.size() > 1;
-        const EqId build_eq =
-            build_child ? cur->children[1]->eq : op->children[1];
-        MQO_ASSIGN_OR_RETURN(JoinNeed split,
-                             SplitJoinNeed(memo_, need, probe_eq, build_eq,
-                                           op->join_predicate));
-        if (build_child) {
+        JoinNeed split;
+        MQO_ASSIGN_OR_RETURN(need, InputNeed(memo_, *cur, need, &split));
+        const EqId build_eq = split.build;
+        if (cur->children.size() > 1) {
           MQO_ASSIGN_OR_RETURN(d.build,
                                ExecuteBatch(cur->children[1], split.right));
         } else {
@@ -201,8 +136,8 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
             d.index_alias = scan->alias;
           }
         }
-        need = std::move(split.left);
-        d.probe_out = NeedAttrs(memo_, probe_eq, split.left_out);
+        d.input_need = need;
+        d.probe_out = NeedAttrs(memo_, split.probe, split.left_out);
         d.probe_keys = std::move(split.left_keys);
         d.build_keys = std::move(split.right_keys);
         d.build_out = std::move(split.right_out);
@@ -277,28 +212,10 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
     descs.pop_back();
   }
 
-  // Chunk columns: walk the remaining chain top-down again, without the
-  // fused filters, to find what the chain reads from the source.
-  ColumnNeed required = sink_need;
-  for (const ChainDesc& d : descs) {
-    switch (d.kind) {
-      case ChainDesc::kFilter:
-        for (const auto& cmp : d.predicate->conjuncts()) {
-          required.insert(cmp.column);
-        }
-        break;
-      case ChainDesc::kProject:
-        required.clear();
-        required.insert(d.project->begin(), d.project->end());
-        break;
-      case ChainDesc::kProbe:
-        // The probe emits (its pruned probe-side columns, the pruned build);
-        // everything above is satisfied from those, and it reads its keys.
-        required = ColumnNeed(d.probe_out.begin(), d.probe_out.end());
-        required.insert(d.probe_keys.begin(), d.probe_keys.end());
-        break;
-    }
-  }
+  // Chunk columns: what the lowest unfused chain element reads, without the
+  // fused filters' columns (they read the source directly).
+  const ColumnNeed& required =
+      descs.empty() ? sink_need : descs.back().input_need;
   for (size_t i = 0; i < pipeline.source.names.size(); ++i) {
     if (required.count(pipeline.source.names[i]) > 0) {
       pipeline.keep_idx.push_back(static_cast<int>(i));
@@ -459,25 +376,31 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatch(const PlanNodePtr& plan,
   return ProjectBatch(raw, NeedAttrs(memo_, plan->eq, need));
 }
 
-Result<ColumnBatch> VectorPlanExecutor::ExecuteBatch(const PlanNodePtr& plan) {
-  const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
-  return ExecuteBatch(plan, ColumnNeed(attrs.begin(), attrs.end()));
-}
-
 Result<NamedRows> VectorPlanExecutor::Execute(const PlanNodePtr& plan) {
-  MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(plan));
-  NamedRows rows = BatchToRows(batch);
+  // Query roots keep every class attribute.
   const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
+  MQO_ASSIGN_OR_RETURN(
+      ColumnBatch batch,
+      ExecuteBatch(plan, ColumnNeed(attrs.begin(), attrs.end())));
+  NamedRows rows = BatchToRows(batch);
   MQO_RETURN_NOT_OK(Canonicalize(attrs, &rows));
   return rows;
 }
 
+Status VectorPlanExecutor::AddSegmentReads(
+    const PlanNodePtr& plan, const ColumnNeed& need,
+    const std::unordered_set<EqId>& materialized,
+    std::unordered_map<EqId, ColumnNeed>* needs) {
+  return mqo::AddSegmentReads(memo_, plan, need, materialized, needs);
+}
+
 Result<ColumnBatch> VectorPlanExecutor::ComputeSegment(
-    const PlanNodePtr& compute_plan) {
+    const PlanNodePtr& compute_plan, const ColumnNeed& need) {
   // The pipeline sink's merged result becomes the segment: the per-morsel
   // chunks were gathered on the workers and concatenated column-parallel,
-  // so no serial whole-result gather happens on this thread.
-  MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan));
+  // so no serial whole-result gather happens on this thread. It holds only
+  // the columns its readers read.
+  MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan, need));
   // Compress the segment before it lands: MatStore budget accounting and
   // eviction weights then see encoded bytes, and later reads of this
   // segment can zone-skip like base-table scans. FOR encoding applies only

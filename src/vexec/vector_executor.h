@@ -31,34 +31,28 @@
 // counts one segment read whether it finds a segment or falls back to the
 // base relation's index.
 //
-// Column pruning is need-driven: every execution call carries the set of
-// columns its consumer reads (ColumnNeed), pushed top-down through the plan.
-// An aggregate sink needs its group keys and arguments, a filter adds its
-// conjunct columns, a project resets the need to its column list, and a
-// join splits it: each input executes with (need ∩ its attributes) ∪ its
-// join keys. So inside a plan every pipeline, join and breaker emits only
-// the columns some operator above it reads. Query roots and materialized
-// segments keep their full class attributes: they are executed with the
-// class attributes as their need, so segment schemas, fingerprints and
-// canonicalized results do not depend on who reads them. The two engines
-// are therefore directly comparable; the differential suite asserts they
-// agree on every workload, materialization choice, and thread count, which
-// makes this engine an independent second witness of the MQO sharing
-// semantics.
+// Column pruning is need-driven (vexec/column_need.h): every execution call
+// carries the set of columns its consumer reads, pushed top-down through the
+// plan, so inside a plan every pipeline, join and breaker emits only the
+// columns some operator above it reads. Query roots keep their full class
+// attributes, so canonicalized results do not depend on how they were
+// computed. A materialized segment holds the union of what its readers read
+// (AddSegmentReads, before any segment is computed), so it is computed,
+// encoded, stored and spilled with only those columns; its fingerprint
+// still names the class, and a cached segment serves any later reader whose
+// need it covers. The two engines are directly comparable; the
+// differential suite asserts they agree on every workload, materialization
+// choice, and thread count, which makes this engine an independent second
+// witness of the MQO sharing semantics.
 
 #ifndef MQO_VEXEC_VECTOR_EXECUTOR_H_
 #define MQO_VEXEC_VECTOR_EXECUTOR_H_
-
-#include <set>
 
 #include "exec/consolidated_executor.h"
 #include "vexec/pipeline.h"
 #include "vexec/vector_ops.h"
 
 namespace mqo {
-
-/// The columns an operator's consumers read.
-using ColumnNeed = std::set<ColumnRef>;
 
 /// Executes physical plans against a dataset, batch-at-a-time.
 class VectorPlanExecutor final : public ConsolidatedExecutor {
@@ -70,15 +64,17 @@ class VectorPlanExecutor final : public ConsolidatedExecutor {
   Result<NamedRows> Execute(const PlanNodePtr& plan) override;
 
  private:
-  Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan) override;
+  Status AddSegmentReads(const PlanNodePtr& plan, const ColumnNeed& need,
+                         const std::unordered_set<EqId>& materialized,
+                         std::unordered_map<EqId, ColumnNeed>* needs) override;
+  Result<ColumnBatch> ComputeSegment(const PlanNodePtr& compute_plan,
+                                     const ColumnNeed& need) override;
   /// Plan execution to a batch of the class attributes of `plan` that
   /// `need` names, in class-attribute order. An aggregate runs as the sink
   /// of the pipeline under it, anything else as a pipeline rooted at
   /// `plan`; batch roots fail (they execute via ExecuteConsolidated).
   Result<ColumnBatch> ExecuteBatch(const PlanNodePtr& plan,
                                    const ColumnNeed& need);
-  /// Full width: all class attributes (query roots and segments).
-  Result<ColumnBatch> ExecuteBatch(const PlanNodePtr& plan);
   /// Compiles the pipeline rooted at `plan` (descending through filters,
   /// projects, sorts and join probes until a source or breaker) and runs it.
   /// `agg`, when set, installs an aggregate sink fed by the chain under the

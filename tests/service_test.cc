@@ -202,6 +202,64 @@ TEST_F(ServiceTest, DisplayEqualConstantsDoNotShareCachedSegments) {
       SameResults(second.ValueOrDie().results, high.ValueOrDie().results));
 }
 
+// A cached segment holds only the columns its first readers read. A later
+// reader that needs a column the entry lacks must miss (never read a
+// missing column), get correct rows, and leave the entry widened to both
+// needs, so a third run hits.
+TEST_F(ServiceTest, NarrowedCacheEntryServesOnlyCoveredReaders) {
+  auto batch = [](const std::string& group) {
+    const std::string from =
+        " FROM supplier, nation WHERE s_nationkey = n_nationkey "
+        "AND s_acctbal < 97";
+    return std::vector<std::string>{
+        "SELECT " + group + ", sum(s_acctbal)" + from + " GROUP BY " + group,
+        "SELECT n_regionkey, sum(s_acctbal)" + from + " GROUP BY n_regionkey"};
+  };
+  // Catalog statistics make the optimizer materialize the shared join
+  // whatever MQO_STATS_MODE says.
+  MqoOptions options;
+  options.backend = ExecBackend::kVector;
+  options.stats_mode = StatsMode::kCatalogGuess;
+  MqoOptions row = options;
+  row.backend = ExecBackend::kRow;
+  DataGenOptions gen;
+  gen.max_rows_per_table = 2000;
+  const DataSet data = GenerateData(catalog_, gen);
+  MqoSession session(&catalog_, &data, options);
+  const SharedSegmentCache& cache = *session.segment_cache();
+
+  auto narrow = session.Run(batch("n_name"));
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  ASSERT_GT(cache.stats().inserts, 0);
+  EXPECT_EQ(cache.stats().narrow_misses, 0);
+
+  // s_name is no column of the cached join segment.
+  auto expected =
+      OptimizeAndExecuteSqlBatch(catalog_, batch("s_name"), data, row);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto wider = session.Run(batch("s_name"));
+  ASSERT_TRUE(wider.ok()) << wider.status().ToString();
+  EXPECT_TRUE(
+      SameResults(wider.ValueOrDie().results, expected.ValueOrDie().results));
+  const SegmentCacheStats after_wider = cache.stats();
+  EXPECT_GT(after_wider.narrow_misses, 0);
+  EXPECT_EQ(after_wider.widenings, after_wider.narrow_misses);
+
+  // The widened entry serves the wider reader, and still the first one.
+  auto again = session.Run(batch("s_name"));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.ValueOrDie().cross_batch_hits,
+            again.ValueOrDie().optimization.result.num_materialized);
+  EXPECT_TRUE(
+      SameResults(again.ValueOrDie().results, expected.ValueOrDie().results));
+  auto first_again = session.Run(batch("n_name"));
+  ASSERT_TRUE(first_again.ok()) << first_again.status().ToString();
+  EXPECT_TRUE(SameResults(first_again.ValueOrDie().results,
+                          narrow.ValueOrDie().results));
+  EXPECT_EQ(cache.stats().narrow_misses, after_wider.narrow_misses);
+  EXPECT_EQ(cache.stats().widenings, after_wider.widenings);
+}
+
 // Sessions can opt out of the shared cache entirely.
 TEST_F(ServiceTest, SharedCacheCanBeDisabled) {
   MqoOptions options;

@@ -166,6 +166,40 @@ TEST(ColumnDictTest, CellOpsAgreeAcrossPhysicalForms) {
   }
 }
 
+/// ByteSize of a dictionary column, summed entry by entry.
+size_t PerEntryDictBytes(const ColumnVector& col) {
+  size_t bytes = col.codes().size() * sizeof(int32_t);
+  for (const auto& s : col.dict()->entries) {
+    bytes += sizeof(std::string) + s.size();
+  }
+  return bytes + col.dict()->hashes.size() * sizeof(uint64_t);
+}
+
+TEST(ColumnDictTest, ByteSizeEqualsPerEntrySumThroughSpill) {
+  ColumnVector col =
+      StringColumn({"pear", "apple", "", "fig", "apple", "a longer entry"});
+  ASSERT_TRUE(col.DictEncode());
+  EXPECT_EQ(col.ByteSize(), PerEntryDictBytes(col));
+  // A gather shares the dictionary: its bytes count in full, codes shrink.
+  ColumnVector picked = col.Gather({0, 3});
+  EXPECT_EQ(picked.ByteSize(), PerEntryDictBytes(picked));
+
+  SpillDir dir;
+  auto path = dir.NextPath();
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  ColumnBatch b;
+  b.names = {ColumnRef("q", "s")};
+  b.columns = {col};
+  b.num_rows = col.size();
+  ASSERT_TRUE(WriteSegmentFile(path.ValueOrDie(), b).ok());
+  auto back = ReadSegmentFile(path.ValueOrDie());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const ColumnVector& reloaded = back.ValueOrDie().columns[0];
+  ASSERT_TRUE(reloaded.dict_encoded());
+  EXPECT_EQ(reloaded.ByteSize(), PerEntryDictBytes(reloaded));
+  EXPECT_EQ(reloaded.ByteSize(), col.ByteSize());
+}
+
 TEST(ColumnDictTest, GatherMovesCodesAndSharesDictionary) {
   ColumnVector col = StringColumn({"a", "b", "c", "b"});
   ASSERT_TRUE(col.DictEncode());
@@ -1324,20 +1358,22 @@ SegmentRef PutMarker(SharedSegmentCache* cache, int64_t v) {
 
 TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   SharedSegmentCache cache(MatStoreOptions{});
-  EXPECT_FALSE(cache.Lookup(1));
-  cache.Insert(1, PutMarker(&cache, 10), {"t"}, cache.TableVersionSnapshot());
-  SegmentRef hit = cache.Lookup(1);
+  EXPECT_FALSE(cache.Lookup(1, "k", nullptr));
+  cache.Insert(1, "k", PutMarker(&cache, 10), {"t"},
+               cache.TableVersionSnapshot());
+  SegmentRef hit = cache.Lookup(1, "k", nullptr);
   ASSERT_TRUE(hit);
   EXPECT_EQ(FirstCell(cache.store(), hit), 10);
   // Invalidating an unrelated table leaves the segment serveable.
   cache.InvalidateTable("u");
-  EXPECT_TRUE(cache.Lookup(1));
+  EXPECT_TRUE(cache.Lookup(1, "k", nullptr));
   // Invalidating a dependency drops it: stale means miss, never wrong data.
   cache.InvalidateTable("t");
-  EXPECT_FALSE(cache.Lookup(1));
+  EXPECT_FALSE(cache.Lookup(1, "k", nullptr));
   // A segment computed *after* the bump captured the new version — fresh.
-  cache.Insert(1, PutMarker(&cache, 20), {"t"}, cache.TableVersionSnapshot());
-  hit = cache.Lookup(1);
+  cache.Insert(1, "k", PutMarker(&cache, 20), {"t"},
+               cache.TableVersionSnapshot());
+  hit = cache.Lookup(1, "k", nullptr);
   ASSERT_TRUE(hit);
   EXPECT_EQ(FirstCell(cache.store(), hit), 20);
 
@@ -1351,20 +1387,84 @@ TEST(SegmentCacheTest, LookupInsertStalenessAndCounters) {
   EXPECT_EQ(cache.store_stats().gets, 2);
 }
 
+// The fingerprint is a 64-bit hash: an entry serves only a lookup that
+// presents the same structural key.
+TEST(SegmentCacheTest, FingerprintMatchWithAnotherKeyIsMiss) {
+  SharedSegmentCache cache(MatStoreOptions{});
+  cache.Insert(7, "A", PutMarker(&cache, 70), {"t"},
+               cache.TableVersionSnapshot());
+  EXPECT_FALSE(cache.Lookup(7, "B", nullptr));
+  SegmentRef hit = cache.Lookup(7, "A", nullptr);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(FirstCell(cache.store(), hit), 70);
+  // A colliding class never displaces the entry either.
+  cache.Insert(7, "B", PutMarker(&cache, 71), {"t"},
+               cache.TableVersionSnapshot());
+  EXPECT_EQ(cache.stats().insert_races_lost, 1);
+  EXPECT_EQ(FirstCell(cache.store(), cache.Lookup(7, "A", nullptr)), 70);
+  const SegmentCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.narrow_misses, 0);
+}
+
+/// A one-row segment holding `cols` of alias `t`.
+SegmentRef PutColumns(SharedSegmentCache* cache,
+                      const std::vector<std::string>& cols) {
+  ColumnBatch batch;
+  for (const auto& c : cols) {
+    batch.names.emplace_back("t", c);
+    batch.columns.push_back(IntColumn({1}));
+  }
+  batch.num_rows = 1;
+  return cache->store()->Put(std::move(batch));
+}
+
+// An entry serves the needs it covers. A wider need misses and learns the
+// cached columns; the segment computed for the union replaces the entry,
+// and a narrower one never does.
+TEST(SegmentCacheTest, NarrowEntryServesCoveredNeedsAndOnlyWidens) {
+  SharedSegmentCache cache(MatStoreOptions{});
+  const TableVersions versions = cache.TableVersionSnapshot();
+  cache.Insert(5, "k", PutColumns(&cache, {"a", "c"}), {"t"}, versions);
+  ColumnNeed covered = {ColumnRef("t", "a")};
+  EXPECT_TRUE(cache.Lookup(5, "k", &covered));
+  EXPECT_EQ(covered, (ColumnNeed{ColumnRef("t", "a")}));
+  ColumnNeed wider = {ColumnRef("t", "a"), ColumnRef("t", "b")};
+  EXPECT_FALSE(cache.Lookup(5, "k", &wider));
+  EXPECT_EQ(wider, (ColumnNeed{ColumnRef("t", "a"), ColumnRef("t", "b"),
+                               ColumnRef("t", "c")}));
+  cache.Insert(5, "k", PutColumns(&cache, {"a", "b", "c"}), {"t"}, versions);
+  cache.Insert(5, "k", PutColumns(&cache, {"b"}), {"t"}, versions);
+  ColumnNeed again = {ColumnRef("t", "a"), ColumnRef("t", "b")};
+  SegmentRef hit = cache.Lookup(5, "k", &again);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.names().size(), 3u);
+  const SegmentCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.narrow_misses, 1);
+  EXPECT_EQ(stats.inserts, 2);
+  EXPECT_EQ(stats.widenings, 1);
+  EXPECT_EQ(stats.insert_races_lost, 1);
+  // The replaced and the losing segments died with their last handles.
+  hit = SegmentRef{};
+  EXPECT_EQ(cache.store()->size(), 1u);
+}
+
 // A run that read `t` before InvalidateTable("t") publishes with its
 // run-start snapshot: the segment may hold old rows, so it is never served.
 TEST(SegmentCacheTest, InsertStampedBeforeInvalidationIsMiss) {
   SharedSegmentCache cache(MatStoreOptions{});
   const TableVersions read_versions = cache.TableVersionSnapshot();
   cache.InvalidateTable("t");
-  cache.Insert(3, PutMarker(&cache, 30), {"t"}, read_versions);
-  EXPECT_FALSE(cache.Lookup(3));
+  cache.Insert(3, "k", PutMarker(&cache, 30), {"t"}, read_versions);
+  EXPECT_FALSE(cache.Lookup(3, "k", nullptr));
   EXPECT_EQ(cache.stats().inserts, 0);
   // The unindexed segment died with its last handle.
   EXPECT_EQ(cache.bytes_used(), 0u);
   // A run that started after the invalidation publishes a fresh segment.
-  cache.Insert(3, PutMarker(&cache, 31), {"t"}, cache.TableVersionSnapshot());
-  SegmentRef hit = cache.Lookup(3);
+  cache.Insert(3, "k", PutMarker(&cache, 31), {"t"},
+               cache.TableVersionSnapshot());
+  SegmentRef hit = cache.Lookup(3, "k", nullptr);
   ASSERT_TRUE(hit);
   EXPECT_EQ(FirstCell(cache.store(), hit), 31);
 }
@@ -1372,11 +1472,11 @@ TEST(SegmentCacheTest, InsertStampedBeforeInvalidationIsMiss) {
 TEST(SegmentCacheTest, FirstInsertWinsAndCopiesAreIsolated) {
   SharedSegmentCache cache(MatStoreOptions{});
   const TableVersions versions = cache.TableVersionSnapshot();
-  cache.Insert(9, PutMarker(&cache, 1), {"t"}, versions);
-  cache.Insert(9, PutMarker(&cache, 2), {"t"}, versions);  // lost race
+  cache.Insert(9, "k", PutMarker(&cache, 1), {"t"}, versions);
+  cache.Insert(9, "k", PutMarker(&cache, 2), {"t"}, versions);  // lost race
   EXPECT_EQ(cache.stats().insert_races_lost, 1);
   EXPECT_EQ(cache.store()->size(), 1u);  // the loser's segment is gone
-  SegmentRef hit = cache.Lookup(9);
+  SegmentRef hit = cache.Lookup(9, "k", nullptr);
   ASSERT_TRUE(hit);
   // The pinned batch is a COW handle: writing through a copy of it must
   // not corrupt what the cache serves next.
@@ -1388,7 +1488,7 @@ TEST(SegmentCacheTest, FirstInsertWinsAndCopiesAreIsolated) {
   }
   EXPECT_EQ(out.columns[0].ints()[0], 1);
   out.columns[0].ints()[0] = 777;
-  EXPECT_EQ(FirstCell(cache.store(), cache.Lookup(9)), 1);
+  EXPECT_EQ(FirstCell(cache.store(), cache.Lookup(9, "k", nullptr)), 1);
 }
 
 // A run holding a cached handle keeps reading it across invalidation: the
@@ -1401,9 +1501,9 @@ TEST(SegmentCacheTest, HandleHeldAcrossInvalidationStaysReadable) {
     options.budget_bytes = 1;  // every unpinned segment lives on disk
     options.spill_dir = dir;
     SharedSegmentCache cache(options);
-    cache.Insert(4, PutMarker(&cache, 40), {"t"},
+    cache.Insert(4, "k", PutMarker(&cache, 40), {"t"},
                  cache.TableVersionSnapshot());
-    SegmentRef held = cache.Lookup(4);
+    SegmentRef held = cache.Lookup(4, "k", nullptr);
     ASSERT_TRUE(held);
     EXPECT_FALSE(cache.store()->IsResident(held));
     EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
@@ -1411,7 +1511,7 @@ TEST(SegmentCacheTest, HandleHeldAcrossInvalidationStaysReadable) {
               1);
 
     cache.InvalidateTable("t");
-    EXPECT_FALSE(cache.Lookup(4));
+    EXPECT_FALSE(cache.Lookup(4, "k", nullptr));
     EXPECT_EQ(cache.size(), 0u);
     {
       auto pinned = cache.store()->Pin(held);  // reloads the spill file
@@ -1446,9 +1546,10 @@ TEST(SegmentCacheConcurrencyTest, RacingInsertLookupInvalidate) {
         for (int i = 0; i < 60; ++i) {
           const uint64_t fp = static_cast<uint64_t>((t + i) % 6);
           const std::string table = "t" + std::to_string(fp % 2);
-          cache.Insert(fp, PutMarker(&cache, static_cast<int64_t>(fp) * 10),
+          cache.Insert(fp, "k",
+                       PutMarker(&cache, static_cast<int64_t>(fp) * 10),
                        {table}, cache.TableVersionSnapshot());
-          if (SegmentRef hit = cache.Lookup(fp)) {
+          if (SegmentRef hit = cache.Lookup(fp, "k", nullptr)) {
             EXPECT_EQ(FirstCell(cache.store(), hit),
                       static_cast<int64_t>(fp) * 10);
           }

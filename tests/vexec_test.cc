@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <set>
 #include <thread>
+#include <unordered_set>
 
 #include "catalog/tpcd.h"
 #include "exec/row_ops.h"
@@ -23,6 +26,7 @@
 #include "support/pipelines.h"
 #include "support/trace_check.h"
 #include "vexec/backend.h"
+#include "vexec/column_need.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -675,8 +679,8 @@ TEST(VexecPruningTest, GroupByBuildSideColumn) {
 
 TEST(VexecPruningTest, JoinWithMaterializedSegmentAsInnerSide) {
   // σ(t2) is shared by both queries and, materialized, is read as the
-  // rescanned inner side of a BNL join: the segment is full-width and the
-  // side input projects it onto what the probe reads.
+  // rescanned inner side of a BNL join: the segment holds what both probes
+  // read, and each side input projects it onto its own probe's share.
   auto shared = LogicalExpr::Select(
       LogicalExpr::Scan("t2"), Predicate({Cmp("t2", "v", CompareOp::kLe, 6)}));
   auto q1 = LogicalExpr::Aggregate(
@@ -891,6 +895,8 @@ TEST(VexecTraceTest, OperatorRowCountsDeterministicAcrossThreadCounts) {
         sig.emplace_back(e.name, ArgOf(e, "src_rows"), ArgOf(e, "out_rows"));
       } else if (e.name == "materialize") {
         sig.emplace_back(e.name, ArgOf(e, "eq"), ArgOf(e, "rows"));
+        sig.emplace_back("materialize.cols", ArgOf(e, "eq"),
+                         ArgOf(e, "cols"));
       }
     }
     return sig;
@@ -1637,14 +1643,20 @@ TEST(VexecBudgetTest, TinyBudgetForcesSpillsWithoutChangingResults) {
   }
 }
 
-// One SharedSegmentCache serving both engines: segments the row engine
-// publishes (plain columns from BatchFromRows) must serve the vector engine,
-// and the vector engine's (FOR-encoded, zone-mapped) segments must serve the
-// row engine. The second run computes nothing and still answers exactly like
-// a cache-less run of the same engine.
+// One SharedSegmentCache serving both engines. The row engine publishes
+// full-width segments (plain columns from BatchFromRows), which cover every
+// need: the vector engine then computes nothing. The vector engine publishes
+// (FOR-encoded, zone-mapped) segments narrowed to its readers' needs: a row
+// run reads whole segments, so it recomputes exactly the classes whose
+// segment lacks an attribute and republishes them at full width, after
+// which a second row run computes nothing. Every run answers exactly like
+// a cache-less run of its engine. Adds the vector run's narrowed classes to
+// `*vector_narrowed`.
 void CheckMixedEngineCacheOn(Memo* memo, const DataSet& data,
-                             const ConsolidatedPlan& plan) {
+                             const ConsolidatedPlan& plan,
+                             int64_t* vector_narrowed) {
   ASSERT_FALSE(plan.materialized.empty());
+  const int64_t classes = static_cast<int64_t>(plan.materialized.size());
   ExecOptions parallel = WithEnvStore();
   parallel.num_threads = 2;
   parallel.morsel_rows = 8;
@@ -1663,16 +1675,40 @@ void CheckMixedEngineCacheOn(Memo* memo, const DataSet& data,
     auto warm = ExecuteConsolidatedResult(first, memo, &data, plan, exec);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
     EXPECT_EQ(warm.ValueOrDie().cross_batch_hits, 0) << context;
-    auto served = ExecuteConsolidatedResult(second, memo, &data, plan, exec);
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    EXPECT_EQ(served.ValueOrDie().cross_batch_hits,
-              static_cast<int64_t>(plan.materialized.size()))
-        << context;
+    // Classes whose published segment lacks an attribute.
+    int64_t narrowed = 0;
+    for (const SegmentRuntime& seg : warm.ValueOrDie().segments) {
+      const size_t attrs = memo->Attributes(seg.eq).size();
+      if (static_cast<size_t>(seg.columns) < attrs) ++narrowed;
+    }
+    if (first == ExecBackend::kRow) {
+      EXPECT_EQ(narrowed, 0) << context;
+    } else {
+      *vector_narrowed += narrowed;
+    }
+    std::vector<ExecResult> served;
+    for (int run = 0; run < 2; ++run) {
+      auto again = ExecuteConsolidatedResult(second, memo, &data, plan, exec);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      served.push_back(std::move(again).ValueOrDie());
+    }
+    EXPECT_EQ(served[0].cross_batch_hits, classes - narrowed) << context;
+    EXPECT_EQ(cache.stats().widenings, narrowed) << context;
+    EXPECT_EQ(served[1].cross_batch_hits, classes) << context;
+    for (const SegmentRuntime& seg : served[1].segments) {
+      if (second == ExecBackend::kRow) {
+        EXPECT_EQ(static_cast<size_t>(seg.columns),
+                  memo->Attributes(seg.eq).size())
+            << context;
+      }
+    }
     const auto& want = reference.ValueOrDie().results;
-    const auto& got = served.ValueOrDie().results;
-    ASSERT_EQ(want.size(), got.size()) << context;
-    for (size_t q = 0; q < want.size(); ++q) {
-      ExpectSameRows(want[q], got[q], context + " q" + std::to_string(q));
+    for (const ExecResult& got : served) {
+      ASSERT_EQ(want.size(), got.results.size()) << context;
+      for (size_t q = 0; q < want.size(); ++q) {
+        ExpectSameRows(want[q], got.results[q],
+                       context + " q" + std::to_string(q));
+      }
     }
   }
 }
@@ -1682,6 +1718,7 @@ TEST(VexecCacheTest, MixedEnginesShareOneSegmentCache) {
   gen.max_rows_per_table = 40;
   gen.domain_cap = 30;
   gen.seed = 77;
+  int64_t narrowed = 0;
   {
     Catalog catalog = MakeExample1Catalog();
     Memo memo(&catalog);
@@ -1691,7 +1728,8 @@ TEST(VexecCacheTest, MixedEnginesShareOneSegmentCache) {
     BatchOptimizer optimizer(&memo, CostModel());
     MaterializationProblem problem(&optimizer);
     CheckMixedEngineCacheOn(&memo, data,
-                            optimizer.Plan(RunGreedy(&problem).materialized));
+                            optimizer.Plan(RunGreedy(&problem).materialized),
+                            &narrowed);
   }
   {
     // String, date and numeric columns: dictionary and FOR segments cross
@@ -1704,7 +1742,357 @@ TEST(VexecCacheTest, MixedEnginesShareOneSegmentCache) {
     BatchOptimizer optimizer(&memo, CostModel());
     MaterializationProblem problem(&optimizer);
     CheckMixedEngineCacheOn(
-        &memo, data, optimizer.Plan(RunMarginalGreedy(&problem).materialized));
+        &memo, data, optimizer.Plan(RunMarginalGreedy(&problem).materialized),
+        &narrowed);
+  }
+  // The vector-then-row order exercised the republish at full width.
+  EXPECT_GT(narrowed, 0);
+}
+
+// ---- Segments narrowed to their readers' needs ------------------------------
+
+/// `plan`'s materialized classes, children first (the executor's order).
+std::vector<const ConsolidatedPlan::MatNode*> ChildrenFirst(
+    const Memo& memo, const ConsolidatedPlan& plan) {
+  std::map<EqId, size_t> position;
+  const std::vector<EqId> topo = memo.TopologicalClasses();
+  for (size_t i = 0; i < topo.size(); ++i) position[topo[i]] = i;
+  std::vector<const ConsolidatedPlan::MatNode*> out;
+  for (const auto& m : plan.materialized) out.push_back(&m);
+  std::sort(out.begin(), out.end(),
+            [&](const ConsolidatedPlan::MatNode* a,
+                const ConsolidatedPlan::MatNode* b) {
+              return position[memo.Find(a->eq)] < position[memo.Find(b->eq)];
+            });
+  return out;
+}
+
+/// What each materialized class's segment must hold when `plan` runs with
+/// no cache: the query roots' reads at full width, then each compute
+/// plan's, ancestors first, with its own class's need.
+std::unordered_map<EqId, ColumnNeed> ReaderNeeds(Memo* memo,
+                                                 const ConsolidatedPlan& plan) {
+  auto full = [memo](EqId eq) {
+    const auto& attrs = memo->Attributes(memo->Find(eq));
+    return ColumnNeed(attrs.begin(), attrs.end());
+  };
+  std::unordered_set<EqId> materialized;
+  for (const auto& m : plan.materialized) materialized.insert(memo->Find(m.eq));
+  std::unordered_map<EqId, ColumnNeed> needs;
+  for (const PlanNodePtr& query : plan.root_plan->children) {
+    EXPECT_TRUE(
+        AddSegmentReads(memo, query, full(query->eq), materialized, &needs)
+            .ok());
+  }
+  const auto order = ChildrenFirst(*memo, plan);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const EqId eq = memo->Find((*it)->eq);
+    const ColumnNeed need = needs.count(eq) > 0 ? needs[eq] : full(eq);
+    EXPECT_TRUE(
+        AddSegmentReads(memo, (*it)->compute_plan, need, materialized, &needs)
+            .ok());
+  }
+  return needs;
+}
+
+/// The columns of every segment a run published into `cache` (a cache only
+/// that run used), by class.
+std::map<EqId, std::vector<ColumnRef>> StoredColumns(
+    const Memo& memo, const ConsolidatedPlan& plan, SharedSegmentCache* cache) {
+  std::unordered_map<EqId, uint64_t> fps;
+  std::unordered_map<EqId, std::string> keys;
+  std::map<EqId, std::vector<ColumnRef>> out;
+  for (const auto& m : plan.materialized) {
+    const EqId eq = memo.Find(m.eq);
+    SegmentRef ref = cache->Lookup(ClassFingerprint(memo, eq, &fps),
+                                   ClassStructuralKey(memo, eq, &fps, &keys),
+                                   nullptr);
+    EXPECT_TRUE(ref) << "E" << eq << " was not published";
+    if (ref) out[eq] = ref.names();
+  }
+  return out;
+}
+
+/// True iff executing `plan` reads class `eq`'s segment: a ReadMaterialized
+/// leaf or a join side input.
+bool ReadsSegmentOf(const Memo& memo, const PlanNodePtr& plan, EqId eq) {
+  if (plan->op == PhysOp::kReadMaterialized && memo.Find(plan->eq) == eq) {
+    return true;
+  }
+  if (IsJoin(plan->op) && plan->children.size() == 1 &&
+      memo.Find(memo.op(plan->logical_op).children[1]) == eq) {
+    return true;
+  }
+  for (const PlanNodePtr& c : plan->children) {
+    if (ReadsSegmentOf(memo, c, eq)) return true;
+  }
+  return false;
+}
+
+/// Runs `plan` on the vector engine through a fresh cache; returns the run
+/// and fills `*stored` with each segment's columns.
+ExecResult RunVectorPublishing(Memo* memo, const DataSet& data,
+                               const ConsolidatedPlan& plan,
+                               const ExecOptions& base,
+                               std::map<EqId, std::vector<ColumnRef>>* stored) {
+  SharedSegmentCache cache(MatStoreOptions{});
+  ExecOptions exec = base;
+  exec.shared_cache = &cache;
+  auto run = ExecuteConsolidatedResult(ExecBackend::kVector, memo, &data, plan,
+                                       exec);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return {};
+  *stored = StoredColumns(*memo, plan, &cache);
+  return std::move(run).ValueOrDie();
+}
+
+TEST(VexecNarrowTest, BatchedWorkloadsMatchRowEngineWithSegmentsAtReadersNeed) {
+  Catalog catalog = MakeTpcdCatalog(1);
+  DataGenOptions gen;
+  gen.max_rows_per_table = 60;
+  gen.domain_cap = 30;
+  const DataSet data = GenerateData(catalog, gen);
+  int narrowed = 0;
+  for (int bq = 1; bq <= 3; ++bq) {
+    Memo memo(&catalog);
+    memo.InsertBatch(MakeBatchedWorkload(bq));
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    BatchOptimizer optimizer(&memo, CostModel());
+    MaterializationProblem problem(&optimizer);
+    for (Algorithm alg : kAllAlgorithms) {
+      const ConsolidatedPlan plan =
+          optimizer.Plan(RunAlgorithm(alg, &problem).materialized);
+      const std::string context =
+          "BQ" + std::to_string(bq) + " alg " + std::to_string(int(alg));
+      auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data,
+                                         plan, WithEnvStore());
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      // Each segment holds exactly the union of its readers' needs.
+      const std::unordered_map<EqId, ColumnNeed> needs =
+          ReaderNeeds(&memo, plan);
+      std::vector<int> widths;
+      for (int threads : {1, 2, 4}) {
+        ExecOptions exec;
+        exec.num_threads = threads;
+        if (threads > 1) exec.morsel_rows = 8;
+        std::map<EqId, std::vector<ColumnRef>> stored;
+        ExecResult vec =
+            RunVectorPublishing(&memo, data, plan, WithEnvStore(exec), &stored);
+        ASSERT_EQ(vec.results.size(), row.ValueOrDie().size()) << context;
+        for (size_t q = 0; q < vec.results.size(); ++q) {
+          ExpectSameRows(row.ValueOrDie()[q], vec.results[q],
+                         context + " q" + std::to_string(q) + " t" +
+                             std::to_string(threads));
+        }
+        for (const auto& [eq, cols] : stored) {
+          auto need = needs.find(eq);
+          ASSERT_NE(need, needs.end()) << context << " E" << eq;
+          EXPECT_EQ(cols, NeedAttrs(&memo, eq, need->second))
+              << context << " E" << eq;
+          if (threads == 1 && cols.size() < memo.Attributes(eq).size()) {
+            ++narrowed;
+          }
+        }
+        // The width each run reports is the same at every thread count.
+        std::vector<int> got;
+        for (const SegmentRuntime& seg : vec.segments) {
+          got.push_back(seg.columns);
+          EXPECT_EQ(static_cast<size_t>(seg.columns), stored[seg.eq].size());
+        }
+        if (widths.empty()) widths = got;
+        EXPECT_EQ(got, widths) << context << " t" << threads;
+      }
+    }
+  }
+  EXPECT_GT(narrowed, 0);
+}
+
+TEST(VexecNarrowTest, MaterializedQueryRootKeepsFullWidth) {
+  // Exact duplicate queries share their root class: materialized, it is
+  // read as a query result, so it keeps every class attribute.
+  Catalog catalog = MakeTinyCatalog();
+  Memo memo(&catalog);
+  memo.InsertBatch({Join12(), Join12()});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  const DataSet data = PruningData(catalog);
+  const std::vector<EqId> roots = QueryRoots(memo);
+  ASSERT_EQ(roots.size(), 2u);
+  ASSERT_EQ(roots[0], roots[1]);
+  BatchOptimizer optimizer(&memo, CostModel());
+  const ConsolidatedPlan plan = optimizer.Plan({roots[0]});
+  auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                     WithEnvStore());
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  std::map<EqId, std::vector<ColumnRef>> stored;
+  ExecResult vec = RunVectorPublishing(&memo, data, plan, WithEnvStore(),
+                                       &stored);
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[roots[0]], memo.Attributes(roots[0]));
+  ASSERT_EQ(vec.results.size(), 2u);
+  for (size_t q = 0; q < 2; ++q) {
+    ExpectSameRows(row.ValueOrDie()[q], vec.results[q],
+                   "duplicate q" + std::to_string(q));
+  }
+}
+
+TEST(VexecNarrowTest, AncestorNeedReachesTheDescendantSegmentItReads) {
+  // J = t1 ⋈ σ(t2) and its descendant S = σ(t2) are both materialized; only
+  // J's compute plan reads S. Both queries read J for t1.tag and t2.v, so S
+  // must hold t2.v and the join key t2.k — not t2.tag.
+  auto filtered = LogicalExpr::Select(
+      LogicalExpr::Scan("t2"), Predicate({Cmp("t2", "v", CompareOp::kLe, 6)}));
+  auto join = LogicalExpr::Join(LogicalExpr::Scan("t1"), filtered,
+                                JoinPredicate({KeyJoin("t1", "t2")}));
+  Catalog catalog = MakeTinyCatalog();
+  Memo memo(&catalog);
+  memo.InsertBatch(
+      {LogicalExpr::Aggregate(join, {ColumnRef("t1", "tag")},
+                              {Agg(AggFunc::kSum, ColumnRef("t2", "v"))}),
+       LogicalExpr::Aggregate(join, {ColumnRef("t1", "tag")},
+                              {Agg(AggFunc::kCount)})});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  const DataSet data = PruningData(catalog);
+  const EqId s = memo.Insert(filtered);
+  const EqId j = memo.Insert(join);
+  BatchOptimizer optimizer(&memo, CostModel());
+  const ConsolidatedPlan plan = optimizer.Plan({s, j});
+  ASSERT_EQ(plan.materialized.size(), 2u);
+  std::map<EqId, std::vector<ColumnRef>> stored;
+  for (PhysOp join_op : {PhysOp::kBlockNLJoin, PhysOp::kMergeJoin}) {
+    const ConsolidatedPlan forced = WithJoinsAs(plan, join_op);
+    // Only J's compute plan reads S.
+    ASSERT_FALSE(ReadsSegmentOf(memo, forced.root_plan, memo.Find(s)));
+    for (const auto& m : forced.materialized) {
+      EXPECT_EQ(ReadsSegmentOf(memo, m.compute_plan, memo.Find(s)),
+                memo.Find(m.eq) == memo.Find(j));
+    }
+    auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, forced,
+                                       WithEnvStore());
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ExecResult vec =
+        RunVectorPublishing(&memo, data, forced, WithEnvStore(), &stored);
+    EXPECT_EQ(stored[memo.Find(j)],
+              (std::vector<ColumnRef>{ColumnRef("t1", "tag"),
+                                      ColumnRef("t2", "v")}))
+        << PhysOpToString(join_op);
+    EXPECT_EQ(stored[memo.Find(s)],
+              (std::vector<ColumnRef>{ColumnRef("t2", "k"),
+                                      ColumnRef("t2", "v")}))
+        << PhysOpToString(join_op);
+    ASSERT_EQ(vec.results.size(), 2u);
+    for (size_t q = 0; q < 2; ++q) {
+      ExpectSameRows(row.ValueOrDie()[q], vec.results[q],
+                     std::string(PhysOpToString(join_op)) + " q" +
+                         std::to_string(q));
+    }
+  }
+}
+
+TEST(VexecNarrowTest, NarrowCacheMissWidensTheSegmentsItsComputePlanReads) {
+  // Batch A caches J = t1 ⋈ σ(t2) narrowed to what its query reads. Batch B
+  // (a fresh memo) materializes S = σ(t2) and J, and its query reads a J
+  // column the entry lacks: J misses, its need widens to the cached columns
+  // as well, and S must hold what J's widened compute plan reads.
+  auto filtered = LogicalExpr::Select(
+      LogicalExpr::Scan("t2"), Predicate({Cmp("t2", "v", CompareOp::kLe, 6)}));
+  auto join = LogicalExpr::Join(LogicalExpr::Scan("t1"), filtered,
+                                JoinPredicate({KeyJoin("t1", "t2")}));
+  Catalog catalog = MakeTinyCatalog();
+  const DataSet data = PruningData(catalog);
+  SharedSegmentCache cache(MatStoreOptions{});
+  ExecOptions exec = WithEnvStore();
+  exec.shared_cache = &cache;
+  {
+    Memo memo(&catalog);
+    memo.InsertBatch({LogicalExpr::Aggregate(
+        join, {ColumnRef("t1", "tag")},
+        {Agg(AggFunc::kSum, ColumnRef("t2", "v"))})});
+    ASSERT_TRUE(ExpandMemo(&memo).ok());
+    BatchOptimizer optimizer(&memo, CostModel());
+    const ConsolidatedPlan plan =
+        optimizer.Plan({memo.Find(memo.Insert(join))});
+    auto run = ExecuteConsolidatedWith(ExecBackend::kVector, &memo, &data,
+                                       plan, exec);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(cache.stats().inserts, 1);
+  }
+  Memo memo(&catalog);
+  memo.InsertBatch({LogicalExpr::Aggregate(join, {ColumnRef("t2", "tag")},
+                                           {Agg(AggFunc::kCount)})});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  const EqId s = memo.Find(memo.Insert(filtered));
+  const EqId j = memo.Find(memo.Insert(join));
+  BatchOptimizer optimizer(&memo, CostModel());
+  const ConsolidatedPlan plan = optimizer.Plan({s, j});
+  for (const auto& m : plan.materialized) {
+    ASSERT_EQ(ReadsSegmentOf(memo, m.compute_plan, s), memo.Find(m.eq) == j);
+  }
+  auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                     WithEnvStore());
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  auto vec = ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data,
+                                       plan, exec);
+  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+  EXPECT_EQ(vec.ValueOrDie().cross_batch_hits, 0);
+  ExpectSameRows(row.ValueOrDie()[0], vec.ValueOrDie().results[0], "widened");
+  EXPECT_EQ(cache.stats().narrow_misses, 1);
+  EXPECT_EQ(cache.stats().widenings, 1);
+  std::map<EqId, std::vector<ColumnRef>> stored =
+      StoredColumns(memo, plan, &cache);
+  EXPECT_EQ(stored[j],
+            NeedAttrs(&memo, j,
+                      {ColumnRef("t1", "tag"), ColumnRef("t2", "v"),
+                       ColumnRef("t2", "tag")}));
+}
+
+TEST(VexecNarrowTest, CountStarOverMaterializedJoinSurvivesSpill) {
+  // COUNT(*) over a materialized join reads none of its columns: the
+  // segment holds rows and no column, and its row count must survive an
+  // eviction to disk and the reload. S = σ(t1) is materialized beside it,
+  // so the 1-byte budget has bytes to evict.
+  auto filtered = LogicalExpr::Select(
+      LogicalExpr::Scan("t1"), Predicate({Cmp("t1", "v", CompareOp::kLe, 6)}));
+  auto join = LogicalExpr::Join(filtered, LogicalExpr::Scan("t2"),
+                                JoinPredicate({KeyJoin("t1", "t2")}));
+  Catalog catalog = MakeTinyCatalog();
+  Memo memo(&catalog);
+  memo.InsertBatch(
+      {LogicalExpr::Aggregate(join, {}, {Agg(AggFunc::kCount)}),
+       LogicalExpr::Aggregate(filtered, {ColumnRef("t1", "tag")},
+                              {Agg(AggFunc::kSum, ColumnRef("t1", "v"))})});
+  ASSERT_TRUE(ExpandMemo(&memo).ok());
+  const DataSet data = PruningData(catalog);
+  const EqId j = memo.Find(memo.Insert(join));
+  const EqId s = memo.Find(memo.Insert(filtered));
+  BatchOptimizer optimizer(&memo, CostModel());
+  const ConsolidatedPlan plan = optimizer.Plan({s, j});
+  auto row = ExecuteConsolidatedWith(ExecBackend::kRow, &memo, &data, plan,
+                                     WithEnvStore());
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  ASSERT_EQ(row.ValueOrDie()[0].rows.size(), 1u);
+  for (const ExecOptions& base : PruningConfigs()) {
+    ExecOptions exec = base;
+    exec.mat_budget_bytes = 1;
+    auto vec = ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data,
+                                         plan, WithEnvStore(exec));
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    const ExecResult& got = vec.ValueOrDie();
+    ASSERT_EQ(got.results.size(), 2u);
+    for (size_t q = 0; q < 2; ++q) {
+      ExpectSameRows(row.ValueOrDie()[q], got.results[q],
+                     "t" + std::to_string(exec.num_threads) + " q" +
+                         std::to_string(q));
+    }
+    bool saw_join = false;
+    for (const SegmentRuntime& seg : got.segments) {
+      if (seg.eq != j) continue;
+      saw_join = true;
+      EXPECT_EQ(seg.columns, 0);
+      EXPECT_GT(seg.actual_rows, 0);
+      EXPECT_EQ(seg.bytes, 0);
+      EXPECT_EQ(seg.reloads, 1);
+    }
+    EXPECT_TRUE(saw_join);
   }
 }
 
